@@ -1,25 +1,24 @@
-"""Cycle-core throughput: reference scan vs event-driven vs batched SoA.
+"""Cycle-core throughput: reference scan vs the default batched SoA core.
 
-Times the same pinned workloads under all three cycle cores — the
-reference exhaustive scan (``use_reference_stepper``), the event-driven
-stepper (wake-scheduled routers, allocation fast paths, idle-component
-skipping) and the batched struct-of-arrays core (``use_batched_stepper``,
-one vectorized screen over every (router, port, VC) cell per cycle) —
-and writes ``benchmarks/results/BENCH_core.json`` with per-mode
-cycles-per-second and flits-per-second plus each mode's speedup over the
-reference:
+Times the same pinned workloads under both cycle cores — the reference
+exhaustive scan (``use_reference_stepper``: every core, MC and occupied
+router stepped every cycle) and the default (wake-gated chip loop over
+networks stepped by the batched struct-of-arrays core, one vectorized
+screen over every (router, port, VC) cell per cycle) — and writes
+``benchmarks/results/BENCH_core.json`` with per-mode cycles-per-second
+and flits-per-second plus the default's speedup over the reference:
 
 * ``closed_loop_smoke`` — a finite BIN kernel on TB-DOR whose drained tail
   exercises the idle fast paths (cores finished, MCs idle, networks empty).
-  The event core must be at least 2x the reference here.
+  The default must be at least 2x the reference here.
 * ``open_loop_light`` — 20x20 mesh at a light injection rate (informational;
-  most routers idle, the wake heap stays nearly empty).
+  most routers idle, the screen finds few actionable cells).
 * ``open_loop_saturated`` — the same mesh driven past saturation, where the
   scan is genuinely busy: every router holds flits, but most are blocked
   upstream of the MC hot links.  This is the batched core's home regime —
-  it must be at least 3x the reference here; the event core at least 1.3x.
+  it must be at least 3x the reference here.
 
-All steppers must also produce bit-identical results (the determinism
+Both steppers must also produce bit-identical results (the determinism
 contract pinned by ``tests/test_stepper_equivalence.py``), so the bench
 doubles as a determinism canary.  Host timing on shared runners is noisy,
 so each mode runs ``REPRO_BENCH_REPS`` times (default 3), interleaved,
@@ -45,15 +44,15 @@ BENCH_SCHEMA = 2
 REPS = max(1, int(os.environ.get("REPRO_BENCH_REPS", "3")))
 
 #: Measurement order within one interleaved round.  ``reference`` first so
-#: every later mode compares against a same-round baseline sample.
-MODES = ("reference", "event", "batched")
+#: the default compares against a same-round baseline sample.
+MODES = ("reference", "batched")
 
 # Closed loop: finite kernel, measured to well past its drained tail.
 CLOSED_PROFILE = "BIN"
 CLOSED_DESIGN = "TB-DOR"
 CLOSED_IPW = 16
 CLOSED_WARMUP, CLOSED_MEASURE = 200, 4800
-CLOSED_FLOORS = {"event": 2.0}
+CLOSED_FLOORS = {"batched": 2.0}
 
 # Open loop: a mesh large enough that saturation leaves most routers
 # blocked (occupied but unable to grant) rather than actively draining —
@@ -64,7 +63,7 @@ OPEN_MESH = (20, 20)
 OPEN_WARMUP, OPEN_MEASURE = 300, 800
 LIGHT_RATE = 0.01
 SATURATED_RATE = 0.30
-SATURATED_FLOORS = {"event": 1.3, "batched": 3.0}
+SATURATED_FLOORS = {"batched": 3.0}
 #: Extra interleaved rep rounds allowed when a floor check lands short —
 #: per-mode minima only sharpen with more samples, so retries converge
 #: to the clean-machine ratio instead of flaking on a noise burst.
@@ -79,9 +78,7 @@ def _flits_ejected(network) -> int:
 def _select_stepper(system, mode: str) -> None:
     if mode == "reference":
         system.use_reference_stepper()
-    elif mode == "batched":
-        system.use_batched_stepper()
-    elif mode != "event":
+    elif mode != "batched":             # the construction-time default
         raise ValueError(f"unknown stepper mode {mode!r}")
 
 
@@ -112,7 +109,7 @@ def _open_run(rate: float, mode: str):
 
 
 def _measure(name: str, run, floors):
-    """Interleave ``REPS`` rounds over all three modes; compare per-mode
+    """Interleave ``REPS`` rounds over both modes; compare per-mode
     minima against the reference minimum.
 
     Also asserts the determinism contract: every rep of every mode must
@@ -221,23 +218,20 @@ def _experiment():
     out.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
 
     rows = [
-        f"{'config':22s} {'ref s':>8s} {'event s':>8s} {'batch s':>8s} "
-        f"{'event x':>8s} {'batch x':>8s} {'floors':>12s}",
+        f"{'config':22s} {'ref s':>8s} {'batch s':>8s} {'batch x':>8s} "
+        f"{'floor':>8s}",
     ]
     for name, entry in configs.items():
         modes = entry["modes"]
         floors = entry.get("floors", {})
-        floor_text = ",".join(
-            f"{mode[0]}:{floor:.1f}x" for mode, floor in floors.items()
-        ) or "-"
+        floor_text = (f"{floors['batched']:.1f}x" if "batched" in floors
+                      else "-")
         rows.append(
             f"{name:22s} {modes['reference']['best_seconds']:8.2f} "
-            f"{modes['event']['best_seconds']:8.2f} "
             f"{modes['batched']['best_seconds']:8.2f} "
-            f"{entry['speedup']['event']:7.2f}x "
             f"{entry['speedup']['batched']:7.2f}x "
-            f"{floor_text:>12s}")
-    rows.append(f"(min over {REPS}+ interleaved rounds per mode; all three "
+            f"{floor_text:>8s}")
+    rows.append(f"(min over {REPS}+ interleaved rounds per mode; both "
                 "steppers bit-identical; details in "
                 "results/BENCH_core.json)")
     return rows

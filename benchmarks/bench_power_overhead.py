@@ -3,8 +3,8 @@
 The four always-on :class:`repro.noc.stats.NetworkStats` activity
 counters (``crossbar_traversals`` / ``buffer_reads`` / ``buffer_writes``
 / ``link_flit_hops`` — DESIGN.md §17) are incremented on the hottest
-paths of all three cycle cores, so their cost is bounded here in the
-regime where it matters most: the saturated open-loop mesh on the
+paths of both cycle cores, so their cost is bounded here in the regime
+where it matters most: the saturated open-loop mesh on the default
 batched SoA core, the fastest stepper and therefore the worst case for
 *relative* overhead.
 
@@ -78,13 +78,12 @@ def _increment_cost_ns() -> float:
 
 
 def _saturated_run():
-    """One saturated open-loop run on the batched core.
+    """One saturated open-loop run on the default (batched) core.
 
     Returns (wall seconds, total counter units incremented, payload).
     """
     system = build(open_loop_variant(design_by_name(DESIGN)),
                    Mesh(*MESH), num_mcs=8, seed=SEED)
-    system.use_batched_stepper()
     runner = OpenLoopRunner(system, system.compute_nodes, system.mc_nodes,
                             UniformManyToFew(system.mc_nodes),
                             SATURATED_RATE, seed=SEED)

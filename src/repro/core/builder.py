@@ -18,7 +18,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..noc.invariants import (DeadlockError, audit_system,
                               format_system_state)
-from ..noc.network import MeshNetwork, NocParams, _StepperContext
+from ..noc.network import MeshNetwork, NocParams
 from ..noc.packet import Packet, TrafficClass
 from ..noc.router import RouterSpec
 from ..noc.routing import DorXY, DorYX, Romm2Phase, RoutingAlgorithm
@@ -335,34 +335,17 @@ class NetworkSystem:
             network.enable_tracer(tracer)
 
     def use_reference_stepper(self) -> None:
-        """Switch every slice to the exhaustive-scan stepper (idle-only)."""
+        """Switch every slice to the exhaustive-scan stepper.  Idle-only:
+        a busy slice raises before any slice has switched, so the slices
+        never end up on different steppers."""
+        busy = [network.name for network in self.networks
+                if not network.idle]
+        if busy:
+            raise RuntimeError(
+                f"network slices {busy} are busy: the stepper can only be "
+                "switched while idle")
         for network in self.networks:
             network.use_reference_stepper()
-
-    def use_event_stepper(self) -> None:
-        """Switch every slice (back) to the event stepper (idle-only)."""
-        for network in self.networks:
-            network.use_event_stepper()
-
-    def use_batched_stepper(self) -> None:
-        """Switch every slice to the batched SoA stepper (idle-only)."""
-        for network in self.networks:
-            network.use_batched_stepper()
-
-    @property
-    def stepper_backend(self) -> str:
-        """Backend every slice runs on (they are switched in lockstep)."""
-        backends = {n.stepper_backend for n in self.networks}
-        if len(backends) != 1:
-            raise RuntimeError(
-                f"network slices disagree on the stepper backend: "
-                f"{sorted(backends)}")
-        return next(iter(backends))
-
-    def use_stepper(self, backend: str):
-        """Context manager: run every slice on ``backend``, restoring the
-        previous backend on exit (idle-only at both edges, nests)."""
-        return _StepperContext(self, backend)
 
     def audit(self) -> List[str]:
         """Run the full invariant audit on every slice now; returns the

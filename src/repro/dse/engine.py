@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..area.chip import design_chip_area_mm2, design_noc_area
 from ..experiments import closed_task, open_loop_task
 from ..noc.traffic import UniformManyToFew
-from ..parallel import (ReportCollector, resolve_fleet, resolve_jobs,
+from ..parallel import (ReportCollector, resolve_jobs,
                         run_tasks)
 from ..power import ActivityCounts, design_power, tech_node
 from ..system.accelerator import SimulationResult
@@ -168,8 +168,7 @@ def _merged_activity(runs: Sequence[SimulationResult]) -> ActivityCounts:
 
 def explore_preset(name: str, seed: Optional[int] = None,
                    jobs: Optional[int] = None, cache=None,
-                   progress=None,
-                   fleet: Optional[int] = None) -> ExplorationResult:
+                   progress=None) -> ExplorationResult:
     """Run a named preset exploration (``figure2``/``smoke``/...).
 
     The single submission entry point shared by ``repro explore`` and the
@@ -183,28 +182,23 @@ def explore_preset(name: str, seed: Optional[int] = None,
     spec = preset(name)
     if seed is not None:
         spec = dataclasses.replace(spec, seed=seed)
-    return explore(spec, jobs=jobs, cache=cache, progress=progress,
-                   fleet=fleet)
+    return explore(spec, jobs=jobs, cache=cache, progress=progress)
 
 
 def explore(spec: ExplorationSpec, jobs: Optional[int] = None,
-            cache=None, progress=None,
-            fleet: Optional[int] = None) -> ExplorationResult:
+            cache=None, progress=None) -> ExplorationResult:
     """Run ``spec`` and return the ranked, Pareto-annotated result.
 
     ``jobs``/``cache``/``progress`` pass straight to
     :func:`repro.parallel.run_tasks` for every stage, which with
     ``jobs=N`` share one process pool across the whole ladder (workers
-    warm up once, not once per stage).  ``fleet`` enables lockstep
-    multi-simulation batching of compatible open-loop tasks (DESIGN.md
-    §18); results are bit-identical either way.  The returned result's
-    ``host`` field carries wall-clock, per-stage tallies and cache-hit
-    rates; everything else is bit-identical across hosts, jobs counts,
-    fleet widths and cache states.
+    warm up once, not once per stage).  The returned result's ``host``
+    field carries wall-clock, per-stage tallies and cache-hit rates;
+    everything else is bit-identical across hosts, jobs counts and cache
+    states.
     """
     ladder = spec.ladder
     jobs = resolve_jobs(jobs)
-    fleet = resolve_fleet(fleet)
     fixed = spec.seed_policy == "fixed"
     profiler = HostProfiler()
     stage_reports: List[StageReport] = []
@@ -240,8 +234,7 @@ def explore(spec: ExplorationSpec, jobs: Optional[int] = None,
         collector = ReportCollector(chain=progress)
         with profiler.section(stage):
             payloads = run_tasks(tasks, jobs=jobs, cache=cache,
-                                 progress=collector, fleet=fleet,
-                                 pool=pool)
+                                 progress=collector, pool=pool)
             metrics, hm_ipc, keep = collect(payloads)
             outcomes = _rank_stage(stage, metrics, keep, hm_ipc)
         for name, outcome in outcomes.items():

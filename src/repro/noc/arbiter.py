@@ -53,9 +53,10 @@ class SeparableAllocator:
     that won stage 1 but lost stage 2 keeps priority.
 
     The allocator keeps its pointer state in flat arrays indexed by port
-    position.  ``allocate`` is the general dict-keyed API; ``allocate_fast``
-    is the position-indexed hot path the router's event-driven step uses —
-    both drive the same pointers, so they are interchangeable mid-run.
+    position.  ``allocate`` is the general dict-keyed API the reference
+    ``Router.step`` uses; ``allocate_fast`` is the position-indexed hot path
+    of the batched core's contended grants — both drive the same pointers,
+    so they are interchangeable mid-run.
     """
 
     def __init__(self, input_ports: Sequence[Hashable],

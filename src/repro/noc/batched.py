@@ -1,14 +1,13 @@
-"""Batched struct-of-arrays cycle core for the saturated regime.
+"""Batched struct-of-arrays cycle core: the network's fast router phase.
 
-The event-driven stepper (DESIGN.md §13) wins by letting idle routers
-sleep, but near saturation every router is occupied and the wake heap
-degenerates: the scan over per-router Python objects dominates again —
-exactly the operating point the paper's throughput-effective analysis
-cares about.  This module attacks the dense regime directly.
-
-The :class:`BatchedCore` keeps numpy struct-of-arrays mirrors of the
-per-(router, input port, VC) state that decides whether a cell can act
-this cycle:
+Every :class:`~repro.noc.network.MeshNetwork` builds a
+:class:`BatchedCore` at construction and steps its routers through
+:meth:`BatchedCore.sweep`; the reference exhaustive scan
+(``Router.step`` over every occupied router, selected by
+``REPRO_REFERENCE_STEPPER=1`` or ``use_reference_stepper()``) stays as
+the bit-identity oracle.  The core keeps numpy struct-of-arrays mirrors
+of the per-(router, input port, VC) state that decides whether a cell
+can act this cycle:
 
 * ``head_ready[c]`` — pipeline ready time of the flit at the front of the
   cell's buffer (``NEVER`` while the buffer is empty),
@@ -19,20 +18,20 @@ this cycle:
 * ``va_blocked[c]`` — that allocation attempt is known to fail (and to
   have no side effects) until a VC frees on the cell's output port.
 
-The fused route+VA+switch pass then becomes one vectorized sweep: a
-single ``(head_ready <= now) & (va_ok | (va_need & ~va_blocked))``
+The reference's route+VA and switch passes then become one vectorized
+sweep: a single ``(head_ready <= now) & (va_ok | (va_need & ~va_blocked))``
 screen over *all* cells of the mesh finds every cell the reference scan
 would observably mutate this cycle; routers with no such cell are
-skipped entirely (their VA rotation is replayed lazily from the
-``_last_step`` anchor, exactly like the event core's sleep/replay).
-Only the flagged cells are touched by Python code, in the reference's
-rotated port order, driving the same ``SeparableAllocator`` pointers,
-channels, tracer hooks and stats as the object-based steppers — so
-results stay bit-identical (pinned by
-``tests/test_stepper_equivalence.py``) and the invariant checker,
-telemetry and deadlock watchdog work unchanged.
+skipped entirely.  A skipped router's only reference-side effect is one
+VA-rotation increment per occupied cycle, and the next visit replays
+those increments from the ``Router._last_step`` anchor.  Only the
+flagged cells are touched by Python code, in the reference's rotated
+port order, driving the same ``SeparableAllocator`` pointers, channels,
+tracer hooks and stats as the reference — so results stay bit-identical
+(pinned by ``tests/test_stepper_equivalence.py``) and the invariant
+checker, telemetry and deadlock watchdog work unchanged.
 
-Two screening arguments carry the skipping beyond the event core:
+Two screening arguments skip work the reference repeats every cycle:
 
 * A failed VC allocation mutates nothing (``free_vc`` moves its pointer
   only on success; a single eject port never rotates the eject
@@ -49,7 +48,7 @@ Two screening arguments carry the skipping beyond the event core:
 The router objects stay authoritative: the arrays are read-side mirrors,
 updated at the few mutation points (flit delivery, credit 0->1, VC
 allocation, switch grants).  ``audit_event_scheduling`` cross-checks the
-mirrors against the object state when the batched core is active.
+mirrors against the object state cell for cell.
 """
 
 from __future__ import annotations
@@ -66,10 +65,8 @@ from .topology import Direction
 class BatchedCore:
     """Struct-of-arrays sweep engine attached to one ``MeshNetwork``.
 
-    Construction (and :meth:`detach`) are only legal while the network is
-    idle — enforced by ``MeshNetwork.use_batched_stepper`` — but the
-    mirrors are seeded from the live object state anyway, so the
-    invariants hold from the first cycle regardless.
+    Built by the network before any traffic exists, so the mirrors start
+    out empty: every cell ``NEVER`` ready, no flag set.
     """
 
     def __init__(self, net) -> None:
@@ -91,10 +88,10 @@ class BatchedCore:
             cell_router.extend([idx] * ncells)
             total += ncells
             ends.append(total)
-        #: First cell index of each router; cells of one router are
-        #: contiguous (input-position major, VC minor), so ascending cell
-        #: order is exactly the reference scan's router-then-port order.
-        self.bases = bases
+        #: End (exclusive) cell index of each router; cells of one router
+        #: are contiguous (input-position major, VC minor), so ascending
+        #: cell order is exactly the reference scan's router-then-port
+        #: order.
         self.ends = ends
         self.cell_router = cell_router
         #: Static per-cell identity ``(pos, in_vc, in_port, vc_state)`` —
@@ -146,7 +143,7 @@ class BatchedCore:
             self._rinfo.append((
                 router, bases[idx], len(router._input_order),
                 router._req_masks, router._req_outs, router._req_active,
-                router._out_pos, router._vc_masks,
+                router._out_pos,
                 allocator, allocator._in_ptr, allocator._out_ptr,
                 allocator._num_vcs, allocator._num_inputs,
                 blockable, blocked, eject_pos, router.coord,
@@ -166,45 +163,19 @@ class BatchedCore:
             ))
             router._soa = self
             router._soa_base = bases[idx]
-        self.sync_from_state()
 
     def detach(self) -> None:
-        """Drop the router-side mirror hooks (stepper switched away)."""
+        """Drop the router-side mirror hooks (network switched to the
+        reference stepper)."""
         for router in self.routers:
             router._soa = None
-
-    # -- mirror maintenance --------------------------------------------------
-
-    def sync_from_state(self) -> None:
-        """Rebuild every mirror cell from the authoritative object state."""
-        v = self.num_vcs
-        head_ready = self.head_ready
-        va_ok = self.va_ok
-        va_need = self.va_need
-        self.va_blocked[:] = False
-        for blocked in self._blocked_lists:
-            for bl in blocked:
-                del bl[:]
-        for idx, router in enumerate(self.routers):
-            base = self.bases[idx]
-            for pos, (_port, in_vcs) in enumerate(router._ordered_inputs):
-                for in_vc, vc_state in enumerate(in_vcs):
-                    ci = base + pos * v + in_vc
-                    buf = vc_state.buffer
-                    head_ready[ci] = buf[0].ready if buf else NEVER
-                    out_vc = vc_state.out_vc
-                    va_need[ci] = bool(buf) and out_vc is None
-                    va_ok[ci] = (
-                        out_vc is not None
-                        and router.out_ports[vc_state.out_port]
-                        .credits[out_vc] > 0)
 
     # -- the vectorized sweep ------------------------------------------------
 
     def sweep(self, now: int) -> None:
         """One router phase: screen all cells, touch only the actionable
-        ones.  Twin of ``Router.step``/``Router.step_reference`` — any
-        semantic change must land in all three backends."""
+        ones.  Twin of the reference scan's ``Router.step`` over every
+        occupied router — any semantic change must land in both."""
         np.less_equal(self.head_ready, now, out=self._elig)
         # need & ~blocked (elementwise bool "greater" = and-not), then | ok.
         np.greater(self.va_need, self.va_blocked, out=self._cand)
@@ -213,14 +184,7 @@ class BatchedCore:
         idx = np.flatnonzero(self._cand)
         if not idx.size:
             return
-        self.process_cells(now, idx.tolist())
-
-    def process_cells(self, now: int, cells: List[int]) -> None:
-        """Grant pass over a non-empty, ascending candidate cell list.
-
-        Split from :meth:`sweep` so a fleet screen over many networks can
-        dispatch each member's slice of one global candidate vector here
-        (cell indices are member-local either way)."""
+        cells = idx.tolist()
         cell_router = self.cell_router
         cell_info = self.cell_info
         rinfo = self._rinfo
@@ -254,14 +218,14 @@ class BatchedCore:
             ci = cells[i]
             r = cell_router[ci]
             (router, base, n_in, req_masks, req_outs, active,
-             out_pos_map, vc_masks,
+             out_pos_map,
              allocator, in_ptr, out_ptr, a_num_vcs, a_n_in,
              blockable, blocked, eject_pos, coord, node_idx, grants,
              credits_by_pos, owner_by_pos, freevc_by_pos,
              sendf_by_pos, pid_by_pos, sendc_by_pos,
              route_memo, uturn_by_pos) = rinfo[r]
-            # Replay the rotation increments of the skipped cycles, exactly
-            # as the event core does (see Router.step).
+            # Replay the rotation increments of the cycles this router was
+            # skipped while occupied (the reference advances it every one).
             rotate = (router._va_rotate + now - router._last_step - 1) % n_in
             router._va_rotate = (rotate + 1) % n_in
             router._last_step = now
@@ -370,12 +334,8 @@ class BatchedCore:
                 # iSLIP pointer updates for the uncontended grant.
                 out_ptr[o] = (pos + 1) % a_n_in
                 in_ptr[pos] = (in_vc + 1) % a_num_vcs
-                flit = buf.popleft()
-                if buf:
-                    head_ready[ci] = buf[0].ready
-                else:
-                    head_ready[ci] = NEVER
-                    vc_masks[pos] &= ~(1 << in_vc)
+                flit = buf.pop(0)
+                head_ready[ci] = buf[0].ready if buf else NEVER
                 router.occupancy -= 1
                 moved += 1
                 credits_list = credits_by_pos[o]
@@ -431,7 +391,7 @@ class BatchedCore:
                 if vc_state.out_vc is None:
                     # va_need cell: front flit is an eligible head without
                     # an output VC — route and attempt VC allocation,
-                    # mirroring the fused pass in Router.step.
+                    # mirroring Router._route_and_allocate.
                     packet = vc_state.buffer[0].packet
                     out_port = vc_state.out_port
                     if out_port is None:
@@ -560,12 +520,8 @@ class BatchedCore:
                     out_ptr[o] = (pos + 1) % a_n_in
                     in_ptr[pos] = (vc_idx + 1) % a_num_vcs
                 buf = vc_state.buffer
-                flit = buf.popleft()
-                if buf:
-                    head_ready[ci] = buf[0].ready
-                else:
-                    head_ready[ci] = NEVER
-                    vc_masks[pos] &= ~(1 << vc_idx)
+                flit = buf.pop(0)
+                head_ready[ci] = buf[0].ready if buf else NEVER
                 router.occupancy -= 1
                 moved += 1
                 out_vc = vc_state.out_vc

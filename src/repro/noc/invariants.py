@@ -157,116 +157,71 @@ def audit_flit_conservation(net) -> List[str]:
 
 
 def audit_event_scheduling(net) -> List[str]:
-    """Event-core bookkeeping: the per-input VC bitmasks mirror buffer
-    occupancy exactly; under the event stepper every occupied router is
-    scheduled in the wake heap no later than it could next make progress;
-    under the batched stepper the struct-of-arrays mirrors
-    (``head_ready``/``va_ok``/``va_need``) match the authoritative object
-    state cell for cell — the vectorized screen derives its schedule from
-    them, so exact mirrors imply no actionable cell can be skipped."""
+    """Batched-core bookkeeping: the struct-of-arrays mirrors
+    (``head_ready``/``va_ok``/``va_need``/``va_blocked``) match the
+    authoritative object state cell for cell.  The vectorized screen
+    derives its schedule from them, so exact mirrors imply no actionable
+    cell can be skipped.  A network on the reference stepper keeps no
+    mirrors and passes trivially."""
     problems: List[str] = []
     batched = getattr(net, "_batched", None)
+    if batched is None:
+        return problems
     for coord, router in net.routers.items():
-        progress_now = False
-        future_readies: List[int] = []
         for pos, port_id in enumerate(router._input_order):
-            mask = router._vc_masks[pos]
             for vc_idx, vc_state in enumerate(router.in_ports[port_id]):
-                bit = mask >> vc_idx & 1
-                if bit != (1 if vc_state.buffer else 0):
+                ci = router._soa_base + pos * router.num_vcs + vc_idx
+                cell = f"({port_id}, {vc_idx})"
+                want_ready = (vc_state.buffer[0].ready
+                              if vc_state.buffer else NEVER)
+                if int(batched.head_ready[ci]) != want_ready:
                     problems.append(
-                        f"{coord}: VC mask bit for ({port_id}, {vc_idx}) is "
-                        f"{bit} but buffer holds {len(vc_state.buffer)} "
-                        f"flits")
-                if batched is not None:
-                    ci = router._soa_base + pos * router.num_vcs + vc_idx
-                    cell = f"({port_id}, {vc_idx})"
-                    want_ready = (vc_state.buffer[0].ready
-                                  if vc_state.buffer else NEVER)
-                    if int(batched.head_ready[ci]) != want_ready:
+                        f"{coord}: SoA head_ready for {cell} is "
+                        f"{int(batched.head_ready[ci])}, object state "
+                        f"says {want_ready}")
+                want_need = bool(vc_state.buffer) and vc_state.out_vc is None
+                if bool(batched.va_need[ci]) != want_need:
+                    problems.append(
+                        f"{coord}: SoA va_need for {cell} is "
+                        f"{bool(batched.va_need[ci])}, object state "
+                        f"says {want_need}")
+                want_ok = vc_state.out_vc is not None and (
+                    router.out_ports[vc_state.out_port]
+                    .credits[vc_state.out_vc] > 0)
+                if bool(batched.va_ok[ci]) != want_ok:
+                    problems.append(
+                        f"{coord}: SoA va_ok for {cell} is "
+                        f"{bool(batched.va_ok[ci])}, object state "
+                        f"says {want_ok}")
+                if not bool(batched.va_blocked[ci]):
+                    continue
+                # A blocked cell must be a va_need head whose VC allocation
+                # provably still fails: every allowed VC of its output port
+                # is owned.  (Exact, not just conservative: any release on
+                # that port flushes the per-port blocked list.)
+                if not want_need:
+                    problems.append(
+                        f"{coord}: SoA va_blocked for {cell} set "
+                        f"but cell is not awaiting VC allocation")
+                elif len(router._eject_ids) > 1 and \
+                        vc_state.out_port is Direction.EJECT:
+                    problems.append(
+                        f"{coord}: SoA va_blocked for {cell} set "
+                        f"on a multi-eject router's eject head")
+                elif vc_state.out_port is not None:
+                    if vc_state.out_port is Direction.EJECT:
+                        out = router.out_ports[router._eject_ids[0]]
+                    else:
+                        out = router.out_ports[vc_state.out_port]
+                    head = vc_state.buffer[0]
+                    allowed = router.vc_config.allowed_vcs(
+                        head.packet.traffic_class, head.packet.group)
+                    free = [vc for vc in allowed if out.owner[vc] is None]
+                    if free:
                         problems.append(
-                            f"{coord}: SoA head_ready for {cell} is "
-                            f"{int(batched.head_ready[ci])}, object state "
-                            f"says {want_ready}")
-                    want_need = bool(vc_state.buffer) \
-                        and vc_state.out_vc is None
-                    if bool(batched.va_need[ci]) != want_need:
-                        problems.append(
-                            f"{coord}: SoA va_need for {cell} is "
-                            f"{bool(batched.va_need[ci])}, object state "
-                            f"says {want_need}")
-                    want_ok = vc_state.out_vc is not None and (
-                        router.out_ports[vc_state.out_port]
-                        .credits[vc_state.out_vc] > 0)
-                    if bool(batched.va_ok[ci]) != want_ok:
-                        problems.append(
-                            f"{coord}: SoA va_ok for {cell} is "
-                            f"{bool(batched.va_ok[ci])}, object state "
-                            f"says {want_ok}")
-                    if bool(batched.va_blocked[ci]):
-                        # A blocked cell must be a va_need head whose VC
-                        # allocation provably still fails: every allowed VC
-                        # of its output port is owned.  (Exact, not just
-                        # conservative: any release on that port flushes
-                        # the per-port blocked list.)
-                        if not want_need:
-                            problems.append(
-                                f"{coord}: SoA va_blocked for {cell} set "
-                                f"but cell is not awaiting VC allocation")
-                        elif len(router._eject_ids) > 1 and \
-                                vc_state.out_port is Direction.EJECT:
-                            problems.append(
-                                f"{coord}: SoA va_blocked for {cell} set "
-                                f"on a multi-eject router's eject head")
-                        elif vc_state.out_port is not None:
-                            if vc_state.out_port is Direction.EJECT:
-                                out = router.out_ports[router._eject_ids[0]]
-                            else:
-                                out = router.out_ports[vc_state.out_port]
-                            head = vc_state.buffer[0]
-                            allowed = router.vc_config.allowed_vcs(
-                                head.packet.traffic_class, head.packet.group)
-                            free = [vc for vc in allowed
-                                    if out.owner[vc] is None]
-                            if free:
-                                problems.append(
-                                    f"{coord}: SoA va_blocked for {cell} "
-                                    f"set but VCs {free} are free on "
-                                    f"{out.port_id}")
-                if vc_state.buffer:
-                    ready = vc_state.buffer[0].ready
-                    if ready > net.cycle:
-                        future_readies.append(ready)
-                    elif vc_state.out_vc is not None and (
-                            router.out_ports[vc_state.out_port]
-                            .credits[vc_state.out_vc] > 0):
-                        # An eligible head with a VC and credits can make
-                        # progress next cycle with no external event.
-                        progress_now = True
-        if net._scan_stepper or batched is not None:
-            continue
-        if not router.occupancy:
-            continue
-        # A sleeping occupied router must wake by the earliest cycle it
-        # could make progress *without* an external event; heads blocked on
-        # credits or on an output-VC release may sleep indefinitely (the
-        # unblocking credit/flit arrival re-wakes the router).
-        if progress_now:
-            deadline = net.cycle + 1
-        elif future_readies:
-            deadline = min(future_readies)
-        else:
-            continue
-        if router.wake > deadline:
-            problems.append(
-                f"{coord}: occupied router sleeps until {router.wake}, "
-                f"past its progress deadline {deadline}")
-        elif (not any(entry == (router.wake, router.net_index)
-                      for entry in net._wake_heap)
-              and router.net_index not in net._due_next):
-            problems.append(
-                f"{coord}: occupied router's wake {router.wake} has no "
-                f"live heap or due-next entry")
+                            f"{coord}: SoA va_blocked for {cell} "
+                            f"set but VCs {free} are free on "
+                            f"{out.port_id}")
     return problems
 
 

@@ -151,11 +151,8 @@ class OpenLoopRunner:
         self.network.step()
 
     def _inject_cycle(self, tag: Optional[str]) -> None:
-        """Bernoulli injection for one cycle, without stepping the network.
-
-        Split from :meth:`_cycle` so the fleet runner
-        (``repro.noc.fleet.FleetRunner``) can inject for every member and
-        then advance the whole fleet through one lockstep step."""
+        """Bernoulli injection for one cycle, without stepping the network
+        (shared by :meth:`_cycle` and :meth:`_cycle_instrumented`)."""
         net = self.network
         cycle = net.cycle
         rng = self._rng
@@ -180,22 +177,9 @@ class OpenLoopRunner:
         per-cycle telemetry hook.  Changes must be made in both bodies."""
         profiler = telemetry.profiler
         t = profiler.clock()
-        net = self.network
-        cycle = net.cycle
-        rng = self._rng
-        rand = rng.random
-        rate = self.rate
-        pick = self.pattern.pick
-        inject = net.try_inject
-        make = Packet
-        size = READ_REQUEST_BYTES
-        tclass = TrafficClass.REQUEST
-        for core in self.compute_nodes:
-            if rand() < rate:
-                dest = pick(core, rng)
-                inject(make(core, dest, size, tclass, cycle, payload=tag),
-                       cycle)
+        self._inject_cycle(tag)
         t = profiler.add_since("injection", t)
+        net = self.network
         net.step()
         t = profiler.add_since("network", t)
         telemetry.on_cycle(net.cycle)

@@ -18,12 +18,11 @@ only to South — while injection and ejection ports connect to everything.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, FrozenSet, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .arbiter import RoundRobinArbiter, SeparableAllocator
-from .packet import Flit, Packet, RouteGroup
+from .packet import Flit, Packet
 from .routing import RoutingAlgorithm
 from .topology import Coord, Direction, PortId, ejection_port, injection_port
 from .vc import VcConfig
@@ -31,7 +30,8 @@ from .vc import VcConfig
 MESH_DIRECTIONS = (Direction.NORTH, Direction.SOUTH,
                    Direction.EAST, Direction.WEST)
 
-#: Sentinel wake time for a router with nothing scheduled ("sleep forever").
+#: Sentinel ready time of an empty input-VC cell ("never eligible"), as the
+#: batched core's screen arrays record it.
 NEVER = 1 << 62
 
 
@@ -57,13 +57,16 @@ class _InputVc:
     __slots__ = ("buffer", "out_port", "out_vc", "out_pos")
 
     def __init__(self) -> None:
-        self.buffer: Deque[Flit] = deque()
+        #: FIFO of buffered flits (at most ``vc_buffer_depth``).  A list,
+        #: not a deque: an empty deque costs 760 bytes, an empty list 56,
+        #: and a mesh holds one buffer per (router, input port, VC).
+        self.buffer: List[Flit] = []
         self.out_port: Optional[PortId] = None   # route computation result
         self.out_vc: Optional[int] = None        # VC allocation result
-        #: Position of ``out_port`` in the router's output order, cached by
-        #: ``_vc_allocate`` so the switch stage indexes a tuple instead of
-        #: hashing a port id every cycle.  Only meaningful while ``out_vc``
-        #: is set.
+        #: Position of ``out_port`` in the router's output order, cached at
+        #: routing / VC allocation so the batched grant pass indexes a tuple
+        #: instead of hashing a port id every cycle.  Only meaningful while
+        #: ``out_vc`` is set.
         self.out_pos: int = 0
 
     def reset_route(self) -> None:
@@ -169,34 +172,19 @@ class Router:
         #: keeps each event site at a single attribute test.
         self.tracer = None
 
-        # -- event-driven scheduling state (see DESIGN.md §13) ---------------
-        #: Currently scheduled wake cycle (``NEVER`` = not scheduled).  Owned
-        #: by the network's wake heap; the router only reads/clears it.
-        self.wake = NEVER
         #: Position of this router in the network's router list.
         self.net_index = 0
-        #: Cycle of the last route/VC-allocation pass.  The scan stepper
-        #: advances ``_va_rotate`` once per occupied cycle; the event stepper
-        #: replays the increments of skipped cycles from this anchor so the
-        #: rotation stays bit-identical.
+        #: Cycle of the last route/VC-allocation pass.  ``step`` advances
+        #: ``_va_rotate`` once per occupied cycle; the batched core, which
+        #: skips routers with no actionable cell, replays the increments
+        #: of the skipped cycles from this anchor so the rotation stays
+        #: bit-identical.
         self._last_step = -1
-        #: Per input-port position, bitmask of VCs with a non-empty buffer.
-        self._vc_masks: List[int] = []
         self._in_pos: Dict[PortId, int] = {}
-        #: Wake decision computed by the last ``step`` (see ``next_wake``):
-        #: ``cycle + 1`` when local state can still change on its own (an
-        #: arbitration loser retrying, a newly exposed eligible head), the
-        #: earliest future pipeline ``ready`` otherwise, ``NEVER`` when only
-        #: an external credit/flit event can unblock the router.  Folded
-        #: into the step scan so ``next_wake`` never re-walks the buffers.
-        self._wake_hint = NEVER
-        #: Routers with several ejection ports must re-arm every occupied
-        #: cycle: a *failed* ejection VC allocation still rotates the
-        #: eject-port pointer, so sleeping would diverge from the scan.
-        self._multi_eject = len(self._eject_ids) > 1
         #: Batched struct-of-arrays core (``repro.noc.batched``) this
-        #: router mirrors its actionable-cell state into; ``None`` keeps
-        #: the delivery paths at a single attribute test.
+        #: router mirrors its actionable-cell state into; ``None`` (the
+        #: reference stepper) keeps the delivery paths at a single
+        #: attribute test.
         self._soa = None
         #: First cell index of this router in the SoA pools.
         self._soa_base = 0
@@ -231,10 +219,9 @@ class Router:
         self._allocator = SeparableAllocator(
             self._input_order, self.num_vcs, self._output_order)
         # Position-indexed views and reused per-cycle scratch for the
-        # allocation fast path (``step`` rebuilds no dicts per cycle).
+        # batched core's grant pass (it rebuilds no dicts per cycle).
         n_in = len(self._input_order)
         self._in_pos = {port: i for i, port in enumerate(self._input_order)}
-        self._vc_masks = [0] * n_in
         self._out_pos = {port: i
                          for i, port in enumerate(self._output_order)}
         self._out_by_pos = tuple(self.out_ports[p]
@@ -276,7 +263,6 @@ class Router:
         flit.ready = cycle + self.pipeline_latency
         state.buffer.append(flit)
         self.occupancy += 1
-        self._vc_masks[pos] |= 1 << vc
         soa = self._soa
         if soa is not None and len(state.buffer) == 1:
             # The flit became the cell's front: mirror its pipeline ready
@@ -306,7 +292,6 @@ class Router:
         flit.ready = cycle + self.pipeline_latency
         state.buffer.append(flit)
         self.occupancy += 1
-        self._vc_masks[pos] |= 1 << vc
         soa = self._soa
         if soa is not None and len(state.buffer) == 1:
             ci = self._soa_base + pos * self.num_vcs + vc
@@ -342,207 +327,19 @@ class Router:
         """Advance one cycle: route computation, VC allocation, switch
         allocation and traversal.  Returns ejected (flit, port) pairs.
 
-        This is the event-driven fast path; ``step_reference`` is the
-        exhaustive-scan twin it must stay bit-identical to.  It fuses the
-        reference's two scans (route/VC-allocate, then switch-request
-        collection) into one pass over the non-empty-VC bitmasks: a VC's
-        switch request depends only on its own route state plus output
-        credits, and neither is touched by another VC's allocation, so the
-        collected request set matches the two-pass reference exactly.  The
-        allocator's ``active`` list is rebuilt in input-position order
-        afterwards because grant ordering (and therefore traversal and
-        ejection order) is part of the determinism contract.
+        This is the reference exhaustive scan, the bit-identity oracle of
+        the batched core's sweep (``repro.noc.batched``): any semantic
+        change must land in both, and tests/test_stepper_equivalence.py
+        compares them.
         """
         if self.occupancy == 0:
             return []
-        inputs = self._ordered_inputs
-        masks = self._vc_masks
-        out_by_pos = self._out_by_pos
-        out_pos_map = self._out_pos
-        req_masks = self._req_masks
-        req_outs = self._req_outs
-        allowed_vcs = self.vc_config.allowed_vcs
-        eject = Direction.EJECT
-        tracer = self.tracer
-        n = len(inputs)
-        # Replay the per-cycle rotation increments of the skipped cycles so
-        # the VC-allocation rotation stays bit-identical to the scan.
-        rotate = (self._va_rotate + cycle - self._last_step - 1) % n
-        self._va_rotate = (rotate + 1) % n
-        self._last_step = cycle
-        eligible = 0
-        min_future = NEVER
-        post_eligible = False
-        for pos in range(n):
-            req_masks[pos] = 0
-        for i in range(n):
-            pos = (i + rotate) % n
-            m = masks[pos]
-            if not m:
-                continue
-            in_port, in_vcs = inputs[pos]
-            rmask = 0
-            outs = req_outs[pos]
-            while m:
-                low = m & -m
-                m -= low
-                in_vc = low.bit_length() - 1
-                vc_state = in_vcs[in_vc]
-                head = vc_state.buffer[0]
-                if head.is_head:
-                    if head.ready > cycle:
-                        if head.ready < min_future:
-                            min_future = head.ready
-                        continue
-                    eligible += 1
-                    out_port = vc_state.out_port
-                    if out_port is None:
-                        packet = head.packet
-                        direction = self.routing.next_port(self.coord,
-                                                           packet)
-                        if direction is eject:
-                            out_port = vc_state.out_port = eject
-                        else:
-                            if not self.connectivity(in_port, direction):
-                                raise RoutingViolation(
-                                    f"illegal turn at {self.coord} "
-                                    f"({'half' if self.spec.half else 'full'}"
-                                    f"): {in_port} -> {direction} for packet "
-                                    f"{packet.src}->{packet.dest} "
-                                    f"group={packet.group}")
-                            out_port = vc_state.out_port = direction
-                            vc_state.out_pos = out_pos_map[direction]
-                    if vc_state.out_vc is None:
-                        # Inlined single-candidate VC allocation (the common
-                        # case; ejection keeps the multi-candidate helper).
-                        # Must mirror ``_vc_allocate`` exactly.
-                        if out_port is eject:
-                            self._vc_allocate(in_port, in_vc, vc_state,
-                                              head.packet, cycle)
-                            if vc_state.out_vc is None:
-                                continue
-                        else:
-                            packet = head.packet
-                            out = out_by_pos[vc_state.out_pos]
-                            vc = out.free_vc(allowed_vcs(
-                                packet.traffic_class, packet.group))
-                            if vc is None:
-                                continue
-                            out.owner[vc] = (in_port, in_vc)
-                            vc_state.out_vc = vc
-                            if tracer is not None:
-                                tracer.on_vc_alloc(packet, self.coord,
-                                                   out_port, vc, cycle)
-                else:
-                    if vc_state.out_port is None:
-                        raise RuntimeError(
-                            f"body flit at head of VC without route at "
-                            f"{self.coord}: {head!r}")
-                    if head.ready > cycle:
-                        if head.ready < min_future:
-                            min_future = head.ready
-                        continue
-                    eligible += 1
-                opos = vc_state.out_pos
-                if out_by_pos[opos].credits[vc_state.out_vc] <= 0:
-                    continue
-                rmask |= low
-                outs[in_vc] = opos
-            if rmask:
-                req_masks[pos] = rmask
+        self._route_and_allocate(cycle)
+        return self._switch(cycle)
 
-        active = self._req_active
-        for pos in range(n):
-            if req_masks[pos]:
-                active.append(pos)
-        ejected: List[Tuple[Flit, PortId]] = []
-        if not active:
-            # No switch requests: zero grants.  Blocked-but-eligible heads
-            # only unblock via an external credit/flit event (which re-wakes
-            # the router through the network), so sleep to the earliest
-            # pipeline ready — unless a failed multi-eject allocation moved
-            # the eject pointer, which forces a re-arm.
-            self._wake_hint = (cycle + 1 if eligible and self._multi_eject
-                               else min_future)
-            return ejected
-        grants = self._grant_scratch
-        self._allocator.allocate_fast(active, req_masks, req_outs, grants)
-        in_channels = self._in_channel_by_pos
-        for pos, vc_idx, o in grants:
-            vc_state = inputs[pos][1][vc_idx]
-            flit = vc_state.buffer.popleft()
-            if not vc_state.buffer:
-                masks[pos] &= ~(1 << vc_idx)
-            else:
-                # The newly exposed flit is the only head the request scan
-                # did not see; fold it into the wake decision.
-                nr = vc_state.buffer[0].ready
-                if nr <= cycle:
-                    post_eligible = True
-                elif nr < min_future:
-                    min_future = nr
-            self.occupancy -= 1
-            out = out_by_pos[o]
-            out_vc = vc_state.out_vc
-            out.credits[out_vc] -= 1
-            if tracer is not None and flit.is_head:
-                tracer.on_switch(flit.packet, self.coord, out.port_id, cycle)
-            if out.sink is not None:
-                ejected.append((flit, out.port_id))
-            else:
-                out.channel.send_flit(flit, out_vc, cycle)
-            # Return a credit upstream for the freed buffer slot.
-            channel = in_channels[pos]
-            if channel is not None:
-                channel.send_credit(vc_idx, cycle)
-            if flit.is_tail:
-                out.owner[out_vc] = None
-                vc_state.reset_route()
-        if eligible > len(grants):
-            # Arbitration losers (or credit-blocked heads behind a cycle
-            # that moved something) can progress next cycle.
-            self._wake_hint = (cycle + 1 if grants or self._multi_eject
-                               else min_future)
-        elif post_eligible:
-            self._wake_hint = cycle + 1
-        else:
-            self._wake_hint = min_future
-        del active[:]
-        del grants[:]
-        return ejected
-
-    def step_reference(self, cycle: int) -> List[Tuple[Flit, PortId]]:
-        """Reference exhaustive-scan step (the pre-event-core behaviour).
-
-        Twin of ``step``: any semantic change must land in both, and the
-        golden bit-identity tests in tests/test_event_core.py compare them.
-        """
-        if self.occupancy == 0:
-            return []
-        self._route_and_allocate_reference(cycle)
-        return self._switch_reference(cycle)
-
-    def next_wake(self, cycle: int) -> int:
-        """Earliest future cycle this router needs to be stepped again.
-
-        Called immediately after ``step(cycle)`` (nothing mutates router
-        state in between, so the hint the step computed is current).  A head
-        flit that was eligible (``ready <= cycle``) but is still buffered
-        after a granting cycle lost arbitration and can win the next one, so
-        the router re-arms like the scan; with zero grants nothing local can
-        change until a credit or flit arrives (both re-wake the router
-        through the network), so it sleeps to the earliest pipeline
-        ``ready`` — stepping sooner would only advance ``_va_rotate``, which
-        the next ``step`` replays anyway.  The decision is folded into the
-        step's buffer scan (``_wake_hint``), keeping this call O(1).
-        """
-        if self.occupancy == 0:
-            return NEVER
-        return self._wake_hint
-
-    # Twin of ``step``'s fused route/VA scan: full port x VC walk, plain
-    # per-call rotation (the scan stepper calls this every occupied cycle).
-    def _route_and_allocate_reference(self, cycle: int) -> None:
+    # Full port x VC walk with a plain per-call rotation (the reference
+    # stepper calls ``step`` every occupied cycle).
+    def _route_and_allocate(self, cycle: int) -> None:
         inputs = self._ordered_inputs
         n = len(inputs)
         rotate = self._va_rotate
@@ -611,8 +408,8 @@ class Router:
         self._eject_pointer = (p + 1) % len(ids)
         return ids[p:] + ids[:p]
 
-    # Twin of ``step``'s switch stage: dict-keyed requests via ``allocate``.
-    def _switch_reference(self, cycle: int) -> List[Tuple[Flit, PortId]]:
+    # Switch stage: dict-keyed requests via ``allocate``.
+    def _switch(self, cycle: int) -> List[Tuple[Flit, PortId]]:
         requests: Dict[PortId, Dict[int, PortId]] = {}
         for in_port, in_vcs in self._ordered_inputs:
             vc_requests: Dict[int, PortId] = {}
@@ -635,9 +432,7 @@ class Router:
         tracer = self.tracer
         for in_port, vc_idx, out_port_id in self._allocator.allocate(requests):
             vc_state = self.in_ports[in_port][vc_idx]
-            flit = vc_state.buffer.popleft()
-            if not vc_state.buffer:
-                self._vc_masks[self._in_pos[in_port]] &= ~(1 << vc_idx)
+            flit = vc_state.buffer.pop(0)
             self.occupancy -= 1
             out = self.out_ports[out_port_id]
             out_vc = vc_state.out_vc

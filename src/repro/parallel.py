@@ -23,15 +23,6 @@ exactly through ``repr``), so the only difference is *where* the work runs.
 Tasks shipped to worker processes must be picklable — in practice that
 means module-level pattern factories (classes or :func:`functools.partial`)
 rather than lambdas.
-
-Fleet mode (``fleet=B`` / ``REPRO_FLEET=B``, DESIGN.md §18) extends the
-contract without changing a single result bit: a grouping pass packs
-compatible open-loop tasks (same topology shape and windows; seed, rate,
-pattern and design may differ) into lockstep fleets that one worker steps
-through a shared struct-of-arrays screen (``repro.noc.fleet``), and the
-remaining open-loop tasks run solo on the batched core.  The per-member
-payloads keep the exact solo shape, so caching, transport and every
-consumer downstream are oblivious to how a result was produced.
 """
 
 from __future__ import annotations
@@ -109,30 +100,6 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     return jobs
-
-
-def resolve_fleet(fleet: Optional[int] = None) -> int:
-    """Resolve the fleet batch width: explicit ``fleet``, else the
-    ``REPRO_FLEET`` environment variable, else 1 (no fleeting).
-
-    Returns 1 whenever ``REPRO_REFERENCE_STEPPER=1`` is set, whatever
-    width was requested: fleets run on the batched core, and the stepper
-    twin-selection contract says the reference-stepper override wins over
-    every other backend request.
-    """
-    if os.environ.get("REPRO_REFERENCE_STEPPER") == "1":
-        return 1
-    if fleet is None:
-        text = os.environ.get("REPRO_FLEET", "1") or "1"
-        try:
-            fleet = int(text)
-        except ValueError:
-            raise ValueError(
-                f"REPRO_FLEET must be an integer >= 1, got {text!r}"
-            ) from None
-    if fleet < 1:
-        raise ValueError(f"fleet must be >= 1, got {fleet}")
-    return fleet
 
 
 # ---------------------------------------------------------------------------
@@ -541,62 +508,22 @@ class SimTask:
 
 @dataclass(frozen=True)
 class TaskReport:
-    """Per-task progress record handed to the ``progress`` callback.
-
-    ``fleet_size``/``fleet_index`` identify a task's position inside a
-    lockstep fleet unit (see DESIGN.md §18); solo tasks report the
-    defaults.  The serve layer forwards these fields verbatim, so live
-    progress consumers can show fleet members individually.
-    """
+    """Per-task progress record handed to the ``progress`` callback."""
 
     index: int
     total: int
     label: str
     seconds: float
     cached: bool
-    fleet_size: int = 1
-    fleet_index: int = 0
 
 
-def _open_loop_runner(task: SimTask, hub=None,
-                      backend: Optional[str] = None):
-    """Build the network system and runner for one open-loop task.
-
-    Shared by the solo worker (:func:`_run_task`) and the fleet worker
-    (:func:`_run_fleet_group`) so both execute exactly the same build
-    path.  ``backend="batched"`` switches the freshly built system onto
-    the batched stepper before any traffic exists.
-    """
-    from .core.builder import build, open_loop_variant
-    from .noc.openloop import OpenLoopRunner
-    mesh = None
-    num_mcs = 8
-    if task.config is not None:
-        # A ChipConfig on an open-loop task only contributes its mesh
-        # geometry and MC count (there is no chip); the exploration
-        # engine uses this for mesh-size axes.
-        from .noc.topology import Mesh
-        mesh = Mesh(task.config.mesh_cols, task.config.mesh_rows)
-        num_mcs = task.config.num_memory_channels
-    system = build(open_loop_variant(task.design), mesh,
-                   num_mcs=num_mcs, seed=task.seed)
-    if backend == "batched":
-        system.use_batched_stepper()
-    return OpenLoopRunner(system, system.compute_nodes, system.mc_nodes,
-                          task.pattern_factory(system.mc_nodes),
-                          task.rate, seed=task.seed, telemetry=hub)
-
-
-def _run_task(task: SimTask, backend: Optional[str] = None) -> str:
+def _run_task(task: SimTask) -> str:
     """Execute one task and return its result payload as a JSON string.
 
     This is the single worker used by both the serial and the process-pool
     executors; returning JSON (rather than pickled objects) exercises the
     exact transport/caching representation on every path, which is what the
-    golden-determinism tests pin down.  ``backend`` optionally forces a
-    stepper backend on open-loop tasks (the fleet planner runs solo sweep
-    points as ``"batched"``); results are bit-identical across backends,
-    so the payload — and the cache key — do not depend on it.
+    golden-determinism tests pin down.
     """
     EXECUTION_COUNTER.executed += 1
     start = time.perf_counter()
@@ -605,7 +532,23 @@ def _run_task(task: SimTask, backend: Optional[str] = None) -> str:
         from .telemetry import TelemetryHub
         hub = TelemetryHub(task.telemetry)
     if task.kind == "openloop":
-        runner = _open_loop_runner(task, hub, backend)
+        from .core.builder import build, open_loop_variant
+        from .noc.openloop import OpenLoopRunner
+        mesh = None
+        num_mcs = 8
+        if task.config is not None:
+            # A ChipConfig on an open-loop task only contributes its mesh
+            # geometry and MC count (there is no chip); the exploration
+            # engine uses this for mesh-size axes.
+            from .noc.topology import Mesh
+            mesh = Mesh(task.config.mesh_cols, task.config.mesh_rows)
+            num_mcs = task.config.num_memory_channels
+        system = build(open_loop_variant(task.design), mesh,
+                       num_mcs=num_mcs, seed=task.seed)
+        runner = OpenLoopRunner(system, system.compute_nodes,
+                                system.mc_nodes,
+                                task.pattern_factory(system.mc_nodes),
+                                task.rate, seed=task.seed, telemetry=hub)
         result = runner.run(warmup=task.warmup, measure=task.measure)
     elif task.kind == "perfect":
         from .system.accelerator import perfect_chip
@@ -637,125 +580,6 @@ def _run_task(task: SimTask, backend: Optional[str] = None) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Fleet planning and execution (DESIGN.md §18)
-# ---------------------------------------------------------------------------
-
-
-#: Offered-rate ceiling for lockstep fleeting.  Measured crossover: below
-#: this rate the per-cycle fixed cost (ufunc dispatch, call frames)
-#: dominates and sharing one screen across members wins ~1.2-1.4x; above
-#: it the per-flit grant/channel work dominates and interleaving B live
-#: working sets costs more in cache locality than the shared screen
-#: saves, so those points run solo on the batched core instead.
-FLEET_LOCKSTEP_MAX_RATE = 0.1
-
-
-class FleetMemberFailure(RuntimeError):
-    """One member of a lockstep fleet failed.
-
-    ``member`` is the position inside the fleet unit (not the global task
-    index — :func:`run_tasks` maps it back); ``label`` names the task.
-    Raised by :func:`_run_fleet_group` after attributing a fleet failure
-    to a specific member by solo rerun, and pickled across the process
-    pool, hence ``__reduce__``.
-    """
-
-    def __init__(self, member: int, label: str, message: str) -> None:
-        super().__init__(message)
-        self.member = member
-        self.label = label
-
-    def __reduce__(self):
-        return (FleetMemberFailure, (self.member, self.label, str(self)))
-
-
-def _run_fleet_group(tasks: Sequence[SimTask]) -> List[str]:
-    """Execute a lockstep fleet of compatible open-loop tasks and return
-    per-member payload JSON strings, in member order.
-
-    The fleet worker twin of :func:`_run_task`: payloads have the exact
-    solo shape, with the shared wall-clock split evenly across members
-    (per-member attribution inside one lockstep loop is meaningless).
-
-    Failure contract: the lockstep loop runs with no per-member handling
-    (keeping the hot path try-free); when it raises, members are rerun
-    solo on the batched core — fleet execution is bit-identical to solo,
-    so a member whose simulation trips an invariant trips it alone too —
-    and the culprit is reported as :class:`FleetMemberFailure`.  If no
-    member fails solo, the fault is in the fleet machinery itself and
-    the original exception propagates unwrapped.
-    """
-    EXECUTION_COUNTER.executed += len(tasks)
-    start = time.perf_counter()
-    try:
-        runners = [_open_loop_runner(task) for task in tasks]
-        from .noc.fleet import FleetRunner
-        points = FleetRunner(runners).run(warmup=tasks[0].warmup,
-                                          measure=tasks[0].measure)
-    except Exception:
-        for member, task in enumerate(tasks):
-            try:
-                _run_task(task, backend="batched")
-            except Exception as solo_exc:
-                raise FleetMemberFailure(
-                    member, task.label,
-                    f"{type(solo_exc).__name__}: {solo_exc}") from solo_exc
-        raise
-    elapsed = (time.perf_counter() - start) / len(tasks)
-    return [json.dumps({"kind": task.kind, "label": task.label,
-                        "elapsed": elapsed, "result": point.to_json()})
-            for task, point in zip(tasks, points)]
-
-
-def _plan_units(tasks: Sequence[SimTask], pending: Sequence[int],
-                fleet: int) -> List[Tuple[Tuple[int, ...], Optional[str]]]:
-    """Pack pending task indices into execution units.
-
-    A unit is ``(member_indices, backend)``: a multi-member unit runs as
-    one lockstep fleet via :func:`_run_fleet_group`; a single-member unit
-    runs via :func:`_run_task` with the given backend override.
-
-    Packing rules (DESIGN.md §18): only open-loop tasks without telemetry
-    are fleet candidates, and only at offered rates at or below
-    :data:`FLEET_LOCKSTEP_MAX_RATE`; candidates group by topology shape
-    and (warmup, measure) windows — lockstep needs equal windows, and
-    like shapes keep fleets homogeneous — while seed, rate, pattern and
-    design may differ freely within a group.  Groups are chunked to at
-    most ``fleet`` members.  Higher-rate open-loop tasks run solo on the
-    batched core (uniformly at least as fast as the event core for this
-    workload); closed-loop, perfect-NoC and telemetry tasks run plain
-    solo on their default backend.  Units are ordered by first member
-    index so serial execution stays in task order.
-    """
-    if fleet <= 1:
-        return [((i,), None) for i in pending]
-    units: List[Tuple[Tuple[int, ...], Optional[str]]] = []
-    groups: Dict[Any, List[int]] = {}
-    for i in pending:
-        task = tasks[i]
-        if task.kind != "openloop" or task.telemetry is not None:
-            units.append(((i,), None))
-            continue
-        if task.rate is None or task.rate > FLEET_LOCKSTEP_MAX_RATE:
-            units.append(((i,), "batched"))
-            continue
-        config = task.config
-        shape = None if config is None else (
-            config.mesh_cols, config.mesh_rows, config.num_memory_channels)
-        key = (shape, task.warmup, task.measure)
-        groups.setdefault(key, []).append(i)
-    for members in groups.values():
-        for lo in range(0, len(members), fleet):
-            chunk = tuple(members[lo:lo + fleet])
-            if len(chunk) == 1:
-                units.append((chunk, "batched"))
-            else:
-                units.append((chunk, None))
-    units.sort(key=lambda unit: unit[0][0])
-    return units
-
-
-# ---------------------------------------------------------------------------
 # Executors
 # ---------------------------------------------------------------------------
 
@@ -782,39 +606,30 @@ def _task_error(task: SimTask, index: int, exc: BaseException) -> TaskError:
 def run_tasks(tasks: Sequence[SimTask], jobs: Optional[int] = None,
               cache: Union[None, bool, str, Path, ResultCache] = None,
               progress: Optional[Callable[[TaskReport], None]] = None,
-              fleet: Optional[int] = None,
               pool: Optional[ProcessPoolExecutor] = None
               ) -> List[dict]:
     """Execute ``tasks`` and return their result payloads, in task order.
 
-    ``jobs=1`` runs everything inline; ``jobs=N`` fans uncached work out
+    ``jobs=1`` runs everything inline; ``jobs=N`` fans uncached tasks out
     over a process pool and consumes completions as they land
     (out-of-order), so progress reporting and caching are never serialized
     behind the slowest early task.  Results are collected positionally, so
     the output order — and therefore everything downstream — is
     independent of worker scheduling.  ``progress`` (if given) is called
     once per task with a :class:`TaskReport` carrying the task's
-    wall-clock time and whether it was served from the cache.
-
-    ``fleet`` (default: ``REPRO_FLEET``, else 1) turns on lockstep
-    multi-simulation batching: :func:`_plan_units` packs compatible
-    open-loop tasks into fleets of up to ``fleet`` members that one
-    worker steps through a shared SoA screen, bit-identically to solo
-    execution (DESIGN.md §18).  ``pool`` lets a caller reuse one
-    :class:`ProcessPoolExecutor` across several ``run_tasks`` calls
-    (e.g. the DSE engine's screen → halving → confirm stages); a
-    provided pool is never shut down here.
+    wall-clock time and whether it was served from the cache.  ``pool``
+    lets a caller reuse one :class:`ProcessPoolExecutor` across several
+    ``run_tasks`` calls (e.g. the DSE engine's screen → halving → confirm
+    stages); a provided pool is never shut down here.
 
     Failure contract: a worker exception propagates as a
-    :class:`TaskError` naming the failing task — a fleet failure is
-    first attributed to the guilty member by solo rerun — but only after
-    every already-completed sibling's payload has been cached; a failed
-    sweep never discards finished work.  Units that have not started are
-    cancelled; units still running are allowed to finish and are cached
+    :class:`TaskError` naming the failing task, but only after every
+    already-completed sibling's payload has been cached — a failed sweep
+    never discards finished work.  Tasks that have not started are
+    cancelled; tasks still running are allowed to finish and are cached
     too.
     """
     jobs = resolve_jobs(jobs)
-    fleet = resolve_fleet(fleet)
     store = as_cache(cache)
     total = len(tasks)
     payloads: List[Optional[dict]] = [None] * total
@@ -846,8 +661,7 @@ def run_tasks(tasks: Sequence[SimTask], jobs: Optional[int] = None,
                 continue
         pending.append(i)
 
-    def _finish(i: int, raw: str, fleet_size: int = 1,
-                fleet_index: int = 0) -> float:
+    def _finish(i: int, raw: str) -> None:
         payload = json.loads(raw)
         payloads[i] = payload
         if store is not None:
@@ -857,92 +671,51 @@ def run_tasks(tasks: Sequence[SimTask], jobs: Optional[int] = None,
             TASKS_TOTAL.inc(origin="run")
             TASK_SECONDS_TOTAL.inc(elapsed)
         obs_log.emit("task_done", label=tasks[i].label, index=i,
-                     cached=False, seconds=round(elapsed, 6),
-                     fleet_size=fleet_size, fleet_index=fleet_index)
+                     cached=False, seconds=round(elapsed, 6))
         if progress is not None:
-            progress(TaskReport(i, total, tasks[i].label, elapsed, False,
-                                fleet_size=fleet_size,
-                                fleet_index=fleet_index))
-        return elapsed
+            progress(TaskReport(i, total, tasks[i].label, elapsed, False))
 
-    def _finish_unit(members: Tuple[int, ...], raws: List[str]) -> None:
-        size = len(members)
-        seconds = 0.0
-        for k, (i, raw) in enumerate(zip(members, raws)):
-            seconds += _finish(i, raw, size, k)
-        if size > 1:
-            obs_log.emit("fleet_done", size=size,
-                         seconds=round(seconds, 6),
-                         labels=[tasks[i].label for i in members])
-
-    def _run_unit(members: Tuple[int, ...],
-                  backend: Optional[str]) -> List[str]:
-        if len(members) == 1:
-            return [_run_task(tasks[members[0]], backend)]
-        return _run_fleet_group([tasks[i] for i in members])
-
-    def _unit_error(members: Tuple[int, ...],
-                    exc: BaseException) -> TaskError:
-        # A fleet failure names the guilty member; anything else pins the
-        # unit's first task (for solo units, the only task).
-        member = exc.member if isinstance(exc, FleetMemberFailure) else 0
-        i = members[member]
-        return _task_error(tasks[i], i, exc)
-
-    units = _plan_units(tasks, pending, fleet)
-    if units:
-        if jobs == 1 or len(units) == 1:
-            for members, backend in units:
+    if pending:
+        if jobs == 1 or len(pending) == 1:
+            for i in pending:
                 try:
-                    raws = _run_unit(members, backend)
+                    raw = _run_task(tasks[i])
                 except Exception as exc:
-                    raise _unit_error(members, exc) from exc
-                _finish_unit(members, raws)
+                    raise _task_error(tasks[i], i, exc) from exc
+                _finish(i, raw)
         else:
             owns_pool = pool is None
             executor = pool if pool is not None else ProcessPoolExecutor(
-                max_workers=min(jobs, len(units)))
+                max_workers=min(jobs, len(pending)))
             try:
-                unit_of = {}
-                for members, backend in units:
-                    if len(members) == 1:
-                        future = executor.submit(
-                            _run_task, tasks[members[0]], backend)
-                    else:
-                        future = executor.submit(
-                            _run_fleet_group,
-                            [tasks[i] for i in members])
-                    unit_of[future] = members
-                failure: Optional[
-                    Tuple[Tuple[int, ...], BaseException]] = None
-                for future in as_completed(unit_of):
-                    members = unit_of[future]
+                index_of = {executor.submit(_run_task, tasks[i]): i
+                            for i in pending}
+                failure: Optional[Tuple[int, BaseException]] = None
+                for future in as_completed(index_of):
+                    i = index_of[future]
                     try:
                         raw = future.result()
                     except Exception as exc:
-                        failure = (members, exc)
+                        failure = (i, exc)
                         break
-                    _finish_unit(members,
-                                 raw if isinstance(raw, list) else [raw])
+                    _finish(i, raw)
                 if failure is not None:
                     # Fail fast without losing finished work: cancel
-                    # whatever has not started, let running units drain,
+                    # whatever has not started, let running tasks drain,
                     # and cache every sibling that completed.
-                    for future in unit_of:
+                    for future in index_of:
                         future.cancel()
-                    for future, members in unit_of.items():
-                        if (members == failure[0] or future.cancelled()
-                                or payloads[members[0]] is not None):
+                    for future, i in index_of.items():
+                        if (i == failure[0] or future.cancelled()
+                                or payloads[i] is not None):
                             continue
                         try:
                             raw = future.result()
                         except Exception:
                             continue    # the first failure wins
-                        _finish_unit(members,
-                                     raw if isinstance(raw, list)
-                                     else [raw])
-                    members, exc = failure
-                    raise _unit_error(members, exc) from exc
+                        _finish(i, raw)
+                    i, exc = failure
+                    raise _task_error(tasks[i], i, exc) from exc
             finally:
                 if owns_pool:
                     executor.shutdown()

@@ -18,7 +18,6 @@ from ..gpu.core import SimtCore
 from ..mem.controller import AddressMap, MemoryController
 from ..noc.histogram import merge_histograms
 from ..noc.ideal import BandwidthLimitedNetwork, PerfectNetwork
-from ..noc.network import _StepperContext
 from ..noc.invariants import (audit_accelerator, check_accelerator,
                               format_system_state)
 from ..noc.topology import Coord, Mesh
@@ -283,38 +282,12 @@ class Accelerator:
             check_accelerator(self)
 
     def use_reference_stepper(self) -> None:
-        """Run the exhaustive reference loops (chip and network).  Only
-        legal before traffic, or while the whole system is drained."""
-        self._reference = True
+        """Run the exhaustive reference loops (chip and network).  The
+        network switch is idle-only; it runs first, so a busy network
+        raises with the chip still on its event-driven loop."""
         if hasattr(self.network, "use_reference_stepper"):
             self.network.use_reference_stepper()
-
-    def use_event_stepper(self) -> None:
-        """Switch (back) to the event-driven loops.  Drained-state only."""
-        self._reference = False
-        if hasattr(self.network, "use_event_stepper"):
-            self.network.use_event_stepper()
-
-    def use_batched_stepper(self) -> None:
-        """Run the networks on the batched SoA core (the chip-level loop
-        stays event-driven — there is no batched chip twin, the dense
-        regime lives inside the interconnect).  Drained-state only."""
-        self._reference = False
-        if hasattr(self.network, "use_batched_stepper"):
-            self.network.use_batched_stepper()
-
-    @property
-    def stepper_backend(self) -> str:
-        """Name of the active backend (the chip and its networks are
-        switched in lockstep by the ``use_*_stepper`` methods)."""
-        if self._reference:
-            return "reference"
-        return getattr(self.network, "stepper_backend", "event")
-
-    def use_stepper(self, backend: str):
-        """Context manager: run on ``backend`` ("reference" | "event" |
-        "batched"), restoring the previous backend on exit."""
-        return _StepperContext(self, backend)
+        self._reference = True
 
     def _step_instrumented(self, telemetry) -> None:
         """Telemetry-enabled twin of :meth:`step`: identical simulation

@@ -1,31 +1,29 @@
-"""Four-way determinism contract of the cycle-core backends.
+"""Two-way determinism contract of the cycle core.
 
-The repo carries four interchangeable ways to step a network: the
-reference exhaustive scan (``use_reference_stepper`` /
-``REPRO_REFERENCE_STEPPER``), the event-driven stepper (wake-scheduled
-routers, DESIGN.md §13), the batched struct-of-arrays core
-(``use_batched_stepper`` / ``REPRO_BATCHED_STEPPER``, DESIGN.md §14) and
-the lockstep fleet stepper that batches several independent simulations
-through one shared screen (``repro.noc.fleet`` / ``REPRO_FLEET``,
-DESIGN.md §18).  They must be bit-identical — not statistically close —
-on every design the builder can produce, or a result could silently
-depend on which backend happened to run it.
+Every network steps its routers through the batched struct-of-arrays core
+(``repro.noc.batched``, the default); the reference exhaustive scan
+(``use_reference_stepper`` / ``REPRO_REFERENCE_STEPPER=1``) is the oracle
+it must match.  The chip adds its own pair: the wake-gated loop in
+``Accelerator.step`` against its exhaustive twin.  The two must be
+bit-identical — not statistically close — on every design the builder
+can produce, or a result could silently depend on which stepper ran it.
 
-This module pins that contract four ways:
+This module pins that contract:
 
 * a golden matrix over the design space (baseline DOR, checkerboard
   routing, channel-sliced double network) at low and saturated load, with
   the invariant checker and packet tracer off and on, asserting equal
   result payloads, equal ``NetworkStats`` snapshots and equal final
-  network state dumps for every backend — including a fleet leg where
-  the cell under test rides in a heterogeneous lockstep fleet;
+  network state dumps, plus a closed-loop leg on a finite kernel;
+* lockstep runs of the same cells and kernel that compare stats and
+  state every few cycles and audit the batched core's mirrors as they go;
 * a randomized fuzz sweep (seeds, mesh shapes, injection rates, VC/buffer
-  configurations) comparing batched — and mixed-shape fleets — against
-  reference;
-* the selection plumbing itself — env-var precedence and the nesting /
-  restore behaviour of the ``use_stepper`` context helper — plus the
-  ``audit_event_scheduling`` mirror audit under the batched core and
-  mid-stream under a fleet.
+  configurations) comparing default against reference;
+* the selection plumbing: the env var, the idle-only switch that leaves
+  nothing half-switched when it refuses, and the ``audit_event_scheduling``
+  mirror audit mid-stream;
+* the precomputed ``VcConfig`` tables against their dynamic oracle and the
+  ``__slots__`` layout of Packet/Flit.
 """
 
 import dataclasses
@@ -36,17 +34,18 @@ import pytest
 
 from repro.core.builder import (build, checked_variant, design_by_name,
                                 open_loop_variant)
-from repro.noc.fleet import FleetRunner
 from repro.noc.invariants import audit_event_scheduling, format_system_state
 from repro.noc.openloop import OpenLoopRunner
+from repro.noc.packet import (Flit, Packet, RouteGroup, TrafficClass,
+                              read_request)
 from repro.noc.stats import merge_stats
-from repro.noc.topology import Mesh
+from repro.noc.topology import Coord, Mesh
 from repro.noc.traffic import UniformManyToFew
+from repro.noc.vc import VcConfig, dedicated_vc_config, shared_vc_config
 from repro.system.accelerator import build_chip
 from repro.telemetry import TelemetryHub, TelemetrySpec
 from repro.workloads.profiles import profile
 
-BACKENDS = ("reference", "event", "batched")
 #: Baseline, checkerboard routing, channel-sliced double network.
 DESIGNS = ("TB-DOR", "CP-CR-4VC", "Double-CP-CR")
 #: Well below and well past saturation of the 6x6 baseline mesh.
@@ -54,15 +53,8 @@ RATES = (0.02, 0.30)
 
 WARMUP, MEASURE = 100, 200
 SEED = 11
-
-
-def _select(system, backend):
-    if backend == "reference":
-        system.use_reference_stepper()
-    elif backend == "batched":
-        system.use_batched_stepper()
-    else:
-        assert backend == "event"  # the construction-time default
+#: Cycles between mid-run comparisons in the lockstep tests.
+CHECKPOINT = 25
 
 
 def _normalized_state(system):
@@ -92,7 +84,7 @@ def _stats_snapshot(system):
             "injected": (s.packets_injected, s.flits_injected),
             "ejected": (s.packets_ejected, s.flits_ejected),
             # the power model's always-on activity counters are part of
-            # the bit-identity contract: every stepper must count every
+            # the bit-identity contract: both steppers must count every
             # crossbar grant, buffer access and link delivery identically
             "activity": (s.crossbar_traversals, s.buffer_reads,
                          s.buffer_writes, s.link_flit_hops),
@@ -110,110 +102,137 @@ def _stats_snapshot(system):
     return snapshot
 
 
-def _open_member(design_name, rate, *, seed=SEED, checked=False,
+def _open_runner(design_name, rate, *, reference=False, checked=False,
                  traced=False):
-    """Build one open-loop (system, runner, hub) cell without running it
-    — the golden tests run it solo, the fleet legs enlist it in a
-    :class:`FleetRunner`."""
+    """Build one 6x6 open-loop cell without running it; returns
+    (runner, hub)."""
     design = open_loop_variant(design_by_name(design_name))
     if checked:
         design = checked_variant(design, check_interval=32,
                                  watchdog_cycles=20_000)
-    system = build(design, Mesh(6, 6), num_mcs=8, seed=seed)
+    system = build(design, Mesh(6, 6), num_mcs=8, seed=SEED)
+    if reference:
+        system.use_reference_stepper()
     hub = None
     if traced:
         hub = TelemetryHub(TelemetrySpec(trace=True))
         hub.attach_network(system)
     runner = OpenLoopRunner(system, system.compute_nodes, system.mc_nodes,
                             UniformManyToFew(system.mc_nodes), rate,
-                            seed=seed)
-    return system, runner, hub
+                            seed=SEED)
+    return runner, hub
 
 
-def _cell(system, runner, point):
-    return {
+def _open_cell(design_name, rate, **options):
+    """Run one 6x6 open-loop cell; returns (comparable cell, hub)."""
+    runner, hub = _open_runner(design_name, rate, **options)
+    point = runner.run(warmup=WARMUP, measure=MEASURE)
+    cell = {
         "payload": point.to_json(),
-        "stats": _stats_snapshot(system),
-        "state": _normalized_state(system),
+        "stats": _stats_snapshot(runner.network),
+        "state": _normalized_state(runner.network),
         "hist": runner._lat_hist.summary(),
     }
+    return cell, hub
 
 
-def _open_cell(design_name, rate, backend, *, checked=False, traced=False):
-    system, runner, hub = _open_member(design_name, rate, checked=checked,
-                                       traced=traced)
-    _select(system, backend)
-    point = runner.run(warmup=WARMUP, measure=MEASURE)
-    return _cell(system, runner, point), hub
+def _assert_lockstep(fast_system, ref_system, where):
+    """Stats and full network state agree mid-run, and the default's
+    struct-of-arrays mirrors match its object state."""
+    assert _stats_snapshot(fast_system) == _stats_snapshot(ref_system), where
+    assert (_normalized_state(fast_system)
+            == _normalized_state(ref_system)), where
+    for net in fast_system.networks:
+        assert net._batched is not None
+        assert audit_event_scheduling(net) == [], where
 
 
 @pytest.mark.parametrize("design_name", DESIGNS)
 @pytest.mark.parametrize("rate", RATES)
 def test_four_way_golden_matrix(design_name, rate):
-    """reference == event == batched == fleet on result payload, stats
-    snapshot and final state, with the checker and the tracer off and on.
-
-    The instrumented legs run under the batched core (the newest backend;
-    the event core's instrumented legs are pinned in test_event_core.py):
-    read-only instrumentation must not perturb any of the backends either.
-    The fleet leg runs the cell under test inside a heterogeneous
-    lockstep fleet (different sibling designs, rates and seeds) — the
-    planner would only ever fleet low-rate points, but bit-identity must
-    hold at any rate, so both matrix rates get a fleet leg.
-    """
-    oracle, _ = _open_cell(design_name, rate, "reference")
-    for backend in ("event", "batched"):
-        cell, _ = _open_cell(design_name, rate, backend)
-        assert cell == oracle, f"{backend} diverged from reference"
-    checked, _ = _open_cell(design_name, rate, "batched", checked=True)
+    """Four legs per cell — the reference scan, the default (batched)
+    core, and the default under the invariant checker and under the
+    packet tracer — agree on result payload, stats snapshot and final
+    state: read-only instrumentation must not perturb the fast path."""
+    oracle, _ = _open_cell(design_name, rate, reference=True)
+    plain, _ = _open_cell(design_name, rate)
+    assert plain == oracle, "batched core diverged from reference"
+    checked, _ = _open_cell(design_name, rate, checked=True)
     assert checked == oracle, "invariant checker perturbed the batched core"
-    traced, hub = _open_cell(design_name, rate, "batched", traced=True)
+    traced, hub = _open_cell(design_name, rate, traced=True)
     assert traced == oracle, "packet tracer perturbed the batched core"
     assert hub.tracer.completed, "tracer saw no packets"
 
-    members = [
-        _open_member(design_name, rate),
-        _open_member("TB-DOR", 0.05, seed=SEED + 1),
-        _open_member(design_name, rate, seed=SEED + 2),
-    ]
-    points = FleetRunner([r for _, r, _ in members]).run(
-        warmup=WARMUP, measure=MEASURE)
-    system, runner, _ = members[0]
-    assert _cell(system, runner, points[0]) == oracle, \
-        "fleet member diverged from solo reference"
+
+@pytest.mark.parametrize("design_name", DESIGNS)
+@pytest.mark.parametrize("rate", RATES)
+def test_open_loop_bit_identity(design_name, rate):
+    """Default == reference cycle by cycle, not only at the end: the two
+    step in lockstep and are compared every ``CHECKPOINT`` cycles, so a
+    divergence that later washes out still fails, and the failure names
+    the window it first appeared in."""
+    ref, _ = _open_runner(design_name, rate, reference=True)
+    fast, _ = _open_runner(design_name, rate)
+    for start in range(0, WARMUP + MEASURE, CHECKPOINT):
+        for _ in range(CHECKPOINT):
+            ref._cycle(tag=None)
+            fast._cycle(tag=None)
+        _assert_lockstep(fast.network, ref.network,
+                         f"cycles {start}..{start + CHECKPOINT}")
 
 
-def test_fleet_checker_and_tracer_per_member():
-    """The invariant checker and the packet tracer keep working per fleet
-    member, and perturb nothing: the checked-and-traced member's cell is
-    bit-identical to the solo reference run."""
-    oracle, _ = _open_cell("TB-DOR", 0.30, "reference")
-    members = [
-        _open_member("TB-DOR", 0.30, checked=True, traced=True),
-        _open_member("CP-CR-4VC", 0.02, seed=SEED + 1, checked=True),
-    ]
-    points = FleetRunner([r for _, r, _ in members]).run(
-        warmup=WARMUP, measure=MEASURE)
-    system, runner, hub = members[0]
-    assert _cell(system, runner, points[0]) == oracle
-    assert hub.tracer.completed, "tracer saw no packets in the fleet"
+def _chip_counters(chip):
+    """The chip's measurement counters, its latency histogram by summary
+    (histograms do not define equality)."""
+    counters = dict(vars(chip._snapshot()))
+    counters["latency_hist"] = counters["latency_hist"].summary()
+    return counters
+
+
+def _bin_chip(design_name, *, reference=False):
+    chip = build_chip(profile("BIN"), design=design_by_name(design_name),
+                      seed=SEED, instructions_per_warp=8)
+    if reference:
+        chip.use_reference_stepper()
+    return chip
 
 
 @pytest.mark.parametrize("design_name", ("TB-DOR", "Double-CP-CR"))
 def test_closed_loop_three_way(design_name):
-    """All three chip-level steppers agree on a finite BIN kernel whose
-    drained tail exercises the idle fast paths."""
+    """Three chip legs agree on a finite BIN kernel whose drained tail
+    exercises the idle fast paths (finished cores, idle MCs and DRAM
+    channels, empty networks): the exhaustive twins of chip and network,
+    the defaults, and the defaults under the system-level audit, which
+    must not perturb them."""
 
-    def run(backend):
-        chip = build_chip(profile("BIN"), design=design_by_name(design_name),
-                          seed=SEED, instructions_per_warp=8)
-        _select(chip, backend)
+    def run(chip):
         result = chip.run(warmup=100, measure=900).to_json()
         return result, _stats_snapshot(chip.network)
 
-    oracle = run("reference")
-    assert run("event") == oracle
-    assert run("batched") == oracle
+    oracle = run(_bin_chip(design_name, reference=True))
+    assert run(_bin_chip(design_name)) == oracle, "defaults diverged"
+    audited = _bin_chip(design_name)
+    audited.enable_checks(64)
+    assert run(audited) == oracle, "system audit perturbed the defaults"
+
+
+@pytest.mark.parametrize("design_name", ("TB-DOR", "Double-CP-CR"))
+def test_closed_loop_bit_identity(design_name):
+    """Chip defaults == exhaustive twins cycle by cycle through to kernel
+    completion: the two chips step in lockstep, finish on the same cycle,
+    and agree on chip counters, network stats and network state at every
+    ``CHECKPOINT``."""
+    ref = _bin_chip(design_name, reference=True)
+    fast = _bin_chip(design_name)
+    while not ref.finished:
+        assert ref.icnt_cycle < 20_000, "BIN kernel did not finish"
+        ref.step()
+        fast.step()
+        where = f"cycle {ref.icnt_cycle}"
+        assert fast.finished == ref.finished, where
+        if ref.icnt_cycle % CHECKPOINT == 0 or ref.finished:
+            assert _chip_counters(fast) == _chip_counters(ref), where
+            _assert_lockstep(fast.network, ref.network, where)
 
 
 # -- randomized fuzz sweep -------------------------------------------------
@@ -247,9 +266,10 @@ def _fuzz_cases(n):
                master.randrange(1 << 30))
 
 
-def _fuzz_run(design, mesh, num_mcs, rate, seed, backend):
+def _fuzz_run(design, mesh, num_mcs, rate, seed, reference):
     system = build(design, mesh, num_mcs=num_mcs, seed=seed)
-    _select(system, backend)
+    if reference:
+        system.use_reference_stepper()
     runner = OpenLoopRunner(system, system.compute_nodes, system.mc_nodes,
                             UniformManyToFew(system.mc_nodes), rate,
                             seed=seed)
@@ -266,96 +286,72 @@ def test_fuzz_batched_matches_reference():
     including the final in-flight network state."""
     for case, (design, mesh, num_mcs, rate, seed) in \
             enumerate(_fuzz_cases(48)):
-        ref = _fuzz_run(design, mesh, num_mcs, rate, seed, "reference")
-        bat = _fuzz_run(design, mesh, num_mcs, rate, seed, "batched")
+        ref = _fuzz_run(design, mesh, num_mcs, rate, seed, True)
+        bat = _fuzz_run(design, mesh, num_mcs, rate, seed, False)
         assert bat == ref, (
             f"fuzz case {case} diverged: {design.name} mesh="
             f"{mesh.cols}x{mesh.rows} mcs={num_mcs} rate={rate} "
             f"seed={seed}")
 
 
-def test_fuzz_fleet_matches_reference():
-    """Heterogeneous lockstep fleets — members mixing design families,
-    mesh shapes, MC counts, rates and seeds inside one fleet — against
-    solo reference runs, bit for bit including final in-flight state.
-
-    The run_tasks planner only ever fleets same-shape, low-rate points;
-    the core must not care, so the fuzz deliberately fleets what the
-    planner never would."""
-    cases = list(_fuzz_cases(16))
-    for lo in range(0, len(cases), 4):
-        chunk = cases[lo:lo + 4]
-        runners = []
-        for design, mesh, num_mcs, rate, seed in chunk:
-            system = build(design, mesh, num_mcs=num_mcs, seed=seed)
-            runners.append(
-                OpenLoopRunner(system, system.compute_nodes,
-                               system.mc_nodes,
-                               UniformManyToFew(system.mc_nodes), rate,
-                               seed=seed))
-        points = FleetRunner(runners).run(warmup=40, measure=100)
-        for (design, mesh, num_mcs, rate, seed), runner, point in zip(
-                chunk, runners, points):
-            ref = _fuzz_run(design, mesh, num_mcs, rate, seed, "reference")
-            got = {
-                "payload": point.to_json(),
-                "stats": _stats_snapshot(runner.network),
-                "state": _normalized_state(runner.network),
-            }
-            assert got == ref, (
-                f"fleet member diverged: {design.name} mesh="
-                f"{mesh.cols}x{mesh.rows} mcs={num_mcs} rate={rate} "
-                f"seed={seed}")
-
-
 # -- selection plumbing ----------------------------------------------------
 
-def test_batched_stepper_env_var(monkeypatch):
-    """``REPRO_BATCHED_STEPPER=1`` selects the batched core at
-    construction time; ``REPRO_REFERENCE_STEPPER=1`` wins when both are
-    set (the reference is the debugging escape hatch)."""
-    monkeypatch.setenv("REPRO_BATCHED_STEPPER", "1")
-    system = build(open_loop_variant(design_by_name("TB-DOR")),
-                   Mesh(4, 4), num_mcs=4, seed=SEED)
-    assert system.stepper_backend == "batched"
-    for net in system.networks:
-        assert net._batched is not None
-
+def test_reference_stepper_env_var(monkeypatch):
+    """``REPRO_REFERENCE_STEPPER=1`` selects the exhaustive loops at
+    construction time, for both the chip and its networks."""
     monkeypatch.setenv("REPRO_REFERENCE_STEPPER", "1")
-    system = build(open_loop_variant(design_by_name("TB-DOR")),
-                   Mesh(4, 4), num_mcs=4, seed=SEED)
-    assert system.stepper_backend == "reference"
-    for net in system.networks:
-        assert net._batched is None and net._scan_stepper
-
-
-def test_batched_env_var_on_chip(monkeypatch):
-    """The chip builder honours the env var down through its networks."""
-    monkeypatch.setenv("REPRO_BATCHED_STEPPER", "1")
     chip = build_chip(profile("BIN"), design=design_by_name("TB-DOR"),
                       seed=SEED, instructions_per_warp=8)
-    assert chip.stepper_backend == "batched"
+    assert chip._reference
+    for net in chip.network.networks:
+        assert net._batched is None
+    monkeypatch.delenv("REPRO_REFERENCE_STEPPER")
+    chip = build_chip(profile("BIN"), design=design_by_name("TB-DOR"),
+                      seed=SEED, instructions_per_warp=8)
+    assert not chip._reference
+    for net in chip.network.networks:
+        assert net._batched is not None
 
 
-def test_use_stepper_nesting(monkeypatch):
-    """The context helper switches and restores, and nests — the inner
-    context restores the *outer* backend, not the construction default."""
-    # Pin the construction default so the test also passes when the whole
-    # suite runs under REPRO_BATCHED_STEPPER=1 (the CI batched leg).
-    monkeypatch.delenv("REPRO_BATCHED_STEPPER", raising=False)
-    monkeypatch.delenv("REPRO_REFERENCE_STEPPER", raising=False)
-    system = build(open_loop_variant(design_by_name("TB-DOR")),
-                   Mesh(4, 4), num_mcs=4, seed=SEED)
-    assert system.stepper_backend == "event"
-    with system.use_stepper("batched") as inside:
-        assert inside is system
-        assert system.stepper_backend == "batched"
-        with system.use_stepper("reference"):
-            assert system.stepper_backend == "reference"
-        assert system.stepper_backend == "batched"
-    assert system.stepper_backend == "event"
-    with pytest.raises(ValueError):
-        system.use_stepper("vectorised")
+def _make_busy(net, src, dest):
+    """Queue one read request on ``net`` so that it is no longer idle."""
+    assert net.try_inject(read_request(src, dest), net.cycle)
+    assert not net.idle
+
+
+def test_system_reference_switch_is_all_or_nothing():
+    """A busy slice refuses the switch before any slice changes stepper:
+    with slice 1 busy and slice 0 idle, every slice stays on the batched
+    core."""
+    system = build(open_loop_variant(design_by_name("Double-CP-CR")),
+                   Mesh(6, 6), num_mcs=8, seed=SEED)
+    assert len(system.networks) == 2
+    _make_busy(system.networks[1], system.compute_nodes[0],
+               system.mc_nodes[0])
+    assert system.networks[0].idle
+    with pytest.raises(RuntimeError, match="idle"):
+        system.use_reference_stepper()
+    for net in system.networks:
+        assert net._batched is not None, f"{net.name} switched anyway"
+    system.run_until_idle()
+    system.use_reference_stepper()
+    for net in system.networks:
+        assert net._batched is None
+
+
+def test_chip_reference_switch_is_all_or_nothing():
+    """A chip whose network is busy refuses the switch without flipping
+    its own loops to the reference twins: chip and networks stay on the
+    fast path together."""
+    chip = build_chip(profile("BIN"), design=design_by_name("Double-CP-CR"),
+                      seed=SEED, instructions_per_warp=8)
+    _make_busy(chip.network.networks[1], chip.cores[0].coord,
+               chip.mcs[0].coord)
+    with pytest.raises(RuntimeError, match="idle"):
+        chip.use_reference_stepper()
+    assert not chip._reference, "chip switched to reference loops anyway"
+    for net in chip.network.networks:
+        assert net._batched is not None
 
 
 def test_audit_event_scheduling_under_batched():
@@ -364,29 +360,14 @@ def test_audit_event_scheduling_under_batched():
     still in flight."""
     system = build(open_loop_variant(design_by_name("TB-DOR")),
                    Mesh(6, 6), num_mcs=8, seed=SEED)
-    system.use_batched_stepper()
     runner = OpenLoopRunner(system, system.compute_nodes, system.mc_nodes,
                             UniformManyToFew(system.mc_nodes), 0.30,
                             seed=SEED)
     runner.run(warmup=50, measure=100)
     for net in system.networks:
+        assert net._batched is not None
         assert net._buffered_flits > 0, "audit must catch a busy network"
         assert audit_event_scheduling(net) == []
-
-
-def test_audit_event_scheduling_under_fleet():
-    """The SoA mirror audit passes mid-stream on every member of a
-    lockstep fleet — adopted pool views must stay cell-for-cell faithful
-    to the authoritative object state while traffic is still in flight."""
-    members = [
-        _open_member("TB-DOR", 0.30),
-        _open_member("Double-CP-CR", 0.30, seed=SEED + 1),
-    ]
-    FleetRunner([r for _, r, _ in members]).run(warmup=50, measure=100)
-    for system, _, _ in members:
-        for net in system.networks:
-            assert net._buffered_flits > 0, "audit must catch a busy network"
-            assert audit_event_scheduling(net) == []
 
 
 # -- histogram / merged-stats plumbing on the batched path -----------------
@@ -396,10 +377,11 @@ def test_sliced_merge_stats_from_batched_path():
     batched core: bit-identical to the reference merge, including the
     streamed latency histograms."""
 
-    def merged(backend):
+    def merged(reference):
         system = build(open_loop_variant(design_by_name("Double-CP-CR")),
                        Mesh(6, 6), num_mcs=8, seed=SEED)
-        _select(system, backend)
+        if reference:
+            system.use_reference_stepper()
         runner = OpenLoopRunner(system, system.compute_nodes,
                                 system.mc_nodes,
                                 UniformManyToFew(system.mc_nodes), 0.30,
@@ -408,8 +390,8 @@ def test_sliced_merge_stats_from_batched_path():
         stats = merge_stats([net.stats for net in system.networks])
         return stats, runner._lat_hist
 
-    ref_stats, ref_hist = merged("reference")
-    bat_stats, bat_hist = merged("batched")
+    ref_stats, ref_hist = merged(True)
+    bat_stats, bat_hist = merged(False)
     assert bat_stats.accepted_flit_rate() == ref_stats.accepted_flit_rate()
     assert bat_stats.flits_ejected == ref_stats.flits_ejected
     assert (bat_stats.latency_summary() == ref_stats.latency_summary())
@@ -419,14 +401,13 @@ def test_sliced_merge_stats_from_batched_path():
 
 
 def test_merge_stats_per_slice_rates_from_batched_windows():
-    """The PR-3 per-slice rate contract holds for stats windows produced
-    by the batched core: merging windows of *different* cycle counts sums
+    """The per-slice rate contract holds for stats windows produced by
+    the batched core: merging windows of *different* cycle counts sums
     the per-slice rates instead of dividing by one window's cycles."""
 
     def window(measure):
         system = build(open_loop_variant(design_by_name("TB-DOR")),
                        Mesh(5, 5), num_mcs=4, seed=SEED)
-        system.use_batched_stepper()
         runner = OpenLoopRunner(system, system.compute_nodes,
                                 system.mc_nodes,
                                 UniformManyToFew(system.mc_nodes), 0.2,
@@ -442,3 +423,64 @@ def test_merge_stats_per_slice_rates_from_batched_windows():
     node = next(iter(long.node_injected_flits))
     assert merged.injection_rate(node) == pytest.approx(
         short.injection_rate(node) + long.injection_rate(node))
+
+
+# -- VcConfig precomputed tables ------------------------------------------
+
+VC_CONFIGS = (
+    shared_vc_config(1),
+    shared_vc_config(2),
+    shared_vc_config(2, route_split=True),
+    shared_vc_config(4, route_split=True),
+    dedicated_vc_config(TrafficClass.REQUEST, 2),
+    dedicated_vc_config(TrafficClass.REPLY, 4, route_split=True),
+)
+
+
+@pytest.mark.parametrize("config", VC_CONFIGS,
+                         ids=lambda c: f"{len(c.class_map)}cls-"
+                                       f"{c.vcs_per_class}vc-"
+                                       f"{'split' if c.route_split else 'any'}")
+def test_vc_config_tables_match_dynamic_oracle(config):
+    """The memoized ``allowed_vcs`` tables equal the reference computation
+    for every (carried class, route group) combination."""
+    for tclass, _ in config.class_map:
+        for group in RouteGroup:
+            assert config.allowed_vcs(tclass, group) == \
+                config._dynamic_allowed_vcs(tclass, group)
+
+
+def test_vc_config_tables_preserve_errors():
+    """Combinations the tables skip still raise lazily, exactly as the
+    dynamic path always did."""
+    dedicated = dedicated_vc_config(TrafficClass.REQUEST, 2)
+    with pytest.raises(ValueError, match="does not carry"):
+        dedicated.allowed_vcs(TrafficClass.REPLY, RouteGroup.ANY)
+    narrow = VcConfig(vcs_per_class=1,
+                      class_map=((TrafficClass.REQUEST, 0),),
+                      route_split=True)
+    # ANY is legal with one VC per class; the split groups are not.
+    assert narrow.allowed_vcs(TrafficClass.REQUEST, RouteGroup.ANY) == (0,)
+    with pytest.raises(ValueError, match="at least 2 VCs"):
+        narrow.allowed_vcs(TrafficClass.REQUEST, RouteGroup.XY)
+
+
+# -- Packet/Flit slots -----------------------------------------------------
+
+def test_packet_and_flit_are_slotted():
+    """Packets and flits are the highest-volume objects in a run; the
+    ``__slots__`` layout (no per-instance ``__dict__``) is part of the
+    cycle core's memory/performance contract."""
+    packet = read_request(Coord(0, 0), Coord(1, 1))
+    flits = packet.make_flits(16)
+    assert not hasattr(packet, "__dict__")
+    assert not hasattr(flits[0], "__dict__")
+    with pytest.raises(AttributeError):
+        packet.scratch = 1
+    with pytest.raises(AttributeError):
+        flits[0].scratch = 1
+    # Field access and dataclass tooling still work on the slotted layout.
+    assert flits[0].is_head and flits[-1].is_tail
+    assert [f.name for f in dataclasses.fields(Flit)] == \
+        ["packet", "index", "is_head", "is_tail", "ready"]
+    assert "pid" in [f.name for f in dataclasses.fields(Packet)]
