@@ -18,7 +18,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..noc.invariants import (DeadlockError, audit_system,
                               format_system_state)
-from ..noc.network import MeshNetwork, NocParams
+from ..noc.network import MeshNetwork, NocParams, enable_tracers
 from ..noc.packet import Packet, TrafficClass
 from ..noc.router import RouterSpec
 from ..noc.routing import DorXY, DorYX, Romm2Phase, RoutingAlgorithm
@@ -330,9 +330,10 @@ class NetworkSystem:
             network.enable_checks(check_interval, watchdog_cycles)
 
     def enable_tracer(self, tracer) -> None:
-        """Attach (or detach) a read-only packet tracer to every slice."""
-        for network in self.networks:
-            network.enable_tracer(tracer)
+        """Attach (or detach) a read-only packet tracer to every slice.
+        Attaching is idle-only: a busy slice raises before any slice has
+        switched to the reference stepper."""
+        enable_tracers(self.networks, tracer)
 
     def use_reference_stepper(self) -> None:
         """Switch every slice to the exhaustive-scan stepper.  Idle-only:

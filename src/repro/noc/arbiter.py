@@ -53,10 +53,8 @@ class SeparableAllocator:
     that won stage 1 but lost stage 2 keeps priority.
 
     The allocator keeps its pointer state in flat arrays indexed by port
-    position.  ``allocate`` is the general dict-keyed API the reference
-    ``Router.step`` uses; ``allocate_fast`` is the position-indexed hot path
-    of the batched core's contended grants — both drive the same pointers,
-    so they are interchangeable mid-run.
+    position; the compiled kernel ports ``allocate`` and keeps the same
+    pointers (exported back here when the network's objects are read).
     """
 
     def __init__(self, input_ports: Sequence[Hashable],
@@ -74,10 +72,6 @@ class SeparableAllocator:
         #: input-port positions.
         self._in_ptr: List[int] = [0] * self._num_inputs
         self._out_ptr: List[int] = [0] * len(self._outputs)
-        # Reused scratch for allocate_fast (cleared after every call).
-        self._s1_vc: List[int] = [0] * self._num_inputs
-        self._contenders: List[int] = [0] * len(self._outputs)
-        self._out_seen: List[int] = []
 
     def allocate(
         self,
@@ -131,71 +125,3 @@ class SeparableAllocator:
             self._in_ptr[winner] = (vc + 1) % num_vcs
             grants.append((self._inputs[winner], vc, out_port))
         return grants
-
-    def allocate_fast(
-        self,
-        active: List[int],
-        req_masks: List[int],
-        req_outs: List[List[int]],
-        grants: List[Tuple[int, int, int]],
-    ) -> None:
-        """Position-indexed allocation (same pointers as ``allocate``).
-
-        ``active`` lists requesting input positions, ``req_masks[i]`` is a
-        bitmask of requesting VCs for input ``i``, ``req_outs[i][vc]`` is the
-        requested output position.  Grants ``(in_pos, vc, out_pos)`` are
-        appended to the caller-owned ``grants`` list.
-        """
-        num_vcs = self._num_vcs
-        n_in = self._num_inputs
-        if len(active) == 1:
-            # Uncontended input: stage 1 picks its first requesting VC
-            # at/after the pointer, stage 2 grants the lone contender.
-            # Same pointer updates as the general path below.
-            i = active[0]
-            mask = req_masks[i]
-            if mask & (mask - 1):
-                ptr = self._in_ptr[i]
-                for offset in range(num_vcs):
-                    vc = (ptr + offset) % num_vcs
-                    if mask >> vc & 1:
-                        break
-            else:
-                vc = mask.bit_length() - 1
-            out = req_outs[i][vc]
-            self._out_ptr[out] = (i + 1) % n_in
-            self._in_ptr[i] = (vc + 1) % num_vcs
-            grants.append((i, vc, out))
-            return
-        s1_vc = self._s1_vc
-        contenders = self._contenders
-        out_seen = self._out_seen
-        # Stage 1: first requesting VC at/after the input pointer.
-        for i in active:
-            mask = req_masks[i]
-            ptr = self._in_ptr[i]
-            for offset in range(num_vcs):
-                vc = (ptr + offset) % num_vcs
-                if mask >> vc & 1:
-                    s1_vc[i] = vc
-                    out = req_outs[i][vc]
-                    if not contenders[out]:
-                        out_seen.append(out)
-                    contenders[out] |= 1 << i
-                    break
-        # Stage 2: per contended output (first-appearance order, matching
-        # the setdefault grouping in ``allocate``), first contending input
-        # at/after the output pointer.
-        for out in out_seen:
-            cmask = contenders[out]
-            contenders[out] = 0
-            ptr = self._out_ptr[out]
-            for offset in range(n_in):
-                i = (ptr + offset) % n_in
-                if cmask >> i & 1:
-                    self._out_ptr[out] = (i + 1) % n_in
-                    vc = s1_vc[i]
-                    self._in_ptr[i] = (vc + 1) % num_vcs
-                    grants.append((i, vc, out))
-                    break
-        del out_seen[:]

@@ -38,7 +38,6 @@ import copy
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .packet import Flit, Packet, TrafficClass
-from .router import NEVER
 from .topology import Direction
 
 
@@ -153,75 +152,6 @@ def audit_flit_conservation(net) -> List[str]:
             f"activity counter skew: link_flit_hops="
             f"{stats.link_flit_hops} != carried={carried} - "
             f"in-flight={in_flight}")
-    return problems
-
-
-def audit_event_scheduling(net) -> List[str]:
-    """Batched-core bookkeeping: the struct-of-arrays mirrors
-    (``head_ready``/``va_ok``/``va_need``/``va_blocked``) match the
-    authoritative object state cell for cell.  The vectorized screen
-    derives its schedule from them, so exact mirrors imply no actionable
-    cell can be skipped.  A network on the reference stepper keeps no
-    mirrors and passes trivially."""
-    problems: List[str] = []
-    batched = getattr(net, "_batched", None)
-    if batched is None:
-        return problems
-    for coord, router in net.routers.items():
-        for pos, port_id in enumerate(router._input_order):
-            for vc_idx, vc_state in enumerate(router.in_ports[port_id]):
-                ci = router._soa_base + pos * router.num_vcs + vc_idx
-                cell = f"({port_id}, {vc_idx})"
-                want_ready = (vc_state.buffer[0].ready
-                              if vc_state.buffer else NEVER)
-                if int(batched.head_ready[ci]) != want_ready:
-                    problems.append(
-                        f"{coord}: SoA head_ready for {cell} is "
-                        f"{int(batched.head_ready[ci])}, object state "
-                        f"says {want_ready}")
-                want_need = bool(vc_state.buffer) and vc_state.out_vc is None
-                if bool(batched.va_need[ci]) != want_need:
-                    problems.append(
-                        f"{coord}: SoA va_need for {cell} is "
-                        f"{bool(batched.va_need[ci])}, object state "
-                        f"says {want_need}")
-                want_ok = vc_state.out_vc is not None and (
-                    router.out_ports[vc_state.out_port]
-                    .credits[vc_state.out_vc] > 0)
-                if bool(batched.va_ok[ci]) != want_ok:
-                    problems.append(
-                        f"{coord}: SoA va_ok for {cell} is "
-                        f"{bool(batched.va_ok[ci])}, object state "
-                        f"says {want_ok}")
-                if not bool(batched.va_blocked[ci]):
-                    continue
-                # A blocked cell must be a va_need head whose VC allocation
-                # provably still fails: every allowed VC of its output port
-                # is owned.  (Exact, not just conservative: any release on
-                # that port flushes the per-port blocked list.)
-                if not want_need:
-                    problems.append(
-                        f"{coord}: SoA va_blocked for {cell} set "
-                        f"but cell is not awaiting VC allocation")
-                elif len(router._eject_ids) > 1 and \
-                        vc_state.out_port is Direction.EJECT:
-                    problems.append(
-                        f"{coord}: SoA va_blocked for {cell} set "
-                        f"on a multi-eject router's eject head")
-                elif vc_state.out_port is not None:
-                    if vc_state.out_port is Direction.EJECT:
-                        out = router.out_ports[router._eject_ids[0]]
-                    else:
-                        out = router.out_ports[vc_state.out_port]
-                    head = vc_state.buffer[0]
-                    allowed = router.vc_config.allowed_vcs(
-                        head.packet.traffic_class, head.packet.group)
-                    free = [vc for vc in allowed if out.owner[vc] is None]
-                    if free:
-                        problems.append(
-                            f"{coord}: SoA va_blocked for {cell} "
-                            f"set but VCs {free} are free on "
-                            f"{out.port_id}")
     return problems
 
 
@@ -345,8 +275,7 @@ def audit_network(net) -> List[str]:
     """Run every audit on one physical network; returns problem strings."""
     return (audit_flit_conservation(net)
             + audit_credit_conservation(net)
-            + audit_vc_discipline(net)
-            + audit_event_scheduling(net))
+            + audit_vc_discipline(net))
 
 
 def check_network(net) -> None:
@@ -441,6 +370,7 @@ def _oldest_stuck_packet(net):
 
 def format_network_state(net, max_flits: int = 12) -> str:
     """Human-readable dump of every non-empty piece of network state."""
+    net.export_state()
     lines = [f"=== state of network {net.name!r} at cycle {net.cycle} ==="]
     stats = net.stats
     lines.append(
@@ -534,20 +464,18 @@ class InvariantChecker:
         self._stalled_cycles = 0
         self._last_motion = -1
 
-    # A monotone counter that advances whenever any flit moves: pops off a
-    # source FIFO or drains into a router (injected - draining), traverses
-    # a switch into a channel (flits_carried), or ejects (ejected +
-    # partial reassembly).  Channel *delivery* is not counted, but it
-    # always follows a send within channel-latency cycles, so a stalled
-    # counter with a non-idle network means no flit is moving at all.
+    # A monotone counter that advances whenever any flit moves: drains
+    # from a source into a router (buffer writes that are not link
+    # deliveries) or traverses a switch into a channel or out of the
+    # network (crossbar traversals).  Channel *delivery* is not counted,
+    # but it always follows a send within channel-latency cycles, so a
+    # stalled counter with a non-idle network means no flit is moving at
+    # all.  Three always-on activity counters: a compare per cycle, with
+    # no walk over source queues or channels and no kernel export.
     def _motion(self) -> int:
-        net = self.network
-        stats = net.stats
-        _fifo, partial, _pkts = _source_flit_split(net)
-        carried = sum(ch.flits_carried for ch in net.channels)
-        reassembling = sum(net._reassembly.values())
-        return (stats.flits_injected - partial + carried
-                + stats.flits_ejected + reassembling)
+        stats = self.network.stats
+        return (stats.crossbar_traversals + stats.buffer_writes
+                - stats.link_flit_hops)
 
     def audit(self) -> None:
         """Run the full audit now; raises on violation."""

@@ -11,16 +11,18 @@ and the open-loop harness both drive it through the same small interface:
   reassembled packet.
 * ``step(cycle)`` — advance one interconnect clock.
 
-Every network steps its routers through a :class:`~repro.noc.batched.
-BatchedCore` built at construction.  The reference exhaustive scan
-(``REPRO_REFERENCE_STEPPER=1`` or :meth:`MeshNetwork.use_reference_stepper`)
-is the bit-identity oracle the batched core is tested against.
+Every network steps through the compiled cycle kernel of a
+:class:`~repro.noc.batched.BatchedCore` built at construction.  The
+reference exhaustive scan (``REPRO_REFERENCE_STEPPER=1`` or
+:meth:`MeshNetwork.use_reference_stepper`) is the bit-identity oracle
+the kernel ports and is tested against.
 """
 
 from __future__ import annotations
 
 import os
 import random
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Tuple
@@ -72,6 +74,22 @@ class _SourcePort:
         self.vc: Optional[int] = None
 
 
+def enable_tracers(networks, tracer) -> None:
+    """Attach (or detach, with ``None``) ``tracer`` on every network in
+    ``networks``, or on none: attaching switches each network still on
+    the compiled kernel to the reference stepper, which is idle-only, so
+    a busy one raises before any network has changed."""
+    if tracer is not None:
+        busy = [network.name for network in networks
+                if network._batched is not None and not network.idle]
+        if busy:
+            raise RuntimeError(
+                f"network slices {busy} are busy: a tracer can only be "
+                "attached while idle")
+    for network in networks:
+        network.enable_tracer(tracer)
+
+
 class MeshNetwork:
     """A single physical 2D-mesh network."""
 
@@ -108,73 +126,66 @@ class MeshNetwork:
         self._buffered_flits = 0
         #: Reused per-cycle scratch (drained channels).
         self._channel_scratch: List[Channel] = []
-        #: Batched struct-of-arrays core driving the router phase; ``None``
-        #: selects the reference exhaustive scan (the debug/benchmark
-        #: oracle: ``REPRO_REFERENCE_STEPPER=1`` at construction, or
-        #: ``use_reference_stepper`` while idle).
-        self._batched = None
 
-        self.routers: Dict[Coord, Router] = {}
-        self.channels: List[Channel] = []
+        self._routers: Dict[Coord, Router] = {}
+        self._channels: List[Channel] = []
         for coord in mesh.coords():
             spec = specs.get(coord, RouterSpec(coord))
             if spec.coord != coord:
                 raise ValueError(f"spec coord {spec.coord} placed at {coord}")
             router = Router(spec, vc_config, params.vc_buffer_depth, routing)
             router.attach_ejection(sink=self)
-            self.routers[coord] = router
+            self._routers[coord] = router
 
-        for coord, router in self.routers.items():
+        for coord, router in self._routers.items():
             for direction, neighbor in mesh.neighbors(coord):
                 channel = Channel(params.channel_latency, params.credit_delay)
-                dst = self.routers[neighbor]
+                dst = self._routers[neighbor]
                 dst_port = direction.opposite()
                 channel.connect(router, direction, dst, dst_port)
                 channel.watch = self._wake_channel
                 router.attach_output_channel(direction, channel)
                 dst.attach_input_channel(dst_port, channel)
-                self.channels.append(channel)
+                self._channels.append(channel)
 
-        self._router_list: Tuple[Router, ...] = tuple(self.routers.values())
+        self._router_list: Tuple[Router, ...] = tuple(self._routers.values())
         for idx, router in enumerate(self._router_list):
             router.net_index = idx
             router.finalize()
-        if os.environ.get("REPRO_REFERENCE_STEPPER") != "1":
-            # Imported here so ``import repro`` stays numpy-free.
-            from .batched import BatchedCore
-            self._batched = BatchedCore(self)
 
         #: Source-side state is indexed by node row (mesh order, equal to
-        #: ``Router.net_index``): plain-list indexing keeps the per-cycle
-        #: drain loop and ``try_inject`` off the Coord-hashing path.
-        #: ``_sources`` stays as the coord-keyed view for audits/tests.
-        self._sources: Dict[Coord, List[_SourcePort]] = {}
+        #: ``Router.net_index``): plain indexing keeps ``try_inject`` and
+        #: the reference drain loop off the Coord-hashing path.
+        #: ``_sources`` is the coord-keyed view for audits/tests.
+        self._source_ports: Dict[Coord, List[_SourcePort]] = {}
         self._node_index: Dict[Coord, int] = {}
         self._source_rows: List[Tuple[Coord, List[_SourcePort], Router]] = []
-        self._source_occ: List[int] = []
+        #: Flits accepted and not yet drained into a router, per node.
+        #: An ``array('i')`` because the compiled kernel decrements it.
+        self._source_occ = array("i")
         self._source_rr: List[int] = []
-        #: Per node, its sole source port when it has exactly one (the
-        #: common case) — lets ``try_inject`` skip the round-robin walk.
-        self._source_only: List[Optional[_SourcePort]] = []
-        #: Nodes whose last drain pass moved nothing.  A fruitless pass has
-        #: no side effects, and its outcome can only change when a grant
-        #: pops a flit out of an injection-port buffer (space frees) or a
-        #: fresh packet becomes the head of an idle source port — both of
-        #: which clear the flag.  The reference stepper ignores it (it
-        #: re-attempts every cycle).
-        self._source_stuck: List[bool] = []
         for idx, coord in enumerate(mesh.coords()):
             ports = [
                 _SourcePort(injection_port(k))
-                for k in range(self.routers[coord].spec.num_inject_ports)
+                for k in range(self._routers[coord].spec.num_inject_ports)
             ]
-            self._sources[coord] = ports
+            self._source_ports[coord] = ports
             self._node_index[coord] = idx
-            self._source_rows.append((coord, ports, self.routers[coord]))
+            self._source_rows.append((coord, ports, self._routers[coord]))
             self._source_occ.append(0)
             self._source_rr.append(0)
-            self._source_only.append(ports[0] if len(ports) == 1 else None)
-            self._source_stuck.append(False)
+
+        #: Compiled-kernel core driving the cycle (``repro.noc.batched``);
+        #: ``None`` selects the reference exhaustive scan (the oracle:
+        #: ``REPRO_REFERENCE_STEPPER=1`` at construction,
+        #: ``use_reference_stepper`` while idle, or no usable compiler).
+        self._batched = None
+        if os.environ.get("REPRO_REFERENCE_STEPPER") != "1":
+            # Imported here so ``import repro`` compiles and loads nothing.
+            from .batched import BatchedCore, load_kernel
+            kernel = load_kernel()
+            if kernel is not None:
+                self._batched = BatchedCore(self, kernel)
 
         #: Opt-in invariant checker; ``None`` keeps the hot path at a
         #: single attribute test per cycle.
@@ -204,15 +215,48 @@ class MeshNetwork:
         """Attach (or detach, with ``None``) a read-only per-hop packet
         tracer to this network, its routers and its channels.  Tracing
         never mutates simulation state, so results are bit-identical with
-        it on or off."""
+        it on or off.  The tracer needs per-hop events, which only the
+        reference scan produces, so attaching one switches this network
+        to the reference stepper (idle only).  Use
+        :func:`enable_tracers` for several slices at once."""
+        if tracer is not None and self._batched is not None:
+            self.use_reference_stepper()
         self.tracer = tracer
-        for router in self.routers.values():
+        for router in self._router_list:
             router.tracer = tracer
-        for channel in self.channels:
+        for channel in self._channels:
             channel.tracer = tracer
 
     def carries(self, packet: Packet) -> bool:
         return self.vc_config.carries(packet.traffic_class)
+
+    # -- state export -------------------------------------------------------
+
+    def export_state(self) -> None:
+        """Bring the router, channel and source objects (and the flit
+        counters and reassembly table) up to date with the compiled
+        kernel.  Rewrites them only if the kernel has stepped or accepted
+        a packet since the last export, so edits made to the objects
+        survive until the next cycle; a no-op on the reference stepper,
+        where the objects are the state."""
+        core = self._batched
+        if core is not None and core.stale:
+            core.export()
+
+    @property
+    def routers(self) -> Dict[Coord, Router]:
+        self.export_state()
+        return self._routers
+
+    @property
+    def channels(self) -> List[Channel]:
+        self.export_state()
+        return self._channels
+
+    @property
+    def _sources(self) -> Dict[Coord, List[_SourcePort]]:
+        self.export_state()
+        return self._source_ports
 
     @property
     def _source_occupancy(self) -> Dict[Coord, int]:
@@ -235,21 +279,19 @@ class MeshNetwork:
         plan = self._plan
         if plan is not None:
             plan(packet, self._rng)
-        port = self._source_only[idx]
-        if port is None:
+        ports = self._source_rows[idx][1]
+        k = 0
+        if len(ports) > 1:
             # Several injection ports: rotate round-robin between them.
-            # (A single port makes the rotation a fixed point — skipped.)
-            ports = self._source_rows[idx][1]
-            rr = self._source_rr[idx]
-            self._source_rr[idx] = (rr + 1) % len(ports)
-            port = ports[rr]
-        if port.flits is None and not port.fifo:
-            # The packet becomes the head of an idle port: the node's next
-            # drain pass can genuinely progress again.
-            self._source_stuck[idx] = False
-        port.fifo.append(packet)
+            k = self._source_rr[idx]
+            self._source_rr[idx] = (k + 1) % len(ports)
+        core = self._batched
+        if core is None:
+            ports[k].fifo.append(packet)
+            self._source_flits += num_flits
+        else:
+            core.accept(packet, core.source_base[idx] + k, num_flits)
         self._source_occ[idx] = occupancy + num_flits
-        self._source_flits += num_flits
         stats = self.stats
         stats.packets_offered += 1
         stats.flits_offered += num_flits
@@ -260,17 +302,63 @@ class MeshNetwork:
     def step(self, cycle: Optional[int] = None) -> None:
         """Advance one interconnect cycle.
 
-        Channels with traffic in flight deliver (in insertion order), one
-        vectorized :meth:`BatchedCore.sweep` runs the router phase, and
-        sources drain, skipping nodes whose last drain pass was fruitless.
-        A fully idle network reduces to a cycle-counter bump.
-        ``_step_reference`` is the exhaustive twin of the router and
-        source phases: semantic changes must land in both, and
+        On the compiled kernel a cycle is at most two kernel calls:
+        :meth:`BatchedCore.sweep` delivers channels and steps the routers,
+        Python records the completed packets and runs their handlers in
+        ejection order, and :meth:`BatchedCore.drain` hands over the
+        packets accepted this cycle and drains the sources.  A fully idle
+        network reduces to a cycle-counter bump.  ``_step_reference`` is
+        the exhaustive scan the kernel ports line for line;
         tests/test_stepper_equivalence.py compares them bit for bit.
         """
         self.cycle = self.cycle + 1 if cycle is None else cycle
         now = self.cycle
-        self.stats.cycles = now
+        stats = self.stats
+        stats.cycles = now
+        core = self._batched
+        if core is None:
+            self._step_reference(now)
+        else:
+            st = core.st
+            if st[core.BUFFERED] or st[core.NACTIVE]:
+                done = core.sweep(now)
+                if done:
+                    packets = core.packets
+                    free = core.free
+                    width = self._channel_width
+                    record = stats.record_ejection
+                    handlers = self._handlers
+                    states = core.route_states
+                    for slot in done:
+                        packet = packets[slot]
+                        packets[slot] = None
+                        free.append(slot)
+                        if states:
+                            core.finish(slot, packet)
+                        packet.ejected = now
+                        record(packet, packet.num_flits(width))
+                        handler = handlers.get(packet.dest)
+                        if handler is not None:
+                            handler(packet, now)
+            if core.pending or st[core.SRCFLITS]:
+                started = core.drain(now)
+                if started:
+                    packets = core.packets
+                    width = self._channel_width
+                    record = stats.record_injection
+                    for slot in started:
+                        packet = packets[slot]
+                        packet.injected = now
+                        record(packet, packet.num_flits(width))
+        checker = self.checker
+        if checker is not None:
+            checker.on_cycle(now)
+
+    def _step_reference(self, now: int) -> None:
+        """Reference cycle: channels with traffic in flight deliver (in
+        insertion order), every occupied router steps in mesh order, then
+        every queued source port is attempted.  The oracle the compiled
+        kernel ports."""
         if self._active_channels:
             # ``deliver`` never activates or deactivates other channels, so
             # iterate the dict directly; drained channels are collected into
@@ -288,39 +376,6 @@ class MeshNetwork:
                 for channel in scratch:
                     del self._active_channels[channel]
                 del scratch[:]
-        if self._batched is None:
-            self._step_reference(now)
-        else:
-            if self._buffered_flits:
-                self._batched.sweep(now)
-            if self._source_flits:
-                occ = self._source_occ
-                stuck = self._source_stuck
-                drain = self._drain_source
-                rows = self._source_rows
-                # Row unpacking deferred past the skip tests: at saturation
-                # almost every node is stuck, so the common iteration is
-                # two list reads.
-                for idx in range(len(rows)):
-                    if occ[idx] and not stuck[idx]:
-                        coord, ports, router = rows[idx]
-                        progressed = False
-                        for port in ports:
-                            if drain(idx, coord, router, port, now):
-                                progressed = True
-                        if not progressed:
-                            # Fruitless pass (no side effects); skip this
-                            # node until a grant frees injection space or a
-                            # fresh head packet arrives.
-                            stuck[idx] = True
-        checker = self.checker
-        if checker is not None:
-            checker.on_cycle(now)
-
-    def _step_reference(self, now: int) -> None:
-        """Reference router and source phases: step every occupied router
-        in mesh order, then attempt every queued source port.  The oracle
-        the batched sweep and the stuck-source screen must match."""
         if self._buffered_flits:
             for router in self._router_list:
                 if router.occupancy:
@@ -341,15 +396,15 @@ class MeshNetwork:
     def use_reference_stepper(self) -> None:
         """Switch to the exhaustive-scan stepper (debug/benchmark oracle).
 
-        Only legal while idle: the batched core's mirrors describe the
-        in-flight state only while it steps every cycle.
+        Only legal while idle.  The kernel's state is exported first, so
+        the reference continues with every pointer it left.
         """
         if not self.idle:
             raise RuntimeError(
                 f"network {self.name!r}: stepper can only be switched while "
                 "idle")
         if self._batched is not None:
-            self._batched.detach()
+            self.export_state()
             self._batched = None
 
     def channel_utilization(self) -> Dict[Tuple[Coord, Coord], float]:
@@ -375,8 +430,11 @@ class MeshNetwork:
         O(1): ``_source_flits`` mirrors the per-node source occupancy,
         ``_buffered_flits`` the per-router occupancy, and a channel is in
         ``_active_channels`` exactly while it has flits or credits in
-        flight.
+        flight (the kernel keeps the same three counts).
         """
+        core = self._batched
+        if core is not None:
+            return core.idle()
         return not (self._source_flits or self._buffered_flits
                     or self._active_channels)
 

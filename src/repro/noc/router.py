@@ -30,10 +30,6 @@ from .vc import VcConfig
 MESH_DIRECTIONS = (Direction.NORTH, Direction.SOUTH,
                    Direction.EAST, Direction.WEST)
 
-#: Sentinel ready time of an empty input-VC cell ("never eligible"), as the
-#: batched core's screen arrays record it.
-NEVER = 1 << 62
-
 
 class RoutingViolation(RuntimeError):
     """Raised when a route would require an illegal turn, e.g. a dimension
@@ -54,7 +50,7 @@ class RouterSpec:
 class _InputVc:
     """State of one input virtual channel."""
 
-    __slots__ = ("buffer", "out_port", "out_vc", "out_pos")
+    __slots__ = ("buffer", "out_port", "out_vc")
 
     def __init__(self) -> None:
         #: FIFO of buffered flits (at most ``vc_buffer_depth``).  A list,
@@ -63,11 +59,6 @@ class _InputVc:
         self.buffer: List[Flit] = []
         self.out_port: Optional[PortId] = None   # route computation result
         self.out_vc: Optional[int] = None        # VC allocation result
-        #: Position of ``out_port`` in the router's output order, cached at
-        #: routing / VC allocation so the batched grant pass indexes a tuple
-        #: instead of hashing a port id every cycle.  Only meaningful while
-        #: ``out_vc`` is set.
-        self.out_pos: int = 0
 
     def reset_route(self) -> None:
         self.out_port = None
@@ -174,20 +165,7 @@ class Router:
 
         #: Position of this router in the network's router list.
         self.net_index = 0
-        #: Cycle of the last route/VC-allocation pass.  ``step`` advances
-        #: ``_va_rotate`` once per occupied cycle; the batched core, which
-        #: skips routers with no actionable cell, replays the increments
-        #: of the skipped cycles from this anchor so the rotation stays
-        #: bit-identical.
-        self._last_step = -1
         self._in_pos: Dict[PortId, int] = {}
-        #: Batched struct-of-arrays core (``repro.noc.batched``) this
-        #: router mirrors its actionable-cell state into; ``None`` (the
-        #: reference stepper) keeps the delivery paths at a single
-        #: attribute test.
-        self._soa = None
-        #: First cell index of this router in the SoA pools.
-        self._soa_base = 0
 
     # -- assembly ----------------------------------------------------------
 
@@ -218,21 +196,10 @@ class Router:
         self._output_order = tuple(sorted(self.out_ports, key=str))
         self._allocator = SeparableAllocator(
             self._input_order, self.num_vcs, self._output_order)
-        # Position-indexed views and reused per-cycle scratch for the
-        # batched core's grant pass (it rebuilds no dicts per cycle).
-        n_in = len(self._input_order)
+        # Port -> position maps (channel delivery, the kernel's layout).
         self._in_pos = {port: i for i, port in enumerate(self._input_order)}
         self._out_pos = {port: i
                          for i, port in enumerate(self._output_order)}
-        self._out_by_pos = tuple(self.out_ports[p]
-                                 for p in self._output_order)
-        self._in_channel_by_pos = tuple(self.in_channels.get(p)
-                                        for p in self._input_order)
-        self._req_masks: List[int] = [0] * n_in
-        self._req_outs: List[List[int]] = [
-            [0] * self.num_vcs for _ in range(n_in)]
-        self._req_active: List[int] = []
-        self._grant_scratch: List[Tuple[int, int, int]] = []
 
     # -- runtime -----------------------------------------------------------
 
@@ -251,27 +218,11 @@ class Router:
             raise RuntimeError(
                 f"buffer overflow at {self.coord} port {port} vc {vc}: "
                 "credit accounting violated")
-        if self.occupancy == 0:
-            # Empty -> occupied transition: re-anchor the VA rotation clock
-            # at the cycle the scan stepper would first step this router —
-            # this same cycle for a channel delivery (channel phase precedes
-            # the router phase), the next cycle for a source-drain injection
-            # (the source phase follows it).
-            self._last_step = cycle if terminal else cycle - 1
         # Uncontended per-hop latency = pipeline_latency + channel latency
         # (5 cycles for the 4-stage baseline, Section III-B).
         flit.ready = cycle + self.pipeline_latency
         state.buffer.append(flit)
         self.occupancy += 1
-        soa = self._soa
-        if soa is not None and len(state.buffer) == 1:
-            # The flit became the cell's front: mirror its pipeline ready
-            # time (and, for a fresh head, the VA obligation) into the
-            # batched core's screen arrays.
-            ci = self._soa_base + pos * self.num_vcs + vc
-            soa.head_ready[ci] = flit.ready
-            if state.out_vc is None:
-                soa.va_need[ci] = True
         tracer = self.tracer
         if tracer is not None and flit.is_head:
             tracer.on_hop_arrive(flit.packet, self.coord, port, cycle)
@@ -287,17 +238,9 @@ class Router:
             raise RuntimeError(
                 f"buffer overflow at {self.coord} port {port} vc {vc}: "
                 "credit accounting violated")
-        if self.occupancy == 0:
-            self._last_step = cycle - 1
         flit.ready = cycle + self.pipeline_latency
         state.buffer.append(flit)
         self.occupancy += 1
-        soa = self._soa
-        if soa is not None and len(state.buffer) == 1:
-            ci = self._soa_base + pos * self.num_vcs + vc
-            soa.head_ready[ci] = flit.ready
-            if state.out_vc is None:
-                soa.va_need[ci] = True
         tracer = self.tracer
         if tracer is not None and flit.is_head:
             tracer.on_hop_arrive(flit.packet, self.coord, port, cycle)
@@ -308,17 +251,7 @@ class Router:
     def deliver_credit_port(self, out, vc: int) -> None:
         """Credit return with the output port pre-resolved (channels cache
         their upstream endpoint after the first delivery)."""
-        credits = out.credits[vc] + 1
-        out.credits[vc] = credits
-        soa = self._soa
-        if soa is not None and credits == 1:
-            # 0 -> 1 transition: the owning input cell (if any) becomes a
-            # switch request again; flag it for the batched screen.
-            owner = out.owner[vc]
-            if owner is not None:
-                soa.va_ok[self._soa_base
-                          + self._in_pos[owner[0]] * self.num_vcs
-                          + owner[1]] = True
+        out.credits[vc] += 1
 
     def injection_space(self, port: PortId, vc: int) -> int:
         return self.buffer_depth - len(self.in_ports[port][vc].buffer)
@@ -328,9 +261,9 @@ class Router:
         allocation and traversal.  Returns ejected (flit, port) pairs.
 
         This is the reference exhaustive scan, the bit-identity oracle of
-        the batched core's sweep (``repro.noc.batched``): any semantic
-        change must land in both, and tests/test_stepper_equivalence.py
-        compares them.
+        the compiled kernel (``repro.noc.batched``), which ports it line
+        for line: any semantic change must land in both, and
+        tests/test_stepper_equivalence.py compares them.
         """
         if self.occupancy == 0:
             return []
@@ -344,7 +277,6 @@ class Router:
         n = len(inputs)
         rotate = self._va_rotate
         self._va_rotate = (rotate + 1) % max(1, n)
-        self._last_step = cycle
         for i in range(n):
             in_port, in_vcs = inputs[(i + rotate) % n]
             for in_vc, vc_state in enumerate(in_vcs):
@@ -393,7 +325,6 @@ class Router:
                 out.owner[vc] = (in_port, in_vc)
                 vc_state.out_vc = vc
                 vc_state.out_port = port_id
-                vc_state.out_pos = self._out_pos[port_id]
                 tracer = self.tracer
                 if tracer is not None:
                     tracer.on_vc_alloc(packet, self.coord, port_id, vc,

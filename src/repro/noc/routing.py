@@ -7,7 +7,12 @@ A routing algorithm has two duties:
   full-router.  The paper implements the group choice as a single header bit
   (Section IV-B).
 * ``next_port(coord, packet)`` — run at each router's route-computation
-  stage; returns the output ``Direction`` or ``Direction.EJECT``.
+  stage; returns the output ``Direction`` or ``Direction.EJECT``.  It may
+  read only ``coord`` and the packet's ``src``, ``dest``, ``group``,
+  ``intermediate`` and ``phase``, and may write only ``group`` and
+  ``phase``.  The compiled kernel relies on this: it walks each route
+  once at injection and memoizes it under exactly those fields (plus
+  the traffic class, which selects the VCs).
 
 Checkerboard routing (the paper's contribution) lives in
 ``repro.core.checkerboard_routing`` and implements this same interface.
@@ -40,6 +45,9 @@ class RoutingAlgorithm:
         raise NotImplementedError
 
     def next_port(self, coord: Coord, packet: Packet) -> Direction:
+        """Output port at ``coord``.  Reads only ``packet.src``, ``dest``,
+        ``group``, ``intermediate`` and ``phase``; writes only ``group``
+        and ``phase`` (so a route is a function of those fields)."""
         raise NotImplementedError
 
     # -- shared helpers ----------------------------------------------------

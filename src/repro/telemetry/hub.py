@@ -68,13 +68,16 @@ class TelemetryHub:
 
     def attach_network(self, network) -> None:
         """Attach to a :class:`MeshNetwork` or a sliced
-        :class:`NetworkSystem` (every physical slice is instrumented)."""
-        for net in getattr(network, "networks", [network]):
-            if not hasattr(net, "routers"):
-                continue                    # ideal networks: nothing to hook
+        :class:`NetworkSystem` (every physical slice is instrumented).
+        The tracer switches the slices to the reference stepper, all or
+        none: a busy slice raises before anything is attached."""
+        nets = [net for net in getattr(network, "networks", [network])
+                if hasattr(net, "routers")]  # ideal networks: nothing to hook
+        if self.tracer is not None:
+            from ..noc.network import enable_tracers
+            enable_tracers(nets, self.tracer)
+        for net in nets:
             self._networks.append(net)
-            if self.tracer is not None:
-                net.enable_tracer(self.tracer)
             if self.sampler is not None:
                 self.sampler.attach_network(net)
 

@@ -259,6 +259,21 @@ class TestDeadlockWatchdog:
         net.run_until_idle()          # must not raise
         assert net.idle
 
+    def test_watchdog_is_a_counter_compare(self, monkeypatch):
+        """The armed watchdog reads the activity counters only: it never
+        walks the source queues (nor exports the kernel's state) per
+        cycle, so its cost does not grow with the queued backlog."""
+        import repro.noc.invariants as invariants
+
+        def walked(net):
+            raise AssertionError("watchdog walked the source queues")
+
+        monkeypatch.setattr(invariants, "_source_flit_split", walked)
+        net = make_network(check_interval=0, watchdog_cycles=32)
+        drive_random_traffic(net)
+        net.run_until_idle()
+        assert net.idle and net.checker.watchdog_cycles == 32
+
     def test_checker_rejects_negative_intervals(self):
         net = make_network()
         with pytest.raises(ValueError):

@@ -226,11 +226,13 @@ class TestFreeVcFairness:
         dest = Coord(3, 0)
         net.set_ejection_handler(dest, lambda p, c: None)
         seen = set()
-        watched = net.routers[Coord(2, 0)].in_ports[Direction.WEST]
         for i in range(60):
             net.try_inject(read_request(Coord(0, 0), dest), net.cycle)
             net.try_inject(read_reply(Coord(0, 0), dest), net.cycle)
             net.step()
+            # Read through ``net.routers`` each cycle: that access exports
+            # the compiled kernel's state into the router objects.
+            watched = net.routers[Coord(2, 0)].in_ports[Direction.WEST]
             seen.update(vc for vc, state in enumerate(watched)
                         if state.buffer)
         net.run_until_idle()

@@ -1,6 +1,6 @@
 """Two-way determinism contract of the cycle core.
 
-Every network steps its routers through the batched struct-of-arrays core
+Every network steps through the compiled cycle kernel
 (``repro.noc.batched``, the default); the reference exhaustive scan
 (``use_reference_stepper`` / ``REPRO_REFERENCE_STEPPER=1``) is the oracle
 it must match.  The chip adds its own pair: the wake-gated loop in
@@ -10,18 +10,21 @@ can produce, or a result could silently depend on which stepper ran it.
 
 This module pins that contract:
 
-* a golden matrix over the design space (baseline DOR, checkerboard
-  routing, channel-sliced double network) at low and saturated load, with
-  the invariant checker and packet tracer off and on, asserting equal
-  result payloads, equal ``NetworkStats`` snapshots and equal final
-  network state dumps, plus a closed-loop leg on a finite kernel;
+* a golden matrix over every named design at low and saturated load,
+  asserting equal result payloads, equal ``NetworkStats`` snapshots and
+  equal final network state dumps for the kernel with the invariant
+  checker off and on and for a traced run (which steps on the reference
+  scan), plus closed-loop legs on a finite kernel;
 * lockstep runs of the same cells and kernel that compare stats and
-  state every few cycles and audit the batched core's mirrors as they go;
-* a randomized fuzz sweep (seeds, mesh shapes, injection rates, VC/buffer
-  configurations) comparing default against reference;
-* the selection plumbing: the env var, the idle-only switch that leaves
-  nothing half-switched when it refuses, and the ``audit_event_scheduling``
-  mirror audit mid-stream;
+  state every few cycles and audit the kernel's exported state as they
+  go;
+* a randomized fuzz sweep (designs, seeds, mesh shapes, injection rates,
+  VC/buffer configurations) comparing default against reference;
+* the selection plumbing: the env var, the idle-only switches (to the
+  reference, and by attaching a tracer) that leave nothing half-switched
+  when they refuse, a mid-run idle switch that
+  continues bit-identically, and the audit of the exported state
+  mid-stream;
 * the precomputed ``VcConfig`` tables against their dynamic oracle and the
   ``__slots__`` layout of Packet/Flit.
 """
@@ -32,9 +35,10 @@ import re
 
 import pytest
 
-from repro.core.builder import (build, checked_variant, design_by_name,
+from repro.core.builder import (NAMED_DESIGNS, build, checked_variant,
+                                design_by_name, design_constraint_violations,
                                 open_loop_variant)
-from repro.noc.invariants import audit_event_scheduling, format_system_state
+from repro.noc.invariants import audit_network, format_system_state
 from repro.noc.openloop import OpenLoopRunner
 from repro.noc.packet import (Flit, Packet, RouteGroup, TrafficClass,
                               read_request)
@@ -46,8 +50,15 @@ from repro.system.accelerator import build_chip
 from repro.telemetry import TelemetryHub, TelemetrySpec
 from repro.workloads.profiles import profile
 
+#: Every named design point (Table V abbreviations and ablations).
+DESIGNS = tuple(NAMED_DESIGNS)
 #: Baseline, checkerboard routing, channel-sliced double network.
-DESIGNS = ("TB-DOR", "CP-CR-4VC", "Double-CP-CR")
+LOCKSTEP_DESIGNS = ("TB-DOR", "CP-CR-4VC", "Double-CP-CR")
+#: Closed-loop legs: baseline, sliced double network, the combined
+#: throughput-effective design (multi-inject MCs), multi-inject plus
+#: multi-eject MCs, and ROMM's phase flip.
+CLOSED_DESIGNS = ("TB-DOR", "Double-CP-CR", "Throughput-Effective",
+                  "Double-CP-CR-2P2E", "CP-ROMM-4VC")
 #: Well below and well past saturation of the 6x6 baseline mesh.
 RATES = (0.02, 0.30)
 
@@ -137,34 +148,39 @@ def _open_cell(design_name, rate, **options):
 
 
 def _assert_lockstep(fast_system, ref_system, where):
-    """Stats and full network state agree mid-run, and the default's
-    struct-of-arrays mirrors match its object state."""
+    """Stats and full network state agree mid-run, and the state the
+    kernel exports passes every audit."""
     assert _stats_snapshot(fast_system) == _stats_snapshot(ref_system), where
     assert (_normalized_state(fast_system)
             == _normalized_state(ref_system)), where
     for net in fast_system.networks:
         assert net._batched is not None
-        assert audit_event_scheduling(net) == [], where
+        assert audit_network(net) == [], where
 
 
 @pytest.mark.parametrize("design_name", DESIGNS)
 @pytest.mark.parametrize("rate", RATES)
 def test_four_way_golden_matrix(design_name, rate):
-    """Four legs per cell — the reference scan, the default (batched)
-    core, and the default under the invariant checker and under the
-    packet tracer — agree on result payload, stats snapshot and final
-    state: read-only instrumentation must not perturb the fast path."""
+    """Four legs per cell — the reference scan, the default (compiled
+    kernel), the default under the invariant checker, and a traced run —
+    agree on result payload, stats snapshot and final state.  The checker
+    leg shows the checker does not perturb the kernel.  The traced leg
+    runs on the reference scan (attaching a tracer switches an idle
+    network to it, for the per-hop events), so it shows that the switch
+    at attach time and the tracer's hooks leave results unchanged; it
+    does not exercise the kernel."""
     oracle, _ = _open_cell(design_name, rate, reference=True)
     plain, _ = _open_cell(design_name, rate)
-    assert plain == oracle, "batched core diverged from reference"
+    assert plain == oracle, "compiled kernel diverged from reference"
     checked, _ = _open_cell(design_name, rate, checked=True)
-    assert checked == oracle, "invariant checker perturbed the batched core"
+    assert checked == oracle, "invariant checker perturbed the kernel"
     traced, hub = _open_cell(design_name, rate, traced=True)
-    assert traced == oracle, "packet tracer perturbed the batched core"
+    assert traced == oracle, "packet tracer perturbed the run"
     assert hub.tracer.completed, "tracer saw no packets"
+    assert all(net._batched is None for net in hub._networks)
 
 
-@pytest.mark.parametrize("design_name", DESIGNS)
+@pytest.mark.parametrize("design_name", LOCKSTEP_DESIGNS)
 @pytest.mark.parametrize("rate", RATES)
 def test_open_loop_bit_identity(design_name, rate):
     """Default == reference cycle by cycle, not only at the end: the two
@@ -197,7 +213,7 @@ def _bin_chip(design_name, *, reference=False):
     return chip
 
 
-@pytest.mark.parametrize("design_name", ("TB-DOR", "Double-CP-CR"))
+@pytest.mark.parametrize("design_name", CLOSED_DESIGNS)
 def test_closed_loop_three_way(design_name):
     """Three chip legs agree on a finite BIN kernel whose drained tail
     exercises the idle fast paths (finished cores, idle MCs and DRAM
@@ -216,7 +232,7 @@ def test_closed_loop_three_way(design_name):
     assert run(audited) == oracle, "system audit perturbed the defaults"
 
 
-@pytest.mark.parametrize("design_name", ("TB-DOR", "Double-CP-CR"))
+@pytest.mark.parametrize("design_name", CLOSED_DESIGNS)
 def test_closed_loop_bit_identity(design_name):
     """Chip defaults == exhaustive twins cycle by cycle through to kernel
     completion: the two chips step in lockstep, finish on the same cycle,
@@ -241,12 +257,14 @@ def _fuzz_cases(n):
     """Deterministic pseudo-random (design, mesh, rate, seed) cases.
 
     The generator seed is fixed so failures reproduce; the cases span
-    mesh shapes (square and non-square), loads from idle to deep
-    saturation, VC counts, buffer depths and source-queue capacities
-    across all three design families.
+    every named design, mesh shapes (square and non-square), loads from
+    idle to deep saturation, VC counts, buffer depths and source-queue
+    capacities.  Combinations ``design_constraint_violations`` rejects
+    (e.g. a checkerboard placement the mesh cannot hold) are skipped.
     """
     master = random.Random(0xB47C4ED)
-    for _ in range(n):
+    produced = 0
+    while produced < n:
         name = master.choice(DESIGNS)
         design = open_loop_variant(design_by_name(name))
         if design.routing == "dor":
@@ -259,11 +277,14 @@ def _fuzz_cases(n):
                 vcs_per_class=master.choice((1, 2)),
                 vc_buffer_depth=master.choice((4, 8)),
             )
-        yield (design,
-               Mesh(master.choice((4, 5, 6)), master.choice((4, 5, 6))),
-               master.choice((4, 8)),
-               master.choice((0.02, 0.05, 0.1, 0.2, 0.35)),
-               master.randrange(1 << 30))
+        mesh = Mesh(master.choice((4, 5, 6)), master.choice((4, 5, 6)))
+        num_mcs = master.choice((4, 8))
+        rate = master.choice((0.02, 0.05, 0.1, 0.2, 0.35))
+        seed = master.randrange(1 << 30)
+        if design_constraint_violations(design, mesh, num_mcs):
+            continue
+        produced += 1
+        yield design, mesh, num_mcs, rate, seed
 
 
 def _fuzz_run(design, mesh, num_mcs, rate, seed, reference):
@@ -282,7 +303,7 @@ def _fuzz_run(design, mesh, num_mcs, rate, seed, reference):
 
 
 def test_fuzz_batched_matches_reference():
-    """~50 randomized configurations: batched == reference, bit for bit,
+    """48 randomized configurations: kernel == reference, bit for bit,
     including the final in-flight network state."""
     for case, (design, mesh, num_mcs, rate, seed) in \
             enumerate(_fuzz_cases(48)):
@@ -339,6 +360,35 @@ def test_system_reference_switch_is_all_or_nothing():
         assert net._batched is None
 
 
+@pytest.mark.parametrize("via", ["system", "hub"])
+def test_tracer_attach_is_all_or_nothing(via):
+    """Attaching a tracer switches the slices to the reference stepper,
+    which is idle-only: with slice 1 busy and slice 0 idle, the attach
+    raises and no slice is switched or traced."""
+    system = build(open_loop_variant(design_by_name("Double-CP-CR")),
+                   Mesh(6, 6), num_mcs=8, seed=SEED)
+    _make_busy(system.networks[1], system.compute_nodes[0],
+               system.mc_nodes[0])
+    hub = TelemetryHub(TelemetrySpec(trace=True))
+
+    def attach():
+        if via == "system":
+            system.enable_tracer(hub.tracer)
+        else:
+            hub.attach_network(system)
+
+    with pytest.raises(RuntimeError, match="idle"):
+        attach()
+    for net in system.networks:
+        assert net._batched is not None, f"{net.name} switched anyway"
+        assert net.tracer is None, f"{net.name} traced anyway"
+    assert hub._networks == []
+    system.run_until_idle()
+    attach()
+    for net in system.networks:
+        assert net._batched is None and net.tracer is hub.tracer
+
+
 def test_chip_reference_switch_is_all_or_nothing():
     """A chip whose network is busy refuses the switch without flipping
     its own loops to the reference twins: chip and networks stay on the
@@ -355,9 +405,10 @@ def test_chip_reference_switch_is_all_or_nothing():
 
 
 def test_audit_event_scheduling_under_batched():
-    """The struct-of-arrays mirrors match the authoritative object state
-    cell for cell after running hot — audited mid-stream, with traffic
-    still in flight."""
+    """The kernel's export reproduces consistent objects mid-stream, with
+    traffic in flight: every audit passes on the exported state, and the
+    export runs only when the kernel has stepped since the last one, so
+    an edit made to the objects is what the next audit sees."""
     system = build(open_loop_variant(design_by_name("TB-DOR")),
                    Mesh(6, 6), num_mcs=8, seed=SEED)
     runner = OpenLoopRunner(system, system.compute_nodes, system.mc_nodes,
@@ -366,8 +417,61 @@ def test_audit_event_scheduling_under_batched():
     runner.run(warmup=50, measure=100)
     for net in system.networks:
         assert net._batched is not None
+        assert net._batched.stale, "the kernel stepped since construction"
+        assert audit_network(net) == []
         assert net._buffered_flits > 0, "audit must catch a busy network"
-        assert audit_event_scheduling(net) == []
+        assert not net._batched.stale
+        busiest = max(net.routers.values(), key=lambda r: r.occupancy)
+        busiest.occupancy += 1
+        assert any("occupancy counter" in p for p in audit_network(net))
+        runner._cycle(tag=None)           # the kernel steps: re-export
+        assert audit_network(net) == []
+
+
+@pytest.mark.parametrize("design_name", ("TB-DOR", "CP-CR-4VC",
+                                         "Double-CP-CR-2P2E",
+                                         "CP-ROMM-4VC"))
+@pytest.mark.parametrize("rate", (0.05, 0.30))
+def test_idle_midrun_switch_matches_reference(design_name, rate):
+    """Run the default for 300 cycles, drain to idle, switch to the
+    reference scan and run 300 more: stats and state equal a pure
+    reference run.  The switch exports every rotation, eject-port, free-VC
+    and iSLIP pointer the kernel left, and the reference continues from
+    them."""
+
+    def pointers(system):
+        """Every rotation pointer and credit count: state a dump does not
+        print and that a drained network only reveals when contention
+        happens to consult it."""
+        out = []
+        for net in system.networks:
+            for router in net.routers.values():
+                allocator = router._allocator
+                out.append((router._va_rotate, router._eject_pointer,
+                            list(allocator._in_ptr),
+                            list(allocator._out_ptr),
+                            [(port.credits, port.vc_pointers)
+                             for port in router.out_ports.values()]))
+        return out
+
+    def run(switch):
+        runner, _ = _open_runner(design_name, rate, reference=not switch)
+        for _ in range(300):
+            runner._cycle(tag=None)
+        runner.network.run_until_idle()
+        if switch:
+            runner.network.use_reference_stepper()
+            for net in runner.network.networks:
+                assert net._batched is None
+        at_switch = pointers(runner.network)
+        for _ in range(300):
+            runner._cycle(tag=None)
+        return (at_switch, pointers(runner.network),
+                _stats_snapshot(runner.network),
+                _normalized_state(runner.network),
+                runner._lat_hist.summary())
+
+    assert run(switch=True) == run(switch=False)
 
 
 # -- histogram / merged-stats plumbing on the batched path -----------------
