@@ -77,7 +77,12 @@ class SimtCore:
         #: model at the interconnect clock; bounded in effect by the MSHRs).
         self.outbound: Deque[Packet] = deque()
         self._stalled: List[Optional[WarpInstruction]] = [None] * n
+        #: Per warp, the (L1, MSHR) versions at its last structural stall:
+        #: a retry at equal versions fails again without a probe.  Versions
+        #: only grow, so a memo never matches once its instruction issued.
+        self._stall_versions: List[Optional[Tuple[int, int]]] = [None] * n
         self._issue_busy_until = 0
+        self._issue_interval = config.issue_interval
         #: Earliest core cycle the next ``step`` can do anything.  The
         #: chip's event-driven loop skips the call entirely before then; a
         #: skipped step is provably a no-op (every early return above the
@@ -100,50 +105,68 @@ class SimtCore:
         if warp is None:
             self.wake = wake
             return
-        instr = self._stalled[warp.warp_id]
+        warp_id = warp.warp_id
+        instr = self._stalled[warp_id]
         if instr is None:
-            instr = self.program.next_instruction(self.coord, warp.warp_id)
+            instr = self.program.next_instruction(self.coord, warp_id)
             if instr is None:
                 warp.finished = True
                 self.wake = cycle + 1
                 return
-        if instr.is_global and not self._issue_global(warp, instr, cycle):
+        kind = instr.kind
+        if kind is InstrKind.ALU:
+            warp.ready_at = cycle + self.config.alu_latency
+        elif kind is InstrKind.SHARED:
+            warp.ready_at = cycle + self.config.shared_latency
+        elif self._issue_global(warp, instr, cycle):
+            self._stalled[warp_id] = None
+        else:
             # Structural stall: retry the same instruction next time.
-            self._stalled[warp.warp_id] = instr
+            self._stalled[warp_id] = instr
             self.structural_stalls += 1
             warp.ready_at = cycle + 1
             self.wake = cycle + 1
             return
-        self._stalled[warp.warp_id] = None
-        if instr.kind is InstrKind.ALU:
-            warp.ready_at = cycle + self.config.alu_latency
-        elif instr.kind is InstrKind.SHARED:
-            warp.ready_at = cycle + self.config.shared_latency
-        self._retire(warp, instr)
-        self._issue_busy_until = cycle + self.config.issue_interval
+        warp.retired += instr.active_threads
+        self.retired_scalar += instr.active_threads
+        self.issued_instructions += 1
+        self._issue_busy_until = cycle + self._issue_interval
         self.wake = self._issue_busy_until
 
     def _issue_global(self, warp: Warp, instr: WarpInstruction,
                       cycle: int) -> bool:
-        is_store = instr.kind is InstrKind.GLOBAL_STORE
-        lines = list(dict.fromkeys(instr.line_addrs))   # dedup, keep order
-        misses = [line for line in lines if not self.l1.contains(line)]
-        new_entries = sum(1 for line in misses
-                          if self.mshrs.lookup(line) is None)
-        if len(self.mshrs) + new_entries > self.mshrs.num_entries:
+        l1 = self.l1
+        mshrs = self.mshrs
+        versions = (l1.version, mshrs.version)
+        if self._stall_versions[warp.warp_id] == versions:
             return False
-        for line in misses:
-            if not self.mshrs.can_accept(line) and (
-                    self.mshrs.lookup(line) is not None):
+        # One pass over the distinct lines (first-appearance order): L1
+        # probe, MSHR lookup and merge limit.
+        hits = []
+        misses = []
+        new_entries = 0
+        for line in dict.fromkeys(instr.line_addrs):
+            if l1.contains(line):
+                hits.append(line)
+                continue
+            entry = mshrs.lookup(line)
+            if entry is None:
+                new_entries += 1
+            elif len(entry.waiters) >= mshrs.max_merged:
+                self._stall_versions[warp.warp_id] = versions
                 return False                       # merge limit reached
+            misses.append(line)
+        if len(mshrs) + new_entries > mshrs.num_entries:
+            self._stall_versions[warp.warp_id] = versions
+            return False
         # Resources are available: commit all effects.
-        for line in lines:
-            if line not in misses:
-                self.l1.access(line, is_write=is_store)
+        is_store = instr.kind is InstrKind.GLOBAL_STORE
+        for line in hits:
+            l1.access(line, is_write=is_store)
         blocking = 0
         for line in misses:
-            self.l1.misses += 1      # probe-without-allocate: count it here
-            entry = self.mshrs.allocate(
+            l1.misses += 1           # probe-without-allocate: count it here
+            entry = mshrs.allocate(
                 line, (warp if not is_store else None, is_store))
             if not entry.issued:
                 entry.issued = True
@@ -159,11 +182,6 @@ class SimtCore:
             if blocking == 0:
                 warp.ready_at = cycle + self.config.l1_hit_latency
         return True
-
-    def _retire(self, warp: Warp, instr: WarpInstruction) -> None:
-        warp.retired += instr.active_threads
-        self.retired_scalar += instr.active_threads
-        self.issued_instructions += 1
 
     # -- memory-system plumbing ----------------------------------------------
 

@@ -44,31 +44,30 @@ class RoundRobinWarpScheduler:
         self._pointer = 0
 
     def pick(self, cycle: int) -> Optional[Warp]:
-        n = len(self.warps)
-        for offset in range(n):
-            warp = self.warps[(self._pointer + offset) % n]
-            if not warp.blocked(cycle):
-                self._pointer = (self._pointer + offset + 1) % n
-                return warp
-        return None
+        """The first unblocked warp from the round-robin pointer, or
+        ``None``; a grant moves the pointer past it."""
+        return self.pick_or_wake(cycle)[0]
 
     def pick_or_wake(self, cycle: int) -> Tuple[Optional[Warp], int]:
         """``pick`` plus, when nothing is ready, the earliest cycle a warp
         unblocks by timeout alone (``NEVER`` when every blocked warp waits
         on loads or is finished — a reply event must wake the core then).
-        Identical grant and pointer behaviour to ``pick``."""
+        Reads ``Warp.blocked``'s three fields inline: this runs on every
+        core step."""
         n = len(self.warps)
         warps = self.warps
         pointer = self._pointer
         wake = NEVER
         for offset in range(n):
             warp = warps[(pointer + offset) % n]
-            if not warp.blocked(cycle):
+            if warp.finished or warp.pending_loads > 0:
+                continue
+            ready_at = warp.ready_at
+            if ready_at <= cycle:
                 self._pointer = (pointer + offset + 1) % n
                 return warp, 0
-            if (not warp.finished and warp.pending_loads == 0
-                    and warp.ready_at < wake):
-                wake = warp.ready_at
+            if ready_at < wake:
+                wake = ready_at
         return None, wake
 
     def all_finished(self) -> bool:

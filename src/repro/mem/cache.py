@@ -62,9 +62,15 @@ class SetAssociativeCache:
 
     def __init__(self, config: CacheConfig) -> None:
         self.config = config
+        self._line_bytes = config.line_bytes
+        self._num_sets = config.num_sets
         self._sets: List[Dict[int, _Line]] = [
             {} for _ in range(config.num_sets)]
         self._clock = 0
+        #: Bumped by every ``fill`` and ``invalidate``, the only calls that
+        #: change which lines are present: equal versions mean equal
+        #: ``contains`` answers.
+        self.version = 0
         self.hits = 0
         self.misses = 0
 
@@ -72,8 +78,7 @@ class SetAssociativeCache:
 
     def access(self, addr: int, is_write: bool = False) -> AccessResult:
         """Probe the cache; on a hit, update LRU (and dirty for writes)."""
-        line_addr = self.config.line_address(addr)
-        line = self._lookup(line_addr)
+        line = self._lookup(addr - addr % self._line_bytes)
         if line is None:
             self.misses += 1
             return AccessResult(hit=False)
@@ -85,7 +90,10 @@ class SetAssociativeCache:
         return AccessResult(hit=True)
 
     def contains(self, addr: int) -> bool:
-        return self._lookup(self.config.line_address(addr)) is not None
+        line_bytes = self._line_bytes
+        line_addr = addr - addr % line_bytes
+        return line_addr in self._sets[(line_addr // line_bytes)
+                                       % self._num_sets]
 
     # -- allocation ----------------------------------------------------------
 
@@ -94,6 +102,7 @@ class SetAssociativeCache:
         line_addr = self.config.line_address(addr)
         cache_set = self._sets[self.config.set_index(line_addr)]
         self._clock += 1
+        self.version += 1
         existing = cache_set.get(line_addr)
         if existing is not None:
             existing.lru = self._clock
@@ -119,6 +128,7 @@ class SetAssociativeCache:
         it was present."""
         line_addr = self.config.line_address(addr)
         cache_set = self._sets[self.config.set_index(line_addr)]
+        self.version += 1
         return cache_set.pop(line_addr, None) is not None
 
     def drain_dirty_lines(self) -> List[int]:
@@ -145,4 +155,5 @@ class SetAssociativeCache:
         return sum(len(s) for s in self._sets)
 
     def _lookup(self, line_addr: int) -> Optional[_Line]:
-        return self._sets[self.config.set_index(line_addr)].get(line_addr)
+        return self._sets[(line_addr // self._line_bytes)
+                          % self._num_sets].get(line_addr)

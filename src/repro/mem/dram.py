@@ -17,6 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
+#: ``GddrChannel.next_event`` of a channel with nothing queued or in flight.
+NEVER = 1 << 62
+
 
 @dataclass(frozen=True)
 class DramTiming:
@@ -63,7 +66,15 @@ class _Bank:
 
 
 class GddrChannel:
-    """One GDDR3 channel; stepped once per memory clock."""
+    """One GDDR3 channel; stepped once per memory clock.
+
+    ``next_event`` is the earliest memory cycle at which ``step`` can
+    complete or issue anything: the smallest ``complete_time`` in flight
+    or the smallest ``busy_until`` among the banks of queued requests
+    (``NEVER`` when both are empty).  Before it, ``step`` only advances
+    ``now``, ``pending_cycles`` and ``data_busy_cycles``, so the chip loop
+    may make exactly those updates itself and skip the call.
+    """
 
     def __init__(self, timing: DramTiming = DramTiming(),
                  on_complete: Optional[Callable[[DramRequest, int],
@@ -75,6 +86,9 @@ class GddrChannel:
         self._banks = [_Bank() for _ in range(timing.num_banks)]
         self._bus_free_at = 0
         self._last_activate_any = -(1 << 30)
+        #: Smallest ``complete_time`` in flight (``NEVER`` when none).
+        self._next_completion = NEVER
+        self.next_event = NEVER
         # Statistics.
         self.requests_serviced = 0
         self.row_hits = 0
@@ -107,6 +121,9 @@ class GddrChannel:
         request.arrival = now
         request.bank, request.row = self.map_address(request.addr)
         self._queue.append(request)
+        ready = self._banks[request.bank].busy_until
+        if ready < self.next_event:
+            self.next_event = ready
 
     def map_address(self, addr: int) -> tuple:
         """Bank and row of an address local to this channel."""
@@ -130,6 +147,7 @@ class GddrChannel:
         if not self._in_flight:
             return
         still = []
+        next_completion = NEVER
         for request in self._in_flight:
             if request.complete_time <= now:
                 self.requests_serviced += 1
@@ -137,33 +155,36 @@ class GddrChannel:
                     self.on_complete(request, now)
             else:
                 still.append(request)
-        self._in_flight = still
+                if request.complete_time < next_completion:
+                    next_completion = request.complete_time
+        if len(still) < len(self._in_flight):
+            self._in_flight = still
+            self._next_completion = next_completion
+            self._update_next_event()
 
     def _issue(self, now: int) -> None:
-        if not self._queue:
+        queue = self._queue
+        if not queue:
             return
         t = self.timing
-        # FR-FCFS: oldest ready row hit first, otherwise the oldest request
-        # whose bank can start a new row cycle.
-        chosen = None
-        for request in self._queue:
-            bank = self._banks[request.bank]
+        banks = self._banks
+        # FR-FCFS in one scan: the oldest ready row hit, otherwise the
+        # oldest request whose bank can start a new row cycle.
+        chosen_index = -1
+        for index, request in enumerate(queue):
+            bank = banks[request.bank]
             if bank.busy_until > now:
                 continue
             if bank.open_row == request.row:
-                chosen = request
+                chosen_index = index
                 break
-        if chosen is None:
-            for request in self._queue:
-                bank = self._banks[request.bank]
-                if bank.busy_until > now:
-                    continue
-                chosen = request
-                break
-        if chosen is None:
+            if chosen_index < 0:
+                chosen_index = index
+        if chosen_index < 0:
             return
+        chosen = queue.pop(chosen_index)
 
-        bank = self._banks[chosen.bank]
+        bank = banks[chosen.bank]
         cas_time = now
         if bank.open_row == chosen.row:
             chosen.row_hit = True
@@ -195,8 +216,22 @@ class GddrChannel:
         bank.busy_until = data_end
         chosen.issue_time = now
         chosen.complete_time = data_end
-        self._queue.remove(chosen)
         self._in_flight.append(chosen)
+        if data_end < self._next_completion:
+            self._next_completion = data_end
+        self._update_next_event()
+
+    def _update_next_event(self) -> None:
+        """Recompute ``next_event`` from the requests left in flight and
+        queued.  Called whenever either set shrinks; a bank's
+        ``busy_until`` changes only in ``_issue``, which calls it too."""
+        next_event = self._next_completion
+        banks = self._banks
+        for request in self._queue:
+            ready = banks[request.bank].busy_until
+            if ready < next_event:
+                next_event = ready
+        self.next_event = next_event
 
     # -- stats ---------------------------------------------------------------
 

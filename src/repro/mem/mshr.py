@@ -32,6 +32,9 @@ class MshrFile:
         self.num_entries = num_entries
         self.max_merged = max_merged
         self._entries: Dict[int, MshrEntry] = {}
+        #: Bumped by every ``allocate`` (new or merged) and ``complete``,
+        #: the only calls that change entries or their waiter counts.
+        self.version = 0
         self.allocations = 0
         self.merges = 0
         self.full_stalls = 0
@@ -67,6 +70,7 @@ class MshrFile:
                 raise RuntimeError("merge limit exceeded; check can_accept")
             entry.waiters.append(waiter)
             self.merges += 1
+            self.version += 1
             return entry
         if self.full:
             self.full_stalls += 1
@@ -74,6 +78,7 @@ class MshrFile:
         entry = MshrEntry(line_addr, [waiter])
         self._entries[line_addr] = entry
         self.allocations += 1
+        self.version += 1
         return entry
 
     def complete(self, line_addr: int) -> List[object]:
@@ -81,6 +86,7 @@ class MshrFile:
         entry = self._entries.pop(line_addr, None)
         if entry is None:
             raise KeyError(f"no outstanding MSHR for line {line_addr:#x}")
+        self.version += 1
         return entry.waiters
 
     def outstanding_lines(self) -> List[int]:

@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Sequence
 from ..core.builder import NetworkDesign, NetworkSystem, build
 from ..gpu.core import SimtCore
 from ..mem.controller import AddressMap, MemoryController
+from ..mem.dram import NEVER
 from ..noc.histogram import merge_histograms
 from ..noc.ideal import BandwidthLimitedNetwork, PerfectNetwork
 from ..noc.invariants import (audit_accelerator, check_accelerator,
@@ -198,11 +199,12 @@ class Accelerator:
         """One interconnect cycle (master clock), event-driven.
 
         Cores are stepped only when their wake time is due (a skipped
-        ``SimtCore.step`` is provably a no-op), drained MCs and idle DRAM
-        channels take an inline idle tick that performs exactly the
-        mutations their full step would.  ``_step_reference`` is the
-        exhaustive twin (the pre-event-core loop); both must change
-        together and the golden tests compare them bit for bit.
+        ``SimtCore.step`` is provably a no-op); drained MCs, and DRAM
+        channels before their ``next_event``, take an inline tick that
+        performs exactly the mutations their full step would.
+        ``_step_reference`` is the exhaustive twin (the pre-event-core
+        loop); both must change together and the golden tests compare
+        them bit for bit.
         """
         telemetry = self.telemetry
         if telemetry is not None:
@@ -243,12 +245,19 @@ class Accelerator:
             mclk = self.dram_cycle
             for mc in self.mcs:
                 dram = mc.dram
-                if dram._queue or dram._in_flight:
+                next_event = dram.next_event
+                if next_event <= mclk:
                     dram.step(mclk)
                 else:
-                    # Idle tick: ``GddrChannel.step`` with nothing queued
-                    # or in flight only advances its clock.
+                    # Nothing completes or issues before ``next_event``:
+                    # make only the updates ``GddrChannel.step`` would
+                    # (clock, and busy accounting unless the channel is
+                    # empty, whose next event is ``NEVER``).
                     dram.now = mclk
+                    if next_event != NEVER:
+                        dram.pending_cycles += 1
+                        if dram._bus_free_at > mclk:
+                            dram.data_busy_cycles += 1
         if self._check_interval and now % self._check_interval == 0:
             check_accelerator(self)
 

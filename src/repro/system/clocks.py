@@ -27,7 +27,16 @@ class ClockConfig:
 
 
 class RateAccumulator:
-    """Emits ``floor(n * ratio)`` total ticks after ``n`` advances."""
+    """Doles out a clock domain's ticks, one master-clock advance at a time.
+
+    After ``n`` advances ``total_ticks`` is ``floor(n * ratio)`` or one
+    less.  The float accumulator can land just short of a whole tick where
+    ``n * ratio`` is an integer; the tick then arrives on the next advance.
+    With the paper's core clock (1296/602 = 648/301) that happens at every
+    multiple of 301 advances; the DRAM clock (1107/602) is exact over at
+    least 3M advances.  An exact integer accumulator would move every
+    closed-loop result, so it belongs with a change that re-pins them.
+    """
 
     def __init__(self, ratio: float) -> None:
         if ratio <= 0:

@@ -45,6 +45,19 @@ class TestRateAccumulator:
             t = acc.advance()
             assert t in (1, 2)
 
+    @pytest.mark.parametrize("domain_mhz", ("core_mhz", "dram_mhz"))
+    def test_total_within_one_tick_of_exact(self, domain_mhz):
+        """``total_ticks`` is ``floor(n * r)`` or one less, for both paper
+        ratios, by exact integer arithmetic (the float accumulator lags a
+        tick at some ``n``; an exact one would pass too)."""
+        c = ClockConfig()
+        num, den = int(getattr(c, domain_mhz)), int(c.icnt_mhz)
+        acc = RateAccumulator(num / den)
+        for n in range(1, 100_001):
+            acc.advance()
+            exact = n * num // den
+            assert exact - 1 <= acc.total_ticks <= exact, n
+
     def test_slow_domain(self):
         acc = RateAccumulator(0.5)
         assert [acc.advance() for _ in range(4)] == [0, 1, 0, 1]

@@ -1,8 +1,9 @@
 """Tests for the GDDR3 channel model: timing, FR-FCFS, efficiency."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.mem.dram import DramRequest, DramTiming, GddrChannel
+from repro.mem.dram import NEVER, DramRequest, DramTiming, GddrChannel
 
 
 def drain(channel, max_cycles=10_000):
@@ -170,3 +171,54 @@ class TestWritesAndStats:
         assert bank0 != bank1 or row0 != row1
         bank_again, row_again = ch.map_address(63)
         assert (bank_again, row_again) == (bank0, row0)
+
+
+class TestNextEvent:
+    """``next_event``, which gates ``GddrChannel.step`` in the chip loop."""
+
+    @staticmethod
+    def recomputed(ch):
+        return min([r.complete_time for r in ch._in_flight]
+                   + [ch._banks[r.bank].busy_until for r in ch._queue],
+                   default=NEVER)
+
+    @staticmethod
+    def state(ch):
+        """Everything ``step`` may change besides the clock and the two
+        busy counters."""
+        return (list(ch._queue), list(ch._in_flight), ch.requests_serviced,
+                ch.row_hits, ch.row_misses, ch._bus_free_at,
+                [(b.open_row, b.busy_until, b.last_activate)
+                 for b in ch._banks])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 31),
+                              st.booleans()), max_size=80))
+    def test_exact_minimum_and_idle_before_it(self, arrivals):
+        """Random arrivals (cycles since the last one, row id, write) over
+        4 rows per bank, then a drain: after every enqueue and step,
+        ``next_event`` is the recomputed minimum, and a step before it
+        changes nothing but ``now``, ``pending_cycles`` and
+        ``data_busy_cycles``."""
+        ch = GddrChannel()
+        now = 0
+
+        def step():
+            nonlocal now
+            now += 1
+            before = self.state(ch) if ch.next_event > now else None
+            ch.step(now)
+            if before is not None:
+                assert self.state(ch) == before, now
+            assert ch.next_event == self.recomputed(ch), now
+
+        for gap, row_id, is_write in arrivals:
+            for _ in range(gap):
+                step()
+            if ch.can_accept():
+                ch.enqueue(DramRequest(row_id * ch.timing.row_bytes,
+                                       is_write), now)
+                assert ch.next_event == self.recomputed(ch)
+        while ch.busy:
+            step()
+        assert ch.next_event == NEVER

@@ -1,9 +1,11 @@
 """Tests for the SIMT core: issue, memory path, MSHR pressure, fills."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.gpu.core import CoreConfig, MemoryToken, SimtCore
 from repro.gpu.instruction import ALU, SHARED, load, store
+from repro.mem.mshr import MshrFile
 from repro.noc.packet import TrafficClass, read_reply
 from repro.noc.topology import Coord
 
@@ -178,6 +180,110 @@ class TestStructuralStalls:
         for cycle in range(21, 40):
             core.step(cycle)
         assert len(core.outbound) == 1          # the stalled one went out
+
+
+#: Twelve lines over a 4-set, 2-way L1 (so fills evict) and a 4-entry MSHR
+#: file with a merge limit of 2: small enough that random sequences hit
+#: every stall reason.
+MEMO_LINES = [0x1000 + i * 64 for i in range(12)]
+MEMO_OPS = st.one_of(
+    # A new instruction, or the warp's stalled one retried.
+    st.tuples(st.just("issue"), st.integers(0, 3),
+              st.lists(st.sampled_from(MEMO_LINES), min_size=1,
+                       max_size=4),
+              st.booleans()),
+    st.tuples(st.just("reply"), st.integers(0, 7)),
+    # An entry freed without a fill: only the MSHR file changes.
+    st.tuples(st.just("release"), st.integers(0, 7)),
+    # Only the L1 changes: a fill, an invalidation, or a fill of every
+    # line of a warp's stalled instruction.
+    st.tuples(st.sampled_from(("fill", "invalidate")),
+              st.sampled_from(MEMO_LINES)),
+    st.tuples(st.just("fill_stalled"), st.integers(0, 3)),
+)
+#: A warp stalls on a full MSHR file, one change frees room for it, and
+#: it retries: the retry must issue.
+UNSTALL_AFTER = [("issue", 0, MEMO_LINES[:4], False),
+                 ("issue", 1, MEMO_LINES[4:5], False)]
+
+
+def recomputed_verdict(core, instr):
+    """The structural check of a global instruction, recomputed from the
+    raw L1 sets and MSHR entries: every distinct line either hits, merges
+    into an entry below the merge limit, or takes a free entry."""
+    present = set().union(*core.l1._sets)
+    mshrs = core.mshrs
+    outstanding = set(mshrs.outstanding_lines())
+    misses = [line for line in dict.fromkeys(instr.line_addrs)
+              if line not in present]
+    new = [line for line in misses if line not in outstanding]
+    if len(outstanding) + len(new) > mshrs.num_entries:
+        return False
+    return all(len(mshrs.lookup(line).waiters) < mshrs.max_merged
+               for line in misses if line in outstanding)
+
+
+class TestRetryMemo:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(MEMO_OPS, max_size=60))
+    @example(UNSTALL_AFTER + [("release", 0)] + UNSTALL_AFTER[1:])
+    @example(UNSTALL_AFTER + [("fill_stalled", 1)] + UNSTALL_AFTER[1:])
+    def test_verdicts_match_recomputed_check(self, ops):
+        """Random issue attempts (a stalled warp retries its instruction,
+        as ``step`` does), replies, and L1 or MSHR changes made directly
+        (fills, invalidations, an entry freed without a fill): every
+        verdict equals the recomputed check, so a memoized retry never
+        answers for state that changed."""
+        core = make_core([], num_warps=4, l1_size_bytes=512,
+                         l1_associativity=2)
+        core.mshrs = MshrFile(4, max_merged=2)
+        stalled = [None] * 4
+        for cycle, op in enumerate(ops, start=1):
+            outstanding = core.mshrs.outstanding_lines()
+            if op[0] == "issue":
+                _, warp_id, lines, is_store = op
+                instr = stalled[warp_id] or (
+                    store(lines) if is_store else load(lines))
+                expected = recomputed_verdict(core, instr)
+                assert core._issue_global(core.warps[warp_id], instr,
+                                          cycle) == expected
+                stalled[warp_id] = None if expected else instr
+            elif op[0] == "reply" and outstanding:
+                line = outstanding[op[1] % len(outstanding)]
+                core.on_reply(read_reply(MC, CORE, payload=MemoryToken(
+                    CORE, line, line)), cycle)
+            elif op[0] == "fill":
+                core.l1.fill(op[1])
+            elif op[0] == "fill_stalled" and stalled[op[1]]:
+                for line in stalled[op[1]].line_addrs:
+                    core.l1.fill(line)
+            elif op[0] == "invalidate":
+                core.l1.invalidate(op[1])
+            elif op[0] == "release" and outstanding:
+                core.mshrs.complete(outstanding[op[1] % len(outstanding)])
+
+    def test_stalled_retry_keeps_its_side_effects(self):
+        """A retry answered by the memo still counts a stall, re-arms the
+        warp and the core for the next cycle and leaves the instruction
+        stalled."""
+        core = make_core([lambda w: load([0x1000 + w * 64])],
+                         num_warps=2, mshr_entries=1, l1_hit_latency=1)
+        core.step(1)                       # warp 0 takes the only MSHR
+        core.step(5)                       # warp 1 stalls
+        assert core.structural_stalls == 1
+        for cycle in (6, 7):
+            core.step(cycle)               # memo: nothing changed
+            assert core.structural_stalls == cycle - 4
+            assert core.warps[1].ready_at == cycle + 1
+            assert core.wake == cycle + 1
+            assert core.scheduler._pointer == 0
+            assert core._stalled[1] is not None
+        packet = core.outbound.popleft()
+        core.on_reply(reply_for(core, packet), 8)
+        core.step(8)                       # warp 0 finishes
+        core.step(9)                       # the MSHR is free: warp 1 issues
+        assert core._stalled[1] is None and len(core.outbound) == 1
+        assert core.structural_stalls == 3
 
 
 class TestValidation:

@@ -17,7 +17,8 @@ This module pins that contract:
   scan), plus closed-loop legs on a finite kernel;
 * lockstep runs of the same cells and kernel that compare stats and
   state every few cycles and audit the kernel's exported state as they
-  go;
+  go, plus two chip legs that load the chip-side gates (the DRAM wake
+  gate and the issue-retry memo) with full MSHR files and DRAM queues;
 * a randomized fuzz sweep (designs, seeds, mesh shapes, injection rates,
   VC/buffer configurations) comparing default against reference;
 * the selection plumbing: the env var, the idle-only switches (to the
@@ -38,6 +39,7 @@ import pytest
 from repro.core.builder import (NAMED_DESIGNS, build, checked_variant,
                                 design_by_name, design_constraint_violations,
                                 open_loop_variant)
+from repro.noc.ideal import PerfectNetwork
 from repro.noc.invariants import audit_network, format_system_state
 from repro.noc.openloop import OpenLoopRunner
 from repro.noc.packet import (Flit, Packet, RouteGroup, TrafficClass,
@@ -199,18 +201,30 @@ def test_open_loop_bit_identity(design_name, rate):
 
 def _chip_counters(chip):
     """The chip's measurement counters, its latency histogram by summary
-    (histograms do not define equality)."""
+    (histograms do not define equality), and per core the state a
+    structural-stall retry touches: the stall count, each warp's
+    ``ready_at`` and ``pending_loads``, the scheduler pointer and the
+    wake time."""
     counters = dict(vars(chip._snapshot()))
     counters["latency_hist"] = counters["latency_hist"].summary()
+    counters["cores"] = [
+        (core.structural_stalls, core.scheduler._pointer, core.wake,
+         [(warp.ready_at, warp.pending_loads) for warp in core.warps])
+        for core in chip.cores]
     return counters
 
 
-def _bin_chip(design_name, *, reference=False):
-    chip = build_chip(profile("BIN"), design=design_by_name(design_name),
-                      seed=SEED, instructions_per_warp=8)
+def _finite_chip(abbr, ipw, reference, **where):
+    chip = build_chip(profile(abbr), seed=SEED, instructions_per_warp=ipw,
+                      **where)
     if reference:
         chip.use_reference_stepper()
     return chip
+
+
+def _bin_chip(design_name, *, reference=False):
+    return _finite_chip("BIN", 8, reference,
+                        design=design_by_name(design_name))
 
 
 @pytest.mark.parametrize("design_name", CLOSED_DESIGNS)
@@ -232,23 +246,61 @@ def test_closed_loop_three_way(design_name):
     assert run(audited) == oracle, "system audit perturbed the defaults"
 
 
-@pytest.mark.parametrize("design_name", CLOSED_DESIGNS)
-def test_closed_loop_bit_identity(design_name):
-    """Chip defaults == exhaustive twins cycle by cycle through to kernel
-    completion: the two chips step in lockstep, finish on the same cycle,
-    and agree on chip counters, network stats and network state at every
-    ``CHECKPOINT``."""
-    ref = _bin_chip(design_name, reference=True)
-    fast = _bin_chip(design_name)
+def _lockstep_to_completion(make_chip, max_cycles, mesh=True):
+    """Step ``make_chip(reference=True)`` and ``make_chip(reference=False)``
+    in lockstep until the kernel completes: they finish on the same cycle
+    and agree on chip counters (and, on a mesh, network stats and state)
+    at every ``CHECKPOINT``.  Returns the reference chip and the deepest
+    DRAM queue it saw."""
+    ref, fast = make_chip(reference=True), make_chip(reference=False)
+    peak_queue = 0
     while not ref.finished:
-        assert ref.icnt_cycle < 20_000, "BIN kernel did not finish"
+        assert ref.icnt_cycle < max_cycles, "kernel did not finish"
         ref.step()
         fast.step()
+        peak_queue = max(peak_queue, *(mc.dram.queue_occupancy
+                                       for mc in ref.mcs))
         where = f"cycle {ref.icnt_cycle}"
         assert fast.finished == ref.finished, where
         if ref.icnt_cycle % CHECKPOINT == 0 or ref.finished:
             assert _chip_counters(fast) == _chip_counters(ref), where
-            _assert_lockstep(fast.network, ref.network, where)
+            if mesh:
+                _assert_lockstep(fast.network, ref.network, where)
+    return ref, peak_queue
+
+
+@pytest.mark.parametrize("design_name", CLOSED_DESIGNS)
+def test_closed_loop_bit_identity(design_name):
+    """Chip defaults == exhaustive twins cycle by cycle through to kernel
+    completion on a finite BIN kernel."""
+    _lockstep_to_completion(
+        lambda reference: _bin_chip(design_name, reference=reference),
+        20_000)
+
+
+def test_closed_loop_bit_identity_perfect_mum():
+    """The gated paths under pressure, without a mesh: MUM's divergent
+    loads on the perfect network keep the MSHR files full (tens of
+    thousands of structural-stall retries, most answered by the retry
+    memo) and fill the DRAM queues to capacity."""
+    ref, peak_queue = _lockstep_to_completion(
+        lambda reference: _finite_chip("MUM", 4, reference,
+                                       network=PerfectNetwork()),
+        10_000, mesh=False)
+    assert sum(core.structural_stalls for core in ref.cores) > 10_000
+    assert peak_queue == ref.mcs[0].dram.timing.queue_capacity
+
+
+def test_closed_loop_bit_identity_dram_mix():
+    """RD on the baseline mesh: full DRAM queues with both row hits and
+    row misses, so every source of a channel's ``next_event`` (a bank
+    freeing, a completion, an arrival) gates some of its steps."""
+    ref, peak_queue = _lockstep_to_completion(
+        lambda reference: _finite_chip("RD", 12, reference,
+                                       design=design_by_name("TB-DOR")),
+        10_000)
+    assert peak_queue == ref.mcs[0].dram.timing.queue_capacity
+    assert all(mc.dram.row_hits and mc.dram.row_misses for mc in ref.mcs)
 
 
 # -- randomized fuzz sweep -------------------------------------------------
