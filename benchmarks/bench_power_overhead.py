@@ -8,9 +8,9 @@ matters most: the saturated open-loop mesh on the default compiled
 kernel, the fastest stepper and therefore the worst case for *relative*
 overhead.
 
-Enforcing the ``< 2%`` contract follows the same reasoning as
-``bench_obs_overhead.py``: differencing two run-time distributions
-cannot resolve a per-event cost of nanoseconds, and the counters have
+Enforcing the ``< 2%`` contract cannot rest on timing alone:
+differencing two run-time distributions cannot resolve a per-event
+cost of nanoseconds, and the counters have
 no off switch to difference against anyway (always-on is the contract).
 Instead the enforced number is deterministic and deliberately an
 *upper bound* on what the shipped code executes:

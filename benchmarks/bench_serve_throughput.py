@@ -43,8 +43,7 @@ def _experiment():
         config = ServerConfig(port=0, cache=cache, job_jobs=JOBS)
         with ThreadedServer(config) as server:
             host, port = server.address
-            with ServeClient(host=host, port=port,
-                             client_id="bench") as client:
+            with ServeClient(host=host, port=port) as client:
                 start = time.perf_counter()
                 cold = client.submit(SWEEP_JOB)
                 cold_seconds = time.perf_counter() - start

@@ -16,8 +16,6 @@ Usage::
     python -m repro serve --cache ~/.cache/repro-noc --workers 2
     python -m repro submit sweep --design TB-DOR --rates 0.01,0.03
     python -m repro submit stats
-    python -m repro metrics                 # Prometheus exposition
-    python -m repro top --interval 2        # live dashboard
 
 The CLI is a thin veneer over the public API; everything it prints can be
 obtained programmatically (see examples/).
@@ -386,9 +384,8 @@ def _cmd_serve(args) -> int:
     config = ServerConfig(
         host=args.host, port=args.port, socket_path=args.socket,
         cache=args.cache if args.cache is not None else True,
-        cache_max_mb=args.cache_max_mb, max_pending=args.max_pending,
-        workers=args.workers, job_jobs=args.jobs,
-        observability=not args.no_obs)
+        cache_max_mb=args.cache_max_mb, workers=args.workers,
+        job_jobs=args.jobs)
     server = JobServer(config)
 
     async def _run() -> None:
@@ -398,11 +395,8 @@ def _cmd_serve(args) -> int:
         obs_log.emit(
             "server_listening",
             f"repro job server listening on {where} "
-            f"(workers={config.workers}, max_pending="
-            f"{config.max_pending})",
-            address=str(where), workers=config.workers,
-            max_pending=config.max_pending,
-            observability=server.obs is not None)
+            f"(workers={config.workers})",
+            address=str(where), workers=config.workers)
         await server.serve_until_stopped()
 
     try:
@@ -416,7 +410,7 @@ def _cmd_serve(args) -> int:
 def _submit_client(args):
     from .serve import ServeClient
     return ServeClient(host=args.host, port=args.port,
-                       socket_path=args.socket, client_id=args.client)
+                       socket_path=args.socket)
 
 
 def _print_event_progress(event: dict) -> None:
@@ -432,7 +426,7 @@ def _print_event_progress(event: dict) -> None:
 
 def _cmd_submit(args) -> int:
     """Submit a job to a running server (`repro submit sweep ...`)."""
-    from .serve import JobFailed, JobRejected, ServeError
+    from .serve import JobFailed, ServeError
 
     if args.job_kind == "stats":
         try:
@@ -465,54 +459,14 @@ def _cmd_submit(args) -> int:
     progress = _print_event_progress if args.progress else None
     try:
         with _submit_client(args) as client:
-            result = client.submit(job, priority=args.priority,
-                                   progress=progress,
-                                   max_retries=args.retries)
+            result = client.submit(job, progress=progress)
     except JobFailed as exc:
         label = f" (task {exc.label!r})" if exc.label else ""
         raise SystemExit(f"error: job failed{label}: {exc}") from None
-    except JobRejected as exc:    # includes QueueSaturated
-        raise SystemExit(f"error: {exc}") from None
-    except (ServeError, OSError) as exc:
+    except (ServeError, OSError) as exc:    # includes JobRejected
         raise SystemExit(f"error: {exc}") from None
     print(json.dumps(result, indent=2, sort_keys=True))
     return 0
-
-
-def _cmd_metrics(args) -> int:
-    """Scrape a running server's metrics (`repro metrics`)."""
-    from .serve import ServeError
-
-    try:
-        with _submit_client(args) as client:
-            reply = client.metrics(format="json" if args.json else "text")
-    except (ServeError, OSError) as exc:
-        raise SystemExit(f"error: {exc}") from None
-    if not reply.get("enabled"):
-        print("observability is disabled on this server "
-              "(--no-obs or REPRO_OBS=0)", file=sys.stderr)
-        return 1
-    if args.json:
-        print(json.dumps(reply["metrics"], indent=2, sort_keys=True))
-    else:
-        sys.stdout.write(reply["text"])
-    return 0
-
-
-def _cmd_top(args) -> int:
-    """Live dashboard over a running server (`repro top`)."""
-    from .obs import run_top
-    from .serve import ServeError
-
-    try:
-        with _submit_client(args) as client:
-            return run_top(client, interval=args.interval,
-                           iterations=args.iterations,
-                           clear=not args.no_clear)
-    except KeyboardInterrupt:
-        return 0
-    except (ServeError, OSError) as exc:
-        raise SystemExit(f"error: {exc}") from None
 
 
 def _cmd_report(args) -> int:
@@ -713,27 +667,14 @@ def make_parser() -> argparse.ArgumentParser:
     serve.add_argument("--cache-max-mb", type=float, default=None,
                        metavar="MB",
                        help="LRU-evict the cache past this size budget")
-    serve.add_argument("--max-pending", type=positive_int, default=64,
-                       help="queued jobs before submissions are rejected "
-                            "with retry_after (default 64)")
     serve.add_argument("--workers", type=positive_int, default=1,
                        help="concurrent jobs (default 1)")
     serve.add_argument("--jobs", type=positive_int, default=None,
                        help="worker processes per job (run_tasks fan-out)")
-    serve.add_argument("--no-obs", action="store_true",
-                       help="disable the metrics registry, job spans and "
-                            "structured job events (results unchanged)")
 
     submit = sub.add_parser(
         "submit", help="submit a job to a running server")
     endpoint_args(submit)
-    submit.add_argument("--client", default="cli",
-                        help="client id for fairness accounting")
-    submit.add_argument("--priority", type=int, default=0,
-                        help="higher runs first (default 0)")
-    submit.add_argument("--retries", type=int, default=0, metavar="N",
-                        help="on back-pressure rejection, honour "
-                             "retry_after and resubmit up to N times")
     submit.add_argument("--progress", action="store_true",
                         help="print streamed per-task progress to stderr")
     job_sub = submit.add_subparsers(dest="job_kind", required=True)
@@ -762,26 +703,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     job_sub.add_parser("stats", help="print server + cache statistics")
 
-    metrics = sub.add_parser(
-        "metrics", help="scrape a running server's metrics")
-    endpoint_args(metrics)
-    metrics.add_argument("--client", default="cli",
-                         help=argparse.SUPPRESS)
-    metrics.add_argument("--json", action="store_true",
-                         help="JSON snapshot instead of Prometheus "
-                              "text exposition")
-
-    top = sub.add_parser(
-        "top", help="live dashboard over a running server")
-    endpoint_args(top)
-    top.add_argument("--client", default="cli", help=argparse.SUPPRESS)
-    top.add_argument("--interval", type=float, default=2.0, metavar="S",
-                     help="seconds between frames (default 2)")
-    top.add_argument("--iterations", type=int, default=None, metavar="N",
-                     help="render N frames then exit (default: forever)")
-    top.add_argument("--no-clear", action="store_true",
-                     help="append frames instead of redrawing in place")
-
     report = sub.add_parser(
         "report", help="inspect a telemetry artifact directory")
     report.add_argument("dir", help="directory holding summary.json "
@@ -805,14 +726,16 @@ _COMMANDS = {
     "explore": _cmd_explore,
     "serve": _cmd_serve,
     "submit": _cmd_submit,
-    "metrics": _cmd_metrics,
-    "top": _cmd_top,
     "report": _cmd_report,
 }
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = make_parser().parse_args(argv)
+    try:
+        obs_log.log_format()
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from None
     return _COMMANDS[args.command](args)
 
 

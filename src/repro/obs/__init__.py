@@ -1,43 +1,14 @@
-"""Host-side observability for the serving and execution stack.
+"""Host-side structured logging for the execution and serving stack.
 
-The simulator got its telemetry layer in PR 3 (exact packet-latency
-decomposition, samplers, heatmaps); this package extends the same
-discipline from flits to jobs — the serving path ``submit → validate →
-queue → worker → executor → cache/simulate → respond`` decomposes,
-counts, and logs the way packet latency does:
+:mod:`repro.obs.log` is structured one-line-JSON logging behind the
+``REPRO_LOG_FORMAT=text|json`` escape hatch (text stays byte-stable
+with the legacy stderr prints), with contextvar-carried correlation ids
+threading one ``job_id`` from submission to response.
 
-* :mod:`repro.obs.metrics` — a thread-safe metrics registry (counters,
-  gauges, :class:`~repro.noc.histogram.StreamingHistogram`-backed
-  percentile histograms) with deterministic Prometheus text exposition
-  and a JSON snapshot; ``REPRO_OBS=0`` disables every library-level
-  instrumentation site.
-* :mod:`repro.obs.log` — structured one-line-JSON logging behind the
-  ``REPRO_LOG_FORMAT=text|json`` escape hatch (text stays byte-stable
-  with the legacy stderr prints) with contextvar-carried correlation
-  ids threading one ``job_id`` from submission to response.
-* :mod:`repro.obs.spans` — per-job stage spans in integer nanoseconds
-  whose durations telescope *exactly* to the end-to-end latency,
-  persisted per job and served by the ``status`` command.
-* :mod:`repro.obs.top` — the ``repro top`` live dashboard over the
-  ``stats``/``metrics`` protocol commands.
-
-Contract (DESIGN.md §16): observability never changes served results —
-with it disabled the serving path is a handful of attribute tests, and
-payloads stay bit-identical either way.
+Contract (DESIGN.md §16): logging never changes results.
 """
 
 from .log import SCHEMA as LOG_SCHEMA
 from .log import bind, context, emit, log_format
-from .metrics import (REGISTRY, Counter, Gauge, Histogram,
-                      MetricsRegistry, enabled, parse_exposition,
-                      render_prometheus)
-from .spans import SCHEMA as SPAN_SCHEMA
-from .spans import STAGES, JobSpan
-from .top import render_dashboard, run_top
 
-__all__ = [
-    "Counter", "Gauge", "Histogram", "JobSpan", "LOG_SCHEMA",
-    "MetricsRegistry", "REGISTRY", "SPAN_SCHEMA", "STAGES", "bind",
-    "context", "emit", "enabled", "log_format", "parse_exposition",
-    "render_dashboard", "render_prometheus", "run_top",
-]
+__all__ = ["LOG_SCHEMA", "bind", "context", "emit", "log_format"]

@@ -13,8 +13,8 @@ API choice, so existing CI greps keep working:
   fields, and ``message`` when one was given.  Keys are sorted, so
   records are stable under ``grep``/``jq``.
 
-Correlation: :func:`bind` pushes fields (``job_id``, ``client``,
-``kind``) onto a :class:`contextvars.ContextVar`, so every record
+Correlation: :func:`bind` pushes fields (``job_id``, ``kind``) onto a
+:class:`contextvars.ContextVar`, so every record
 emitted underneath — including from ``asyncio.to_thread`` executor
 threads, which copy the caller's context — carries the job's identity
 without any plumbing through function signatures.  That is how one

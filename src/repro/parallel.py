@@ -40,7 +40,6 @@ from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple, Union)
 
 from .obs import log as obs_log
-from .obs import metrics as obs_metrics
 
 # ---------------------------------------------------------------------------
 # Stable hashing and seed derivation
@@ -125,20 +124,6 @@ class ExecutionCounter:
 
 #: Module-level counter incremented by every in-process task execution.
 EXECUTION_COUNTER = ExecutionCounter()
-
-
-# Process-wide task-throughput series (see DESIGN.md §16): how many
-# tasks run_tasks resolved, by origin, and the summed wall-clock of the
-# executed ones.  Lives in the shared obs registry so the job server's
-# ``metrics`` command exposes the process pool's throughput alongside
-# its own queue/job series.  Per-process, like EXECUTION_COUNTER.
-TASKS_TOTAL = obs_metrics.REGISTRY.counter(
-    "repro_tasks_total",
-    "Tasks resolved by run_tasks, by origin (run or cache).",
-    labels=("origin",))
-TASK_SECONDS_TOTAL = obs_metrics.REGISTRY.counter(
-    "repro_task_seconds_total",
-    "Summed wall-clock seconds of executed (non-cached) tasks.")
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +613,11 @@ def run_tasks(tasks: Sequence[SimTask], jobs: Optional[int] = None,
     never discards finished work.  Tasks that have not started are
     cancelled; tasks still running are allowed to finish and are cached
     too.
+
+    An invalid ``REPRO_LOG_FORMAT`` raises ``ValueError`` before any task
+    runs, not at the first progress record after a finished simulation.
     """
+    obs_log.log_format()
     jobs = resolve_jobs(jobs)
     store = as_cache(cache)
     total = len(tasks)
@@ -650,8 +639,6 @@ def run_tasks(tasks: Sequence[SimTask], jobs: Optional[int] = None,
                 (artifact_dir / "summary.json").is_file()
             if hit is not None and artifacts_ok:
                 payloads[i] = hit
-                if obs_metrics.enabled():
-                    TASKS_TOTAL.inc(origin="cache")
                 obs_log.emit("task_done", label=task.label, index=i,
                              cached=True,
                              seconds=round(hit.get("elapsed", 0.0), 6))
@@ -667,9 +654,6 @@ def run_tasks(tasks: Sequence[SimTask], jobs: Optional[int] = None,
         if store is not None:
             store.put(keys[i] or tasks[i].cache_key(), payload)
         elapsed = payload.get("elapsed", 0.0)
-        if obs_metrics.enabled():
-            TASKS_TOTAL.inc(origin="run")
-            TASK_SECONDS_TOTAL.inc(elapsed)
         obs_log.emit("task_done", label=tasks[i].label, index=i,
                      cached=False, seconds=round(elapsed, 6))
         if progress is not None:

@@ -6,17 +6,12 @@ connection open for streaming submissions.  It is deliberately
 dependency-free and synchronous — the async machinery lives entirely in
 the server — so harness scripts, the ``repro submit`` CLI, benchmarks
 and tests all share one code path.
-
-Back-pressure surfaces as :class:`QueueSaturated` carrying the server's
-``retry_after`` hint; ``submit(..., max_retries=N)`` optionally honours
-it by sleeping and resubmitting.
 """
 
 from __future__ import annotations
 
 import json
 import socket
-import time
 from typing import Any, Callable, Dict, List, Optional
 
 from . import protocol
@@ -28,18 +23,6 @@ class ServeError(RuntimeError):
 
 class JobRejected(ServeError):
     """The server refused the submission (validation failure)."""
-
-
-class QueueSaturated(JobRejected):
-    """Back-pressure: the pending queue is full; retry later.
-
-    ``retry_after`` is the server's estimate (seconds) of when a queue
-    slot frees up.
-    """
-
-    def __init__(self, message: str, retry_after: float) -> None:
-        super().__init__(message)
-        self.retry_after = retry_after
 
 
 class JobFailed(ServeError):
@@ -61,9 +44,7 @@ class ServeClient:
     def __init__(self, host: str = protocol.DEFAULT_HOST,
                  port: int = protocol.DEFAULT_PORT,
                  socket_path: Optional[str] = None,
-                 client_id: str = "cli",
                  timeout: Optional[float] = 300.0) -> None:
-        self.client_id = client_id
         if socket_path is not None:
             self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
             self._sock.settimeout(timeout)
@@ -115,17 +96,6 @@ class ServeClient:
             raise ServeError(f"stats failed: {reply}")
         return reply["server"]
 
-    def metrics(self, format: str = "text") -> Dict[str, Any]:
-        """The server's metrics registry: ``format="text"`` for
-        Prometheus exposition (under ``"text"``), ``"json"`` for the
-        structured snapshot (under ``"metrics"``).  The reply's
-        ``"enabled"`` flag is false when the server runs with
-        observability disabled."""
-        reply = self.request({"cmd": "metrics", "format": format})
-        if not reply.get("ok"):
-            raise ServeError(reply.get("error", f"metrics failed: {reply}"))
-        return reply
-
     def status(self, job_id: str) -> Dict[str, Any]:
         reply = self.request({"cmd": "status", "job_id": job_id})
         if not reply.get("ok"):
@@ -138,43 +108,26 @@ class ServeClient:
         if not reply.get("ok"):
             raise ServeError(f"shutdown failed: {reply}")
 
-    def submit(self, job: Dict[str, Any], *, priority: int = 0,
+    def submit(self, job: Dict[str, Any], *,
                progress: Optional[Callable[[Dict[str, Any]], None]] = None,
-               max_retries: int = 0,
                events: Optional[List[Dict[str, Any]]] = None
                ) -> Dict[str, Any]:
         """Submit a job, stream its progress, return its result payload.
 
         Blocks until the job finishes.  ``progress`` receives each
         ``progress`` event dict as it streams in; ``events`` (a list)
-        additionally collects every event verbatim.  On back-pressure
-        rejection, retries up to ``max_retries`` times, sleeping the
-        server's ``retry_after`` hint between attempts, then raises
-        :class:`QueueSaturated`.  Raises :class:`JobRejected` on
-        validation failure and :class:`JobFailed` when the job errors.
+        additionally collects every event verbatim.  Raises
+        :class:`JobRejected` on validation failure and :class:`JobFailed`
+        when the job errors.
         """
-        attempts = 0
-        while True:
-            self._send({"cmd": "submit", "client": self.client_id,
-                        "priority": priority, "stream": True, "job": job})
-            reply = self._recv()
-            if events is not None:
-                events.append(reply)
-            if reply.get("event") == "rejected":
-                retry_after = float(reply.get("retry_after", 0.1))
-                if attempts >= max_retries:
-                    raise QueueSaturated(
-                        f"queue saturated ({reply.get('pending')}/"
-                        f"{reply.get('max_pending')} pending); "
-                        f"retry in {retry_after}s", retry_after)
-                attempts += 1
-                time.sleep(retry_after)
-                continue
-            if reply.get("event") == "invalid":
-                raise JobRejected(reply.get("error", json.dumps(reply)))
-            if reply.get("event") != "accepted":
-                raise ServeError(f"unexpected reply: {reply}")
-            break
+        self._send({"cmd": "submit", "stream": True, "job": job})
+        reply = self._recv()
+        if events is not None:
+            events.append(reply)
+        if reply.get("event") == "invalid":
+            raise JobRejected(reply.get("error", json.dumps(reply)))
+        if reply.get("event") != "accepted":
+            raise ServeError(f"unexpected reply: {reply}")
 
         while True:
             event = self._recv()

@@ -9,37 +9,34 @@ event.
 Requests (``cmd``):
 
 ``ping``
-    → ``{"ok": true, "event": "pong", "protocol": 2}``
+    → ``{"ok": true, "event": "pong", "protocol": 3}``
 ``submit``
-    ``{"cmd": "submit", "client": "...", "priority": 0,
-    "stream": true, "job": {"kind": "sweep"|"compare"|"explore", ...}}``
-    → ``accepted`` (with ``job_id``), ``rejected`` (back-pressure, with
-    ``retry_after`` seconds) or ``invalid`` (validation error).
+    ``{"cmd": "submit", "stream": true,
+    "job": {"kind": "sweep"|"compare"|"explore", ...}}``
+    → ``accepted`` (with ``job_id``) or ``invalid`` (validation error).
+    Jobs start in acceptance order, whichever connection submitted them.
 ``status`` / ``result``
     ``{"cmd": "status", "job_id": "..."}`` → the job record / its result.
 ``stats``
-    → queue depth, running/served counters, cache entry/byte totals and
-    lifetime counters, and the retry estimator's state.
-``metrics``
-    ``{"cmd": "metrics", "format": "text"|"json"}`` → the server's
-    metrics registry (plus the process-wide library registry) as
-    Prometheus text exposition (``"text"``, the default) or a JSON
-    snapshot (``"json"``); with observability disabled the reply carries
-    ``"enabled": false`` and empty payloads.
+    → ``uptime``, ``pending``, ``running``, ``workers``, ``job_jobs``,
+    the ``counters`` (submitted/completed/failed/invalid) and the
+    ``cache`` entry/byte totals with their lifetime counters.
 ``shutdown``
     → ``{"ok": true, "event": "bye"}``; the server finishes running
     jobs, drops queued ones and exits.
 
-Back-pressure contract: once the pending queue holds ``max_pending``
-jobs, every further submission is rejected with ``retry_after`` — an
-estimate of when a slot frees up (p90 of recent job wall-clocks scaled
-by queue depth over worker count) — instead of growing the queue
-without bound.  Rejection is explicit and cheap; clients are expected
-to back off and resubmit.
+Any other ``cmd`` gets ``{"ok": false, "event": "invalid"}`` naming the
+unknown command.
 
-Version history: 1 (PR 7, initial) → 2 (adds the ``metrics`` command;
+Version history: 1 (initial) → 2 (adds the ``metrics`` command;
 ``stats`` replaces ``ema_job_seconds`` with ``retry_estimator`` and
-gains ``observability``; ``status`` job records gain ``span``).
+gains ``observability``; ``status`` job records gain ``span``) → 3
+(FIFO only: removes the ``metrics`` command, back-pressure and its
+``rejected`` event, and the submission's ``priority`` and ``client``
+fields; ``stats`` drops ``max_pending``, ``pending_by_client``,
+``retry_after``, ``retry_estimator``, ``observability`` and the
+``rejected`` counter; ``status`` job records drop ``client``,
+``priority`` and ``span``).
 """
 
 from __future__ import annotations
@@ -47,7 +44,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict
 
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8642

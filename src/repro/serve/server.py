@@ -1,8 +1,8 @@
 """The asyncio job server.
 
 One :class:`JobServer` owns a listening socket (TCP on localhost or a
-unix domain socket), a :class:`~repro.serve.queue.FairPriorityQueue` of
-validated submissions, a pool of worker coroutines that execute jobs via
+unix domain socket), a FIFO queue of validated submissions, a pool of
+worker coroutines that execute jobs via
 :func:`repro.serve.executor.execute_job` on executor threads (the
 simulations themselves fan out over processes through
 :func:`repro.parallel.run_tasks` when ``job_jobs > 1``), and the shared
@@ -11,21 +11,11 @@ queries into millisecond cache hits.
 
 Contracts:
 
-* **Back-pressure** — submissions beyond ``max_pending`` queued jobs are
-  rejected immediately with a ``retry_after`` estimate (p90 of recent
-  job wall-clocks × queue depth / workers, floored); the queue never
-  grows without bound, and the estimator's state is in ``stats`` so a
-  rejection is always explainable.
-* **Observability** — every job carries a :class:`repro.obs.JobSpan`
-  whose stage durations telescope exactly to its end-to-end latency,
-  every lifecycle transition emits a structured log record correlated
-  by ``job_id``, and a per-server metrics registry (queue depth and
-  wait, job counters and wall-clock, worker busy time, cache activity)
-  is served by the ``metrics`` command.  Disabled (``--no-obs`` or
-  ``REPRO_OBS=0``) the pipeline is a handful of ``is None`` tests and
-  results stay bit-identical.
-* **Fairness** — inside a priority level clients are served round-robin
-  (see :mod:`repro.serve.queue`).
+* **FIFO order** — jobs start in the order the server accepted them,
+  whichever connection submitted them.  The queue is unbounded: this is
+  a single-host research harness, and ``stats`` reports its depth.
+* **Correlated logs** — every lifecycle transition emits a structured
+  log record (:func:`repro.obs.log.emit`) carrying the ``job_id``.
 * **Streaming progress** — every :class:`repro.parallel.TaskReport` a
   job's executor emits is forwarded as a ``progress`` event to
   subscribed clients, bridged from the executor thread with
@@ -45,20 +35,16 @@ import asyncio
 import dataclasses
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Deque, Dict, List, Optional, Tuple, Union
 
-from ..noc.histogram import StreamingHistogram
 from ..obs import log as obs_log
-from ..obs import metrics as obs_metrics
-from ..obs.metrics import MetricsRegistry
-from ..obs.spans import JobSpan
 from ..parallel import (ReportCollector, ResultCache, TaskError, TaskReport,
                         as_cache, default_cache_dir)
 from . import protocol
 from .executor import JobSpecError, execute_job, validate_job
-from .queue import FairPriorityQueue
 
 
 @dataclass(frozen=True)
@@ -70,16 +56,8 @@ class ServerConfig:
     socket_path: Optional[str] = None        # unix socket; overrides TCP
     cache: Union[None, bool, str, Path, ResultCache] = True
     cache_max_mb: Optional[float] = None     # LRU size budget
-    max_pending: int = 64                    # queued jobs before rejection
     workers: int = 1                         # concurrent jobs
     job_jobs: Optional[int] = None           # run_tasks fan-out per job
-    retry_after_floor: float = 0.05          # seconds
-    #: Seeds the retry_after estimate before any job has completed.
-    initial_job_seconds: float = 1.0
-    #: Metrics registry, job spans and structured job events.  Also
-    #: gated globally by ``REPRO_OBS=0``; disabling never changes
-    #: served results, only whether anyone can watch.
-    observability: bool = True
 
 
 @dataclass
@@ -87,8 +65,6 @@ class JobRecord:
     """One submission's full lifecycle, addressable by ``job_id``."""
 
     job_id: str
-    client: str
-    priority: int
     spec: Dict[str, Any]
     state: str = "queued"          # queued | running | done | failed
     submitted: float = field(default_factory=time.time)
@@ -98,111 +74,23 @@ class JobRecord:
     error: Optional[str] = None
     failed_label: Optional[str] = None
     stats: Optional[Dict[str, Any]] = None
-    span: Optional[JobSpan] = None
     subscribers: List[asyncio.Queue] = field(default_factory=list)
 
     def public(self) -> Dict[str, Any]:
         """The record as served by ``status`` (no result payload)."""
         return {
-            "job_id": self.job_id, "client": self.client,
-            "priority": self.priority, "kind": self.spec.get("kind"),
+            "job_id": self.job_id, "kind": self.spec.get("kind"),
             "state": self.state, "submitted": self.submitted,
             "started": self.started, "finished": self.finished,
             "error": self.error, "failed_label": self.failed_label,
             "stats": self.stats,
-            "span": self.span.to_json() if self.span is not None else None,
         }
-
-
-class _ServeObservability:
-    """One server's metrics registry and instrumentation handles.
-
-    Owned per :class:`JobServer` instance (never the process-global
-    :data:`repro.obs.metrics.REGISTRY`) so two servers in one process —
-    the test suite runs dozens — never collide on registration or
-    double-count each other's jobs.  Gauges are callback-backed: the
-    hot path pays nothing for queue depth or cache size until a scrape
-    actually asks.
-    """
-
-    def __init__(self, server: "JobServer") -> None:
-        self.registry = MetricsRegistry()
-        reg = self.registry
-        self.jobs_submitted = reg.counter(
-            "repro_jobs_submitted_total",
-            "Jobs accepted into the queue.", labels=("kind", "client"))
-        self.jobs_completed = reg.counter(
-            "repro_jobs_completed_total",
-            "Jobs that finished successfully.", labels=("kind", "client"))
-        self.jobs_failed = reg.counter(
-            "repro_jobs_failed_total",
-            "Jobs whose execution raised.", labels=("kind", "client"))
-        self.jobs_rejected = reg.counter(
-            "repro_jobs_rejected_total",
-            "Submissions rejected by queue back-pressure.",
-            labels=("client",))
-        self.jobs_invalid = reg.counter(
-            "repro_jobs_invalid_total",
-            "Submissions refused by spec validation.", labels=("client",))
-        reg.gauge("repro_queue_depth",
-                  "Validated jobs waiting in the queue.",
-                  fn=lambda: len(server.queue))
-        reg.gauge("repro_queue_depth_by_priority",
-                  "Waiting jobs per priority level.",
-                  labels=("priority",),
-                  fn=lambda: {(str(priority),): count
-                              for priority, count
-                              in server.queue.pending_by_priority().items()})
-        reg.gauge("repro_jobs_running", "Jobs currently executing.",
-                  fn=lambda: len(server.running))
-        reg.gauge("repro_workers", "Configured worker coroutines.",
-                  fn=lambda: server.config.workers)
-        reg.gauge("repro_uptime_seconds",
-                  "Seconds since the server started.",
-                  fn=lambda: round(time.time() - server._started, 3))
-        self.worker_busy = reg.counter(
-            "repro_worker_busy_seconds_total",
-            "Summed wall-clock seconds workers spent executing jobs.")
-        self.queue_wait = reg.histogram(
-            "repro_queue_wait_seconds",
-            "Seconds from enqueue to worker dequeue, by priority.",
-            labels=("priority",))
-        self.job_wall = reg.histogram(
-            "repro_job_wall_seconds",
-            "End-to-end job execution wall-clock seconds, by kind.",
-            labels=("kind",))
-        store = server.store
-        if store is not None:
-            for key in ("hits", "misses", "puts", "evictions",
-                        "evicted_bytes", "lock_timeouts"):
-                reg.counter(
-                    f"repro_cache_{key}_total",
-                    f"Result-cache lifetime {key.replace('_', ' ')} "
-                    f"(this process).",
-                    fn=lambda key=key: store.counters[key])
-            reg.gauge("repro_cache_entries",
-                      "Entries in the shared result cache.",
-                      fn=lambda: store.stats()["entries"])
-            reg.gauge("repro_cache_bytes",
-                      "Bytes in the shared result cache.",
-                      fn=lambda: store.stats()["bytes"])
-
-    def job_done(self, job: "JobRecord", elapsed: float,
-                 failed: bool) -> None:
-        """Record one finished job (success or failure)."""
-        kind = str(job.spec.get("kind"))
-        counter = self.jobs_failed if failed else self.jobs_completed
-        counter.inc(kind=kind, client=job.client)
-        self.job_wall.observe(elapsed, kind=kind)
-        self.worker_busy.inc(elapsed)
 
 
 class JobServer:
     """Asyncio job server; see the module docstring for the contracts."""
 
     def __init__(self, config: ServerConfig) -> None:
-        if config.max_pending < 1:
-            raise ValueError("max_pending must be >= 1")
         if config.workers < 1:
             raise ValueError("workers must be >= 1")
         self.config = config
@@ -213,21 +101,13 @@ class JobServer:
         elif isinstance(cache, (str, Path)):
             cache = ResultCache(cache, max_bytes=self._budget_bytes())
         self.store = as_cache(cache)
-        self.queue = FairPriorityQueue()
+        self.queue: Deque[JobRecord] = deque()
         self.jobs: Dict[str, JobRecord] = {}
         self.running: Dict[str, JobRecord] = {}
         self.counters = {"submitted": 0, "completed": 0, "failed": 0,
-                         "rejected": 0, "invalid": 0}
+                         "invalid": 0}
         self._job_seq = 0
-        # Retry estimator: millisecond histogram of job wall-clocks
-        # (success and failure alike) feeding the p90-based retry_after.
-        # Core scheduling state, NOT observability — it stays live with
-        # obs disabled so back-pressure behaves identically either way.
-        self._job_wall_ms = StreamingHistogram()
         self._started = time.time()
-        self.obs: Optional[_ServeObservability] = (
-            _ServeObservability(self)
-            if config.observability and obs_metrics.enabled() else None)
         self._cond: Optional[asyncio.Condition] = None
         self._stop: Optional[asyncio.Event] = None
         self._server: Optional[asyncio.AbstractServer] = None
@@ -290,40 +170,20 @@ class JobServer:
 
     # -- scheduling ----------------------------------------------------------
 
-    def _estimate_job_seconds(self) -> float:
-        """Typical job wall-clock: p90 of observed jobs (millisecond
-        resolution, floored at 1 ms), seeded by ``initial_job_seconds``
-        until the first job finishes.  p90 rather than a mean or EMA so
-        one anomalously fast cache-hit burst cannot talk a client into
-        hammering a queue that is actually full of slow sweeps."""
-        if not self._job_wall_ms.total:
-            return self.config.initial_job_seconds
-        return max(self._job_wall_ms.percentile(90), 1) / 1000.0
-
-    def _retry_after(self) -> float:
-        """Back-pressure hint: expected seconds until a queue slot frees
-        up, from the typical job wall-clock scaled by queue pressure."""
-        backlog = len(self.queue) + len(self.running)
-        estimate = self._estimate_job_seconds() * backlog \
-            / self.config.workers
-        return round(max(self.config.retry_after_floor, estimate), 3)
-
     async def _enqueue(self, record: JobRecord) -> None:
         async with self._cond:
-            self.queue.push(record)
+            self.queue.append(record)
             self._cond.notify()
 
     async def _next_job(self) -> Optional[JobRecord]:
+        # Woken by _enqueue (one notify per append) or by the shutdown
+        # notify_all in serve_until_stopped.
         async with self._cond:
-            while True:
-                if self._stop.is_set():
-                    return None      # shutdown drops still-queued jobs
-                job = self.queue.pop()
-                if job is not None:
-                    return job
-                # Woken by _enqueue (one notify per push) or by the
-                # shutdown notify_all in serve_until_stopped.
-                await self._cond.wait()
+            await self._cond.wait_for(
+                lambda: self.queue or self._stop.is_set())
+            if self._stop.is_set():
+                return None          # shutdown drops still-queued jobs
+            return self.queue.popleft()
 
     async def _worker(self) -> None:
         loop = asyncio.get_running_loop()
@@ -335,14 +195,7 @@ class JobServer:
             job.started = time.time()
             self.running[job.job_id] = job
             kind = str(job.spec.get("kind"))
-            if job.span is not None:
-                job.span.mark("dequeue")
-                if self.obs is not None:
-                    self.obs.queue_wait.observe(
-                        job.span.duration_ns("dequeue") / 1e9,
-                        priority=job.priority)
-            obs_log.emit("job_started", job_id=job.job_id,
-                         client=job.client, kind=kind)
+            obs_log.emit("job_started", job_id=job.job_id, kind=kind)
 
             def forward(report: TaskReport, job=job) -> None:
                 loop.call_soon_threadsafe(
@@ -357,55 +210,38 @@ class JobServer:
                 # thread (asyncio.to_thread copies the contextvars), so
                 # every record the executor and run_tasks emit carries
                 # this job_id without any signature plumbing.
-                with obs_log.bind(job_id=job.job_id, client=job.client,
-                                  kind=kind):
+                with obs_log.bind(job_id=job.job_id, kind=kind):
                     result = await asyncio.to_thread(
                         execute_job, job.spec, jobs=self.config.job_jobs,
                         cache=self.store, progress=collector)
             except Exception as exc:
                 elapsed = time.perf_counter() - start
-                if job.span is not None:
-                    job.span.mark("execute")
                 job.state = "failed"
                 job.error = f"{type(exc).__name__}: {exc}"
                 job.failed_label = getattr(exc, "label", None) \
                     if isinstance(exc, TaskError) else None
                 job.finished = time.time()
                 self.counters["failed"] += 1
-                self._job_wall_ms.add(int(elapsed * 1000))
-                if self.obs is not None:
-                    self.obs.job_done(job, elapsed, failed=True)
                 self._publish(job, {"event": "failed",
                                     "job_id": job.job_id,
                                     "error": job.error,
                                     "label": job.failed_label})
-                if job.span is not None:
-                    job.span.mark("respond")
-                obs_log.emit("job_failed", job_id=job.job_id,
-                             client=job.client, kind=kind,
+                obs_log.emit("job_failed", job_id=job.job_id, kind=kind,
                              error=job.error, label=job.failed_label,
                              seconds=round(elapsed, 6))
             else:
                 elapsed = time.perf_counter() - start
-                if job.span is not None:
-                    job.span.mark("execute")
                 job.state = "done"
                 job.result = result
                 job.finished = time.time()
                 job.stats = {"elapsed": round(elapsed, 6),
                              **collector.summary()}
                 self.counters["completed"] += 1
-                self._job_wall_ms.add(int(elapsed * 1000))
-                if self.obs is not None:
-                    self.obs.job_done(job, elapsed, failed=False)
                 self._publish(job, {"event": "done",
                                     "job_id": job.job_id,
                                     "result": result,
                                     "stats": job.stats})
-                if job.span is not None:
-                    job.span.mark("respond")
-                obs_log.emit("job_done", job_id=job.job_id,
-                             client=job.client, kind=kind,
+                obs_log.emit("job_done", job_id=job.job_id, kind=kind,
                              seconds=round(elapsed, 6),
                              tasks=collector.total,
                              executed=collector.executed,
@@ -454,8 +290,6 @@ class JobServer:
                 elif cmd == "stats":
                     await send({"ok": True, "event": "stats",
                                 "server": self.stats()})
-                elif cmd == "metrics":
-                    await self._cmd_metrics(message, send)
                 elif cmd == "shutdown":
                     await send({"ok": True, "event": "bye"})
                     self.request_stop()
@@ -473,69 +307,25 @@ class JobServer:
                 pass
 
     async def _cmd_submit(self, message: Dict[str, Any], send) -> None:
-        client = str(message.get("client") or "anonymous")
-        if len(self.queue) >= self.config.max_pending:
-            self.counters["rejected"] += 1
-            retry_after = self._retry_after()
-            if self.obs is not None:
-                self.obs.jobs_rejected.inc(client=client)
-            obs_log.emit("job_rejected", client=client,
-                         retry_after=retry_after,
-                         pending=len(self.queue))
-            await send({"ok": False, "event": "rejected",
-                        "error": "queue saturated",
-                        "retry_after": retry_after,
-                        "pending": len(self.queue),
-                        "max_pending": self.config.max_pending})
-            return
-        span = JobSpan() if self.obs is not None else None
         try:
             spec = validate_job(message.get("job"))
         except JobSpecError as exc:
             self.counters["invalid"] += 1
-            if self.obs is not None:
-                self.obs.jobs_invalid.inc(client=client)
-            obs_log.emit("job_invalid", client=client, error=str(exc))
+            obs_log.emit("job_invalid", error=str(exc))
             await send({"ok": False, "event": "invalid",
                         "error": str(exc)})
             return
-        priority = message.get("priority", 0)
-        if not isinstance(priority, int) or isinstance(priority, bool):
-            self.counters["invalid"] += 1
-            if self.obs is not None:
-                self.obs.jobs_invalid.inc(client=client)
-            obs_log.emit("job_invalid", client=client,
-                         error=f"priority must be an integer, "
-                               f"got {priority!r}")
-            await send({"ok": False, "event": "invalid",
-                        "error": f"priority must be an integer, "
-                                 f"got {priority!r}"})
-            return
-        if span is not None:
-            span.mark("validate")
         self._job_seq += 1
-        record = JobRecord(job_id=f"job-{self._job_seq:06d}",
-                           client=client, priority=priority, spec=spec,
-                           span=span)
+        record = JobRecord(job_id=f"job-{self._job_seq:06d}", spec=spec)
         self.jobs[record.job_id] = record
         self.counters["submitted"] += 1
-        if self.obs is not None:
-            self.obs.jobs_submitted.inc(kind=str(spec.get("kind")),
-                                        client=client)
 
-        stream = bool(message.get("stream", True))
         events: Optional[asyncio.Queue] = None
-        if stream:
+        if message.get("stream", True):
             events = asyncio.Queue()
             record.subscribers.append(events)
-        # The enqueue mark precedes the actual push: a worker may pop
-        # the record (marking "dequeue") the instant it lands, so the
-        # mark must already be in place for durations to stay ordered.
-        if span is not None:
-            span.mark("enqueue")
         obs_log.emit("job_submitted", job_id=record.job_id,
-                     client=client, kind=str(spec.get("kind")),
-                     priority=priority)
+                     kind=str(spec.get("kind")))
         await self._enqueue(record)
         await send({"ok": True, "event": "accepted",
                     "job_id": record.job_id, "queued": len(self.queue)})
@@ -576,50 +366,14 @@ class JobServer:
             await send({"ok": False, "event": "pending",
                         "job_id": record.job_id, "state": record.state})
 
-    async def _cmd_metrics(self, message: Dict[str, Any], send) -> None:
-        fmt = message.get("format", "text")
-        if fmt not in ("text", "json"):
-            await send({"ok": False, "event": "invalid",
-                        "error": f"metrics format must be 'text' or "
-                                 f"'json', got {fmt!r}"})
-            return
-        if self.obs is None:
-            await send({"ok": True, "event": "metrics",
-                        "enabled": False, "format": fmt,
-                        "text": "", "metrics": {}})
-            return
-        # Server-local series first, then the process-wide library
-        # registry (run_tasks throughput), so one scrape sees both.
-        if fmt == "text":
-            text = obs_metrics.render_prometheus(self.obs.registry,
-                                                 obs_metrics.REGISTRY)
-            await send({"ok": True, "event": "metrics", "enabled": True,
-                        "format": "text", "text": text})
-        else:
-            snapshot = {**self.obs.registry.snapshot(),
-                        **obs_metrics.REGISTRY.snapshot()}
-            await send({"ok": True, "event": "metrics", "enabled": True,
-                        "format": "json", "metrics": snapshot})
-
     def stats(self) -> Dict[str, Any]:
         """The ``stats`` endpoint payload."""
         return {
             "uptime": round(time.time() - self._started, 3),
             "pending": len(self.queue),
-            "pending_by_client": self.queue.pending_by_client(),
             "running": len(self.running),
-            "max_pending": self.config.max_pending,
             "workers": self.config.workers,
             "job_jobs": self.config.job_jobs,
-            "retry_after": self._retry_after(),
-            "retry_estimator": {
-                "samples": self._job_wall_ms.total,
-                "estimate_seconds": round(self._estimate_job_seconds(), 6),
-                "initial_seconds": self.config.initial_job_seconds,
-                "floor_seconds": self.config.retry_after_floor,
-                "wall_ms": self._job_wall_ms.summary(),
-            },
-            "observability": self.obs is not None,
             "counters": dict(self.counters),
             "cache": self.store.stats() if self.store is not None
             else None,

@@ -15,6 +15,13 @@ class TestParser:
         assert args.design == "TB-DOR"
         assert args.warmup == 500
 
+    @pytest.mark.parametrize("command", ["metrics", "top"])
+    def test_removed_server_dashboards_are_invalid(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command])
+        assert excinfo.value.code == 2
+        assert f"invalid choice: '{command}'" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_list(self, capsys):

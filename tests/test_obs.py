@@ -1,44 +1,30 @@
-"""Observability tests: registry, logs, spans, serve integration.
+"""Logging tests: the log contract, serve correlation, cache counters.
 
 The load-bearing guarantees pinned here:
 
-* the Prometheus text exposition is deterministic and golden-pinned —
-  renaming a series or changing label order is a reviewed event, not an
-  accident (dashboards parse this);
 * the structured-log record shape (schema, sorted keys, reserved-key
-  protection) is pinned the same way, and the text format stays
-  byte-identical to the legacy stderr prints;
-* job-span stage durations telescope EXACTLY to the end-to-end total —
-  integer nanoseconds, the same invariant the simulator's packet-latency
-  decomposition pins in cycles;
-* a served job's span, the ``metrics`` command, the cache lifetime
-  counters and the p90 retry estimator are all visible through the
-  protocol;
-* observability off (``observability=False`` or ``REPRO_OBS=0``) serves
-  **bit-identical** results to observability on and to direct library
-  calls — watching never changes the answer.
+  protection) is pinned, and the text format stays byte-identical to
+  the legacy stderr prints;
+* an invalid ``REPRO_LOG_FORMAT`` is refused before any simulation runs,
+  and the CLI reports it in one line;
+* a served job's JSON log records all carry its ``job_id``, including
+  the ones emitted on the executor thread;
+* the result cache keeps exact lifetime counters.
 """
 
 from __future__ import annotations
 
-import io
 import json
-import threading
 
 import pytest
 
 from repro import cli
-from repro.experiments import load_latency_curves
 from repro.noc.traffic import named_pattern_factory
-from repro.obs import (REGISTRY, JobSpan, MetricsRegistry, STAGES, bind,
-                       context, emit, log_format, parse_exposition,
-                       render_dashboard, render_prometheus, run_top)
-from repro.obs import metrics as obs_metrics
+from repro.obs import bind, context, emit, log_format
 from repro.obs.log import SCHEMA as LOG_SCHEMA
-from repro.obs.spans import SCHEMA as SPAN_SCHEMA
-from repro.parallel import ResultCache, TaskReport, log_progress, run_tasks
+from repro.parallel import (EXECUTION_COUNTER, ResultCache, TaskReport,
+                            log_progress, run_tasks)
 from repro.serve import ServeClient, ServerConfig, ThreadedServer
-from repro.serve.executor import SWEEP_DEFAULTS
 
 SWEEP_JOB = {"kind": "sweep", "design": "CP-DOR", "rates": [0.01],
              "warmup": 50, "measure": 100}
@@ -55,212 +41,6 @@ def connect(server, **kw) -> ServeClient:
 
 
 # ---------------------------------------------------------------------------
-# Metrics registry
-# ---------------------------------------------------------------------------
-
-
-class TestCounter:
-    def test_inc_and_value(self):
-        reg = MetricsRegistry()
-        c = reg.counter("jobs_total", "Jobs.", labels=("kind",))
-        c.inc(kind="sweep")
-        c.inc(2, kind="sweep")
-        c.inc(kind="compare")
-        assert c.value(kind="sweep") == 3
-        assert c.value(kind="compare") == 1
-        assert c.value(kind="explore") == 0
-
-    def test_counters_only_go_up(self):
-        c = MetricsRegistry().counter("x_total", "X.")
-        with pytest.raises(ValueError, match="only go up"):
-            c.inc(-1)
-
-    def test_callback_counter(self):
-        source = {"n": 7}
-        c = MetricsRegistry().counter("n_total", "N.",
-                                      fn=lambda: source["n"])
-        assert c.value() == 7
-        source["n"] = 9
-        assert c.value() == 9
-        with pytest.raises(ValueError, match="callback-backed"):
-            c.inc()
-
-    def test_callback_counter_rejects_labels(self):
-        with pytest.raises(ValueError, match="cannot be labeled"):
-            MetricsRegistry().counter("x_total", "X.", labels=("a",),
-                                      fn=lambda: 0)
-
-    def test_wrong_labels_rejected(self):
-        c = MetricsRegistry().counter("x_total", "X.", labels=("kind",))
-        with pytest.raises(ValueError, match="takes labels"):
-            c.inc(client="a")
-        with pytest.raises(ValueError, match="takes labels"):
-            c.inc()
-
-    def test_invalid_names_rejected(self):
-        reg = MetricsRegistry()
-        with pytest.raises(ValueError, match="invalid metric name"):
-            reg.counter("bad name", "X.")
-        with pytest.raises(ValueError, match="invalid label name"):
-            reg.counter("ok_total", "X.", labels=("bad-label",))
-
-    def test_duplicate_registration_rejected(self):
-        reg = MetricsRegistry()
-        reg.counter("x_total", "X.")
-        with pytest.raises(ValueError, match="already registered"):
-            reg.counter("x_total", "X again.")
-
-    def test_thread_concurrency_is_exact(self):
-        c = MetricsRegistry().counter("x_total", "X.", labels=("who",))
-        def spin(who):
-            for _ in range(2000):
-                c.inc(who=who)
-        threads = [threading.Thread(target=spin, args=(f"t{i % 2}",))
-                   for i in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert c.value(who="t0") == 8000
-        assert c.value(who="t1") == 8000
-
-
-class TestGauge:
-    def test_set_and_value(self):
-        g = MetricsRegistry().gauge("depth", "Depth.")
-        assert g.value() == 0.0
-        g.set(5)
-        assert g.value() == 5.0
-
-    def test_scalar_callback(self):
-        g = MetricsRegistry().gauge("depth", "Depth.", fn=lambda: 3)
-        assert g.value() == 3.0
-        with pytest.raises(ValueError, match="callback-backed"):
-            g.set(1)
-
-    def test_labeled_dict_callback(self):
-        g = MetricsRegistry().gauge("depth", "Depth.",
-                                    labels=("priority",),
-                                    fn=lambda: {("0",): 2, ("5",): 1})
-        assert g.series() == [(("0",), 2.0), (("5",), 1.0)]
-        assert g.value(priority="5") == 1.0
-
-
-class TestHistogram:
-    def test_exact_percentiles(self):
-        h = MetricsRegistry().histogram("wall_seconds", "Wall.")
-        for ms in range(1, 101):            # 1ms..100ms
-            h.observe(ms / 1000.0)
-        s = h.summary()
-        assert s["count"] == 100
-        assert s["p50"] == 0.050
-        assert s["p95"] == 0.095
-        assert s["p99"] == 0.099
-        assert s["min"] == 0.001 and s["max"] == 0.100
-        assert s["sum"] == pytest.approx(5.05)
-
-    def test_empty_summary(self):
-        h = MetricsRegistry().histogram("wall_seconds", "Wall.")
-        assert h.summary() == {"count": 0, "sum": 0.0, "min": 0.0,
-                               "max": 0.0, "p50": 0.0, "p95": 0.0,
-                               "p99": 0.0}
-
-    def test_rejects_negative_samples(self):
-        h = MetricsRegistry().histogram("wall_seconds", "Wall.")
-        with pytest.raises(ValueError, match=">= 0"):
-            h.observe(-0.1)
-
-
-class TestExposition:
-    def golden_registry(self):
-        reg = MetricsRegistry()
-        jobs = reg.counter("repro_jobs_total", "Jobs by kind.",
-                           labels=("kind",))
-        jobs.inc(kind="sweep")
-        jobs.inc(3, kind="compare")
-        reg.gauge("repro_queue_depth", "Queue depth.", fn=lambda: 2)
-        wall = reg.histogram("repro_job_wall_seconds", "Job wall.",
-                             labels=("kind",))
-        for ms in (10, 20, 30, 40):
-            wall.observe(ms / 1000.0, kind="sweep")
-        return reg
-
-    def test_golden_text_exposition(self):
-        # Pinned byte-for-byte: dashboards and the CI scrape parse this.
-        assert self.golden_registry().render() == """\
-# HELP repro_jobs_total Jobs by kind.
-# TYPE repro_jobs_total counter
-repro_jobs_total{kind="compare"} 3
-repro_jobs_total{kind="sweep"} 1
-# HELP repro_queue_depth Queue depth.
-# TYPE repro_queue_depth gauge
-repro_queue_depth 2
-# HELP repro_job_wall_seconds Job wall.
-# TYPE repro_job_wall_seconds summary
-repro_job_wall_seconds{kind="sweep",quantile="0.5"} 0.02
-repro_job_wall_seconds{kind="sweep",quantile="0.95"} 0.04
-repro_job_wall_seconds{kind="sweep",quantile="0.99"} 0.04
-repro_job_wall_seconds_sum{kind="sweep"} 0.1
-repro_job_wall_seconds_count{kind="sweep"} 4
-"""
-
-    def test_exposition_parses(self):
-        parsed = parse_exposition(self.golden_registry().render())
-        assert parsed["repro_jobs_total"]['{kind="sweep"}'] == 1.0
-        assert parsed["repro_queue_depth"][""] == 2.0
-        assert parsed["repro_job_wall_seconds_count"][
-            '{kind="sweep"}'] == 4.0
-
-    def test_parse_rejects_malformed_lines(self):
-        with pytest.raises(ValueError, match="malformed"):
-            parse_exposition("repro_jobs_total{kind=sweep} 1")
-        with pytest.raises(ValueError, match="malformed"):
-            parse_exposition("not a metric line")
-
-    def test_label_values_escaped(self):
-        reg = MetricsRegistry()
-        c = reg.counter("x_total", "X.", labels=("who",))
-        c.inc(who='a"b\\c\nd')
-        line = [l for l in reg.render().splitlines()
-                if not l.startswith("#")][0]
-        assert line == 'x_total{who="a\\"b\\\\c\\nd"} 1'
-        parse_exposition(reg.render())      # still parseable
-
-    def test_render_prometheus_concatenates(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("a_total", "A.").inc()
-        b.counter("b_total", "B.").inc()
-        text = render_prometheus(a, b)
-        assert text.index("a_total") < text.index("b_total")
-        assert parse_exposition(text)["b_total"][""] == 1.0
-
-    def test_snapshot_shape(self):
-        snap = self.golden_registry().snapshot()
-        assert snap["repro_jobs_total"]["type"] == "counter"
-        assert {"labels": {"kind": "sweep"}, "value": 1.0} in \
-            snap["repro_jobs_total"]["series"]
-        (wall,) = snap["repro_job_wall_seconds"]["series"]
-        assert wall["count"] == 4 and wall["p50"] == 0.02
-        assert json.loads(json.dumps(snap)) == snap
-
-
-class TestEnabledSwitch:
-    def test_default_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_OBS", raising=False)
-        assert obs_metrics.enabled()
-
-    @pytest.mark.parametrize("value", ["0", "false", "off", "no", " OFF "])
-    def test_disabling_values(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_OBS", value)
-        assert not obs_metrics.enabled()
-
-    def test_library_registry_has_task_series(self):
-        snap = REGISTRY.snapshot()
-        assert "repro_tasks_total" in snap
-        assert "repro_task_seconds_total" in snap
-
-
-# ---------------------------------------------------------------------------
 # Structured logging
 # ---------------------------------------------------------------------------
 
@@ -274,6 +54,32 @@ class TestLogFormat:
         monkeypatch.setenv("REPRO_LOG_FORMAT", "xml")
         with pytest.raises(ValueError, match="REPRO_LOG_FORMAT"):
             log_format()
+
+    def test_run_tasks_rejects_bad_format_before_any_task(self,
+                                                          monkeypatch):
+        # A typo must not cost a finished simulation: the format is
+        # checked before the first task runs, not at its first record.
+        from repro.core.builder import BASELINE
+        from repro.experiments import open_loop_task
+        task = open_loop_task(BASELINE, named_pattern_factory("uniform"),
+                              "uniform", 0.01, base_seed=7, warmup=20,
+                              measure=40)
+        monkeypatch.setenv("REPRO_LOG_FORMAT", "jsn")
+        EXECUTION_COUNTER.reset()
+        with pytest.raises(ValueError, match="REPRO_LOG_FORMAT"):
+            run_tasks([task, task], jobs=1)
+        assert EXECUTION_COUNTER.executed == 0
+
+    def test_cli_reports_bad_format_in_one_line(self, monkeypatch):
+        monkeypatch.setenv("REPRO_LOG_FORMAT", "jsn")
+        EXECUTION_COUNTER.reset()
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["sweep", "--design", "TB-DOR", "--rates", "0.01",
+                      "--warmup", "20", "--measure", "40"])
+        message = str(excinfo.value.code)
+        assert message.startswith("error: REPRO_LOG_FORMAT")
+        assert "\n" not in message
+        assert EXECUTION_COUNTER.executed == 0
 
 
 class TestEmit:
@@ -356,193 +162,11 @@ class TestLogProgress:
 
 
 # ---------------------------------------------------------------------------
-# Job spans
-# ---------------------------------------------------------------------------
-
-
-def fake_clock(ticks):
-    """A clock yielding the given nanosecond values in order."""
-    it = iter(ticks)
-    return lambda: next(it)
-
-
-class TestJobSpan:
-    def test_stage_durations_telescope_exactly(self):
-        span = JobSpan(clock=fake_clock([100, 250, 251, 900, 4000, 4100]))
-        for stage in STAGES:
-            span.mark(stage)
-        durations = span.stage_durations()
-        assert [name for name, _ in durations] == list(STAGES)
-        assert [ns for _, ns in durations] == [150, 1, 649, 3100, 100]
-        assert sum(ns for _, ns in durations) == span.total_ns == 4000
-        assert span.complete()
-
-    def test_telescoping_with_adversarial_magnitudes(self):
-        # Float subtraction would lose the ±1ns steps next to 2**60;
-        # integer marks cannot.
-        base = 2 ** 60
-        ticks = [base, base + 1, base + 2, base + 10 ** 12,
-                 base + 10 ** 12 + 1, base + 10 ** 12 + 2]
-        span = JobSpan(clock=fake_clock(ticks))
-        for stage in STAGES:
-            span.mark(stage)
-        assert sum(ns for _, ns in span.stage_durations()) == span.total_ns
-        assert span.total_ns == ticks[-1] - ticks[0]
-
-    def test_real_clock_telescopes(self):
-        span = JobSpan()
-        for stage in STAGES:
-            span.mark(stage)
-        assert sum(ns for _, ns in span.stage_durations()) == span.total_ns
-        assert span.total_ns >= 0
-
-    def test_non_monotonic_injected_clock_clamped(self):
-        span = JobSpan(clock=fake_clock([100, 50]))
-        span.mark("validate")
-        assert span.duration_ns("validate") == 0
-        assert span.total_ns == 0
-
-    def test_incomplete_and_duration_lookup(self):
-        span = JobSpan(clock=fake_clock([0, 10]))
-        span.mark("validate")
-        assert not span.complete()
-        assert span.duration_ns("validate") == 10
-        assert span.duration_ns("execute") == 0
-
-    def test_to_json_schema(self):
-        span = JobSpan(clock=fake_clock([0, 1, 2, 3, 4, 1000000]))
-        for stage in STAGES:
-            span.mark(stage)
-        data = span.to_json()
-        assert data["schema"] == SPAN_SCHEMA
-        assert data["total_ns"] == 1000000
-        assert data["total_seconds"] == 0.001
-        assert data["complete"] is True
-        assert sum(s["ns"] for s in data["stages"]) == data["total_ns"]
-        assert json.loads(json.dumps(data)) == data
-
-
-# ---------------------------------------------------------------------------
 # Serve integration
 # ---------------------------------------------------------------------------
 
 
 class TestServeMetrics:
-    def test_metrics_command_and_span(self, tmp_path):
-        with serve(tmp_path) as server:
-            with connect(server, client_id="alice") as client:
-                client.submit(SWEEP_JOB, events=(events := []))
-                job_id = events[0]["job_id"]
-
-                # Span: exact stage decomposition via status.
-                span = client.status(job_id)["span"]
-                assert [s["stage"] for s in span["stages"]] == list(STAGES)
-                assert sum(s["ns"] for s in span["stages"]) == \
-                    span["total_ns"]
-                assert span["complete"] is True
-
-                # Text exposition: parseable, counters non-zero.
-                text = client.metrics()["text"]
-                parsed = parse_exposition(text)
-                assert parsed["repro_jobs_submitted_total"][
-                    '{kind="sweep",client="alice"}'] == 1.0
-                assert parsed["repro_jobs_completed_total"][
-                    '{kind="sweep",client="alice"}'] == 1.0
-                assert parsed["repro_job_wall_seconds_count"][
-                    '{kind="sweep"}'] == 1.0
-                assert parsed["repro_queue_wait_seconds_count"][
-                    '{priority="0"}'] == 1.0
-                assert parsed["repro_cache_puts_total"][""] == \
-                    len(SWEEP_JOB["rates"])
-                assert parsed["repro_cache_entries"][""] == \
-                    len(SWEEP_JOB["rates"])
-                assert parsed["repro_worker_busy_seconds_total"][""] > 0
-                # The process-wide library registry rides along.
-                assert "repro_tasks_total" in parsed
-
-                # JSON snapshot: same families, structured.
-                snap = client.metrics(format="json")["metrics"]
-                (wall,) = snap["repro_job_wall_seconds"]["series"]
-                assert wall["labels"] == {"kind": "sweep"}
-                assert wall["count"] == 1
-
-                # stats: estimator state and cache lifetime counters.
-                stats = client.stats()
-                assert stats["observability"] is True
-                est = stats["retry_estimator"]
-                assert est["samples"] == 1
-                assert est["wall_ms"]["count"] == 1
-                assert est["estimate_seconds"] > 0
-                counters = stats["cache"]["counters"]
-                assert counters["puts"] == len(SWEEP_JOB["rates"])
-                assert counters["misses"] == len(SWEEP_JOB["rates"])
-                # The job's own stats carry the store's lifetime
-                # counters as of completion (via ReportCollector).
-                done = [e for e in events if e["event"] == "done"][-1]
-                assert done["stats"]["cache_counters"]["puts"] == \
-                    len(SWEEP_JOB["rates"])
-
-    def test_invalid_metrics_format_rejected(self, tmp_path):
-        with serve(tmp_path) as server:
-            with connect(server) as client:
-                reply = client.request({"cmd": "metrics",
-                                        "format": "xml"})
-                assert not reply["ok"]
-                assert "format" in reply["error"]
-
-    def test_rejected_and_invalid_counted(self, tmp_path):
-        with serve(tmp_path) as server:
-            with connect(server, client_id="bob") as client:
-                reply = client.request({"cmd": "submit", "client": "bob",
-                                        "stream": False,
-                                        "job": {"kind": "teleport"}})
-                assert reply["event"] == "invalid"
-                parsed = parse_exposition(client.metrics()["text"])
-                assert parsed["repro_jobs_invalid_total"][
-                    '{client="bob"}'] == 1.0
-
-    def test_disabled_by_config(self, tmp_path):
-        with serve(tmp_path, observability=False) as server:
-            with connect(server) as client:
-                client.submit(SWEEP_JOB, events=(events := []))
-                assert client.status(events[0]["job_id"])["span"] is None
-                reply = client.metrics()
-                assert reply["enabled"] is False
-                assert reply["text"] == "" and reply["metrics"] == {}
-                stats = client.stats()
-                assert stats["observability"] is False
-                # The retry estimator is scheduling, not observability:
-                # it keeps learning with obs off.
-                assert stats["retry_estimator"]["samples"] == 1
-
-    def test_disabled_by_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_OBS", "0")
-        with serve(tmp_path) as server:
-            with connect(server) as client:
-                assert client.metrics()["enabled"] is False
-                assert client.stats()["observability"] is False
-
-    def test_bit_identity_obs_on_off_and_direct(self, tmp_path):
-        """Observability never changes served results: obs-on, obs-off
-        and the direct library call all produce identical payloads."""
-        from repro.core.builder import design_by_name
-        (curve,) = load_latency_curves(
-            [design_by_name(SWEEP_JOB["design"])], SWEEP_JOB["rates"],
-            named_pattern_factory("uniform"), pattern_name="uniform",
-            warmup=SWEEP_JOB["warmup"], measure=SWEEP_JOB["measure"],
-            seed=SWEEP_DEFAULTS["seed"], cache=str(tmp_path / "direct"))
-        direct = {"kind": "sweep", "curve": curve.to_json()}
-        with serve(tmp_path, name="on") as server:
-            with connect(server) as client:
-                with_obs = client.submit(SWEEP_JOB)
-        with serve(tmp_path, name="off", observability=False) as server:
-            with connect(server) as client:
-                without_obs = client.submit(SWEEP_JOB)
-        assert json.dumps(with_obs, sort_keys=True) == \
-            json.dumps(direct, sort_keys=True)
-        assert json.dumps(without_obs, sort_keys=True) == \
-            json.dumps(direct, sort_keys=True)
-
     def test_json_logs_correlate_by_job_id(self, tmp_path, monkeypatch,
                                            capsys):
         monkeypatch.setenv("REPRO_LOG_FORMAT", "json")
@@ -566,7 +190,7 @@ class TestServeMetrics:
 
 
 # ---------------------------------------------------------------------------
-# Cache counters through run_tasks
+# Result-cache lifetime counters
 # ---------------------------------------------------------------------------
 
 
@@ -592,112 +216,3 @@ class TestCacheCounters:
         assert store.counters["evictions"] == 2
         assert store.counters["evicted_bytes"] == 2 * size
         assert store.stats()["entries"] == 2
-
-    def test_run_tasks_feeds_library_registry(self, tmp_path):
-        from repro.core.builder import BASELINE
-        from repro.experiments import open_loop_task
-        task = open_loop_task(BASELINE, named_pattern_factory("uniform"),
-                              "uniform", 0.01, base_seed=7, warmup=20,
-                              measure=40)
-        ran = REGISTRY._metrics["repro_tasks_total"]
-        before_run = ran.value(origin="run")
-        before_cache = ran.value(origin="cache")
-        run_tasks([task], cache=str(tmp_path))
-        run_tasks([task], cache=str(tmp_path))
-        assert ran.value(origin="run") == before_run + 1
-        assert ran.value(origin="cache") == before_cache + 1
-
-
-# ---------------------------------------------------------------------------
-# repro top and the CLI
-# ---------------------------------------------------------------------------
-
-
-def sample_stats():
-    return {
-        "uptime": 12.5, "pending": 3, "max_pending": 64,
-        "pending_by_client": {"alice": 2, "bob": 1}, "running": 1,
-        "workers": 2, "job_jobs": None, "retry_after": 1.25,
-        "retry_estimator": {"samples": 9, "estimate_seconds": 0.5,
-                            "initial_seconds": 1.0, "floor_seconds": 0.05,
-                            "wall_ms": {"count": 9}},
-        "observability": True,
-        "counters": {"submitted": 10, "completed": 6, "failed": 1,
-                     "rejected": 2, "invalid": 1},
-        "cache": {"entries": 4, "bytes": 2048, "max_bytes": None,
-                  "counters": {"hits": 8, "misses": 4, "puts": 4,
-                               "evictions": 0, "evicted_bytes": 0,
-                               "lock_timeouts": 0}},
-    }
-
-
-class TestTop:
-    def test_render_dashboard(self):
-        frame = render_dashboard(sample_stats())
-        assert "uptime 12.5s" in frame
-        assert "workers 2 (1 busy)" in frame
-        assert "depth 3 / 64 max" in frame
-        assert "retry_after 1.25s (p90 of 9 job walls)" in frame
-        assert "alice 2, bob 1" in frame
-        assert "submitted 10" in frame and "failed 1" in frame
-        assert "entries 4 (2.0 KiB)" in frame
-        assert "hits 8 / misses 4 (66.7% hit)" in frame
-
-    def test_render_with_snapshot_histograms(self):
-        snapshot = {
-            "repro_worker_busy_seconds_total": {
-                "series": [{"labels": {}, "value": 10.0}]},
-            "repro_job_wall_seconds": {
-                "series": [{"labels": {"kind": "sweep"}, "count": 5,
-                            "p50": 0.02, "p95": 0.04, "p99": 0.05}]},
-            "repro_queue_wait_seconds": {"series": []},
-        }
-        frame = render_dashboard(sample_stats(), snapshot)
-        assert "job wall" in frame
-        assert "kind sweep" in frame and "p50    20.0ms" in frame
-        assert "40.0% of capacity" in frame      # 10s / (12.5s * 2)
-
-    def test_run_top_polls_and_renders(self):
-        class FakeClient:
-            def __init__(self):
-                self.calls = 0
-            def stats(self):
-                self.calls += 1
-                return sample_stats()
-            def metrics(self, format="text"):
-                return {"enabled": False}
-        out = io.StringIO()
-        client = FakeClient()
-        assert run_top(client, interval=0, iterations=2, out=out,
-                       clear=False) == 0
-        assert client.calls == 2
-        assert out.getvalue().count("repro top") == 2
-
-    def test_cli_metrics_and_top(self, tmp_path, capsys):
-        with serve(tmp_path) as server:
-            host, port = server.address
-            with connect(server) as client:
-                client.submit(SWEEP_JOB)
-            assert cli.main(["metrics", "--host", host,
-                             "--port", str(port)]) == 0
-            text = capsys.readouterr().out
-            assert "repro_jobs_completed_total" in text
-            parse_exposition(text)
-
-            assert cli.main(["metrics", "--host", host,
-                             "--port", str(port), "--json"]) == 0
-            snap = json.loads(capsys.readouterr().out)
-            assert "repro_queue_depth" in snap
-
-            assert cli.main(["top", "--host", host, "--port", str(port),
-                             "--iterations", "1", "--no-clear"]) == 0
-            frame = capsys.readouterr().out
-            assert "repro top" in frame
-            assert "completed 1" in frame
-
-    def test_cli_metrics_reports_disabled(self, tmp_path, capsys):
-        with serve(tmp_path, observability=False) as server:
-            host, port = server.address
-            assert cli.main(["metrics", "--host", host,
-                             "--port", str(port)]) == 1
-            assert "disabled" in capsys.readouterr().err

@@ -102,3 +102,58 @@ class TestPublicApi:
                     if getattr(obj, "__module__", None) != module.__name__:
                         continue
                     assert obj.__doc__, f"{module.__name__}.{name}"
+
+
+#: The documents whose command lines and environment variables must
+#: match the program.
+DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md",
+        ".claude/skills/verify/SKILL.md")
+
+
+def _subcommands(parser):
+    """The ``{name: parser}`` choices of ``parser``'s subcommands."""
+    import argparse
+    (action,) = [a for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+class TestDocsMatchCli:
+    """Every documented ``repro`` command line names a registered
+    subcommand, and every documented ``REPRO_*`` variable is read."""
+
+    @pytest.fixture(scope="class")
+    def docs(self):
+        return {name: (REPO / name).read_text(encoding="utf-8")
+                for name in DOCS}
+
+    def test_documented_subcommands_exist(self, docs):
+        from repro import cli
+        commands = _subcommands(cli.make_parser())
+        pattern = re.compile(r"(?:python -m repro|`repro)\s+([a-z][\w-]*)")
+        missing = sorted({f"{name}: repro {cmd}"
+                          for name, text in docs.items()
+                          for cmd in pattern.findall(text)
+                          if cmd not in commands})
+        assert not missing, missing
+
+    def test_documented_job_kinds_exist(self, docs):
+        from repro import cli
+        kinds = _subcommands(_subcommands(cli.make_parser())["submit"])
+        pattern = re.compile(r"repro\s+submit\s+([a-z][\w-]*)")
+        missing = sorted({f"{name}: repro submit {kind}"
+                          for name, text in docs.items()
+                          for kind in pattern.findall(text)
+                          if kind not in kinds})
+        assert not missing, missing
+
+    def test_documented_environment_variables_are_read(self, docs):
+        code = "\n".join(path.read_text(encoding="utf-8")
+                         for root in ("src", "benchmarks")
+                         for path in sorted((REPO / root).rglob("*.py")))
+        missing = sorted({f"{name}: {var}"
+                          for name, text in docs.items()
+                          for var in re.findall(r"REPRO_[A-Z][A-Z_]*", text)
+                          if f'"{var}"' not in code
+                          and f"'{var}'" not in code})
+        assert not missing, missing

@@ -1,4 +1,4 @@
-"""Job-server tests: golden bit-identity, back-pressure, fairness.
+"""Job-server tests: golden bit-identity, FIFO order, failure labels.
 
 The load-bearing guarantees pinned here:
 
@@ -6,10 +6,7 @@ The load-bearing guarantees pinned here:
   library calls — cold cache and warm cache, ``job_jobs`` 1 and 4;
 * a warm-cache submission is answered **without re-simulation** (the
   terminal event's stats report ``executed == 0``);
-* saturating the pending queue triggers the documented back-pressure
-  response (``rejected`` + ``retry_after``) instead of unbounded queue
-  growth;
-* scheduling is priority-then-round-robin fair across clients;
+* jobs start in the order the server accepted them, across connections;
 * a failing job surfaces the failing task's label to the client.
 
 The blocked-executor tests monkeypatch ``repro.serve.server.execute_job``
@@ -28,8 +25,7 @@ import pytest
 from repro.experiments import compare_designs, load_latency_curves
 from repro.noc.traffic import named_pattern_factory
 from repro.parallel import TaskError
-from repro.serve import (FairPriorityQueue, JobFailed, JobSpecError,
-                         QueueSaturated, ServeClient, ServerConfig,
+from repro.serve import (JobFailed, JobSpecError, ServeClient, ServerConfig,
                          ThreadedServer, validate_job)
 from repro.serve.executor import COMPARE_DEFAULTS, SWEEP_DEFAULTS
 
@@ -58,50 +54,6 @@ def wait_until(predicate, timeout=20.0, interval=0.02):
         time.sleep(interval)
     raise AssertionError("condition not reached within "
                          f"{timeout}s: {predicate}")
-
-
-class _Record:
-    """A minimal queue entry (the queue only reads .priority/.client)."""
-
-    def __init__(self, client, priority=0, tag=None):
-        self.client = client
-        self.priority = priority
-        self.tag = tag
-
-
-class TestFairPriorityQueue:
-    def test_higher_priority_first(self):
-        q = FairPriorityQueue()
-        q.push(_Record("a", priority=0, tag="low"))
-        q.push(_Record("a", priority=5, tag="high"))
-        q.push(_Record("a", priority=-1, tag="neg"))
-        assert [q.pop().tag for _ in range(3)] == ["high", "low", "neg"]
-        assert q.pop() is None
-
-    def test_round_robin_within_level(self):
-        q = FairPriorityQueue()
-        for tag in ("a1", "a2", "a3"):
-            q.push(_Record("alice", tag=tag))
-        q.push(_Record("bob", tag="b1"))
-        # alice's backlog cannot starve bob: one job per client per turn.
-        assert [q.pop().tag for _ in range(4)] == ["a1", "b1", "a2", "a3"]
-
-    def test_fifo_within_client(self):
-        q = FairPriorityQueue()
-        for tag in ("first", "second", "third"):
-            q.push(_Record("solo", tag=tag))
-        assert [q.pop().tag for _ in range(3)] == ["first", "second",
-                                                  "third"]
-
-    def test_len_and_pending_by_client(self):
-        q = FairPriorityQueue()
-        q.push(_Record("a", priority=1))
-        q.push(_Record("a", priority=0))
-        q.push(_Record("b", priority=0))
-        assert len(q) == 3
-        assert q.pending_by_client() == {"a": 2, "b": 1}
-        q.pop()
-        assert len(q) == 2
 
 
 class TestValidation:
@@ -285,83 +237,36 @@ def gated(monkeypatch):
     return executor
 
 
-def submit_raw(client, job, *, client_id="anon", priority=0):
+def submit_raw(client, job):
     """Non-streaming submission: returns the immediate reply."""
-    return client.request({"cmd": "submit", "client": client_id,
-                           "priority": priority, "stream": False,
-                           "job": job})
+    return client.request({"cmd": "submit", "stream": False, "job": job})
 
 
-class TestBackPressure:
-    def test_saturated_queue_rejects_with_retry_after(self, tmp_path,
-                                                      gated):
-        with serve(tmp_path, max_pending=2, workers=1) as server:
-            with connect(server) as client:
-                # Fill the worker, then the queue.
-                first = submit_raw(client, SWEEP_JOB)
-                assert first["event"] == "accepted"
-                wait_until(lambda: client.stats()["running"] == 1)
-                for _ in range(2):
-                    assert submit_raw(client, SWEEP_JOB)["event"] == \
-                        "accepted"
-                rejected = submit_raw(client, SWEEP_JOB)
-                assert rejected["event"] == "rejected"
-                assert rejected["ok"] is False
-                assert rejected["retry_after"] > 0
-                assert rejected["pending"] == 2
-                stats = client.stats()
-                assert stats["counters"]["rejected"] == 1
-                assert stats["pending"] == 2    # the queue did not grow
-
-                # Streaming client sees the same contract as an exception.
-                with connect(server) as other:
-                    with pytest.raises(QueueSaturated) as excinfo:
-                        other.submit(SWEEP_JOB)
-                    assert excinfo.value.retry_after > 0
-
-                gated.release.set()
-                wait_until(lambda: client.stats()["counters"]
-                           ["completed"] == 3)
-                # Once drained, submissions are accepted again.
-                assert submit_raw(client, SWEEP_JOB)["event"] == "accepted"
-                wait_until(lambda: client.stats()["counters"]
-                           ["completed"] == 4)
-
-    def test_rejection_is_cheap_and_does_not_queue(self, tmp_path, gated):
-        with serve(tmp_path, max_pending=1, workers=1) as server:
-            with connect(server) as client:
-                submit_raw(client, SWEEP_JOB)
-                wait_until(lambda: client.stats()["running"] == 1)
-                submit_raw(client, SWEEP_JOB)
-                replies = [submit_raw(client, SWEEP_JOB)
-                           for _ in range(10)]
-                assert all(r["event"] == "rejected" for r in replies)
-                assert client.stats()["pending"] == 1
-                gated.release.set()
-
-
-class TestFairScheduling:
-    def test_round_robin_across_clients_end_to_end(self, tmp_path, gated):
+class TestFifoScheduling:
+    def test_fifo_across_connections(self, tmp_path, gated):
         def tagged(tag):
             return {**SWEEP_JOB, "tag": tag}
 
-        with serve(tmp_path, max_pending=16, workers=1) as server:
-            with connect(server) as client:
-                # First job occupies the worker while the rest queue up.
-                submit_raw(client, tagged("a0"), client_id="alice")
-                wait_until(lambda: client.stats()["running"] == 1)
-                for tag in ("a1", "a2", "a3"):
-                    submit_raw(client, tagged(tag), client_id="alice")
-                submit_raw(client, tagged("b1"), client_id="bob")
-                submit_raw(client, tagged("hi"), client_id="carol",
-                           priority=10)
-                assert client.stats()["pending_by_client"] == {
-                    "alice": 3, "bob": 1, "carol": 1}
+        with serve(tmp_path, workers=1) as server:
+            with connect(server) as alice, connect(server) as bob:
+                # The first job holds the worker while the rest queue up.
+                submit_raw(alice, tagged("a0"))
+                wait_until(lambda: alice.stats()["running"] == 1)
+                for client, tag in ((alice, "a1"), (alice, "a2"),
+                                    (bob, "b1"), (alice, "a3"),
+                                    (bob, "b2")):
+                    assert submit_raw(client, tagged(tag))["event"] == \
+                        "accepted"
+                # Protocol-2 scheduling fields are ignored, not honoured.
+                reply = bob.request({"cmd": "submit", "stream": False,
+                                     "client": "carol", "priority": 10,
+                                     "job": tagged("b3")})
+                assert reply["event"] == "accepted"
+                assert alice.stats()["pending"] == 6
                 gated.release.set()
-                wait_until(lambda: client.stats()["counters"]
-                           ["completed"] == 6)
-        # Priority first, then alice/bob alternate, then alice's backlog.
-        assert gated.ran == ["a0", "hi", "a1", "b1", "a2", "a3"]
+                wait_until(lambda: bob.stats()["counters"]
+                           ["completed"] == 7)
+        assert gated.ran == ["a0", "a1", "a2", "b1", "a3", "b2", "b3"]
 
 
 class TestFailurePath:
@@ -390,7 +295,7 @@ class TestProtocolEdges:
     def test_ping_stats_status_result(self, tmp_path):
         with serve(tmp_path) as server:
             with connect(server) as client:
-                assert client.ping()["protocol"] == 2
+                assert client.ping()["protocol"] == 3
                 reply = submit_raw(client, SWEEP_JOB)
                 job_id = reply["job_id"]
                 wait_until(lambda: client.status(job_id)["state"]
@@ -414,6 +319,10 @@ class TestProtocolEdges:
                 assert "unknown design" in reply["error"]
                 reply = client.request({"cmd": "frobnicate"})
                 assert reply["event"] == "invalid"
+                # The metrics endpoint left with protocol 3.
+                reply = client.request({"cmd": "metrics"})
+                assert reply["event"] == "invalid"
+                assert reply["error"] == "unknown command 'metrics'"
                 reply = client.request({"cmd": "status",
                                         "job_id": "job-999999"})
                 assert reply["ok"] is False
@@ -440,7 +349,18 @@ class TestProtocolEdges:
     def test_cache_stats_served(self, tmp_path):
         with serve(tmp_path) as server:
             with connect(server) as client:
-                client.submit(SWEEP_JOB)
-                cache = client.stats()["cache"]
+                client.submit(SWEEP_JOB, events=(events := []))
+                stats = client.stats()
+        cache = stats["cache"]
         assert cache["entries"] == len(SWEEP_JOB["rates"])
         assert cache["bytes"] > 0
+        assert cache["counters"]["puts"] == len(SWEEP_JOB["rates"])
+        assert cache["counters"]["misses"] == len(SWEEP_JOB["rates"])
+        # The job's own stats carry the store's lifetime counters as of
+        # completion (via ReportCollector).
+        assert events[-1]["stats"]["cache_counters"]["puts"] == \
+            len(SWEEP_JOB["rates"])
+        assert set(stats) == {"uptime", "pending", "running", "workers",
+                              "job_jobs", "counters", "cache"}
+        assert stats["counters"] == {"submitted": 1, "completed": 1,
+                                     "failed": 0, "invalid": 0}
