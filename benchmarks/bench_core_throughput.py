@@ -22,6 +22,12 @@ and flits-per-second plus the default's speedup over the reference:
   the MSHR files full and the DRAM queues deep, so the default's DRAM
   wake gate and issue-retry memo both act.  Its ``kernel`` mode is the
   default chip loop; the perfect network has no kernel.
+* ``cold_start`` — one CP-CR-4VC point at the DSE screen rate (0.35,
+  6x6 mesh, 200/600) on the default core, built and run in a fresh
+  interpreter, where the process-wide route table starts empty, and then
+  again in that interpreter on the filled table (informational).  The
+  four rows above run many points per process, so their default times
+  are warm-table times; this row shows what the first point pays.
 
 ROADMAP item 3 holds a 10x target on the saturated 20x20 mesh and on the
 closed-loop smoke; each of those entries records its ratio against
@@ -40,7 +46,10 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 from common import RESULTS_DIR, SEED, once, report
 from repro.core.builder import build, design_by_name, open_loop_variant
@@ -51,7 +60,7 @@ from repro.noc.traffic import UniformManyToFew
 from repro.system.accelerator import build_chip
 from repro.workloads.profiles import profile
 
-BENCH_SCHEMA = 3
+BENCH_SCHEMA = 4
 REPS = max(1, int(os.environ.get("REPRO_BENCH_REPS", "3")))
 
 #: Measurement order within one interleaved round.  ``reference`` first so
@@ -83,6 +92,34 @@ SATURATED_FLOORS = {"kernel": 3.0}
 #: ROADMAP item 3's target for the compiled kernel (recorded, not enforced).
 TARGET = 10.0
 TARGETED = ("closed_loop_smoke", "open_loop_saturated")
+# Cold start: the first point of a fresh interpreter, then the same point
+# again in it.
+COLD_DESIGN = "CP-CR-4VC"
+COLD_RATE = 0.35
+COLD_WARMUP, COLD_MEASURE = 200, 600
+_COLD_SCRIPT = """
+import json, sys, time
+from repro.core.builder import build, design_by_name, open_loop_variant
+from repro.noc.openloop import OpenLoopRunner
+from repro.noc.traffic import UniformManyToFew
+design, rate, warmup, measure, seed = json.loads(sys.argv[1])
+
+def point():
+    start = time.perf_counter()
+    system = build(open_loop_variant(design_by_name(design)), None,
+                   num_mcs=8, seed=seed)
+    runner = OpenLoopRunner(system, system.compute_nodes, system.mc_nodes,
+                            UniformManyToFew(system.mc_nodes), rate,
+                            seed=seed)
+    payload = runner.run(warmup=warmup, measure=measure).to_json()
+    return time.perf_counter() - start, payload
+
+cold, first = point()
+warm, second = point()
+assert first == second, "the filled table changed the result"
+print(json.dumps({"cold": cold, "warm": warm}))
+"""
+
 #: Extra interleaved rep rounds allowed when a floor check lands short —
 #: per-mode minima only sharpen with more samples, so retries converge
 #: to the clean-machine ratio instead of flaking on a noise burst.
@@ -196,6 +233,27 @@ def _measure(name: str, run, floors):
     return entry
 
 
+def _cold_start():
+    """Best-of-``REPS`` cold and warm times of the cold-start point, each
+    rep in a fresh interpreter on this checkout's sources."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    args = json.dumps([COLD_DESIGN, COLD_RATE, COLD_WARMUP, COLD_MEASURE,
+                       SEED])
+    runs = []
+    for _ in range(REPS):
+        out = subprocess.run([sys.executable, "-c", _COLD_SCRIPT, args],
+                             env=env, capture_output=True, text=True,
+                             timeout=600, check=True)
+        runs.append(json.loads(out.stdout.splitlines()[-1]))
+    cold = min(run["cold"] for run in runs)
+    warm = min(run["warm"] for run in runs)
+    return {"reps": REPS, "cold_best_seconds": round(cold, 4),
+            "warm_best_seconds": round(warm, 4),
+            "cold_over_warm": round(cold / warm, 3)}
+
+
 def _experiment():
     configs = {
         "closed_loop_smoke": _measure(
@@ -222,6 +280,7 @@ def _experiment():
         entry = configs[name]
         entry["target"] = TARGET
         entry["meets_target"] = entry["speedup"]["kernel"] >= TARGET
+    cold_start = _cold_start()
     payload = {
         "schema": BENCH_SCHEMA,
         "reps": REPS,
@@ -245,8 +304,13 @@ def _experiment():
                 "profile": PERFECT_PROFILE, "network": "perfect",
                 "warmup": PERFECT_WARMUP, "measure": PERFECT_MEASURE,
             },
+            "cold_start": {
+                "design": COLD_DESIGN, "mesh": [6, 6], "rate": COLD_RATE,
+                "warmup": COLD_WARMUP, "measure": COLD_MEASURE,
+            },
         },
         "configs": configs,
+        "cold_start": cold_start,
     }
     RESULTS_DIR.mkdir(exist_ok=True)
     out = RESULTS_DIR / "BENCH_core.json"
@@ -271,6 +335,11 @@ def _experiment():
     rows.append(f"(min over {REPS}+ interleaved rounds per mode; both "
                 "steppers bit-identical; target = ROADMAP item 3, "
                 "recorded only; details in results/BENCH_core.json)")
+    rows.append(f"cold_start: {COLD_DESIGN} @ {COLD_RATE} "
+                f"({COLD_WARMUP}/{COLD_MEASURE}) in a fresh interpreter "
+                f"{cold_start['cold_best_seconds']:.2f} s, again on its "
+                f"filled route table {cold_start['warm_best_seconds']:.2f} s "
+                f"(min over {REPS} interpreters; informational)")
     return rows
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..noc.packet import Packet, RouteGroup, TrafficClass
 from ..noc.routing import RoutingAlgorithm
@@ -96,6 +96,7 @@ class CheckerboardRouting(RoutingAlgorithm):
     """The paper's CR algorithm, implementing the common routing interface."""
 
     required_route_vcs = 2
+    route_params = ("intermediate_policy",)
 
     def __init__(self, mesh: Mesh, intermediate_policy: str = "random"
                  ) -> None:
@@ -105,34 +106,46 @@ class CheckerboardRouting(RoutingAlgorithm):
                 f"unknown intermediate policy {intermediate_policy!r}")
         self.intermediate_policy = intermediate_policy
         self._fallback_rng = random.Random(0xC4)
+        #: (src.x, src.y, dest.x, dest.y) -> (group, intermediate, phase,
+        #: candidates to draw the intermediate from or None): each pair is
+        #: classified once.  Ints, because a Coord hashes through a
+        #: Python-level ``__hash__``.
+        self._plans: Dict[Tuple[int, int, int, int], tuple] = {}
 
     def plan(self, packet: Packet,
              rng: Optional[random.Random] = None) -> None:
-        rng = rng if rng is not None else self._fallback_rng
-        case = classify(packet.src, packet.dest)
-        packet.intermediate = None
-        packet.phase = 1
+        src, dest = packet.src, packet.dest
+        key = (src.x, src.y, dest.x, dest.y)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = self._classify(src, dest)
+        group, intermediate, phase, candidates = plan
+        if candidates is not None:
+            rng = rng if rng is not None else self._fallback_rng
+            intermediate = rng.choice(candidates)
+        packet.group = group
+        packet.intermediate = intermediate
+        packet.phase = phase
+
+    def _classify(self, src: Coord, dest: Coord) -> tuple:
+        """The memoized plan of one pair (Section IV-B); raises
+        :class:`UnroutableError` for a pair CR cannot route."""
+        case = classify(src, dest)
         if case in (RouteCase.LOCAL, RouteCase.STRAIGHT, RouteCase.XY):
-            packet.group = RouteGroup.XY
-        elif case is RouteCase.YX:
-            packet.group = RouteGroup.YX
-        elif case is RouteCase.TWO_PHASE:
-            candidates = intermediate_candidates(
-                self.mesh, packet.src, packet.dest)
+            return RouteGroup.XY, None, 1, None
+        if case is RouteCase.YX:
+            return RouteGroup.YX, None, 1, None
+        if case is RouteCase.TWO_PHASE:
+            candidates = intermediate_candidates(self.mesh, src, dest)
             if not candidates:
                 raise UnroutableError(
-                    f"no intermediate full-router for "
-                    f"{packet.src}->{packet.dest}")
+                    f"no intermediate full-router for {src}->{dest}")
             if self.intermediate_policy == "first":
-                packet.intermediate = candidates[0]
-            else:
-                packet.intermediate = rng.choice(candidates)
-            packet.group = RouteGroup.YX
-            packet.phase = 0
-        else:
-            raise UnroutableError(
-                f"{packet.src}->{packet.dest}: full-router pair with both "
-                "DOR turn nodes at half-routers")
+                return RouteGroup.YX, candidates[0], 0, None
+            return RouteGroup.YX, None, 0, candidates
+        raise UnroutableError(
+            f"{src}->{dest}: full-router pair with both DOR turn nodes at "
+            "half-routers")
 
     def next_port(self, coord: Coord, packet: Packet) -> Direction:
         if packet.phase == 0:

@@ -3,27 +3,35 @@
  * A line-for-line port of the reference scan over flat integer state:
  * Channel.deliver, Router.step (_route_and_allocate, _vc_allocate,
  * _eject_candidates, _switch), SeparableAllocator.allocate,
- * _OutputPort.free_vc, MeshNetwork._drain_source, _pick_injection_vc and
- * the reassembly half of MeshNetwork._eject.  Every array belongs to the
- * Python side (array('i') objects of 32-bit words); the kernel keeps no
- * state between calls and no pointer past the call that obtained it.
- * The field layout below is mirrored in batched.py; LAYOUT guards
- * against a mismatch.
+ * _OutputPort.free_vc, the queueing half of MeshNetwork.try_inject,
+ * MeshNetwork._drain_source, _pick_injection_vc and MeshNetwork._eject,
+ * with NetworkStats.record_offer, record_injection and record_ejection.
+ * Every array belongs to the Python side (array('i') objects of 32-bit
+ * words); the kernel keeps no state between calls and no pointer past the
+ * call that obtained it.  The field layout below is mirrored in
+ * batched.py; LAYOUT guards against a mismatch.
  *
- * Two functions, each called at most once per network per cycle:
- *   sweep(st, slots, routes, stats, now) -> completed slots or None
- *       channel delivery, then every occupied router in mesh order;
- *   drain(st, slots, routes, occ, pending, stats, now) -> slots or None
- *       append the cycle's accepted packets, then one source-drain pass;
- *       returns the slots whose head left its source FIFO.
- * Both add their activity counts to the NetworkStats object ``stats``.
+ * Three functions:
+ *   accept(st, slots, routes, packets, occ, stats, packet, node, route,
+ *          nflits) -> slot, or -1 if no slot is free
+ *       one per admitted packet: rotate the node's injection port, take a
+ *       free slot, link the packet onto that port's FIFO, count the offer;
+ *   sweep(st, slots, routes, packets, finals, stats, now) -> packets or None
+ *       once per cycle: channel delivery, then every occupied router in
+ *       mesh order; returns the completed packets in ejection order, each
+ *       recorded, its slot freed;
+ *   drain(st, slots, routes, packets, occ, stats, now) -> None
+ *       once per cycle: one source-drain pass, recording every packet whose
+ *       head leaves its FIFO.
+ * All three write their counts and records into the NetworkStats object
+ * ``stats``, exactly as the reference's record_* methods do.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <stdint.h>
 #include <string.h>
 
-#define LAYOUT 2
+#define LAYOUT 3
 #define MAX_PORTS 16
 #define MAX_VCS 32
 #define OUT_NONE (-1)
@@ -38,9 +46,9 @@ typedef int32_t word;
  * offset of every region. */
 enum {
     H_LAYOUT, H_SIZE, H_NR, H_V, H_DEPTH, H_NCH, H_NSRC, H_NSETS,
-    H_FCAP, H_CCAP, H_BUFFERED, H_SRCFLITS, H_NACTIVE,
+    H_FCAP, H_CCAP, H_BUFFERED, H_SRCFLITS, H_NACTIVE, H_FREE,
     H_ROUTER, H_IN, H_OUT, H_CREDITS, H_OWNER, H_VCPTR, H_EJ, H_CELL,
-    H_FLIT, H_CH, H_CHFLIT, H_CHCRED, H_ACTIVE, H_SRC, H_SETS,
+    H_FLIT, H_CH, H_CHFLIT, H_CHCRED, H_ACTIVE, H_SRC, H_SETS, H_NODE,
     H_COUNT
 };
 /* Per router. */
@@ -60,11 +68,39 @@ enum { CC_TIME, CC_VC, CC_F };
 /* Per source port: its router, injection input, FIFO (linked through the
  * slot table) and the packet it is serializing. */
 enum { S_NODE, S_IN, S_FHEAD, S_FTAIL, S_CUR, S_NEXT, S_VC, S_F };
-/* Slot table (one row per packet slot) and route records. */
-enum { SL_NFLITS, SL_ROUTE, SL_HOP, SL_GOT, SL_NEXT, SL_F };
-enum { RT_LEN, RT_INJSET, RT_HOPS };
+/* Per node: its first source port, its port count and the round-robin
+ * pointer over them. */
+enum { N_SRC, N_NSRC, N_RR, N_F };
+/* Slot table: one row per packet slot.  SL_NEXT links a queued packet to
+ * the next one in its source FIFO, and a free slot to the next free one
+ * (the list starts at H_FREE).  SL_INJECTED is the cycle the head left
+ * the FIFO. */
+enum { SL_NFLITS, SL_ROUTE, SL_HOP, SL_GOT, SL_NEXT, SL_INJECTED, SL_F };
+/* Route records: hop count, injection VC set, index of the final (group,
+ * phase) in ``finals`` (-1 if the route changes neither), then per hop
+ * the output position and the VC set. */
+enum { RT_LEN, RT_INJSET, RT_FINAL, RT_HOPS };
 
-static PyObject *s_xbar, *s_reads, *s_writes, *s_hops;
+/* Interned attribute names. */
+enum {
+    A_XBAR, A_READS, A_WRITES, A_HOPS, A_PKT_OFF, A_FLIT_OFF, A_PKT_INJ,
+    A_FLIT_INJ, A_PKT_EJ, A_FLIT_EJ, A_PER_CLASS, A_NODE_INJ, A_NODE_EJ,
+    A_PACKETS, A_FLITS, A_LAT_SUM, A_NETLAT_SUM, A_LAT_HIST,
+    A_NETLAT_HIST, A_COUNTS, A_TOTAL, A_MIN, A_MAX, A_LIMIT, A_INJECTED,
+    A_EJECTED, A_CREATED, A_TCLASS, A_SRC, A_DEST, A_GROUP, A_PHASE,
+    A_COUNT
+};
+static const char *const attr_names[A_COUNT] = {
+    "crossbar_traversals", "buffer_reads", "buffer_writes",
+    "link_flit_hops", "packets_offered", "flits_offered",
+    "packets_injected", "flits_injected", "packets_ejected",
+    "flits_ejected", "per_class", "node_injected_flits",
+    "node_ejected_flits", "packets", "flits", "latency_sum",
+    "network_latency_sum", "latency_hist", "network_latency_hist",
+    "counts", "total", "_min", "_max", "linear_limit", "injected",
+    "ejected", "created", "traffic_class", "src", "dest", "group", "phase",
+};
+static PyObject *attr[A_COUNT];
 
 typedef struct {
     word *st, *slots, *occ;
@@ -72,7 +108,9 @@ typedef struct {
     Py_ssize_t nslots, nroutes;
     int64_t nr, V, depth, nch, nsrc, nsets, fcap, ccap;
     word *router, *in, *out, *credits, *owner, *vcptr, *ej, *cell;
-    word *flit, *ch, *chflit, *chcred, *active, *src, *sets;
+    word *flit, *ch, *chflit, *chcred, *active, *src, *sets, *node;
+    PyObject *packets;            /* list: the Packet in each slot, or None */
+    PyObject *finals;             /* list: (group, phase) per final state */
 } Net;
 
 static int
@@ -109,7 +147,7 @@ load_net(Net *n, Py_buffer *st, Py_buffer *slots, Py_buffer *routes)
                         "state array does not match the kernel layout");
         return -1;
     }
-    for (int h = H_ROUTER; h <= H_SETS; h++) {
+    for (int h = H_ROUTER; h <= H_NODE; h++) {
         if (s[h] < H_COUNT || s[h] > len) {
             PyErr_SetString(PyExc_ValueError, "state offset out of range");
             return -1;
@@ -148,7 +186,9 @@ load_net(Net *n, Py_buffer *st, Py_buffer *slots, Py_buffer *routes)
     n->active = s + s[H_ACTIVE];
     n->src = s + s[H_SRC];
     n->sets = s + s[H_SETS];
+    n->node = s + s[H_NODE];
     n->occ = NULL;
+    n->packets = n->finals = NULL;
     return 0;
 }
 
@@ -175,17 +215,312 @@ add_stat(PyObject *stats, PyObject *name, int64_t delta)
     return rc;
 }
 
-/* Append ``slot`` to the lazily created result list. */
+/* dict[key] = dict.get(key, 0) + delta */
 static int
-append_slot(PyObject **list, int64_t slot)
+dict_add(PyObject *dict, PyObject *key, int64_t delta)
 {
-    if (*list == NULL && (*list = PyList_New(0)) == NULL)
+    PyObject *old = PyDict_GetItemWithError(dict, key);
+    if (old == NULL && PyErr_Occurred())
         return -1;
-    PyObject *item = PyLong_FromLongLong(slot);
-    if (item == NULL)
+    PyObject *d = PyLong_FromLongLong(delta);
+    if (d == NULL)
         return -1;
-    int rc = PyList_Append(*list, item);
-    Py_DECREF(item);
+    PyObject *sum = d;
+    if (old != NULL) {
+        Py_INCREF(old);
+        sum = PyNumber_Add(old, d);
+        Py_DECREF(old);
+        Py_DECREF(d);
+        if (sum == NULL)
+            return -1;
+    }
+    int rc = PyDict_SetItem(dict, key, sum);
+    Py_DECREF(sum);
+    return rc;
+}
+
+/* A dict attribute of ``obj``, fetched once per call into ``*slot``. */
+static PyObject *
+dict_attr(PyObject **slot, PyObject *obj, PyObject *name)
+{
+    if (*slot == NULL) {
+        PyObject *d = PyObject_GetAttr(obj, name);
+        if (d == NULL)
+            return NULL;
+        if (!PyDict_Check(d)) {
+            Py_DECREF(d);
+            PyErr_Format(PyExc_TypeError, "%U must be a dict", name);
+            return NULL;
+        }
+        *slot = d;
+    }
+    return *slot;
+}
+
+static int
+set_int_attr(PyObject *obj, PyObject *name, int64_t value)
+{
+    PyObject *v = PyLong_FromLongLong(value);
+    if (v == NULL)
+        return -1;
+    int rc = PyObject_SetAttr(obj, name, v);
+    Py_DECREF(v);
+    return rc;
+}
+
+static int
+get_int_attr(PyObject *obj, PyObject *name, int64_t *value)
+{
+    PyObject *v = PyObject_GetAttr(obj, name);
+    if (v == NULL)
+        return -1;
+    *value = PyLong_AsLongLong(v);
+    Py_DECREF(v);
+    return *value == -1 && PyErr_Occurred() ? -1 : 0;
+}
+
+/* One StreamingHistogram's samples in this call: each bucket count goes
+ * straight into its ``counts`` dict, in sample order, bucketed as
+ * StreamingHistogram.add buckets; ``total``, ``_min`` and ``_max`` are
+ * written once, at the end of the call. */
+typedef struct {
+    PyObject *hist, *counts;
+    int64_t limit, added, min, max;
+} Hist;
+
+static int
+hist_open(Hist *h, PyObject *owner, PyObject *name)
+{
+    if ((h->hist = PyObject_GetAttr(owner, name)) == NULL)
+        return -1;
+    if (dict_attr(&h->counts, h->hist, attr[A_COUNTS]) == NULL
+            || get_int_attr(h->hist, attr[A_LIMIT], &h->limit) < 0)
+        return -1;
+    h->min = INT64_MAX;
+    h->max = -1;
+    return 0;
+}
+
+static int
+hist_add(Hist *h, int64_t value)
+{
+    if (value < 0) {
+        PyErr_Format(PyExc_ValueError,
+                     "histogram samples must be >= 0, got %lld",
+                     (long long)value);
+        return -1;
+    }
+    int64_t bucket = value;
+    if (value >= h->limit)                /* -value.bit_length() */
+        for (bucket = 0; value >> -bucket; bucket--)
+            ;
+    PyObject *key = PyLong_FromLongLong(bucket);
+    if (key == NULL)
+        return -1;
+    int rc = dict_add(h->counts, key, 1);
+    Py_DECREF(key);
+    if (rc < 0)
+        return -1;
+    h->added++;
+    if (value < h->min)
+        h->min = value;
+    if (value > h->max)
+        h->max = value;
+    return 0;
+}
+
+/* obj.name = value if obj.name is None or value beats it (op Py_LT for a
+ * minimum, Py_GT for a maximum). */
+static int
+improve(PyObject *obj, PyObject *name, int64_t value, int op)
+{
+    PyObject *old = PyObject_GetAttr(obj, name);
+    if (old == NULL)
+        return -1;
+    PyObject *v = PyLong_FromLongLong(value);
+    if (v == NULL) {
+        Py_DECREF(old);
+        return -1;
+    }
+    int better = old == Py_None ? 1 : PyObject_RichCompareBool(v, old, op);
+    Py_DECREF(old);
+    int rc = better < 0 ? -1 : better ? PyObject_SetAttr(obj, name, v) : 0;
+    Py_DECREF(v);
+    return rc;
+}
+
+static int
+hist_flush(Hist *h)
+{
+    if (!h->added)
+        return 0;
+    if (add_stat(h->hist, attr[A_TOTAL], h->added) < 0
+            || improve(h->hist, attr[A_MIN], h->min, Py_LT) < 0
+            || improve(h->hist, attr[A_MAX], h->max, Py_GT) < 0)
+        return -1;
+    return 0;
+}
+
+/* One per-class _ClassStats's records in this call. */
+#define MAX_CLASSES 4
+typedef struct {
+    long value;
+    PyObject *cs;
+    int64_t packets, flits, latency_sum, network_latency_sum;
+    Hist latency, network_latency;
+} ClassRec;
+
+/* The NetworkStats records of one kernel call: scalar sums are written
+ * once, at the end of the call (``rec_finish``); per-node flit counts and
+ * histogram buckets go into their dicts packet by packet, so every dict
+ * sees its keys in the order the reference's record_* calls insert them. */
+typedef struct {
+    PyObject *stats, *per_class, *node_injected, *node_ejected;
+    int64_t offered, offered_flits, injected, injected_flits;
+    int64_t ejected, ejected_flits;
+    int nclasses;
+    ClassRec cls[MAX_CLASSES];
+} Rec;
+
+static void
+rec_init(Rec *r, PyObject *stats)
+{
+    memset(r, 0, sizeof(*r));
+    r->stats = stats;
+}
+
+/* stats.per_class[packet.traffic_class], opened once per call. */
+static ClassRec *
+rec_class(Rec *r, PyObject *packet)
+{
+    PyObject *tclass = PyObject_GetAttr(packet, attr[A_TCLASS]);
+    if (tclass == NULL)
+        return NULL;
+    long value = PyLong_AsLong(tclass);
+    if (value == -1 && PyErr_Occurred()) {
+        Py_DECREF(tclass);
+        return NULL;
+    }
+    for (int i = 0; i < r->nclasses; i++) {
+        if (r->cls[i].value == value) {
+            Py_DECREF(tclass);
+            return &r->cls[i];
+        }
+    }
+    if (r->nclasses == MAX_CLASSES) {
+        Py_DECREF(tclass);
+        fail("more traffic classes than the kernel records");
+        return NULL;
+    }
+    if (r->per_class == NULL
+            && (r->per_class = PyObject_GetAttr(r->stats,
+                                                attr[A_PER_CLASS])) == NULL) {
+        Py_DECREF(tclass);
+        return NULL;
+    }
+    PyObject *cs = PyObject_GetItem(r->per_class, tclass);
+    Py_DECREF(tclass);
+    if (cs == NULL)
+        return NULL;
+    ClassRec *c = &r->cls[r->nclasses++];
+    c->value = value;
+    c->cs = cs;
+    if (hist_open(&c->latency, cs, attr[A_LAT_HIST]) < 0
+            || hist_open(&c->network_latency, cs, attr[A_NETLAT_HIST]) < 0)
+        return NULL;
+    return c;
+}
+
+/* NetworkStats.record_injection, with packet.injected = now. */
+static int
+record_injection(Rec *r, PyObject *packet, int64_t nflits, int64_t now)
+{
+    if (set_int_attr(packet, attr[A_INJECTED], now) < 0)
+        return -1;
+    r->injected++;
+    r->injected_flits += nflits;
+    PyObject *node = dict_attr(&r->node_injected, r->stats,
+                               attr[A_NODE_INJ]);
+    PyObject *src = node ? PyObject_GetAttr(packet, attr[A_SRC]) : NULL;
+    if (src == NULL)
+        return -1;
+    int rc = dict_add(node, src, nflits);
+    Py_DECREF(src);
+    return rc;
+}
+
+/* NetworkStats.record_ejection, with packet.ejected = now; ``injected`` is
+ * the cycle the kernel set packet.injected to. */
+static int
+record_ejection(Rec *r, PyObject *packet, int64_t nflits, int64_t injected,
+                int64_t now)
+{
+    int64_t created;
+    if (set_int_attr(packet, attr[A_EJECTED], now) < 0
+            || get_int_attr(packet, attr[A_CREATED], &created) < 0)
+        return -1;
+    ClassRec *c = rec_class(r, packet);
+    if (c == NULL)
+        return -1;
+    int64_t latency = now - created, network_latency = now - injected;
+    r->ejected++;
+    r->ejected_flits += nflits;
+    c->packets++;
+    c->flits += nflits;
+    c->latency_sum += latency;
+    c->network_latency_sum += network_latency;
+    if (hist_add(&c->latency, latency) < 0
+            || hist_add(&c->network_latency, network_latency) < 0)
+        return -1;
+    PyObject *node = dict_attr(&r->node_ejected, r->stats, attr[A_NODE_EJ]);
+    PyObject *dest = node ? PyObject_GetAttr(packet, attr[A_DEST]) : NULL;
+    if (dest == NULL)
+        return -1;
+    int rc = dict_add(node, dest, nflits);
+    Py_DECREF(dest);
+    return rc;
+}
+
+/* Write the call's scalar sums into ``stats`` and release every
+ * reference.  A failed call (``ok`` false) still writes what it recorded
+ * and keeps its own exception. */
+static int
+rec_finish(Rec *r, int ok)
+{
+    PyObject *type = NULL, *value = NULL, *tb = NULL;
+    if (!ok)
+        PyErr_Fetch(&type, &value, &tb);
+    PyObject *s = r->stats;
+    int rc = add_stat(s, attr[A_PKT_OFF], r->offered) == 0
+        && add_stat(s, attr[A_FLIT_OFF], r->offered_flits) == 0
+        && add_stat(s, attr[A_PKT_INJ], r->injected) == 0
+        && add_stat(s, attr[A_FLIT_INJ], r->injected_flits) == 0
+        && add_stat(s, attr[A_PKT_EJ], r->ejected) == 0
+        && add_stat(s, attr[A_FLIT_EJ], r->ejected_flits) == 0 ? 0 : -1;
+    for (int i = 0; i < r->nclasses; i++) {
+        ClassRec *c = &r->cls[i];
+        if (rc == 0 && c->latency.counts && c->network_latency.counts
+                && (add_stat(c->cs, attr[A_PACKETS], c->packets) < 0
+                    || add_stat(c->cs, attr[A_FLITS], c->flits) < 0
+                    || add_stat(c->cs, attr[A_LAT_SUM], c->latency_sum) < 0
+                    || add_stat(c->cs, attr[A_NETLAT_SUM],
+                                c->network_latency_sum) < 0
+                    || hist_flush(&c->latency) < 0
+                    || hist_flush(&c->network_latency) < 0))
+            rc = -1;
+        Py_XDECREF(c->cs);
+        Py_XDECREF(c->latency.hist);
+        Py_XDECREF(c->latency.counts);
+        Py_XDECREF(c->network_latency.hist);
+        Py_XDECREF(c->network_latency.counts);
+    }
+    Py_XDECREF(r->per_class);
+    Py_XDECREF(r->node_injected);
+    Py_XDECREF(r->node_ejected);
+    if (!ok) {
+        PyErr_Restore(type, value, tb);
+        return -1;
+    }
     return rc;
 }
 
@@ -363,6 +698,31 @@ vc_allocate(Net *n, word *R, int64_t pos, int64_t v, word *c,
     return 0;
 }
 
+/* The packet in ``slot``, borrowed from the packets list. */
+static PyObject *
+packet_at(Net *n, int64_t slot)
+{
+    if (slot < 0 || slot >= PyList_GET_SIZE(n->packets)) {
+        fail("slot outside the packet list");
+        return NULL;
+    }
+    PyObject *packet = PyList_GET_ITEM(n->packets, slot);
+    if (packet == Py_None) {
+        fail("in-flight slot holds no packet");
+        return NULL;
+    }
+    return packet;
+}
+
+/* True if ``rid`` starts a route record that lies inside ``routes``. */
+static int
+route_in_range(Net *n, int64_t rid)
+{
+    return rid >= 0 && rid + RT_HOPS <= n->nroutes
+        && n->routes[rid + RT_LEN] >= 0
+        && rid + RT_HOPS + 2 * (int64_t)n->routes[rid + RT_LEN] <= n->nroutes;
+}
+
 /* Router._route_and_allocate: rotated port walk, route computation from
  * the packet's registered hop list, VC allocation. */
 static int
@@ -386,6 +746,8 @@ route_and_allocate(Net *n, word *R, int64_t now)
             if (f[FL_READY] > now)
                 continue;
             word *sl = n->slots + f[FL_SLOT] * SL_F;
+            if (!route_in_range(n, sl[SL_ROUTE]))
+                return fail("slot names a route outside the route table");
             const word *rt = n->routes + sl[SL_ROUTE];
             if (c[C_OUT] == OUT_NONE) {
                 int64_t h = sl[SL_HOP];
@@ -406,11 +768,53 @@ route_and_allocate(Net *n, word *R, int64_t now)
     return 0;
 }
 
+/* MeshNetwork._eject for a completed packet: record it, leave it the
+ * group and phase its route's last next_port call leaves, hand it to
+ * Python and free its slot. */
+static int
+complete(Net *n, int64_t slot, int64_t now, PyObject **done, Rec *rec)
+{
+    PyObject *packet = packet_at(n, slot);
+    if (packet == NULL)
+        return -1;
+    word *sl = n->slots + slot * SL_F;
+    if (!route_in_range(n, sl[SL_ROUTE]))
+        return fail("slot names a route outside the route table");
+    int64_t final = n->routes[sl[SL_ROUTE] + RT_FINAL];
+    if (final >= 0) {
+        if (final >= PyList_GET_SIZE(n->finals))
+            return fail("route names a missing final state");
+        PyObject *state = PyList_GET_ITEM(n->finals, final);
+        if (!PyTuple_Check(state) || PyTuple_GET_SIZE(state) != 2) {
+            PyErr_SetString(PyExc_TypeError,
+                            "final states are (group, phase) tuples");
+            return -1;
+        }
+        if (PyObject_SetAttr(packet, attr[A_GROUP],
+                             PyTuple_GET_ITEM(state, 0)) < 0
+                || PyObject_SetAttr(packet, attr[A_PHASE],
+                                    PyTuple_GET_ITEM(state, 1)) < 0)
+            return -1;
+    }
+    if (record_ejection(rec, packet, sl[SL_NFLITS], sl[SL_INJECTED],
+                        now) < 0)
+        return -1;
+    if (*done == NULL && (*done = PyList_New(0)) == NULL)
+        return -1;
+    if (PyList_Append(*done, packet) < 0)
+        return -1;
+    Py_INCREF(Py_None);
+    PyList_SetItem(n->packets, slot, Py_None);
+    sl[SL_NEXT] = n->st[H_FREE];
+    n->st[H_FREE] = slot;
+    return 0;
+}
+
 /* Router._switch with SeparableAllocator.allocate: switch requests,
  * input-first separable allocation with iSLIP pointer updates, then
  * traversal of every grant in the allocator's order. */
 static int
-switch_traverse(Net *n, word *R, int64_t now, PyObject **done,
+switch_traverse(Net *n, word *R, int64_t now, PyObject **done, Rec *rec,
                 int64_t *moved)
 {
     int64_t nin = R[R_NIN], nout = R[R_NOUT], V = n->V;
@@ -498,12 +902,13 @@ switch_traverse(Net *n, word *R, int64_t now, PyObject **done,
         int64_t og = out_base + o, ovc = c[C_OUTVC];
         n->credits[og * V + ovc]--;
         word *sl = n->slots + f[FL_SLOT] * SL_F;
+        int tail = f[FL_INDEX] == sl[SL_NFLITS] - 1;
         int64_t och = n->out[og * OUT_F + OUT_CH];
         if (och < 0) {
             /* MeshNetwork._eject: reassembly; a tail completes. */
             if (++sl[SL_GOT] == sl[SL_NFLITS]) {
                 sl[SL_GOT] = 0;
-                if (append_slot(done, f[FL_SLOT]) < 0)
+                if (complete(n, f[FL_SLOT], now, done, rec) < 0)
                     return -1;
             }
         }
@@ -512,7 +917,7 @@ switch_traverse(Net *n, word *R, int64_t now, PyObject **done,
         int64_t ich = n->in[(in_base + pos) * IN_F + IN_CH];
         if (ich >= 0 && send_credit(n, ich, v, now) < 0)
             return -1;
-        if (f[FL_INDEX] == sl[SL_NFLITS] - 1) {
+        if (tail) {
             n->owner[og * V + ovc] = -1;
             c[C_OUT] = OUT_NONE;
             c[C_OUTVC] = -1;
@@ -535,35 +940,90 @@ parse_now(PyObject *obj, int64_t *now)
     return 0;
 }
 
+static int
+check_list(PyObject *obj, const char *what)
+{
+    if (PyList_Check(obj))
+        return 0;
+    PyErr_Format(PyExc_TypeError, "%s must be a list", what);
+    return -1;
+}
+
+/* The buffers every entry point works on.  ``occ`` is optional. */
+typedef struct {
+    Py_buffer st, slots, routes, occ;
+    int nheld;
+} Views;
+
+static int
+get_views(Views *w, PyObject *const *args, PyObject *occ)
+{
+    w->nheld = 0;
+    if (get_buffer(args[0], &w->st, 1, "st") < 0)
+        return -1;
+    w->nheld = 1;
+    if (get_buffer(args[1], &w->slots, 1, "slots") < 0)
+        return -1;
+    w->nheld = 2;
+    if (get_buffer(args[2], &w->routes, 0, "routes") < 0)
+        return -1;
+    w->nheld = 3;
+    if (occ != NULL) {
+        if (get_buffer(occ, &w->occ, 1, "occ") < 0)
+            return -1;
+        w->nheld = 4;
+    }
+    return 0;
+}
+
+static void
+release_views(Views *w)
+{
+    Py_buffer *views[] = {&w->st, &w->slots, &w->routes, &w->occ};
+    for (int i = w->nheld - 1; i >= 0; i--)
+        PyBuffer_Release(views[i]);
+    w->nheld = 0;
+}
+
+/* Load the state and attach ``occ`` (checked to cover every node). */
+static int
+load_with_occ(Net *n, Views *w)
+{
+    if (load_net(n, &w->st, &w->slots, &w->routes) < 0)
+        return -1;
+    if (w->occ.len / (Py_ssize_t)sizeof(word) < n->nr) {
+        PyErr_SetString(PyExc_ValueError, "occ is shorter than the mesh");
+        return -1;
+    }
+    n->occ = (word *)w->occ.buf;
+    return 0;
+}
+
 static PyObject *
 k_sweep(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)module;
-    if (nargs != 5) {
+    if (nargs != 7) {
         PyErr_SetString(PyExc_TypeError,
-                        "sweep(st, slots, routes, stats, now)");
+                        "sweep(st, slots, routes, packets, finals, stats, "
+                        "now)");
         return NULL;
     }
     int64_t now;
-    if (parse_now(args[4], &now) < 0)
+    if (parse_now(args[6], &now) < 0 || check_list(args[3], "packets") < 0
+            || check_list(args[4], "finals") < 0)
         return NULL;
-    Py_buffer st, slots, routes;
-    if (get_buffer(args[0], &st, 1, "st") < 0)
-        return NULL;
-    if (get_buffer(args[1], &slots, 1, "slots") < 0) {
-        PyBuffer_Release(&st);
-        return NULL;
-    }
-    if (get_buffer(args[2], &routes, 0, "routes") < 0) {
-        PyBuffer_Release(&slots);
-        PyBuffer_Release(&st);
-        return NULL;
-    }
-    PyObject *done = NULL;
+    Views w;
     Net n;
+    Rec rec;
+    rec_init(&rec, args[5]);
+    PyObject *done = NULL;
     int64_t delivered = 0, moved = 0;
-    int ok = load_net(&n, &st, &slots, &routes) == 0;
+    int ok = get_views(&w, args, NULL) == 0
+        && load_net(&n, &w.st, &w.slots, &w.routes) == 0;
     if (ok) {
+        n.packets = args[3];
+        n.finals = args[4];
         delivered = deliver_channels(&n, now);
         ok = delivered >= 0;
     }
@@ -574,19 +1034,18 @@ k_sweep(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
             if (!R[R_OCC])
                 continue;
             ok = route_and_allocate(&n, R, now) == 0
-                && switch_traverse(&n, R, now, &done, &moved) == 0;
+                && switch_traverse(&n, R, now, &done, &rec, &moved) == 0;
         }
         n.st[H_BUFFERED] -= moved;
     }
-    PyBuffer_Release(&routes);
-    PyBuffer_Release(&slots);
-    PyBuffer_Release(&st);
+    release_views(&w);
+    ok = rec_finish(&rec, ok) == 0 && ok;
     if (ok) {
-        PyObject *stats = args[3];
-        ok = add_stat(stats, s_hops, delivered) == 0
-            && add_stat(stats, s_writes, delivered) == 0
-            && add_stat(stats, s_xbar, moved) == 0
-            && add_stat(stats, s_reads, moved) == 0;
+        PyObject *stats = args[5];
+        ok = add_stat(stats, attr[A_HOPS], delivered) == 0
+            && add_stat(stats, attr[A_WRITES], delivered) == 0
+            && add_stat(stats, attr[A_XBAR], moved) == 0
+            && add_stat(stats, attr[A_READS], moved) == 0;
     }
     if (!ok) {
         Py_XDECREF(done);
@@ -597,60 +1056,11 @@ k_sweep(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     return done;
 }
 
-/* Link the accepted packets ``pending`` -- (source port, slot, route,
- * flits) tuples in acceptance order -- onto their source FIFOs. */
-static int
-append_pending(Net *n, PyObject *pending)
-{
-    if (!PyList_Check(pending)) {
-        PyErr_SetString(PyExc_TypeError, "pending must be a list");
-        return -1;
-    }
-    Py_ssize_t count = PyList_GET_SIZE(pending);
-    for (Py_ssize_t i = 0; i < count; i++) {
-        PyObject *item = PyList_GET_ITEM(pending, i);
-        if (!PyTuple_Check(item) || PyTuple_GET_SIZE(item) != 4) {
-            PyErr_SetString(PyExc_TypeError,
-                            "pending entries are 4-tuples");
-            return -1;
-        }
-        int64_t field[4];
-        for (int k = 0; k < 4; k++) {
-            field[k] = PyLong_AsLongLong(PyTuple_GET_ITEM(item, k));
-            if (field[k] == -1 && PyErr_Occurred())
-                return -1;
-        }
-        int64_t port = field[0], slot = field[1], rid = field[2];
-        int64_t nflits = field[3];
-        if (port < 0 || port >= n->nsrc || slot < 0 || slot >= n->nslots
-                || nflits < 1 || rid < 0 || rid + RT_HOPS > n->nroutes
-                || rid + RT_HOPS + 2 * n->routes[rid + RT_LEN] > n->nroutes
-                || n->routes[rid + RT_INJSET] < 0
-                || n->routes[rid + RT_INJSET] >= n->nsets) {
-            PyErr_SetString(PyExc_ValueError, "pending entry out of range");
-            return -1;
-        }
-        word *sl = n->slots + slot * SL_F;
-        sl[SL_NFLITS] = nflits;
-        sl[SL_ROUTE] = rid;
-        sl[SL_HOP] = 0;
-        sl[SL_GOT] = 0;
-        sl[SL_NEXT] = -1;
-        word *S = n->src + port * S_F;
-        if (S[S_FTAIL] < 0)
-            S[S_FHEAD] = slot;
-        else
-            n->slots[S[S_FTAIL] * SL_F + SL_NEXT] = slot;
-        S[S_FTAIL] = slot;
-        n->st[H_SRCFLITS] += nflits;
-    }
-    return 0;
-}
-
 /* MeshNetwork._drain_source with _pick_injection_vc, every source port in
- * node order.  Returns the flits written into routers, or -1. */
+ * node order, recording each packet whose head leaves its FIFO.  Returns
+ * the flits written into routers, or -1. */
 static int64_t
-drain_sources(Net *n, int64_t now, PyObject **started)
+drain_sources(Net *n, int64_t now, Rec *rec)
 {
     int64_t writes = 0, V = n->V;
     for (int64_t p = 0; p < n->nsrc; p++) {
@@ -660,6 +1070,8 @@ drain_sources(Net *n, int64_t now, PyObject **started)
             if (slot < 0)
                 continue;
             word *sl = n->slots + slot * SL_F;
+            if (!route_in_range(n, sl[SL_ROUTE]))
+                return fail("slot names a route outside the route table");
             const word *set = n->sets
                 + n->routes[sl[SL_ROUTE] + RT_INJSET] * (1 + V);
             int64_t best = -1, best_space = 0;
@@ -673,14 +1085,18 @@ drain_sources(Net *n, int64_t now, PyObject **started)
             }
             if (best < 0)
                 continue;
+            PyObject *packet = packet_at(n, slot);
+            if (packet == NULL)
+                return -1;
             S[S_FHEAD] = sl[SL_NEXT];
             if (S[S_FHEAD] < 0)
                 S[S_FTAIL] = -1;
             sl[SL_NEXT] = -1;
+            sl[SL_INJECTED] = now;
             S[S_CUR] = slot;
             S[S_NEXT] = 0;
             S[S_VC] = best;
-            if (append_slot(started, slot) < 0)
+            if (record_injection(rec, packet, sl[SL_NFLITS], now) < 0)
                 return -1;
         }
         int64_t ci = S[S_IN] * V + S[S_VC];
@@ -707,66 +1123,149 @@ k_drain(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     (void)module;
     if (nargs != 7) {
         PyErr_SetString(PyExc_TypeError,
-                        "drain(st, slots, routes, occ, pending, stats, now)");
+                        "drain(st, slots, routes, packets, occ, stats, now)");
         return NULL;
     }
     int64_t now;
-    if (parse_now(args[6], &now) < 0)
+    if (parse_now(args[6], &now) < 0 || check_list(args[3], "packets") < 0)
         return NULL;
-    Py_buffer st, slots, routes, occ;
-    if (get_buffer(args[0], &st, 1, "st") < 0)
-        return NULL;
-    if (get_buffer(args[1], &slots, 1, "slots") < 0) {
-        PyBuffer_Release(&st);
-        return NULL;
-    }
-    if (get_buffer(args[2], &routes, 0, "routes") < 0) {
-        PyBuffer_Release(&slots);
-        PyBuffer_Release(&st);
-        return NULL;
-    }
-    if (get_buffer(args[3], &occ, 1, "occ") < 0) {
-        PyBuffer_Release(&routes);
-        PyBuffer_Release(&slots);
-        PyBuffer_Release(&st);
-        return NULL;
-    }
-    PyObject *started = NULL;
+    Views w;
     Net n;
+    Rec rec;
+    rec_init(&rec, args[5]);
     int64_t writes = 0;
-    int ok = load_net(&n, &st, &slots, &routes) == 0;
-    if (ok && occ.len / (Py_ssize_t)sizeof(word) < n.nr) {
-        PyErr_SetString(PyExc_ValueError, "occ is shorter than the mesh");
-        ok = 0;
-    }
+    int ok = get_views(&w, args, args[4]) == 0 && load_with_occ(&n, &w) == 0;
     if (ok) {
-        n.occ = (word *)occ.buf;
-        ok = append_pending(&n, args[4]) == 0;
-    }
-    if (ok) {
-        writes = drain_sources(&n, now, &started);
+        n.packets = args[3];
+        writes = drain_sources(&n, now, &rec);
         ok = writes >= 0;
     }
-    PyBuffer_Release(&occ);
-    PyBuffer_Release(&routes);
-    PyBuffer_Release(&slots);
-    PyBuffer_Release(&st);
+    release_views(&w);
+    ok = rec_finish(&rec, ok) == 0 && ok;
     if (ok)
-        ok = add_stat(args[5], s_writes, writes) == 0;
-    if (!ok) {
-        Py_XDECREF(started);
+        ok = add_stat(args[5], attr[A_WRITES], writes) == 0;
+    if (!ok)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+/* The queueing half of MeshNetwork.try_inject, for a packet whose source
+ * queue has room and whose route is registered: rotate the node's
+ * injection ports, take the free slot at the head of the free list, link
+ * the packet onto the chosen port's FIFO and count the offer
+ * (NetworkStats.record_offer).  Every argument is range-checked before
+ * anything is written.  Returns the slot, or -1 (nothing written) when
+ * no slot is free: the caller grows the slot table and calls again. */
+static int
+admit(Net *n, PyObject *packet, int64_t node, int64_t rid, int64_t nflits,
+      Rec *rec, int64_t *slot_out)
+{
+    if (node < 0 || node >= n->nr) {
+        PyErr_Format(PyExc_ValueError, "node %lld outside the mesh",
+                     (long long)node);
+        return -1;
+    }
+    word *N = n->node + node * N_F;
+    int64_t port = N[N_SRC] + N[N_RR];
+    if (N[N_NSRC] < 1 || N[N_RR] < 0 || N[N_RR] >= N[N_NSRC]
+            || N[N_SRC] < 0 || port >= n->nsrc) {
+        PyErr_SetString(PyExc_ValueError, "source port out of range");
+        return -1;
+    }
+    if (!route_in_range(n, rid) || n->routes[rid + RT_INJSET] < 0
+            || n->routes[rid + RT_INJSET] >= n->nsets
+            || n->routes[rid + RT_FINAL] < -1) {
+        PyErr_Format(PyExc_ValueError, "route %lld out of range",
+                     (long long)rid);
+        return -1;
+    }
+    if (nflits < 1 || nflits > INT32_MAX - n->occ[node]
+            || nflits > INT32_MAX - n->st[H_SRCFLITS]) {
+        PyErr_Format(PyExc_ValueError, "flit count %lld out of range",
+                     (long long)nflits);
+        return -1;
+    }
+    int64_t slot = n->st[H_FREE];
+    *slot_out = -1;
+    if (slot < 0)
+        return 0;
+    if (slot >= n->nslots || slot >= PyList_GET_SIZE(n->packets)
+            || PyList_GET_ITEM(n->packets, slot) != Py_None) {
+        PyErr_SetString(PyExc_ValueError, "free slot out of range");
+        return -1;
+    }
+    word *sl = n->slots + slot * SL_F;
+    if (sl[SL_NEXT] < -1 || sl[SL_NEXT] >= n->nslots) {
+        PyErr_SetString(PyExc_ValueError, "free slot out of range");
+        return -1;
+    }
+    n->st[H_FREE] = sl[SL_NEXT];
+    Py_INCREF(packet);
+    PyList_SetItem(n->packets, slot, packet);
+    sl[SL_NFLITS] = nflits;
+    sl[SL_ROUTE] = rid;
+    sl[SL_HOP] = 0;
+    sl[SL_GOT] = 0;
+    sl[SL_NEXT] = -1;
+    sl[SL_INJECTED] = -1;
+    word *S = n->src + port * S_F;
+    if (S[S_FTAIL] < 0)
+        S[S_FHEAD] = slot;
+    else
+        n->slots[S[S_FTAIL] * SL_F + SL_NEXT] = slot;
+    S[S_FTAIL] = slot;
+    N[N_RR] = (N[N_RR] + 1) % N[N_NSRC];
+    n->occ[node] += nflits;
+    n->st[H_SRCFLITS] += nflits;
+    rec->offered++;
+    rec->offered_flits += nflits;
+    *slot_out = slot;
+    return 0;
+}
+
+static PyObject *
+k_accept(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)module;
+    if (nargs != 10) {
+        PyErr_SetString(PyExc_TypeError,
+                        "accept(st, slots, routes, packets, occ, stats, "
+                        "packet, node, route, nflits)");
         return NULL;
     }
-    if (started == NULL)
-        Py_RETURN_NONE;
-    return started;
+    int64_t field[3];
+    for (int k = 0; k < 3; k++) {
+        field[k] = PyLong_AsLongLong(args[7 + k]);
+        if (field[k] == -1 && PyErr_Occurred())
+            return NULL;
+    }
+    if (check_list(args[3], "packets") < 0)
+        return NULL;
+    Views w;
+    Net n;
+    Rec rec;
+    rec_init(&rec, args[5]);
+    int64_t slot = -1;
+    int ok = get_views(&w, args, args[4]) == 0 && load_with_occ(&n, &w) == 0;
+    if (ok) {
+        n.packets = args[3];
+        ok = admit(&n, args[6], field[0], field[1], field[2], &rec,
+                   &slot) == 0;
+    }
+    release_views(&w);
+    ok = rec_finish(&rec, ok) == 0 && ok;
+    if (!ok)
+        return NULL;
+    return PyLong_FromLongLong(slot);
 }
 
 static PyMethodDef kernel_methods[] = {
+    {"accept", (PyCFunction)(void (*)(void))k_accept, METH_FASTCALL,
+     "Queue one admitted packet at its source node."},
     {"sweep", (PyCFunction)(void (*)(void))k_sweep, METH_FASTCALL,
      "Deliver channels and step every occupied router for one cycle."},
     {"drain", (PyCFunction)(void (*)(void))k_drain, METH_FASTCALL,
-     "Append accepted packets, then drain every source port once."},
+     "Drain every source port once."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -781,18 +1280,17 @@ static struct PyModuleDef kernel_module = {
 PyMODINIT_FUNC
 PyInit__noc_kernel(void)
 {
-    if (s_xbar == NULL) {
-        s_xbar = PyUnicode_InternFromString("crossbar_traversals");
-        s_reads = PyUnicode_InternFromString("buffer_reads");
-        s_writes = PyUnicode_InternFromString("buffer_writes");
-        s_hops = PyUnicode_InternFromString("link_flit_hops");
-        if (!s_xbar || !s_reads || !s_writes || !s_hops)
+    for (int i = 0; i < A_COUNT; i++) {
+        if (attr[i] == NULL
+                && (attr[i] = PyUnicode_InternFromString(attr_names[i]))
+                   == NULL)
             return NULL;
     }
     PyObject *module = PyModule_Create(&kernel_module);
     if (module == NULL)
         return NULL;
-    if (PyModule_AddIntConstant(module, "LAYOUT", LAYOUT) < 0) {
+    if (PyModule_AddIntConstant(module, "LAYOUT", LAYOUT) < 0
+            || PyModule_AddIntConstant(module, "MAX_CYCLE", MAX_CYCLE) < 0) {
         Py_DECREF(module);
         return NULL;
     }

@@ -10,27 +10,33 @@ bit-identity oracle behind ``REPRO_REFERENCE_STEPPER=1`` and
 ``use_reference_stepper()``; tests/test_stepper_equivalence.py compares
 the two.
 
-Ownership.  The kernel owns everything from "accepted by ``try_inject``"
-to "last flit ejected": source FIFOs and flit serialization, VC buffers
-(a flit is a packet slot plus a flit index, with its ready cycle),
-credits and output-VC owners, every rotation pointer, channels,
-reassembly and the four activity counters.  Python keeps the ``Packet``
-objects (indexed by slot), traffic generation, admission, routing
-(``plan`` and ``next_port``), per-packet injection/ejection records and
-the ejection handlers.
+Ownership.  The kernel owns everything from "admitted by ``try_inject``"
+to "last flit ejected": the free-slot list, the injection-port rotation,
+source FIFOs and flit serialization, VC buffers (a flit is a packet slot
+plus a flit index, with its ready cycle), credits and output-VC owners,
+every rotation pointer, channels, reassembly, the four activity counters
+and every per-packet record (``record_offer``, ``record_injection``,
+``record_ejection`` and ``packet.injected``/``ejected``), which it writes
+into the network's ``NetworkStats``.  Python keeps the ``Packet`` objects
+(indexed by slot), traffic generation, the capacity test, routing
+(``plan`` and ``next_port``) and the ejection handlers.
 
-Each cycle makes at most two kernel calls: :meth:`BatchedCore.sweep`
-delivers channels and steps the routers, returning completed packets in
-ejection order; after Python has run their handlers (which may call
-``try_inject``; the router phase reads nothing they touch),
-:meth:`BatchedCore.drain` appends the cycle's accepted packets in
-acceptance order and drains the sources.
+Each packet costs one kernel call, :meth:`BatchedCore.accept`, after
+``plan`` and a route-key lookup.  Each cycle makes at most two more:
+:meth:`BatchedCore.sweep` delivers channels and steps the routers,
+returning the completed packets in ejection order; after Python has run
+their handlers (which may call ``try_inject``; the router phase reads
+nothing they touch), :meth:`BatchedCore.drain` drains the sources.
 
-Routing is data.  On a memo miss ``try_inject`` walks ``next_port`` on a
-copy of the planned packet and registers the hop list (output position
-and allowed-VC set per hop); an illegal turn or a route that never ends
-raises at injection.  The memo key is every field ``next_port`` reads,
-plus the traffic class, which selects the allowed-VC sets.
+Routing is data.  A route record (output position and allowed-VC set per
+hop) is registered the first time its key is seen, by walking
+``next_port`` on the planned packet; an illegal turn or a route that
+never ends raises at injection and registers nothing.  The key is every
+field ``next_port`` reads, plus the traffic class, which selects the
+allowed-VC sets.  Records live in a :class:`RouteTable` shared by every
+network in the process with the same routing signature, mesh, router
+port layout and VC configuration (:func:`route_table`); registration
+takes a lock, lookups do not.
 
 Readers see objects.  State dumps, audits, telemetry and
 ``use_reference_stepper`` read the router, channel and source objects;
@@ -52,10 +58,11 @@ from __future__ import annotations
 
 import os
 import stat
+import threading
 from array import array
 from collections import deque
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .packet import Flit
 from .router import RoutingViolation
@@ -66,19 +73,20 @@ MODULE = "_noc_kernel"
 COMPILE_ARGS = ("-O2",)
 
 # -- state layout (mirrors _noc_kernel.c) ------------------------------------
-LAYOUT = 2
+LAYOUT = 3
 MAX_PORTS = 16
 MAX_VCS = 32
 #: Pipeline and channel delays must stay below this, so that a cycle plus
 #: a delay fits the kernel's 32-bit words (it refuses cycles past
-#: ``2**31 - 1 - MAX_DELAY``).
+#: ``MAX_CYCLE``).
 MAX_DELAY = 1 << 20
+MAX_CYCLE = (1 << 31) - 1 - MAX_DELAY
 OUT_NONE, OUT_EJECT = -1, -2
 (H_LAYOUT, H_SIZE, H_NR, H_V, H_DEPTH, H_NCH, H_NSRC, H_NSETS,
- H_FCAP, H_CCAP, H_BUFFERED, H_SRCFLITS, H_NACTIVE,
+ H_FCAP, H_CCAP, H_BUFFERED, H_SRCFLITS, H_NACTIVE, H_FREE,
  H_ROUTER, H_IN, H_OUT, H_CREDITS, H_OWNER, H_VCPTR, H_EJ, H_CELL,
- H_FLIT, H_CH, H_CHFLIT, H_CHCRED, H_ACTIVE, H_SRC, H_SETS,
- H_COUNT) = range(29)
+ H_FLIT, H_CH, H_CHFLIT, H_CHCRED, H_ACTIVE, H_SRC, H_SETS, H_NODE,
+ H_COUNT) = range(31)
 (R_NIN, R_NOUT, R_IN_BASE, R_OUT_BASE, R_NEJ, R_EJ_BASE, R_PIPE,
  R_OCC, R_VAROT, R_EJPTR, R_F) = range(11)
 IN_CH, IN_PTR, IN_F = range(3)
@@ -90,10 +98,12 @@ FL_SLOT, FL_INDEX, FL_READY, FL_F = range(4)
 CF_TIME, CF_SLOT, CF_INDEX, CF_VC, CF_READY, CF_F = range(6)
 CC_TIME, CC_VC, CC_F = range(3)
 S_NODE, S_IN, S_FHEAD, S_FTAIL, S_CUR, S_NEXT, S_VC, S_F = range(8)
-SL_NFLITS, SL_ROUTE, SL_HOP, SL_GOT, SL_NEXT, SL_F = range(6)
-RT_LEN, RT_INJSET, RT_HOPS = range(3)
+N_SRC, N_NSRC, N_RR, N_F = range(4)
+SL_NFLITS, SL_ROUTE, SL_HOP, SL_GOT, SL_NEXT, SL_INJECTED, SL_F = range(7)
+RT_LEN, RT_INJSET, RT_FINAL, RT_HOPS = range(4)
 
-_SLOT_ROW = array("i", [0] * SL_F)
+#: Slots the slot table grows by when the kernel finds none free.
+SLOT_CHUNK = 64
 
 
 # -- build, cache, load -------------------------------------------------------
@@ -245,6 +255,159 @@ def load_kernel():
     return _kernel
 
 
+# -- route tables -------------------------------------------------------------
+
+class RouteTable:
+    """Registered routes of every network with one routing signature.
+
+    ``routes`` holds the route records the kernel reads: hop count,
+    injection VC set, final-state index (see :attr:`finals`), then per
+    hop the output position (or eject) and the allowed-VC set.  ``ids``
+    maps a route key to its record's offset.  Lookups need no lock:
+    a record is complete before its id is published, and a full
+    ``routes`` array is copied, never resized, because another thread's
+    kernel call may hold a buffer of the published one.
+    """
+
+    def __init__(self, vc_config) -> None:
+        #: Distinct allowed-VC sets; a record names a set by its position.
+        self.sets = list(dict.fromkeys(vc_config._allowed.values()))
+        self.set_ids = {s: i for i, s in enumerate(self.sets)}
+        self.routes = array("i")
+        self.used = 0
+        self.ids: Dict[tuple, int] = {}
+        #: Route -> ((group, phase) at planning, per-hop (group, phase)
+        #: after ``next_port``) for routes that change them (two-phase CR
+        #: and ROMM); the export restores them.
+        self.states: Dict[int, tuple] = {}
+        #: The (group, phase) such a route's last ``next_port`` leaves; the
+        #: kernel gives it to the packet at ejection.
+        self.finals: List[tuple] = []
+        #: One tuple per distinct (group, phase), shared by every record
+        #: above: the table lives as long as the process.
+        self._pairs: Dict[tuple, tuple] = {}
+
+    def register(self, net, packet, key) -> int:
+        """The route id of ``key``, walking and appending it on a miss."""
+        with _lock:
+            route = self.ids.get(key)
+            if route is None:
+                record, planned, states = _walk(net, packet, self.set_ids)
+                route = self._append(record, planned, states)
+                self.ids[key] = route
+        return route
+
+    def _append(self, record, planned, states) -> int:
+        if any(state != planned for state in states):
+            intern = self._pairs.setdefault
+            planned = intern(planned, planned)
+            states = tuple(intern(state, state) for state in states)
+            record[RT_FINAL] = len(self.finals)
+            self.finals.append(states[-1])
+        route, end = self.used, self.used + len(record)
+        routes = self.routes
+        if end > len(routes):
+            size = max(end, 2 * len(routes), 256)
+            routes = array("i", routes)
+            routes.extend(array("i", [0]) * (size - len(routes)))
+        routes[route:end] = array("i", record)
+        self.routes = routes
+        self.used = end
+        if record[RT_FINAL] >= 0:
+            self.states[route] = (planned, states)
+        return route
+
+
+def _walk(net, packet, set_ids):
+    """Walk ``next_port`` from the planned packet's source (as
+    ``invariants.planned_route`` does); return the route record, the
+    planned (group, phase) and the (group, phase) after each hop.
+
+    ``next_port`` writes only ``group`` and ``phase``, so the walk runs on
+    the packet itself and restores those two fields after, which leaves
+    it exactly as planned (a ``copy.copy`` of a slotted dataclass costs
+    more than the walk)."""
+    next_port = net.routing.next_port
+    allowed = net.vc_config.allowed_vcs
+    tclass = packet.traffic_class
+    planned = (packet.group, packet.phase)
+    group = packet.group
+    vcs = set_ids[allowed(tclass, group)]
+    record = [0, vcs, -1]
+    states = []
+    routers = net._routers
+    coord = packet.src
+    in_port = None                        # injection ports turn anywhere
+    try:
+        for _ in range(4 * net.mesh.num_nodes):
+            router = routers[coord]
+            direction = next_port(coord, packet)
+            states.append((packet.group, packet.phase))
+            if packet.group is not group:
+                group = packet.group
+                vcs = set_ids[allowed(tclass, group)]
+            if direction is Direction.EJECT:
+                record += (OUT_EJECT, vcs)
+                break
+            out = router._out_pos.get(direction)
+            if out is None or (in_port is not None
+                               and not router.connectivity(in_port,
+                                                           direction)):
+                raise RoutingViolation(
+                    f"illegal turn at {coord} "
+                    f"({'half' if router.spec.half else 'full'}): "
+                    f"{in_port} -> {direction} for packet "
+                    f"{packet.src}->{packet.dest} group={group}")
+            record += (out, vcs)
+            in_port = direction.opposite()
+            coord = coord.neighbor(direction)
+        else:
+            raise RoutingViolation(
+                f"route {packet.src}->{packet.dest} group={planned[0]} "
+                f"does not terminate")
+    finally:
+        packet.group, packet.phase = planned
+    record[RT_LEN] = len(states)
+    return record, planned, states
+
+
+#: Guards route registration and the table registry (lookups take no
+#: lock).  Re-created in a forked child, which may inherit it held.
+_lock = threading.Lock()
+_tables: Dict[tuple, RouteTable] = {}
+
+
+def _reset_lock() -> None:
+    global _lock
+    _lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_lock)
+
+
+def route_table(net) -> RouteTable:
+    """The route table ``net`` registers into.
+
+    A route record depends on the routing's ``next_port``, the mesh, each
+    router's half flag and output-port order, and the VC configuration,
+    so networks that agree on all of them share one table per process
+    (every network of a design, and every point of that design a
+    process runs).  A routing whose ``route_signature()`` is None gets a
+    table of its own."""
+    signature = net.routing.route_signature()
+    if signature is None:
+        return RouteTable(net.vc_config)
+    key = (signature, net.mesh.cols, net.mesh.rows, net.vc_config,
+           tuple((router.spec.half, router._output_order)
+                 for router in net._router_list))
+    with _lock:
+        table = _tables.get(key)
+        if table is None:
+            table = _tables[key] = RouteTable(net.vc_config)
+    return table
+
+
 # -- the core -----------------------------------------------------------------
 
 class BatchedCore:
@@ -260,26 +423,20 @@ class BatchedCore:
 
     def __init__(self, net, kernel) -> None:
         self.net = net
+        self._accept = kernel.accept
         self._sweep = kernel.sweep
         self._drain = kernel.drain
         self._stats = net.stats
         self._occ = net._source_occ
-        #: Packet objects by slot (None for a free slot).
+        self.table = route_table(net)
+        self._route_ids = self.table.ids
+        #: Packet objects by slot (None for a free slot); the kernel fills
+        #: and frees the slots.
         self.packets: List[Optional[object]] = []
-        self.free: List[int] = []
-        #: Accepted this cycle, not yet handed to the kernel:
-        #: (source port, slot, route, flits) in acceptance order.
-        self.pending: List[Tuple[int, int, int, int]] = []
-        self._route_ids: Dict[tuple, int] = {}
-        #: Route -> ((group, phase) at planning, per-hop (group, phase)
-        #: after ``next_port``) for routes that change them (two-phase
-        #: CR and ROMM); the export and ejection restore them.
-        self.route_states: Dict[int, tuple] = {}
         #: True once the kernel has stepped or accepted a packet since the
         #: last export.
         self.stale = False
         self.slots = array("i")
-        self.routes = array("i")
         self._layout()
 
     # -- layout -------------------------------------------------------------
@@ -294,10 +451,8 @@ class BatchedCore:
             raise ValueError(f"{v} VCs per port: the kernel supports "
                              f"1..{MAX_VCS}")
         self.v, self.depth = v, depth
-        self.sets = list(dict.fromkeys(net.vc_config._allowed.values()))
-        self._set_ids = {s: i for i, s in enumerate(self.sets)}
+        self.sets = self.table.sets
         ch_index = {ch: i for i, ch in enumerate(channels)}
-
         in_base, out_base = [], []
         n_in = n_out = 0
         for router in routers:
@@ -332,7 +487,7 @@ class BatchedCore:
             (H_CHFLIT, len(channels) * fcap * CF_F),
             (H_CHCRED, len(channels) * ccap * CC_F),
             (H_ACTIVE, len(channels)), (H_SRC, nsrc * S_F),
-            (H_SETS, nsets * (1 + v)),
+            (H_SETS, nsets * (1 + v)), (H_NODE, len(routers) * N_F),
         ]
         st = [0] * H_COUNT
         for slot, size in sizes:
@@ -343,6 +498,7 @@ class BatchedCore:
         st[H_DEPTH], st[H_NCH], st[H_NSRC], st[H_NSETS] = (
             depth, len(channels), nsrc, nsets)
         st[H_FCAP], st[H_CCAP] = fcap, ccap
+        st[H_FREE] = -1
 
         ej_at = st[H_EJ]
         for r, router in enumerate(routers):
@@ -391,6 +547,9 @@ class BatchedCore:
         p = 0
         for node, (_coord, ports, router) in enumerate(net._source_rows):
             self.source_base.append(p)
+            row = st[H_NODE] + node * N_F
+            st[row + N_SRC], st[row + N_NSRC] = p, len(ports)
+            st[row + N_RR] = net._source_rr[node]
             for port in ports:
                 row = st[H_SRC] + p * S_F
                 st[row + S_NODE] = node
@@ -409,112 +568,59 @@ class BatchedCore:
 
     def sweep(self, now: int):
         """Channel delivery and the router phase: one kernel call.
-        Returns the slots of the packets completed this cycle, in
-        ejection order (None if none)."""
+        Returns the packets completed this cycle in ejection order (None
+        if none), each already recorded in the stats and its slot
+        freed."""
         self.stale = True
-        return self._sweep(self.st, self.slots, self.routes, self._stats,
-                           now)
+        table = self.table
+        return self._sweep(self.st, self.slots, table.routes, self.packets,
+                           table.finals, self._stats, now)
 
-    def drain(self, now: int):
-        """Hand the accepted packets to the kernel and drain the sources:
-        one kernel call.  Returns the slots whose head left its FIFO."""
+    def drain(self, now: int) -> None:
+        """One source-drain pass, recording each packet whose head leaves
+        its FIFO: one kernel call."""
         self.stale = True
-        pending = self.pending
-        started = self._drain(self.st, self.slots, self.routes, self._occ,
-                              pending, self._stats, now)
-        pending.clear()
-        return started
+        self._drain(self.st, self.slots, self.table.routes, self.packets,
+                    self._occ, self._stats, now)
 
     def idle(self) -> bool:
         st = self.st
-        return not (self.pending or st[H_SRCFLITS] or st[H_BUFFERED]
-                    or st[H_NACTIVE])
+        return not (st[H_SRCFLITS] or st[H_BUFFERED] or st[H_NACTIVE])
 
     # -- admission ----------------------------------------------------------
 
-    def accept(self, packet, port: int, num_flits: int) -> None:
-        """Queue an admitted packet for the next drain call."""
-        key = (packet.traffic_class, packet.src, packet.dest, packet.group,
+    def accept(self, packet, node: int, num_flits: int) -> None:
+        """Queue a planned packet at ``node``, whose source queue has room.
+
+        The route key is every field ``next_port`` reads, plus the traffic
+        class, which selects the allowed-VC sets; the source enters it as
+        the node index, since a ``Coord`` hashes through a Python-level
+        ``__hash__``.  The kernel does the rest of admission (see
+        ``_noc_kernel.c``'s ``admit``)."""
+        key = (packet.traffic_class, node, packet.dest, packet.group,
                packet.intermediate, packet.phase)
         route = self._route_ids.get(key)
         if route is None:
-            route = self._register_route(packet, key)
-        free = self.free
-        packets = self.packets
-        if free:
-            slot = free.pop()
-            packets[slot] = packet
-        else:
-            slot = len(packets)
-            packets.append(packet)
-            self.slots.extend(_SLOT_ROW)
-        self.pending.append((port, slot, route, num_flits))
+            route = self.table.register(self.net, packet, key)
+        routes = self.table.routes
+        while self._accept(self.st, self.slots, routes, self.packets,
+                           self._occ, self._stats, packet, node, route,
+                           num_flits) < 0:
+            self._grow()
         self.stale = True
 
-    def _register_route(self, packet, key) -> int:
-        """Walk ``next_port`` from the planned packet's source (as
-        ``invariants.planned_route`` does) and register the hop list.
-
-        ``next_port`` writes only ``group`` and ``phase``, so the walk
-        runs on the packet itself and restores those two fields after,
-        which leaves it exactly as planned (a ``copy.copy`` of a slotted
-        dataclass costs more than the walk)."""
-        net = self.net
-        next_port = net.routing.next_port
-        allowed = net.vc_config.allowed_vcs
-        set_ids = self._set_ids
-        tclass = packet.traffic_class
-        planned = (packet.group, packet.phase)
-        group = packet.group
-        vcs = set_ids[allowed(tclass, group)]
-        record = [0, vcs]
-        states = []
-        routers = net._routers
-        coord = packet.src
-        in_port = None                    # injection ports turn anywhere
-        try:
-            for _ in range(4 * net.mesh.num_nodes):
-                router = routers[coord]
-                direction = next_port(coord, packet)
-                states.append((packet.group, packet.phase))
-                if packet.group is not group:
-                    group = packet.group
-                    vcs = set_ids[allowed(tclass, group)]
-                if direction is Direction.EJECT:
-                    record += (OUT_EJECT, vcs)
-                    break
-                out = router._out_pos.get(direction)
-                if out is None or (in_port is not None
-                                   and not router.connectivity(in_port,
-                                                               direction)):
-                    raise RoutingViolation(
-                        f"illegal turn at {coord} "
-                        f"({'half' if router.spec.half else 'full'}): "
-                        f"{in_port} -> {direction} for packet "
-                        f"{packet.src}->{packet.dest} group={group}")
-                record += (out, vcs)
-                in_port = direction.opposite()
-                coord = coord.neighbor(direction)
-            else:
-                raise RoutingViolation(
-                    f"route {packet.src}->{packet.dest} group={planned[0]} "
-                    f"does not terminate")
-        finally:
-            packet.group, packet.phase = planned
-        record[RT_LEN] = len(states)
-        route = len(self.routes)
-        self.routes.extend(record)
-        self._route_ids[key] = route
-        if any(state != planned for state in states):
-            self.route_states[route] = (planned, tuple(states))
-        return route
-
-    def finish(self, slot: int, packet) -> None:
-        """Give an ejected packet of a state-changing route the group and
-        phase its last ``next_port`` call left (the reference's value)."""
-        states = self.route_states.get(self.slots[slot * SL_F + SL_ROUTE])
-        if states is not None:
-            packet.group, packet.phase = states[1][-1]
+    def _grow(self) -> None:
+        """Add ``SLOT_CHUNK`` slots to the slot table and put them on the
+        kernel's free list (the kernel cannot resize the arrays it is
+        handed)."""
+        old = len(self.packets)
+        rows = array("i", [0] * SL_F) * SLOT_CHUNK
+        for k in range(SLOT_CHUNK):
+            rows[k * SL_F + SL_NEXT] = old + k + 1
+        rows[len(rows) - SL_F + SL_NEXT] = self.st[H_FREE]
+        self.slots.extend(rows)
+        self.packets.extend([None] * SLOT_CHUNK)
+        self.st[H_FREE] = old
 
     # -- export -------------------------------------------------------------
 
@@ -525,7 +631,6 @@ class BatchedCore:
         net = self.net
         st, slots, packets = self.st, self.slots, self.packets
         v, depth = self.v, self.depth
-        pending = {slot for _p, slot, _r, _n in self.pending}
 
         def flit(slot, index, ready):
             n = slots[slot * SL_F + SL_NFLITS]
@@ -599,11 +704,9 @@ class BatchedCore:
             for c in st[st[H_ACTIVE]:st[H_ACTIVE] + st[H_NACTIVE]]}
         net._buffered_flits = st[H_BUFFERED]
 
-        queued = {}
-        for port, slot, _route, _n in self.pending:
-            queued.setdefault(port, []).append(packets[slot])
         p = 0
-        for _coord, ports, _router in net._source_rows:
+        for node, (_coord, ports, _router) in enumerate(net._source_rows):
+            net._source_rr[node] = st[st[H_NODE] + node * N_F + N_RR]
             for port in ports:
                 row = st[H_SRC] + p * S_F
                 fifo = deque()
@@ -611,7 +714,6 @@ class BatchedCore:
                 while slot >= 0:
                     fifo.append(packets[slot])
                     slot = slots[slot * SL_F + SL_NEXT]
-                fifo.extend(queued.get(p, ()))
                 port.fifo = fifo
                 cur = st[row + S_CUR]
                 if cur < 0:
@@ -622,17 +724,17 @@ class BatchedCore:
                                        range(st[row + S_NEXT], n))
                     port.vc = st[row + S_VC]
                 p += 1
-        net._source_flits = st[H_SRCFLITS] + sum(
-            n for _p, _s, _r, n in self.pending)
+        net._source_flits = st[H_SRCFLITS]
 
         reassembly = {}
+        route_states = self.table.states
         for slot, packet in enumerate(packets):
-            if packet is None or slot in pending:
+            if packet is None:
                 continue
             row = slot * SL_F
             if slots[row + SL_GOT]:
                 reassembly[packet.pid] = slots[row + SL_GOT]
-            states = self.route_states.get(slots[row + SL_ROUTE])
+            states = route_states.get(slots[row + SL_ROUTE])
             if states is not None:
                 hop = slots[row + SL_HOP]
                 packet.group, packet.phase = (states[1][hop - 1] if hop

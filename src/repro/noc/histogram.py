@@ -68,14 +68,6 @@ class StreamingHistogram:
                                        or other._max > self._max):
             self._max = other._max
 
-    def copy(self) -> "StreamingHistogram":
-        dup = StreamingHistogram(self.linear_limit)
-        dup.counts = dict(self.counts)
-        dup.total = self.total
-        dup._min = self._min
-        dup._max = self._max
-        return dup
-
     def delta(self, before: "StreamingHistogram") -> "StreamingHistogram":
         """Samples added since ``before`` (a prior snapshot of this
         histogram).  Min/max of the delta are bucket-resolution: exact below

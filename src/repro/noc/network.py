@@ -12,10 +12,11 @@ and the open-loop harness both drive it through the same small interface:
 * ``step(cycle)`` — advance one interconnect clock.
 
 Every network steps through the compiled cycle kernel of a
-:class:`~repro.noc.batched.BatchedCore` built at construction.  The
+:class:`~repro.noc.batched.BatchedCore` built at construction, which also
+queues admitted packets and makes the per-packet stats records.  The
 reference exhaustive scan (``REPRO_REFERENCE_STEPPER=1`` or
-:meth:`MeshNetwork.use_reference_stepper`) is the bit-identity oracle
-the kernel ports and is tested against.
+:meth:`MeshNetwork.use_reference_stepper`) with ``NetworkStats.record_*``
+is the bit-identity oracle the kernel ports and is tested against.
 """
 
 from __future__ import annotations
@@ -269,7 +270,13 @@ class MeshNetwork:
         return self._source_occ[self._node_index[coord]]
 
     def try_inject(self, packet: Packet, cycle: int) -> bool:
-        """Queue ``packet`` at its source network interface."""
+        """Queue ``packet`` at its source network interface.
+
+        The capacity test comes first because ``plan`` may draw from the
+        network's RNG, and only admitted packets draw.  On the compiled
+        kernel, :meth:`BatchedCore.accept` does the rest: the route
+        lookup, port rotation, slot, FIFO link, occupancy and offer
+        counters."""
         num_flits = packet.num_flits(self._channel_width)
         cap = self._source_cap
         idx = self._node_index[packet.src]
@@ -279,22 +286,20 @@ class MeshNetwork:
         plan = self._plan
         if plan is not None:
             plan(packet, self._rng)
+        core = self._batched
+        if core is not None:
+            core.accept(packet, idx, num_flits)
+            return True
         ports = self._source_rows[idx][1]
         k = 0
         if len(ports) > 1:
             # Several injection ports: rotate round-robin between them.
             k = self._source_rr[idx]
             self._source_rr[idx] = (k + 1) % len(ports)
-        core = self._batched
-        if core is None:
-            ports[k].fifo.append(packet)
-            self._source_flits += num_flits
-        else:
-            core.accept(packet, core.source_base[idx] + k, num_flits)
+        ports[k].fifo.append(packet)
+        self._source_flits += num_flits
         self._source_occ[idx] = occupancy + num_flits
-        stats = self.stats
-        stats.packets_offered += 1
-        stats.flits_offered += num_flits
+        self.stats.record_offer(packet, num_flits)
         if self.tracer is not None:
             self.tracer.on_offer(packet, self.name, cycle)
         return True
@@ -303,18 +308,17 @@ class MeshNetwork:
         """Advance one interconnect cycle.
 
         On the compiled kernel a cycle is at most two kernel calls:
-        :meth:`BatchedCore.sweep` delivers channels and steps the routers,
-        Python records the completed packets and runs their handlers in
-        ejection order, and :meth:`BatchedCore.drain` hands over the
-        packets accepted this cycle and drains the sources.  A fully idle
-        network reduces to a cycle-counter bump.  ``_step_reference`` is
-        the exhaustive scan the kernel ports line for line;
+        :meth:`BatchedCore.sweep` delivers channels, steps the routers and
+        records the completed packets, Python runs their handlers in
+        ejection order, and :meth:`BatchedCore.drain` drains the sources
+        and records each injection.  A fully idle network reduces to a
+        cycle-counter bump.  ``_step_reference`` is the exhaustive scan
+        the kernel ports line for line;
         tests/test_stepper_equivalence.py compares them bit for bit.
         """
         self.cycle = self.cycle + 1 if cycle is None else cycle
         now = self.cycle
-        stats = self.stats
-        stats.cycles = now
+        self.stats.cycles = now
         core = self._batched
         if core is None:
             self._step_reference(now)
@@ -323,33 +327,13 @@ class MeshNetwork:
             if st[core.BUFFERED] or st[core.NACTIVE]:
                 done = core.sweep(now)
                 if done:
-                    packets = core.packets
-                    free = core.free
-                    width = self._channel_width
-                    record = stats.record_ejection
                     handlers = self._handlers
-                    states = core.route_states
-                    for slot in done:
-                        packet = packets[slot]
-                        packets[slot] = None
-                        free.append(slot)
-                        if states:
-                            core.finish(slot, packet)
-                        packet.ejected = now
-                        record(packet, packet.num_flits(width))
+                    for packet in done:
                         handler = handlers.get(packet.dest)
                         if handler is not None:
                             handler(packet, now)
-            if core.pending or st[core.SRCFLITS]:
-                started = core.drain(now)
-                if started:
-                    packets = core.packets
-                    width = self._channel_width
-                    record = stats.record_injection
-                    for slot in started:
-                        packet = packets[slot]
-                        packet.injected = now
-                        record(packet, packet.num_flits(width))
+            if st[core.SRCFLITS]:
+                core.drain(now)
         checker = self.checker
         if checker is not None:
             checker.on_cycle(now)

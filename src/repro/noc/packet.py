@@ -42,6 +42,12 @@ class RouteGroup(Enum):
     XY = "xy"
     YX = "yx"
 
+    # Members are singletons compared by identity, so the identity hash
+    # is consistent with equality; it runs in C, where Enum's hashes the
+    # name in Python (a route key holds a group).  Like Enum's string
+    # hash, it varies between processes, so no result may depend on it.
+    __hash__ = object.__hash__
+
 
 _packet_ids = itertools.count()
 

@@ -11,8 +11,10 @@ A routing algorithm has two duties:
   read only ``coord`` and the packet's ``src``, ``dest``, ``group``,
   ``intermediate`` and ``phase``, and may write only ``group`` and
   ``phase``.  The compiled kernel relies on this: it walks each route
-  once at injection and memoizes it under exactly those fields (plus
-  the traffic class, which selects the VCs).
+  once and memoizes it under exactly those fields (plus the traffic
+  class, which selects the VCs).  A routing that declares
+  ``route_params`` shares those memos with every network of equal
+  signature in the process (see ``route_signature``).
 
 Checkerboard routing (the paper's contribution) lives in
 ``repro.core.checkerboard_routing`` and implements this same interface.
@@ -21,7 +23,7 @@ Checkerboard routing (the paper's contribution) lives in
 from __future__ import annotations
 
 import random
-from typing import Optional
+from typing import Dict, List, Optional, Tuple
 
 from .packet import Packet, RouteGroup
 from .topology import Coord, Direction, Mesh
@@ -38,8 +40,24 @@ class RoutingAlgorithm:
     #: injection path may then skip the call for freshly built packets.
     plan_writes_defaults = False
 
+    #: Names of the attributes besides the class and the mesh size that
+    #: ``next_port`` depends on, or None if routes must not be shared
+    #: between networks.
+    route_params: Optional[Tuple[str, ...]] = None
+
     def __init__(self, mesh: Mesh) -> None:
         self.mesh = mesh
+
+    def route_signature(self) -> Optional[tuple]:
+        """Hashable identity of ``next_port`` as a function of the
+        coordinate and the packet's routing fields: networks whose
+        routings have equal signatures (on equal meshes, routers and VC
+        configurations) share one process-wide route table.  None keeps
+        a table per network."""
+        if self.route_params is None:
+            return None
+        return (type(self), self.mesh.cols, self.mesh.rows,
+                *(getattr(self, name) for name in self.route_params))
 
     def plan(self, packet: Packet, rng: Optional[random.Random] = None) -> None:
         raise NotImplementedError
@@ -69,6 +87,7 @@ class DorXY(RoutingAlgorithm):
 
     group = RouteGroup.XY
     plan_writes_defaults = True
+    route_params = ()
 
     def __init__(self, mesh: Mesh) -> None:
         super().__init__(mesh)
@@ -95,6 +114,7 @@ class DorYX(RoutingAlgorithm):
 
     group = RouteGroup.YX
     plan_writes_defaults = True
+    route_params = ()
 
     def __init__(self, mesh: Mesh) -> None:
         super().__init__(mesh)
@@ -126,19 +146,31 @@ class Romm2Phase(RoutingAlgorithm):
     """
 
     required_route_vcs = 2
+    route_params = ()
+
+    def __init__(self, mesh: Mesh) -> None:
+        super().__init__(mesh)
+        #: (src.x, src.y, dest.x, dest.y) -> intermediate candidates, so
+        #: each pair's quadrant is enumerated once; ints, because a Coord
+        #: hashes through a Python-level ``__hash__``.
+        self._candidates: Dict[Tuple[int, int, int, int], List[Coord]] = {}
 
     def plan(self, packet: Packet, rng: Optional[random.Random] = None) -> None:
-        rng = rng if rng is not None else random
         src, dest = packet.src, packet.dest
-        xs = range(min(src.x, dest.x), max(src.x, dest.x) + 1)
-        ys = range(min(src.y, dest.y), max(src.y, dest.y) + 1)
-        candidates = [Coord(x, y) for x in xs for y in ys
-                      if Coord(x, y) not in (src, dest)]
+        key = (src.x, src.y, dest.x, dest.y)
+        candidates = self._candidates.get(key)
+        if candidates is None:
+            xs = range(min(src.x, dest.x), max(src.x, dest.x) + 1)
+            ys = range(min(src.y, dest.y), max(src.y, dest.y) + 1)
+            candidates = self._candidates[key] = [
+                Coord(x, y) for x in xs for y in ys
+                if Coord(x, y) not in (src, dest)]
         if not candidates:
             packet.group = RouteGroup.XY
             packet.intermediate = None
             packet.phase = 1
             return
+        rng = rng if rng is not None else random
         packet.intermediate = rng.choice(candidates)
         packet.group = RouteGroup.YX       # phase-one VC
         packet.phase = 0

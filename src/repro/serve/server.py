@@ -27,6 +27,10 @@ Contracts:
 * **Bit-identity** — results are produced by the same library calls a
   direct harness invocation uses; the server adds transport, never
   arithmetic.
+* **Bounded memory** — the server keeps the records of at most
+  :data:`MAX_FINISHED_JOBS` finished jobs, dropping the oldest finished
+  first; ``status`` and ``result`` answer ``unknown job`` for a dropped
+  id.  Queued and running jobs are always kept.
 """
 
 from __future__ import annotations
@@ -45,6 +49,10 @@ from ..parallel import (ReportCollector, ResultCache, TaskError, TaskReport,
                         as_cache, default_cache_dir)
 from . import protocol
 from .executor import JobSpecError, execute_job, validate_job
+
+#: Finished (done or failed) job records a server keeps, with their
+#: results, for ``status`` and ``result``.
+MAX_FINISHED_JOBS = 1000
 
 
 @dataclass(frozen=True)
@@ -104,6 +112,8 @@ class JobServer:
         self.queue: Deque[JobRecord] = deque()
         self.jobs: Dict[str, JobRecord] = {}
         self.running: Dict[str, JobRecord] = {}
+        #: Ids of the finished jobs still in ``jobs``, oldest first.
+        self._finished: Deque[str] = deque()
         self.counters = {"submitted": 0, "completed": 0, "failed": 0,
                          "invalid": 0}
         self._job_seq = 0
@@ -248,6 +258,15 @@ class JobServer:
                              cached=collector.cached)
             finally:
                 self.running.pop(job.job_id, None)
+                if job.finished is not None:
+                    self._retire(job)
+
+    def _retire(self, job: JobRecord) -> None:
+        """Keep ``job``'s record among the finished ones, dropping the
+        oldest finished records past :data:`MAX_FINISHED_JOBS`."""
+        self._finished.append(job.job_id)
+        while len(self._finished) > MAX_FINISHED_JOBS:
+            del self.jobs[self._finished.popleft()]
 
     def _publish(self, job: JobRecord, event: Dict[str, Any]) -> None:
         for queue in job.subscribers:

@@ -119,6 +119,34 @@ class TestRouting:
         packet = read_request(Coord(0, 0), Coord(1, 1))
         with pytest.raises(UnroutableError):
             self.routing.plan(packet, self.rng)
+        with pytest.raises(UnroutableError):     # also on a second call
+            self.routing.plan(packet, self.rng)
+
+    @pytest.mark.parametrize("policy", ["random", "first"])
+    def test_memoized_plan_matches_classification_draw_for_draw(self,
+                                                                 policy):
+        """Every pair, planned twice (a memo miss, then a hit), gets the
+        plan Section IV-B's classification gives, and draws from the RNG
+        exactly as often: one ``choice`` per random two-phase packet."""
+        routing = CheckerboardRouting(MESH, intermediate_policy=policy)
+        rng, expected_rng = random.Random(3), random.Random(3)
+        pairs = list(self.routable_pairs())
+        for src, dest in pairs + pairs:
+            packet = read_request(src, dest)
+            routing.plan(packet, rng)
+            case = classify(src, dest)
+            if case is RouteCase.TWO_PHASE:
+                candidates = intermediate_candidates(MESH, src, dest)
+                expected = (RouteGroup.YX, candidates[0]
+                            if policy == "first"
+                            else expected_rng.choice(candidates), 0)
+            else:
+                group = (RouteGroup.YX if case is RouteCase.YX
+                         else RouteGroup.XY)
+                expected = (group, None, 1)
+            assert (packet.group, packet.intermediate,
+                    packet.phase) == expected, (src, dest)
+        assert rng.getstate() == expected_rng.getstate()
 
     def test_group_transition_only_yx_to_xy(self):
         """Deadlock freedom: groups may only go YX -> XY along a route."""

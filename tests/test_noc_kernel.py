@@ -1,6 +1,7 @@
 """The compiled cycle kernel: build, cache, fallback, import hygiene,
-that the default path really runs on it, and that it leaves no memory
-behind.  Bit-identity with the reference scan is pinned by
+that the default path really runs on it, the argument checks of its
+entry points, the process-wide route tables, and that it leaves no
+memory behind.  Bit-identity with the reference scan is pinned by
 tests/test_stepper_equivalence.py."""
 
 import gc
@@ -11,6 +12,8 @@ import subprocess
 import sys
 import sysconfig
 import textwrap
+import threading
+import time
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -20,11 +23,14 @@ import pytest
 from repro.core.builder import build, design_by_name, open_loop_variant
 from repro.noc import batched
 from repro.noc.channel import Channel
-from repro.noc.network import MeshNetwork
+from repro.noc.network import MeshNetwork, NocParams
 from repro.noc.openloop import OpenLoopRunner
-from repro.noc.router import Router
-from repro.noc.topology import Mesh
+from repro.noc.packet import RouteGroup, read_request
+from repro.noc.router import Router, RoutingViolation
+from repro.noc.routing import DorXY
+from repro.noc.topology import Coord, Direction, Mesh
 from repro.noc.traffic import UniformManyToFew
+from repro.noc.vc import shared_vc_config
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 HAVE_CC = shutil.which(sysconfig.get_config_var("CC").split()[0]
@@ -253,20 +259,236 @@ def test_default_network_steps_on_the_kernel(monkeypatch):
     assert payload == expected
 
 
-@pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
-def test_kernel_refuses_cycles_past_its_word_range():
-    """Cycles live in 32-bit words: a cycle the kernel cannot represent
-    raises instead of wrapping."""
-    from repro.noc.packet import read_request
-
+def _small_tb_dor():
+    """An idle 4x4 TB-DOR system and its one network."""
     system = build(open_loop_variant(design_by_name("TB-DOR")), Mesh(4, 4),
                    num_mcs=4, seed=3)
     (net,) = system.networks
-    assert net._batched is not None
+    return system, net
+
+
+@pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
+def test_kernel_refuses_cycles_past_its_word_range():
+    """Cycles live in 32-bit words: a cycle the kernel cannot represent
+    raises instead of wrapping, and ``MAX_CYCLE`` is the last cycle
+    either per-cycle entry takes."""
+    system, net = _small_tb_dor()
+    core = net._batched
+    assert core is not None
+    assert batched.load_kernel().MAX_CYCLE == batched.MAX_CYCLE
     assert net.try_inject(read_request(system.compute_nodes[0],
                                        system.mc_nodes[0]), 0)
     with pytest.raises(OverflowError, match="32-bit"):
         net.step(2 ** 31)
+    for call in (core.sweep, core.drain):
+        with pytest.raises(OverflowError, match="32-bit"):
+            call(batched.MAX_CYCLE + 1)
+    core.drain(batched.MAX_CYCLE)
+    assert core.st[batched.H_BUFFERED] == 1
+
+
+# -- the accept entry -----------------------------------------------------------
+
+ACCEPT_CASES = {
+    # case: (argument overrides, state edit, expected error)
+    "node-negative": ({"node": -1}, None, ValueError),
+    "node-past-mesh": ({"node": 16}, None, ValueError),
+    "node-not-int": ({"node": "0"}, None, TypeError),
+    "route-negative": ({"route": -1}, None, ValueError),
+    "route-past-table": ({"route": "end"}, None, ValueError),
+    "flits-zero": ({"nflits": 0}, None, ValueError),
+    "flits-past-words": ({"nflits": 1 << 31}, None, ValueError),
+    "packets-not-list": ({"packets": ()}, None, TypeError),
+    "occ-too-short": ({"occ": "short"}, None, ValueError),
+    "source-port-past-node": ({}, "port", ValueError),
+    "free-slot-past-table": ({}, "free-past", ValueError),
+    "free-slot-taken": ({}, "free-taken", ValueError),
+}
+
+
+@pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
+@pytest.mark.parametrize("case", sorted(ACCEPT_CASES))
+def test_accept_checks_every_argument_before_writing(case):
+    """``accept`` refuses a bad node, source port, slot, route or flit
+    count with ValueError or TypeError and leaves the state, the slot
+    table, the occupancy, the packet list and the stats untouched."""
+    from array import array
+    system, net = _small_tb_dor()
+    core = net._batched
+    src, dest = system.compute_nodes[0], system.mc_nodes[0]
+    assert net.try_inject(read_request(src, dest), 0)     # fills slot 0
+    node = net._node_index[src]
+    args = {"st": core.st, "slots": core.slots,
+            "routes": core.table.routes, "packets": core.packets,
+            "occ": net._source_occ, "stats": net.stats,
+            "packet": read_request(src, dest), "node": node,
+            "route": core.slots[batched.SL_ROUTE], "nflits": 1}
+    overrides, edit, error = ACCEPT_CASES[case]
+    args.update(overrides)
+    if args["route"] == "end":
+        args["route"] = len(core.table.routes) - 1
+    if args["occ"] == "short":
+        args["occ"] = array("i", [0])
+    st = core.st
+    if edit == "port":
+        row = st[batched.H_NODE] + node * batched.N_F
+        st[row + batched.N_RR] = st[row + batched.N_NSRC]
+    elif edit == "free-past":
+        st[batched.H_FREE] = len(core.packets)
+    elif edit == "free-taken":
+        st[batched.H_FREE] = 0
+
+    def snapshot():
+        stats = net.stats
+        return (core.st.tobytes(), core.slots.tobytes(),
+                net._source_occ.tobytes(), list(core.packets),
+                stats.packets_offered, stats.flits_offered)
+
+    before = snapshot()
+    with pytest.raises(error):
+        core._accept(*args.values())
+    assert snapshot() == before
+
+
+@pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
+def test_accept_grows_the_slot_table_on_demand():
+    """With no free slot the kernel writes nothing and answers -1; the
+    core then grows the slot table by one chunk and the packet is
+    queued."""
+    system, net = _small_tb_dor()
+    core = net._batched
+    src, dest = system.compute_nodes[0], system.mc_nodes[0]
+    count = batched.SLOT_CHUNK + 1
+    for _ in range(count):
+        assert net.try_inject(read_request(src, dest), 0)
+    assert len(core.packets) == 2 * batched.SLOT_CHUNK
+    assert sum(p is not None for p in core.packets) == count
+    assert net.stats.packets_offered == count
+    net.run_until_idle()
+    assert net.stats.packets_ejected == count
+    assert all(p is None for p in core.packets)
+
+
+# -- process-wide route tables ---------------------------------------------------
+
+def _assert_records_tile(table):
+    """Every registered record is in ``routes`` once: the records, in id
+    order, follow each other without gaps from 0 to ``used``."""
+    ids = sorted(table.ids.values())
+    assert len(ids) == len(table.ids), "duplicate route ids"
+    ends = [at + batched.RT_HOPS + 2 * table.routes[at + batched.RT_LEN]
+            for at in ids]
+    assert ids == [0] + ends[:-1]
+    assert ends[-1] == table.used
+
+
+@pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
+def test_point_is_the_same_on_a_cold_and_a_filled_table(monkeypatch):
+    monkeypatch.setattr(batched, "_tables", {})
+    system, cold = _point("CP-CR-4VC", 0.35)
+    table = system.networks[0]._batched.table
+    assert list(batched._tables.values()) == [table]
+    used = table.used
+    for design, rate in (("CP-CR-4VC", 0.05), ("TB-DOR", 0.2),
+                         ("CP-ROMM-4VC", 0.2), ("Double-CP-CR", 0.3)):
+        _point(design, rate)
+    system, warm = _point("CP-CR-4VC", 0.35)
+    assert warm == cold
+    assert system.networks[0]._batched.table is table
+    assert table.used > used, "the other rate added no route"
+    _assert_records_tile(table)
+
+
+@pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
+def test_concurrent_networks_share_one_table(monkeypatch):
+    """Threads (more than the host has cores) running one design at once
+    register into one table: each gets the serial result, and no route
+    is registered twice."""
+    monkeypatch.setattr(batched, "_tables", {})
+    walk = batched._walk
+
+    def slow_walk(*args):
+        time.sleep(0.001)                # let another thread miss too
+        return walk(*args)
+
+    monkeypatch.setattr(batched, "_walk", slow_walk)
+    count = (os.cpu_count() or 1) + 1
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)          # interleave the registrations
+    barrier = threading.Barrier(count, timeout=60)
+    results = {}
+
+    def run(i):
+        barrier.wait()
+        results[i] = _point("CP-CR-4VC", 0.35)[1]
+
+    threads = [threading.Thread(target=run, args=(i,), daemon=True)
+               for i in range(count)]
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    (table,) = batched._tables.values()
+    _assert_records_tile(table)
+    monkeypatch.setattr(batched, "_tables", {})
+    _, serial = _point("CP-CR-4VC", 0.35)
+    assert results == dict.fromkeys(range(count), serial)
+
+
+class _UTurn(DorXY):
+    """East out of the source, then back west: an illegal U-turn."""
+
+    def next_port(self, coord, packet):
+        if coord == packet.dest:
+            return Direction.EJECT
+        return Direction.EAST if coord == packet.src else Direction.WEST
+
+
+class _PrivateXY(DorXY):
+    """XY routing that declares no signature."""
+
+    route_params = None
+
+
+def _plain_network(routing_class):
+    mesh = Mesh(3, 3)
+    return MeshNetwork(mesh, {}, NocParams(), shared_vc_config(1),
+                       routing_class(mesh))
+
+
+@pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
+def test_routing_violation_registers_nothing(monkeypatch):
+    monkeypatch.setattr(batched, "_tables", {})
+    net = _plain_network(_UTurn)
+    table = net._batched.table
+    assert list(batched._tables.values()) == [table]
+    packet = read_request(Coord(0, 0), Coord(0, 2))
+    with pytest.raises(RoutingViolation, match="illegal turn"):
+        net.try_inject(packet, 0)
+    assert (table.ids, table.used, table.states, table.finals) == (
+        {}, 0, {}, [])
+    assert net.idle and net.stats.packets_offered == 0
+    assert not any(net._source_occ)
+    assert (packet.group, packet.intermediate, packet.phase) == (
+        RouteGroup.ANY, None, 1)
+
+
+@pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
+def test_routing_without_signature_keeps_a_table_per_network(monkeypatch):
+    monkeypatch.setattr(batched, "_tables", {})
+    nets = [_plain_network(_PrivateXY) for _ in range(2)]
+    tables = [net._batched.table for net in nets]
+    assert tables[0] is not tables[1]
+    assert batched._tables == {}
+    for net in nets:
+        assert net.try_inject(read_request(Coord(0, 0), Coord(2, 2)), 0)
+        net.run_until_idle()
+        assert net.stats.packets_ejected == 1
+    assert [len(table.ids) for table in tables] == [1, 1]
 
 
 # -- memory -------------------------------------------------------------------

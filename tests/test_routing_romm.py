@@ -69,6 +69,27 @@ class TestRomm:
         ranks = [rank[g] for g in groups]
         assert ranks == sorted(ranks)
 
+    def test_memoized_plan_matches_quadrant_draw_for_draw(self):
+        """Every pair, planned twice (a memo miss, then a hit), draws its
+        intermediate from the whole minimal quadrant minus the endpoints,
+        one ``choice`` per packet with a choice to make."""
+        routing = Romm2Phase(MESH)
+        rng, expected_rng = random.Random(3), random.Random(3)
+        pairs = [(s, d) for s in MESH.coords() for d in MESH.coords()]
+        for src, dest in pairs + pairs:
+            packet = read_request(src, dest)
+            routing.plan(packet, rng)
+            candidates = [
+                Coord(x, y)
+                for x in range(min(src.x, dest.x), max(src.x, dest.x) + 1)
+                for y in range(min(src.y, dest.y), max(src.y, dest.y) + 1)
+                if Coord(x, y) not in (src, dest)]
+            expected = ((RouteGroup.YX, expected_rng.choice(candidates), 0)
+                        if candidates else (RouteGroup.XY, None, 1))
+            assert (packet.group, packet.intermediate,
+                    packet.phase) == expected, (src, dest)
+        assert rng.getstate() == expected_rng.getstate()
+
     def test_adjacent_nodes_single_phase(self):
         path, packet = walk(Coord(0, 0), Coord(1, 0))
         assert packet.intermediate is None

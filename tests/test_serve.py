@@ -269,6 +269,34 @@ class TestFifoScheduling:
         assert gated.ran == ["a0", "a1", "a2", "b1", "a3", "b2", "b3"]
 
 
+class TestBoundedRecords:
+    def test_oldest_finished_records_are_dropped(self, tmp_path, gated,
+                                                 monkeypatch):
+        monkeypatch.setattr("repro.serve.server.MAX_FINISHED_JOBS", 3)
+        gated.release.set()
+        with serve(tmp_path) as server:
+            with connect(server) as client:
+                ids = []
+                for i in range(5):
+                    events = []
+                    client.submit({**SWEEP_JOB, "tag": f"t{i}"},
+                                  events=events)
+                    ids.append(events[-1]["job_id"])
+                for job_id in ids[:2]:
+                    for cmd in ("status", "result"):
+                        reply = client.request({"cmd": cmd,
+                                                "job_id": job_id})
+                        assert reply["ok"] is False
+                        assert reply["error"] == f"unknown job {job_id!r}"
+                for i, job_id in enumerate(ids[2:], start=2):
+                    assert client.status(job_id)["state"] == "done"
+                    reply = client.request({"cmd": "result",
+                                            "job_id": job_id})
+                    assert reply["event"] == "result"
+                    assert reply["result"] == {"kind": "sweep",
+                                               "tag": f"t{i}"}
+
+
 class TestFailurePath:
     def test_task_error_label_reaches_client(self, tmp_path, monkeypatch):
         def explode(spec, *, jobs=None, cache=None, progress=None):

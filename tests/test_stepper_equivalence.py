@@ -85,8 +85,9 @@ def _normalized_state(system):
 
 def _stats_snapshot(system):
     """Every observable ``NetworkStats`` counter, derived rate and
-    histogram tail, per network slice — the "bit-identical stats" half of
-    the contract (the state dump covers buffers/credits/pointers)."""
+    histogram (every bucket, min and max), per network slice — the
+    "bit-identical stats" half of the contract (the state dump covers
+    buffers/credits/pointers)."""
     snapshot = []
     for net in getattr(system, "networks", [system]):
         s = net.stats
@@ -105,8 +106,8 @@ def _stats_snapshot(system):
             "per_class": {
                 tclass.name: (cs.packets, cs.flits, cs.latency_sum,
                               cs.network_latency_sum,
-                              cs.latency_hist.summary(),
-                              cs.network_latency_hist.summary())
+                              cs.latency_hist.to_json(),
+                              cs.network_latency_hist.to_json())
                 for tclass, cs in s.per_class.items()
             },
             "node_injected": sorted(s.node_injected_flits.items()),
@@ -144,7 +145,7 @@ def _open_cell(design_name, rate, **options):
         "payload": point.to_json(),
         "stats": _stats_snapshot(runner.network),
         "state": _normalized_state(runner.network),
-        "hist": runner._lat_hist.summary(),
+        "hist": runner._lat_hist.to_json(),
     }
     return cell, hub
 

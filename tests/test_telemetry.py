@@ -103,7 +103,7 @@ class TestStreamingHistogram:
         a, b = StreamingHistogram(), StreamingHistogram()
         a.add(1)
         b.add(2)
-        c = a.copy()
+        c = merge_histograms([a])
         c.merge(b)
         assert c.total == 2 and a.total == 1
         assert merge_histograms([a, b]).summary() == c.summary()
@@ -111,7 +111,7 @@ class TestStreamingHistogram:
     def test_delta_isolates_window(self):
         h = StreamingHistogram()
         h.add(10)
-        before = h.copy()
+        before = merge_histograms([h])
         h.add(20)
         h.add(30)
         window = h.delta(before)
