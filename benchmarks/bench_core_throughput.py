@@ -1,10 +1,11 @@
-"""Cycle-core throughput: reference scan vs the default compiled kernel.
+"""Cycle-core throughput: reference scan vs the default compiled kernels.
 
 Times the same pinned workloads under both cycle cores — the reference
 exhaustive scan (``use_reference_stepper``: every core, MC and occupied
-router stepped every cycle, in Python) and the default (wake-gated chip
-loop over networks stepped by the compiled C kernel, at most two kernel
-calls per network per cycle) — and writes
+router stepped every cycle, in Python) and the default (the compiled
+core cluster, one kernel call per cycle for every SIMT core, and a
+wake-gated chip loop over networks stepped by the compiled NoC kernel,
+at most two kernel calls per network per cycle) — and writes
 ``benchmarks/results/BENCH_core.json`` with per-mode cycles-per-second
 and flits-per-second plus the default's speedup over the reference:
 
@@ -17,11 +18,13 @@ and flits-per-second plus the default's speedup over the reference:
   scan is genuinely busy: every router holds flits, but most are blocked
   upstream of the MC hot links.  The default must be at least 3x the
   reference here.
-* ``closed_loop_perfect`` — MUM on the perfect network (informational):
-  no mesh, so all the work is the chip side.  MUM's divergent loads keep
-  the MSHR files full and the DRAM queues deep, so the default's DRAM
-  wake gate and issue-retry memo both act.  Its ``kernel`` mode is the
-  default chip loop; the perfect network has no kernel.
+* ``closed_loop_perfect`` — MUM on the perfect network: no mesh, so all
+  the work is the chip side.  MUM's divergent loads keep the MSHR files
+  full and the DRAM queues deep, so the default's DRAM wake gate and the
+  cluster's issue-retry memo both act.  Its ``kernel`` mode is the
+  default chip loop on the compiled core cluster; the perfect network
+  has no kernel.  The default must be at least 2x the reference here, so
+  a chip that silently falls back to the Python cores fails.
 * ``cold_start`` — one CP-CR-4VC point at the DSE screen rate (0.35,
   6x6 mesh, 200/600) on the default core, built and run in a fresh
   interpreter, where the process-wide route table starts empty, and then
@@ -78,6 +81,7 @@ CLOSED_FLOORS = {"kernel": 2.0}
 # over the benchmarks' 400/800 window.
 PERFECT_PROFILE = "MUM"
 PERFECT_WARMUP, PERFECT_MEASURE = 400, 800
+PERFECT_FLOORS = {"kernel": 2.0}
 
 # Open loop: a mesh large enough that saturation leaves most routers
 # blocked (occupied but unable to grant) rather than actively draining —
@@ -274,7 +278,7 @@ def _experiment():
             "closed_loop_perfect",
             lambda mode: _chip_run(mode, PERFECT_PROFILE, PERFECT_WARMUP,
                                    PERFECT_MEASURE, network=PerfectNetwork()),
-            {}),
+            PERFECT_FLOORS),
     }
     for name in TARGETED:
         entry = configs[name]

@@ -216,15 +216,6 @@ class SimtCore:
         # A warp may have unblocked: step again at the next opportunity.
         self.wake = 0
 
-    def flush_l1(self, cycle: int) -> int:
-        """Software-managed coherence (Section II): flush every dirty L1
-        line to the L2 as a 64 B write request.  Returns the number of
-        lines written back."""
-        lines = self.l1.drain_dirty_lines()
-        for line_addr in lines:
-            self._send_write_request(line_addr, cycle)
-        return len(lines)
-
     # -- status ----------------------------------------------------------------
 
     @property

@@ -131,17 +131,6 @@ class SetAssociativeCache:
         self.version += 1
         return cache_set.pop(line_addr, None) is not None
 
-    def drain_dirty_lines(self) -> List[int]:
-        """Clear every dirty bit and return the affected line addresses —
-        the cache-side half of a software-managed coherence flush."""
-        drained = []
-        for cache_set in self._sets:
-            for line_addr, line in cache_set.items():
-                if line.dirty:
-                    line.dirty = False
-                    drained.append(line_addr)
-        return drained
-
     # -- stats ---------------------------------------------------------------
 
     @property

@@ -44,33 +44,28 @@ Readers see objects.  State dumps, audits, telemetry and
 only if the kernel has stepped (or accepted a packet) since the last
 export, so a test that edits objects and then audits sees its edits.
 
-Build.  The extension is compiled with setuptools' ``build_ext`` in a
-child process on first use, cached under a hash of the C source, the
-extension suffix and the compile flags (``__pycache__`` beside the
-source, else a per-user directory in the temp dir), published with
-``os.replace`` and loaded with ``importlib``.  A location is used only
-if it and the module file are owned by this user, writable by no one
-else and not symlinks.  If the kernel cannot be built or loaded,
-networks run the reference scan and one warning is logged.
+Build.  :data:`KERNEL` builds, caches and loads the extension through
+the package's shared loader (:mod:`repro.native`).  If the kernel cannot
+be built or loaded, networks run the reference scan and one warning is
+logged.
 """
 
 from __future__ import annotations
 
 import os
-import stat
 import threading
 from array import array
 from collections import deque
 from pathlib import Path
 from typing import Dict, List, Optional
 
+from ..native import CompiledKernel
 from .packet import Flit
 from .router import RoutingViolation
 from .topology import Direction
 
 SOURCE = Path(__file__).with_name("_noc_kernel.c")
 MODULE = "_noc_kernel"
-COMPILE_ARGS = ("-O2",)
 
 # -- state layout (mirrors _noc_kernel.c) ------------------------------------
 LAYOUT = 3
@@ -108,151 +103,15 @@ SLOT_CHUNK = 64
 
 # -- build, cache, load -------------------------------------------------------
 
-#: Child-process build: setuptools' build_ext, never imported here.
-_BUILD_SCRIPT = """
-import sys
-from setuptools import Distribution, Extension
-from setuptools.command.build_ext import build_ext
-source, out, name, *flags = sys.argv[1:]
-dist = Distribution({"name": name, "ext_modules": [
-    Extension(name, [source], extra_compile_args=flags)]})
-cmd = build_ext(dist)
-cmd.build_lib = cmd.build_temp = out
-cmd.ensure_finalized()
-cmd.run()
-print("BUILT " + cmd.get_ext_fullpath(name))
-"""
-
-_kernel = None
-_loaded = False
-
-
-class KernelUnavailable(RuntimeError):
-    """The compiled kernel could not be built or loaded."""
-
-
-def cache_dirs():
-    """Where the built module is cached, in order of preference: beside
-    the source, else a per-user directory in the temp dir."""
-    yield SOURCE.parent / "__pycache__"
-    import tempfile
-    user = os.getuid() if hasattr(os, "getuid") else "user"
-    yield Path(tempfile.gettempdir()) / f"repro-noc-kernel-{user}"
-
-
-def _private(path: Path, kind) -> bool:
-    """True if ``path`` exists as ``kind`` (``stat.S_ISDIR`` or
-    ``stat.S_ISREG``; a symlink is neither), is owned by this user and
-    is writable by no one else, so no other user can plant or swap the
-    module loaded from it.  Without POSIX owners (Windows, where the
-    temp dir is per-user) only the type is checked."""
-    try:
-        st = path.lstat()
-    except OSError:
-        return False
-    if not kind(st.st_mode):
-        return False
-    if not hasattr(os, "getuid"):
-        return True
-    return st.st_uid == os.getuid() and not st.st_mode & 0o022
-
-
-def module_filename() -> str:
-    """Cache file name: a hash of the C source, the extension suffix and
-    the compile flags, so any change to one of them rebuilds."""
-    import hashlib
-    from importlib.machinery import EXTENSION_SUFFIXES
-    suffix = EXTENSION_SUFFIXES[0]        # sysconfig's EXT_SUFFIX
-    digest = hashlib.sha256()
-    for part in (SOURCE.read_bytes(), suffix.encode(),
-                 repr(COMPILE_ARGS).encode()):
-        digest.update(part)
-    return f"{MODULE}-{digest.hexdigest()[:16]}{suffix}"
-
-
-def _import(path: Path):
-    """Load the extension at ``path``; None if it is unusable."""
-    import importlib.util
-    spec = importlib.util.spec_from_file_location(MODULE, path)
-    try:
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    except ImportError:
-        return None
-    return module if getattr(module, "LAYOUT", None) == LAYOUT else None
-
-
-def build(target: Path) -> None:
-    """Compile the kernel in a child process and publish it at
-    ``target`` with ``os.replace`` (concurrent builders cannot race)."""
-    import shutil
-    import subprocess
-    import sys
-    import tempfile
-    work = tempfile.mkdtemp(prefix=".build-", dir=target.parent)
-    try:
-        try:
-            proc = subprocess.run(
-                [sys.executable, "-c", _BUILD_SCRIPT, str(SOURCE), work,
-                 MODULE, *COMPILE_ARGS],
-                cwd=work, capture_output=True, text=True, timeout=600)
-        except subprocess.SubprocessError as exc:
-            raise KernelUnavailable(f"build failed: {exc}") from exc
-        built = [line[6:] for line in proc.stdout.splitlines()
-                 if line.startswith("BUILT ")]
-        if proc.returncode != 0 or not built:
-            tail = (proc.stderr or proc.stdout).strip().splitlines()[-3:]
-            raise KernelUnavailable(
-                f"build failed (exit {proc.returncode}): "
-                + " | ".join(tail))
-        os.chmod(built[-1], 0o755)        # whatever the umask
-        os.replace(built[-1], target)
-    finally:
-        shutil.rmtree(work, ignore_errors=True)
-
-
-def _load_or_build():
-    name = module_filename()
-    for directory in cache_dirs():
-        path = directory / name
-        try:
-            directory.mkdir(mode=0o700, parents=True, exist_ok=True)
-        except OSError:
-            continue                      # not creatable: next location
-        if not _private(directory, stat.S_ISDIR):
-            continue                      # another user could plant code
-        if _private(path, stat.S_ISREG):
-            module = _import(path)
-            if module is not None:
-                return module
-        try:
-            build(path)
-        except OSError:
-            continue                      # not writable: next location
-        module = _import(path)
-        if module is None:
-            raise KernelUnavailable(f"built module {path} does not load")
-        return module
-    raise KernelUnavailable("no private, writable cache directory")
+KERNEL = CompiledKernel(SOURCE, MODULE, LAYOUT, "NoC",
+                        event="noc.kernel_unavailable",
+                        fallback="networks use the reference stepper")
 
 
 def load_kernel():
-    """The compiled kernel module, building it on first use; None (after
-    one logged warning) if it cannot be built or loaded."""
-    global _kernel, _loaded
-    if not _loaded:
-        _loaded = True
-        try:
-            _kernel = _load_or_build()
-        except (KernelUnavailable, OSError) as exc:
-            from ..obs.log import emit
-            emit("noc.kernel_unavailable",
-                 f"warning: compiled NoC kernel unavailable ({exc}); "
-                 "networks use the reference stepper (the kernel is "
-                 "built on first use and needs setuptools and a C "
-                 "compiler)", error=str(exc))
-            _kernel = None
-    return _kernel
+    """The compiled NoC kernel module, building it on first use; None
+    (after one logged warning) if it cannot be built or loaded."""
+    return KERNEL.load()
 
 
 # -- route tables -------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 from ..core.builder import NetworkDesign, NetworkSystem, build
@@ -120,6 +121,11 @@ class _Snapshot:
     latency_hist: object = None          # StreamingHistogram copy
 
 
+def _route_request(address_map: AddressMap, mc_coords, line_addr: int):
+    return (mc_coords[address_map.mc_index(line_addr)],
+            address_map.local_address(line_addr))
+
+
 class Accelerator:
     """The full chip."""
 
@@ -137,17 +143,24 @@ class Accelerator:
             raise ValueError("core count does not match the configuration")
 
         self.address_map = AddressMap(len(self.mc_coords))
-        self.cores: List[SimtCore] = [
-            SimtCore(coord, self.config.core, kernel, self._route_request,
+        # The cores and MCs get callables that do not refer back to the
+        # chip, so a dropped chip is freed by reference counting: its
+        # core cluster's memory goes at once, not when the cycle
+        # collector next runs a full collection.
+        route_request = partial(_route_request, self.address_map,
+                                tuple(self.mc_coords))
+        self._cores: List[SimtCore] = [
+            SimtCore(coord, self.config.core, kernel, route_request,
                      num_warps=min(kernel.profile.warps_per_core,
                                    self.config.core.max_warps))
             for coord in self.compute_coords
         ]
         self.mcs: List[MemoryController] = [
-            MemoryController(coord, self.config.mc, inject=self._inject)
+            MemoryController(coord, self.config.mc,
+                             inject=network.try_inject)
             for coord in self.mc_coords
         ]
-        for core in self.cores:
+        for core in self._cores:
             network.set_ejection_handler(core.coord, core.on_reply)
         for mc in self.mcs:
             network.set_ejection_handler(mc.coord, mc.on_packet)
@@ -169,16 +182,21 @@ class Accelerator:
         #: Debug escape hatch mirroring the network's: run the reference
         #: exhaustive component loops instead of the event-driven ones.
         self._reference = os.environ.get("REPRO_REFERENCE_STEPPER") == "1"
+        #: The compiled core cluster (``gpu/cluster.py``): None until the
+        #: first step starts it, False when the Python cores run instead.
+        self._cluster = None
+
+    @property
+    def cores(self) -> List[SimtCore]:
+        """The SIMT cores.  On the compiled cluster, reading them first
+        exports its state into these objects if it has changed since the
+        last read."""
+        cluster = self._cluster
+        if cluster and cluster.stale:
+            cluster.export()
+        return self._cores
 
     # -- plumbing -------------------------------------------------------------
-
-    def _route_request(self, line_addr: int):
-        index = self.address_map.mc_index(line_addr)
-        return (self.mc_coords[index],
-                self.address_map.local_address(line_addr))
-
-    def _inject(self, packet, cycle: int) -> bool:
-        return self.network.try_inject(packet, cycle)
 
     def enable_checks(self, check_interval: int = 64) -> None:
         """Audit system-level request conservation (requests issued ==
@@ -198,10 +216,12 @@ class Accelerator:
     def step(self) -> None:
         """One interconnect cycle (master clock), event-driven.
 
-        Cores are stepped only when their wake time is due (a skipped
-        ``SimtCore.step`` is provably a no-op); drained MCs, and DRAM
-        channels before their ``next_event``, take an inline tick that
-        performs exactly the mutations their full step would.
+        The compiled core cluster steps every due core in one call (the
+        Python cores, when it is unavailable, step only when their wake
+        time is due: a skipped ``SimtCore.step`` is provably a no-op);
+        MCs whose step would change only their clocks, and DRAM channels
+        before their ``next_event``, take an inline tick that performs
+        exactly the mutations their full step would.
         ``_step_reference`` is the exhaustive twin (the pre-event-core
         loop); both must change together and the golden tests compare
         them bit for bit.
@@ -213,15 +233,24 @@ class Accelerator:
         if self._reference:
             self._step_reference()
             return
+        cluster = self._cluster
+        if cluster is None:
+            cluster = self._start_cluster()
         self.icnt_cycle += 1
         now = self.icnt_cycle
-        for _ in range(self._core_clock.advance()):
-            self.core_cycle += 1
-            cc = self.core_cycle
-            for core in self.cores:
-                if core.wake <= cc:
-                    core.step(cc)
-        for core in self.cores:
+        ticks = self._core_clock.advance()
+        if cluster:
+            if ticks:
+                cluster.step(self.core_cycle + 1, ticks)
+                self.core_cycle += ticks
+        else:
+            for _ in range(ticks):
+                self.core_cycle += 1
+                cc = self.core_cycle
+                for core in self._cores:
+                    if core.wake <= cc:
+                        core.step(cc)
+        for core in self._cores:
             outbound = core.outbound
             while outbound:
                 # Cores timestamp in the core clock domain; packet latency
@@ -233,11 +262,13 @@ class Accelerator:
                 outbound.popleft()
         self.network.step(now)
         for mc in self.mcs:
-            if mc._input or mc._replies or mc._writebacks:
+            if (mc._replies or mc._writebacks
+                    or (mc._input and mc._input[0][0] <= now)):
                 mc.icnt_step(now)
             else:
-                # Idle tick: exactly what ``icnt_step`` mutates when all
-                # three queues are empty (see the contract note there).
+                # Idle tick: exactly what ``icnt_step`` mutates with no
+                # replies, no write-backs and no input ready (see the
+                # contract note there).
                 mc.cycles += 1
                 mc._icnt_cycle = now
         for _ in range(self._dram_clock.advance()):
@@ -270,9 +301,9 @@ class Accelerator:
         for _ in range(self._core_clock.advance()):
             self.core_cycle += 1
             cc = self.core_cycle
-            for core in self.cores:
+            for core in self._cores:
                 core.step(cc)
-        for core in self.cores:
+        for core in self._cores:
             outbound = core.outbound
             while outbound:
                 outbound[0].created = now
@@ -291,9 +322,14 @@ class Accelerator:
             check_accelerator(self)
 
     def use_reference_stepper(self) -> None:
-        """Run the exhaustive reference loops (chip and network).  The
-        network switch is idle-only; it runs first, so a busy network
-        raises with the chip still on its event-driven loop."""
+        """Run the exhaustive reference loops (chip and network).  Once
+        the compiled core cluster has stepped, this raises.  The network
+        switch is idle-only; it runs next, so a busy network raises with
+        the chip still on its event-driven loop."""
+        if self._cluster:
+            raise RuntimeError(
+                "the compiled core cluster has stepped this chip; select "
+                "the reference stepper before the first step")
         if hasattr(self.network, "use_reference_stepper"):
             self.network.use_reference_stepper()
         self._reference = True
@@ -305,16 +341,25 @@ class Accelerator:
         separate body so the common path stays branch-free; any change to
         the phase sequence must be made in both."""
         profiler = telemetry.profiler
+        cluster = self._cluster
+        if cluster is None and not self._reference:
+            cluster = self._start_cluster()
         t = profiler.clock()
         self.icnt_cycle += 1
         now = self.icnt_cycle
-        for _ in range(self._core_clock.advance()):
-            self.core_cycle += 1
-            cc = self.core_cycle
-            for core in self.cores:
-                core.step(cc)
+        ticks = self._core_clock.advance()
+        if cluster:
+            if ticks:
+                cluster.step(self.core_cycle + 1, ticks)
+                self.core_cycle += ticks
+        else:
+            for _ in range(ticks):
+                self.core_cycle += 1
+                cc = self.core_cycle
+                for core in self._cores:
+                    core.step(cc)
         t = profiler.add_since("cores", t)
-        for core in self.cores:
+        for core in self._cores:
             outbound = core.outbound
             while outbound:
                 outbound[0].created = now
@@ -335,6 +380,15 @@ class Accelerator:
             check_accelerator(self)
         telemetry.on_cycle(now)
         profiler.add_since("telemetry", t)
+
+    def _start_cluster(self):
+        """Start the compiled core cluster at the first step; False (the
+        Python cores run this chip) if it cannot run it."""
+        # Imported here, not at module level, so ``import repro`` does not
+        # pay for the cluster and loader modules.
+        from ..gpu import cluster
+        self._cluster = cluster.start(self) or False
+        return self._cluster
 
     def run(self, warmup: int = 1_000, measure: int = 3_000,
             label: Optional[str] = None) -> SimulationResult:
@@ -362,7 +416,11 @@ class Accelerator:
 
     @property
     def finished(self) -> bool:
-        if not all(core.finished for core in self.cores):
+        cluster = self._cluster
+        if cluster:
+            if not cluster.finished():
+                return False
+        elif not all(core.finished for core in self._cores):
             return False
         if not all(mc.idle for mc in self.mcs):
             return False
@@ -403,9 +461,10 @@ class Accelerator:
         latency_hist = merge_histograms(
             cs.latency_hist for net in nets
             for cs in net.stats.per_class.values())
+        cores = self.cores
         return _Snapshot(
             core_cycles=self.core_cycle,
-            retired=sum(core.retired_scalar for core in self.cores),
+            retired=sum(core.retired_scalar for core in cores),
             icnt_cycles=self.icnt_cycle,
             bytes_ejected=bytes_ejected,
             mc_inj_flits=mc_flits,
@@ -420,8 +479,8 @@ class Accelerator:
             dram_row_hits=sum(mc.dram.row_hits for mc in self.mcs),
             dram_row_total=sum(mc.dram.row_hits + mc.dram.row_misses
                                for mc in self.mcs),
-            l1_hits=sum(core.l1.hits for core in self.cores),
-            l1_accesses=sum(core.l1.accesses for core in self.cores),
+            l1_hits=sum(core.l1.hits for core in cores),
+            l1_accesses=sum(core.l1.accesses for core in cores),
             l2_hits=sum(mc.l2.hits for mc in self.mcs),
             l2_accesses=sum(mc.l2.accesses for mc in self.mcs),
             crossbar_traversals=sum(net.stats.crossbar_traversals

@@ -152,20 +152,3 @@ class TestCapacity:
         for s in range(cfg.num_sets):
             for line in ref[s]:
                 assert cache.contains(line)
-
-
-class TestDirtyDrain:
-    def test_drain_returns_dirty_lines_and_clears(self):
-        c = small_cache()
-        c.fill(0, dirty=True)
-        c.fill(64 * 5, dirty=True)
-        c.fill(64 * 9, dirty=False)
-        drained = sorted(c.drain_dirty_lines())
-        assert drained == [0, 64 * 5]
-        assert c.drain_dirty_lines() == []      # idempotent
-
-    def test_drained_lines_stay_resident(self):
-        c = small_cache()
-        c.fill(0, dirty=True)
-        c.drain_dirty_lines()
-        assert c.contains(0)

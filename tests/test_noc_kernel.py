@@ -60,9 +60,9 @@ def _point(design="TB-DOR", rate=0.2, reference=False):
 @pytest.fixture
 def fresh_loader(monkeypatch, tmp_path):
     """The loader with an empty cache directory and no module loaded."""
-    monkeypatch.setattr(batched, "cache_dirs", lambda: [tmp_path])
-    monkeypatch.setattr(batched, "_kernel", None)
-    monkeypatch.setattr(batched, "_loaded", False)
+    monkeypatch.setattr(batched.KERNEL, "cache_dirs", lambda: [tmp_path])
+    monkeypatch.setattr(batched.KERNEL, "_module", None)
+    monkeypatch.setattr(batched.KERNEL, "loaded", False)
     return tmp_path
 
 
@@ -76,42 +76,42 @@ def test_cache_miss_builds_in_a_child_process(tmp_path):
         import sys
         from pathlib import Path
         from repro.noc import batched
-        batched.cache_dirs = lambda: [Path({str(tmp_path)!r})]
+        batched.KERNEL.cache_dirs = lambda: [Path({str(tmp_path)!r})]
         assert batched.load_kernel() is not None
         print("setuptools" in sys.modules, "distutils" in sys.modules)
     """)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["False", "False"]
-    assert [p.name for p in tmp_path.iterdir()] == [batched.module_filename()]
+    assert [p.name for p in tmp_path.iterdir()] == [batched.KERNEL.module_filename()]
 
 
 @pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
 def test_cache_hit_does_not_rebuild(monkeypatch, tmp_path):
     built = batched.load_kernel().__file__      # the real cache entry
-    shutil.copy(built, tmp_path / batched.module_filename())
-    monkeypatch.setattr(batched, "cache_dirs", lambda: [tmp_path])
-    monkeypatch.setattr(batched, "_kernel", None)
-    monkeypatch.setattr(batched, "_loaded", False)
+    shutil.copy(built, tmp_path / batched.KERNEL.module_filename())
+    monkeypatch.setattr(batched.KERNEL, "cache_dirs", lambda: [tmp_path])
+    monkeypatch.setattr(batched.KERNEL, "_module", None)
+    monkeypatch.setattr(batched.KERNEL, "loaded", False)
 
     def no_build(target):
         raise AssertionError("cache hit rebuilt the kernel")
 
-    monkeypatch.setattr(batched, "build", no_build)
+    monkeypatch.setattr(batched.KERNEL, "build", no_build)
     assert batched.load_kernel() is not None
 
 
 @pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
 def test_truncated_cached_module_is_rebuilt(fresh_loader, monkeypatch):
-    name = batched.module_filename()
+    name = batched.KERNEL.module_filename()
     (fresh_loader / name).write_bytes(b"\x7fELF truncated")
     builds = []
-    real_build = batched.build
+    real_build = batched.KERNEL.build
 
     def counting_build(target):
         builds.append(target)
         real_build(target)
 
-    monkeypatch.setattr(batched, "build", counting_build)
+    monkeypatch.setattr(batched.KERNEL, "build", counting_build)
     kernel = batched.load_kernel()
     assert kernel is not None and kernel.LAYOUT == batched.LAYOUT
     assert builds == [fresh_loader / name]
@@ -133,7 +133,7 @@ def test_unsafe_cache_directory_is_refused(flaw, monkeypatch, tmp_path):
     built = batched.load_kernel().__file__      # the real cache entry
     planted = tmp_path / "planted"
     planted.mkdir(mode=0o700)
-    shutil.copy(built, planted / batched.module_filename())
+    shutil.copy(built, planted / batched.KERNEL.module_filename())
     location = planted
     if flaw == "world-writable":
         planted.chmod(0o777)
@@ -143,14 +143,14 @@ def test_unsafe_cache_directory_is_refused(flaw, monkeypatch, tmp_path):
     else:
         uid = os.getuid()
         monkeypatch.setattr(os, "getuid", lambda: uid + 1)
-    monkeypatch.setattr(batched, "cache_dirs", lambda: [location])
-    monkeypatch.setattr(batched, "_kernel", None)
-    monkeypatch.setattr(batched, "_loaded", False)
+    monkeypatch.setattr(batched.KERNEL, "cache_dirs", lambda: [location])
+    monkeypatch.setattr(batched.KERNEL, "_module", None)
+    monkeypatch.setattr(batched.KERNEL, "loaded", False)
 
     def no_build(target):
         raise AssertionError(f"built in an unsafe location: {target}")
 
-    monkeypatch.setattr(batched, "build", no_build)
+    monkeypatch.setattr(batched.KERNEL, "build", no_build)
     assert batched.load_kernel() is None
 
 
@@ -161,17 +161,17 @@ def test_writable_cached_module_is_rebuilt_private(fresh_loader,
     """A cached module others could write is not loaded but rebuilt, and
     the rebuilt module is writable by its owner only, whatever the
     umask."""
-    name = batched.module_filename()
+    name = batched.KERNEL.module_filename()
     (fresh_loader / name).write_bytes(b"not a module")
     (fresh_loader / name).chmod(0o666)
     builds = []
-    real_build = batched.build
+    real_build = batched.KERNEL.build
 
     def counting_build(target):
         builds.append(target)
         real_build(target)
 
-    monkeypatch.setattr(batched, "build", counting_build)
+    monkeypatch.setattr(batched.KERNEL, "build", counting_build)
     old_umask = os.umask(0o002)
     try:
         assert batched.load_kernel() is not None
@@ -183,15 +183,15 @@ def test_writable_cached_module_is_rebuilt_private(fresh_loader,
 
 @POSIX
 def test_temp_fallback_is_per_user():
-    *_, fallback = batched.cache_dirs()
+    *_, fallback = batched.KERNEL.cache_dirs()
     assert fallback.name == f"repro-noc-kernel-{os.getuid()}"
 
 
 def test_cache_name_hashes_source_suffix_and_flags(monkeypatch):
-    base = batched.module_filename()
+    base = batched.KERNEL.module_filename()
     assert base.endswith(sysconfig.get_config_var("EXT_SUFFIX"))
-    monkeypatch.setattr(batched, "COMPILE_ARGS", ("-O0",))
-    assert batched.module_filename() != base
+    monkeypatch.setattr(batched.KERNEL, "compile_args", ("-O0",))
+    assert batched.KERNEL.module_filename() != base
 
 
 # -- fallback ---------------------------------------------------------------
@@ -204,7 +204,7 @@ def test_failing_build_falls_back_with_one_warning(tmp_path):
         import sys
         from pathlib import Path
         from repro.noc import batched
-        batched.cache_dirs = lambda: [Path({str(tmp_path)!r})]
+        batched.KERNEL.cache_dirs = lambda: [Path({str(tmp_path)!r})]
         sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})
         from test_noc_kernel import _point
         first, payload = _point()
@@ -232,7 +232,7 @@ def test_import_repro_compiles_and_loads_nothing():
         from repro.noc import batched
         print(sorted(m for m in ("numpy", "setuptools", "ctypes",
                                  "_noc_kernel") if m in sys.modules),
-              batched._loaded)
+              batched.KERNEL.loaded)
     """)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["[]", "False"]

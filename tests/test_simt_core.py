@@ -303,26 +303,3 @@ class TestValidation:
         core.step(1)
         assert core.ipc(32) == 1.0
         assert core.ipc(0) == 0.0
-
-
-class TestL1Flush:
-    def test_flush_emits_writebacks(self):
-        core = make_core([store([0x2000]), store([0x2040])],
-                         store_latency=1)
-        for cycle in range(1, 12):
-            core.step(cycle)
-        for _ in range(2):
-            packet = core.outbound.popleft()
-            core.on_reply(reply_for(core, packet), 20)
-        flushed = core.flush_l1(cycle=30)
-        assert flushed == 2
-        writes = [p for p in core.outbound if p.size_bytes == 64]
-        assert len(writes) == 2
-
-    def test_flush_idempotent(self):
-        core = make_core([store([0x2000])])
-        core.step(1)
-        packet = core.outbound.popleft()
-        core.on_reply(reply_for(core, packet), 5)
-        assert core.flush_l1(10) == 1
-        assert core.flush_l1(11) == 0

@@ -48,9 +48,10 @@ from repro.noc.stats import merge_stats
 from repro.noc.topology import Coord, Mesh
 from repro.noc.traffic import UniformManyToFew
 from repro.noc.vc import VcConfig, dedicated_vc_config, shared_vc_config
+from repro.gpu.cluster import CoreCluster
 from repro.system.accelerator import build_chip
 from repro.telemetry import TelemetryHub, TelemetrySpec
-from repro.workloads.profiles import profile
+from repro.workloads.profiles import QUICK_MIX, profile
 
 #: Every named design point (Table V abbreviations and ablations).
 DESIGNS = tuple(NAMED_DESIGNS)
@@ -302,6 +303,24 @@ def test_closed_loop_bit_identity_dram_mix():
         10_000)
     assert peak_queue == ref.mcs[0].dram.timing.queue_capacity
     assert all(mc.dram.row_hits and mc.dram.row_misses for mc in ref.mcs)
+
+
+@pytest.mark.parametrize("abbr", QUICK_MIX)
+def test_closed_loop_bit_identity_quick_mix_on_the_cluster(abbr):
+    """The compiled core cluster == the Python cores cycle by cycle to
+    completion, on the perfect network, for every QUICK_MIX profile: the
+    legs above cover BIN, MUM and RD."""
+    chips = []
+
+    def make_chip(reference):
+        chip = _finite_chip(abbr, 6, reference, network=PerfectNetwork())
+        chips.append(chip)
+        return chip
+
+    _lockstep_to_completion(make_chip, 10_000, mesh=False)
+    reference, default = chips
+    assert reference._cluster is None
+    assert isinstance(default._cluster, CoreCluster)
 
 
 # -- randomized fuzz sweep -------------------------------------------------
