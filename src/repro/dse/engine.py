@@ -18,13 +18,15 @@ ranking consumes only the task payloads, never host-side timing.
 
 Ranking and the Pareto frontier come last: candidates order by the
 highest fidelity they reached, then the stage metric, then name; the
-frontier is exact over (harmonic-mean IPC max, NoC mm² min) among
-every candidate with a closed-loop measurement.  A final analytic pass
-prices each such candidate in watts from its activity counters
-(:mod:`repro.power`) at every node in ``spec.tech_nodes`` and computes
-the exact (IPC, mm², W) frontier at the base node — no extra cycle runs,
-so the (IPC, mm²) projection is bit-identical to a power-free
-exploration of the same space.
+frontier is exact over (harmonic-mean IPC max, NoC mm² min) among the
+candidates that reached the confirm stage, so every member was measured
+on the full mix (a halving round's HM IPC is over a smaller mix and
+shorter windows, and is not comparable).  A final analytic pass prices
+each candidate with a closed-loop measurement in watts from its activity
+counters (:mod:`repro.power`) at every node in ``spec.tech_nodes`` and
+computes the exact (IPC, mm², W) frontier at the base node over the
+confirmed ones — no extra cycle runs, so the (IPC, mm²) projection is
+bit-identical to a power-free exploration of the same space.
 """
 
 from __future__ import annotations
@@ -362,8 +364,10 @@ def explore(spec: ExplorationSpec, jobs: Optional[int] = None,
 
         ranking = [r.name for r in sorted(results, key=rank_key)]
 
+        # Only full-mix (confirm) measurements are comparable.
         closed_points = [ParetoPoint(r.name, r.hm_ipc, r.noc_area_mm2)
-                         for r in results if r.hm_ipc is not None]
+                         for r in results if r.fidelity == "confirm"
+                         and r.hm_ipc is not None]
         frontier = pareto_frontier(closed_points)
         for r in results:
             r.on_frontier = r.name in frontier.frontier
@@ -386,8 +390,9 @@ def explore(spec: ExplorationSpec, jobs: Optional[int] = None,
             r.noc_power_w = base.total_w
             r.ipc_per_watt = base.ipc_per_watt
             r.power_by_node = [report.to_json() for report in reports]
-            points3.append(ParetoPoint3(r.name, r.hm_ipc,
-                                        r.noc_area_mm2, base.total_w))
+            if r.fidelity == "confirm":
+                points3.append(ParetoPoint3(r.name, r.hm_ipc,
+                                            r.noc_area_mm2, base.total_w))
         frontier3 = pareto_frontier3(points3)
         for r in results:
             r.on_frontier3d = r.name in frontier3.frontier

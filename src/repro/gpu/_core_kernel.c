@@ -1,4 +1,5 @@
-/* Compiled core cluster of one Accelerator (see repro/gpu/cluster.py).
+/* Compiled chip side of one Accelerator: its SIMT cores (see
+ * repro/gpu/cluster.py) and its memory nodes (see repro/mem/nodes.py).
  *
  * A line-for-line port of the SIMT core side over flat C state:
  * SimtCore.step with _issue_global and its stall memo, SimtCore.on_reply,
@@ -10,8 +11,17 @@
  * The Cluster object owns every array and frees them when it is
  * collected; it holds no Python references between calls.
  *
+ * And of the memory side: MemoryController (on_packet, icnt_step with
+ * its reply drain, input processing and write-back drain, _dram_done),
+ * its L2 bank (the same SetAssociativeCache as the L1) and GddrChannel
+ * (enqueue, step with FR-FCFS issue, bank timing and completion), with
+ * the chip loop's two idle gates.  The Memory object holds the request
+ * and reply packets, each MC's coord and inject callable and the reply
+ * factory between calls, so it takes part in cycle collection.
+ *
  * Module functions:
  *   new(config, program, fractions, warp_seeds, region_seeds) -> Cluster
+ *   memory(mc, dram, coords, injects, factory, request_class) -> Memory
  *   mt_sample(seed, ops) -> list   draws of one generator (tests)
  * Cluster methods:
  *   step(first_cycle, ticks) -> [(core, line, cycle), ...] or None
@@ -26,14 +36,30 @@
  *       scheduler pointer, warps and MSHR entries;
  *   next_instruction(core, warp) -> None or (kind, lines, active)
  *       draw the warp's next instruction without issuing it (tests).
+ * Memory methods (each refuses to run inside another's callback):
+ *   request(mc, packet, cycle)   the MC's ejection handler: checks the
+ *       packet, then queues it for its L2 lookup; raises, queueing
+ *       nothing, for a non-request packet or a payload without an
+ *       in-range int local_addr;
+ *   step(cycle, first_mclk, ticks)   one call per interconnect cycle:
+ *       every MC in index order (or its idle tick), then memory cycles
+ *       first_mclk .. first_mclk + ticks - 1, each stepping every due
+ *       channel in index order (the others take their idle tick);
+ *       replies are built by factory(coord, request, cycle) and offered
+ *       by inject(reply, cycle); an exception from either propagates
+ *       with the reply, or the request it is for, still queued;
+ *   idle() -> bool   no MC holds a request, reply or write-back;
+ *   export() -> [tuple, ...]   per MC its counters, queues and channel;
+ *   stale   True once stepped or given a request since the last export.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+#include <structmember.h>
 
-#define LAYOUT 1
+#define LAYOUT 2
 #define NEVER ((int64_t)1 << 62)
 #define MAX_LINES 32                /* lines of one warp instruction */
 #define LINE_BYTES 64               /* the generator's line size */
@@ -161,11 +187,32 @@ mt_randint(Mt *m, int32_t a, int32_t b)
 
 /* -- state ---------------------------------------------------------------- */
 
+static void *
+zeroed(size_t count, size_t size)
+{
+    void *p;
+    if (count && size > SIZE_MAX / count)
+        return PyErr_NoMemory();
+    p = PyMem_Calloc(count ? count : 1, size);
+    if (!p)
+        PyErr_NoMemory();
+    return p;
+}
+
 typedef struct {
     int64_t tag;                    /* line address, -1 if the way is empty */
     int64_t lru;
     int32_t dirty;
 } Line;
+
+/* One SetAssociativeCache: a core's L1 or an MC's L2 bank.  A set's
+ * ways are allocated at its first fill, as the reference's set dicts
+ * fill, so an L2 that is mostly untouched costs little. */
+typedef struct {
+    Line **sets;                    /* nsets, each NULL or assoc ways */
+    int64_t line_bytes, clock, version, hits, misses;
+    int32_t nsets, assoc;
+} Cache;
 
 /* One MSHR entry; waiters are warp indices, -1 for a store. */
 typedef struct {
@@ -177,12 +224,11 @@ typedef struct {
 typedef struct {
     int64_t busy_until, wake;
     int64_t retired, issued, stalls, loads, stores;
-    int64_t l1_clock, l1_version, l1_hits, l1_misses;
     int64_t mshr_version, allocations, merges;
     int64_t base_line, phase;       /* the core's region, once placed */
     int32_t pointer, placed, nentries;
     Entry *entries;                 /* nentries live, in insertion order */
-    Line *l1;                       /* nsets * assoc ways */
+    Cache l1;
 } Core;
 
 typedef struct {
@@ -199,9 +245,8 @@ typedef struct {
 typedef struct {
     PyObject_HEAD
     /* machine */
-    int32_t ncores, nwarps, nsets, assoc, mshr_entries, max_merged;
+    int32_t ncores, nwarps, mshr_entries, max_merged;
     int64_t alu_lat, shared_lat, hit_lat, store_lat, issue_interval;
-    int64_t line_bytes;
     /* program */
     double mem_fraction, shared_fraction, store_fraction, reuse, streaming;
     int32_t simd_full, act_lo, act_hi, div_hi, max_lines, window;
@@ -306,41 +351,88 @@ next_instruction(Cluster *c, int32_t i, int32_t w)
     return 1;
 }
 
-/* -- L1 (SetAssociativeCache) and MSHRs (MshrFile) ------------------------ */
+/* -- SetAssociativeCache (the L1 and the L2) and MshrFile ---------------- */
 
-static Line *
-l1_set(Cluster *c, Core *core, int64_t line_addr)
+static int
+cache_init(Cache *k, int32_t nsets, int32_t assoc, int64_t line_bytes)
 {
-    return core->l1 + ((line_addr / c->line_bytes) % c->nsets) * c->assoc;
+    k->nsets = nsets;
+    k->assoc = assoc;
+    k->line_bytes = line_bytes;
+    return (k->sets = zeroed(nsets, sizeof(Line *))) ? 0 : -1;
 }
 
-static Line *
-l1_find(Cluster *c, Core *core, int64_t addr)
+static void
+cache_free(Cache *k)
 {
-    int64_t line_addr = addr - addr % c->line_bytes;
-    Line *set = l1_set(c, core, line_addr);
-    int32_t k;
-    for (k = 0; k < c->assoc; k++)
-        if (set[k].tag == line_addr)
-            return &set[k];
+    int32_t j;
+    for (j = 0; k->sets && j < k->nsets; j++)
+        PyMem_Free(k->sets[j]);
+    PyMem_Free(k->sets);
+}
+
+/* The set of addr (addresses are never negative). */
+static Line **
+cache_set(Cache *k, int64_t addr)
+{
+    return &k->sets[(addr / k->line_bytes) % k->nsets];
+}
+
+/* The way holding addr's line, or NULL (contains, and access's probe). */
+static Line *
+cache_find(Cache *k, int64_t addr)
+{
+    int64_t line_addr = addr - addr % k->line_bytes;
+    Line *set = *cache_set(k, addr);
+    int32_t j;
+    if (!set)
+        return NULL;
+    for (j = 0; j < k->assoc; j++)
+        if (set[j].tag == line_addr)
+            return &set[j];
     return NULL;
 }
 
-/* fill(addr, dirty): the evicted dirty line, or -1. */
-static int64_t
-l1_fill(Cluster *c, Core *core, int64_t addr, int dirty)
+/* Allocate addr's set, if this is its first fill, so that cache_fill
+ * cannot fail; -1 (MemoryError) if it cannot be allocated. */
+static int
+cache_reserve(Cache *k, int64_t addr)
 {
-    int64_t line_addr = addr - addr % c->line_bytes;
-    Line *set = l1_set(c, core, line_addr);
+    Line **set = cache_set(k, addr);
+    int32_t j;
+    if (*set)
+        return 0;
+    if (!(*set = zeroed(k->assoc, sizeof(Line))))
+        return -1;
+    for (j = 0; j < k->assoc; j++)
+        (*set)[j].tag = -1;
+    return 0;
+}
+
+/* access(addr) on a hit: count it and update the LRU clock. */
+static void
+cache_hit(Cache *k, Line *line)
+{
+    k->hits++;
+    line->lru = ++k->clock;
+}
+
+/* fill(addr, dirty), after cache_reserve: the evicted dirty line, or
+ * -1. */
+static int64_t
+cache_fill(Cache *k, int64_t addr, int dirty)
+{
+    int64_t line_addr = addr - addr % k->line_bytes;
+    Line *set = *cache_set(k, addr);
     Line *slot = NULL, *victim = NULL;
     int64_t writeback = -1;
-    int32_t k;
-    core->l1_clock++;
-    core->l1_version++;
-    for (k = 0; k < c->assoc; k++) {
-        Line *way = &set[k];
+    int32_t j;
+    k->clock++;
+    k->version++;
+    for (j = 0; j < k->assoc; j++) {
+        Line *way = &set[j];
         if (way->tag == line_addr) {
-            way->lru = core->l1_clock;
+            way->lru = k->clock;
             way->dirty = way->dirty || dirty;
             return -1;
         }
@@ -357,7 +449,7 @@ l1_fill(Cluster *c, Core *core, int64_t addr, int dirty)
         slot = victim;
     }
     slot->tag = line_addr;
-    slot->lru = core->l1_clock;
+    slot->lru = k->clock;
     slot->dirty = dirty;
     return writeback;
 }
@@ -437,7 +529,7 @@ issue_global(Cluster *c, int32_t i, int32_t w, int64_t cycle)
     int64_t hits[MAX_LINES], misses[MAX_LINES];
     int32_t nh = 0, nm = 0, j, k, new_entries = 0, blocking = 0;
     int is_store = wp->kind == K_STORE;
-    int64_t l1v = core->l1_version, mv = core->mshr_version;
+    int64_t l1v = core->l1.version, mv = core->mshr_version;
     if (wp->memo && wp->memo_l1 == l1v && wp->memo_mshr == mv)
         return 0;
     /* One pass over the distinct lines, in first-appearance order. */
@@ -448,7 +540,7 @@ issue_global(Cluster *c, int32_t i, int32_t w, int64_t cycle)
             ;
         if (k < j)
             continue;
-        if (l1_find(c, core, line)) {
+        if (cache_find(&core->l1, line)) {
             hits[nh++] = line;
             continue;
         }
@@ -462,15 +554,14 @@ issue_global(Cluster *c, int32_t i, int32_t w, int64_t cycle)
     if (core->nentries + new_entries > c->mshr_entries)
         goto stall;
     for (j = 0; j < nh; j++) {
-        Line *hit = l1_find(c, core, hits[j]);
-        core->l1_hits++;
-        hit->lru = ++core->l1_clock;
+        Line *hit = cache_find(&core->l1, hits[j]);
+        cache_hit(&core->l1, hit);
         if (is_store)
             hit->dirty = 1;
     }
     for (j = 0; j < nm; j++) {
         Entry *e;
-        core->l1_misses++;
+        core->l1.misses++;
         e = mshr_allocate(c, core, misses[j], is_store ? -1 : w);
         if (!e)
             return -1;
@@ -623,6 +714,8 @@ cluster_reply(Cluster *c, PyObject *args)
                      hex);
         return NULL;
     }
+    if (cache_reserve(&core->l1, line) < 0)
+        return NULL;
     /* complete: take the entry out, keeping the others in order; its
      * waiter buffer moves to the freed last slot for reuse. */
     done = *e;
@@ -635,7 +728,7 @@ cluster_reply(Cluster *c, PyObject *args)
     for (j = 0; j < done.nwait; j++)
         if (done.waiters[j] < 0)
             dirty = 1;
-    writeback = l1_fill(c, core, line, dirty);
+    writeback = cache_fill(&core->l1, line, dirty);
     for (j = 0; j < done.nwait; j++) {
         Warp *wp;
         if (done.waiters[j] < 0)
@@ -703,7 +796,7 @@ cluster_export(Cluster *c, PyObject *args)
         (long long)core->issued, (long long)core->stalls,
         (long long)core->loads, (long long)core->stores,
         (long long)core->wake, (long long)core->busy_until, core->pointer,
-        (long long)core->l1_hits, (long long)core->l1_misses,
+        (long long)core->l1.hits, (long long)core->l1.misses,
         (long long)core->allocations, (long long)core->merges,
         warps, entries);
 error:
@@ -754,7 +847,7 @@ cluster_dealloc(Cluster *c)
                 for (k = 0; k < c->mshr_entries; k++)
                     PyMem_Free(core->entries[k].waiters);
             PyMem_Free(core->entries);
-            PyMem_Free(core->l1);
+            cache_free(&core->l1);
         }
     }
     PyMem_Free(c->cores);
@@ -787,19 +880,931 @@ static PyTypeObject ClusterType = {
     .tp_methods = cluster_methods,
 };
 
-/* -- module functions ----------------------------------------------------- */
+/* -- the memory side (MemoryController, GddrChannel) ----------------------- */
+
+/* A growable ring of fixed-size items: the MC's deques. */
+typedef struct {
+    char *buf;
+    int64_t head, n, cap;
+} Ring;
 
 static void *
-zeroed(size_t count, size_t size)
+ring_at(Ring *r, size_t size, int64_t k)
 {
-    void *p;
-    if (count && size > SIZE_MAX / count)
-        return PyErr_NoMemory();
-    p = PyMem_Calloc(count ? count : 1, size);
-    if (!p)
-        PyErr_NoMemory();
-    return p;
+    return r->buf + (size_t)((r->head + k) % r->cap) * size;
 }
+
+/* Room for one more item; -1 (MemoryError) if the ring cannot grow. */
+static int
+ring_reserve(Ring *r, size_t size)
+{
+    int64_t cap, k;
+    char *buf;
+    if (r->n < r->cap)
+        return 0;
+    cap = r->cap ? 2 * r->cap : 8;
+    if (!(buf = zeroed(cap, size)))
+        return -1;
+    for (k = 0; k < r->n; k++)
+        memcpy(buf + k * size, ring_at(r, size, k), size);
+    PyMem_Free(r->buf);
+    r->buf = buf;
+    r->head = 0;
+    r->cap = cap;
+    return 0;
+}
+
+/* The new tail slot (after ring_reserve). */
+static void *
+ring_push(Ring *r, size_t size)
+{
+    return ring_at(r, size, r->n++);
+}
+
+static void
+ring_pop(Ring *r)
+{
+    r->head = (r->head + 1) % r->cap;
+    r->n--;
+}
+
+/* Room for n items in a growable array; -1 (MemoryError) if it cannot
+ * grow. */
+static int
+reserve(void **buf, int64_t *cap, int64_t n, size_t size)
+{
+    int64_t grown = *cap ? *cap : 8;
+    void *p;
+    if (n <= *cap)
+        return 0;
+    while (grown < n)
+        grown *= 2;
+    if (!(p = zeroed(grown, size)))
+        return -1;
+    if (*cap)
+        memcpy(p, *buf, *cap * size);
+    PyMem_Free(*buf);
+    *buf = p;
+    *cap = grown;
+    return 0;
+}
+
+/* One request in the L2-lookup input pipeline. */
+typedef struct {
+    PyObject *packet;
+    int64_t ready, addr;
+    int32_t is_read;
+} Pending;
+
+/* One DramRequest; a read carries its request packet, a write-back
+ * none. */
+typedef struct {
+    PyObject *packet;
+    int64_t addr, arrival, row, issue_time, complete_time;
+    int32_t bank, row_hit;
+} Req;
+
+typedef struct {
+    int64_t open_row;               /* -1: no row open */
+    int64_t busy_until, last_activate;
+} Bank;
+
+typedef struct {
+    Req *queue, *flight;            /* FR-FCFS queue; in flight, by issue */
+    int64_t nqueue, capqueue, nflight, capflight;
+    Bank *banks;
+    int64_t now, next_event, next_completion, bus_free_at;
+    int64_t last_activate_any;
+    int64_t serviced, row_hits, row_misses, data_busy, pending;
+} Channel;
+
+typedef struct {
+    PyObject *coord, *inject;
+    Ring input, replies, writebacks;    /* Pending, PyObject *, int64_t */
+    int64_t icnt_cycle, cycles, blocked, received, reads, writes, sent;
+    int64_t max_depth;
+    Cache l2;
+    Channel dram;
+} Mc;
+
+typedef struct {
+    PyObject_HEAD
+    /* McConfig and DramTiming */
+    int32_t nmcs, per_cycle, backlog_limit, num_banks, queue_capacity;
+    int64_t l2_latency, tCL, tRP, tRC, tRAS, tRCD, tRRD, burst, row_bytes;
+    PyObject *factory, *request_class;
+    Mc *mcs;
+    char busy, stale;
+    PyObject *weakreflist;
+} Memory;
+
+static PyObject *s_traffic_class, *s_payload, *s_local_addr, *s_size_bytes;
+
+/* Claim the object for one call; -1 (RuntimeError) if a call is running,
+ * from whose callback this one came, or the object has been cleared. */
+static int
+memory_enter(Memory *m)
+{
+    if (m->busy) {
+        PyErr_SetString(PyExc_RuntimeError,
+                        "memory side re-entered from its own callback");
+        return -1;
+    }
+    if (!m->factory) {
+        PyErr_SetString(PyExc_RuntimeError, "memory side was cleared");
+        return -1;
+    }
+    m->busy = 1;
+    return 0;
+}
+
+/* -- GddrChannel ------------------------------------------------------------ */
+
+static void
+channel_update_next_event(Channel *ch)
+{
+    int64_t k, next = ch->next_completion;
+    for (k = 0; k < ch->nqueue; k++) {
+        int64_t ready = ch->banks[ch->queue[k].bank].busy_until;
+        if (ready < next)
+            next = ready;
+    }
+    ch->next_event = next;
+}
+
+/* enqueue(DramRequest(addr, packet is NULL, 64, payload=packet), now);
+ * the caller has checked can_accept. */
+static int
+channel_enqueue(Memory *m, Channel *ch, int64_t addr, PyObject *packet,
+                int64_t now)
+{
+    int64_t row_id = addr / m->row_bytes, ready;
+    Req *r;
+    if (reserve((void **)&ch->queue, &ch->capqueue, ch->nqueue + 1,
+                sizeof(Req)) < 0)
+        return -1;
+    r = &ch->queue[ch->nqueue++];
+    memset(r, 0, sizeof *r);
+    r->packet = packet;
+    Py_XINCREF(packet);
+    r->addr = addr;
+    r->arrival = now;
+    r->bank = (int32_t)(row_id % m->num_banks);
+    r->row = row_id / m->num_banks;
+    r->issue_time = r->complete_time = -1;
+    ready = ch->banks[r->bank].busy_until;
+    if (ready < ch->next_event)
+        ch->next_event = ready;
+    return 0;
+}
+
+static PyObject *
+make_reply(Memory *m, Mc *mc, PyObject *request, PyObject *cycle)
+{
+    PyObject *args[3] = {mc->coord, request, cycle};
+    return PyObject_Vectorcall(m->factory, args, 3, NULL);
+}
+
+/* MemoryController._dram_done for a completed read: L2 fill, then the
+ * reply; nothing changes if the factory raises. */
+static int
+dram_done(Memory *m, Mc *mc, Req *r, PyObject *cycle)
+{
+    PyObject *reply;
+    int64_t writeback;
+    if (!r->packet)
+        return 0;
+    if (ring_reserve(&mc->replies, sizeof(PyObject *)) < 0
+            || ring_reserve(&mc->writebacks, sizeof(int64_t)) < 0
+            || cache_reserve(&mc->l2, r->addr) < 0
+            || !(reply = make_reply(m, mc, r->packet, cycle)))
+        return -1;
+    writeback = cache_fill(&mc->l2, r->addr, 0);
+    if (writeback >= 0)
+        *(int64_t *)ring_push(&mc->writebacks, sizeof(int64_t)) = writeback;
+    *(PyObject **)ring_push(&mc->replies, sizeof(PyObject *)) = reply;
+    return 0;
+}
+
+/* _complete: every request in flight whose data has arrived, in issue
+ * order.  Each leaves the array before the next callback runs, so the
+ * collector never sees a half-compacted array. */
+static int
+channel_complete(Memory *m, Mc *mc, int64_t now, PyObject *cycle)
+{
+    Channel *ch = &mc->dram;
+    int64_t k = 0, next = NEVER;
+    int rc = 0, removed = 0;
+    while (k < ch->nflight) {
+        Req *r = &ch->flight[k];
+        PyObject *packet = r->packet;
+        if (r->complete_time > now) {
+            k++;
+            continue;
+        }
+        if (dram_done(m, mc, r, cycle) < 0) {
+            rc = -1;
+            break;
+        }
+        ch->serviced++;
+        memmove(r, r + 1, (ch->nflight - k - 1) * sizeof(Req));
+        ch->nflight--;
+        removed = 1;
+        Py_XDECREF(packet);
+    }
+    if (removed) {
+        for (k = 0; k < ch->nflight; k++)
+            if (ch->flight[k].complete_time < next)
+                next = ch->flight[k].complete_time;
+        ch->next_completion = next;
+        channel_update_next_event(ch);
+    }
+    return rc;
+}
+
+/* _issue: FR-FCFS in one scan, the oldest ready row hit, otherwise the
+ * oldest request whose bank can start a new row cycle. */
+static int
+channel_issue(Memory *m, Channel *ch, int64_t now)
+{
+    int64_t k, chosen = -1, cas, data_start, data_end;
+    Bank *bank;
+    Req req;
+    for (k = 0; k < ch->nqueue; k++) {
+        Req *r = &ch->queue[k];
+        Bank *b = &ch->banks[r->bank];
+        if (b->busy_until > now)
+            continue;
+        if (b->open_row == r->row) {
+            chosen = k;
+            break;
+        }
+        if (chosen < 0)
+            chosen = k;
+    }
+    if (chosen < 0)
+        return 0;
+    if (reserve((void **)&ch->flight, &ch->capflight, ch->nflight + 1,
+                sizeof(Req)) < 0)
+        return -1;
+    req = ch->queue[chosen];
+    memmove(&ch->queue[chosen], &ch->queue[chosen + 1],
+            (ch->nqueue - chosen - 1) * sizeof(Req));
+    ch->nqueue--;
+    bank = &ch->banks[req.bank];
+    cas = now;
+    if (bank->open_row == req.row) {
+        req.row_hit = 1;
+        ch->row_hits++;
+    }
+    else {
+        int64_t precharge = now, activate;
+        ch->row_misses++;
+        if (bank->open_row >= 0) {
+            /* tRAS: the row must have been open long enough to close. */
+            if (bank->last_activate + m->tRAS > precharge)
+                precharge = bank->last_activate + m->tRAS;
+            activate = precharge + m->tRP;
+        }
+        else
+            activate = precharge;
+        /* tRC within the bank, tRRD across banks. */
+        if (bank->last_activate + m->tRC > activate)
+            activate = bank->last_activate + m->tRC;
+        if (ch->last_activate_any + m->tRRD > activate)
+            activate = ch->last_activate_any + m->tRRD;
+        bank->last_activate = activate;
+        if (activate > ch->last_activate_any)
+            ch->last_activate_any = activate;
+        bank->open_row = req.row;
+        cas = activate + m->tRCD;
+    }
+    data_start = cas + m->tCL;
+    if (ch->bus_free_at > data_start)
+        data_start = ch->bus_free_at;
+    data_end = data_start + m->burst;
+    ch->bus_free_at = data_end;
+    bank->busy_until = data_end;
+    req.issue_time = now;
+    req.complete_time = data_end;
+    ch->flight[ch->nflight++] = req;
+    if (data_end < ch->next_completion)
+        ch->next_completion = data_end;
+    channel_update_next_event(ch);
+    return 0;
+}
+
+/* GddrChannel.step */
+static int
+channel_step(Memory *m, Mc *mc, int64_t now, PyObject *cycle)
+{
+    Channel *ch = &mc->dram;
+    ch->now = now;
+    if (ch->nqueue || ch->nflight) {
+        ch->pending++;
+        if (ch->bus_free_at > now)
+            ch->data_busy++;
+    }
+    if (channel_complete(m, mc, now, cycle) < 0)
+        return -1;
+    return channel_issue(m, ch, now);
+}
+
+/* -- MemoryController ------------------------------------------------------- */
+
+static void
+pop_input(Mc *mc)
+{
+    PyObject *packet = ((Pending *)ring_at(&mc->input, sizeof(Pending),
+                                           0))->packet;
+    ring_pop(&mc->input);
+    Py_DECREF(packet);
+}
+
+/* _drain_replies: offer the backlog in order until the network refuses;
+ * a refused cycle counts as blocked. */
+static int
+drain_replies(Mc *mc, PyObject *cycle)
+{
+    while (mc->replies.n) {
+        PyObject *reply = *(PyObject **)ring_at(&mc->replies,
+                                                sizeof(PyObject *), 0);
+        PyObject *args[2] = {reply, cycle}, *res;
+        int accepted;
+        if (!(res = PyObject_Vectorcall(mc->inject, args, 2, NULL)))
+            return -1;
+        accepted = PyObject_IsTrue(res);
+        Py_DECREF(res);
+        if (accepted < 0)
+            return -1;
+        if (!accepted) {
+            mc->blocked++;
+            return 0;
+        }
+        ring_pop(&mc->replies);
+        mc->sent++;
+        Py_DECREF(reply);
+    }
+    return 0;
+}
+
+/* _process_input.  A read that misses while the DRAM queue is full stays
+ * at the head and probes the L2 again next cycle, counting another
+ * miss, as the reference does. */
+static int
+process_input(Memory *m, Mc *mc, int64_t cycle, PyObject *cycle_obj)
+{
+    int32_t k;
+    for (k = 0; k < m->per_cycle; k++) {
+        Pending *head;
+        if (!mc->input.n)
+            return 0;
+        head = ring_at(&mc->input, sizeof(Pending), 0);
+        if (head->ready > cycle || mc->replies.n >= m->backlog_limit)
+            return 0;
+        if (head->is_read) {
+            Line *hit = cache_find(&mc->l2, head->addr);
+            if (hit) {
+                PyObject *reply;
+                if (ring_reserve(&mc->replies, sizeof(PyObject *)) < 0
+                        || !(reply = make_reply(m, mc, head->packet,
+                                                cycle_obj)))
+                    return -1;
+                cache_hit(&mc->l2, hit);
+                *(PyObject **)ring_push(&mc->replies,
+                                        sizeof(PyObject *)) = reply;
+            }
+            else {
+                mc->l2.misses++;
+                if (mc->dram.nqueue >= m->queue_capacity)
+                    return 0;       /* DRAM queue full: stall */
+                if (channel_enqueue(m, &mc->dram, head->addr, head->packet,
+                                    cycle) < 0)
+                    return -1;
+            }
+            pop_input(mc);
+            mc->reads++;
+        }
+        else {                      /* 64 B write: allocate, no fetch */
+            int64_t addr = head->addr, writeback;
+            if (ring_reserve(&mc->writebacks, sizeof(int64_t)) < 0
+                    || cache_reserve(&mc->l2, addr) < 0)
+                return -1;
+            pop_input(mc);
+            mc->writes++;
+            writeback = cache_fill(&mc->l2, addr, 1);
+            if (writeback >= 0)
+                *(int64_t *)ring_push(&mc->writebacks,
+                                      sizeof(int64_t)) = writeback;
+        }
+    }
+    return 0;
+}
+
+static int
+drain_writebacks(Memory *m, Mc *mc)
+{
+    while (mc->writebacks.n && mc->dram.nqueue < m->queue_capacity) {
+        int64_t line = *(int64_t *)ring_at(&mc->writebacks,
+                                           sizeof(int64_t), 0);
+        if (channel_enqueue(m, &mc->dram, line, NULL, mc->icnt_cycle) < 0)
+            return -1;
+        ring_pop(&mc->writebacks);
+    }
+    return 0;
+}
+
+/* -- Memory methods ------------------------------------------------------- */
+
+static PyObject *
+memory_request(Memory *m, PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_ssize_t index;
+    long long cycle, addr = -1, size;
+    PyObject *packet, *v, *payload;
+    Pending *slot;
+    Mc *mc;
+    if (nargs != 3) {
+        PyErr_SetString(PyExc_TypeError, "request(mc, packet, cycle)");
+        return NULL;
+    }
+    packet = args[1];
+    if (((index = PyLong_AsSsize_t(args[0])) == -1 && PyErr_Occurred())
+            || ((cycle = PyLong_AsLongLong(args[2])) == -1
+                && PyErr_Occurred()))
+        return NULL;
+    if (index < 0 || index >= m->nmcs) {
+        PyErr_Format(PyExc_IndexError, "MC %zd out of range", index);
+        return NULL;
+    }
+    if (memory_enter(m) < 0)
+        return NULL;
+    mc = &m->mcs[index];
+    if (!(v = PyObject_GetAttr(packet, s_traffic_class)))
+        goto error;
+    if (v != m->request_class) {
+        Py_DECREF(v);
+        PyErr_SetString(PyExc_ValueError, "MC received a non-request packet");
+        goto error;
+    }
+    Py_DECREF(v);
+    if (!(payload = PyObject_GetAttr(packet, s_payload)))
+        goto error;
+    v = PyObject_GetAttr(payload, s_local_addr);
+    Py_DECREF(payload);
+    if (!v) {
+        if (!PyErr_ExceptionMatches(PyExc_AttributeError))
+            goto error;
+        PyErr_Clear();
+    }
+    else {
+        if (PyLong_Check(v)) {
+            int overflow;
+            addr = PyLong_AsLongLongAndOverflow(v, &overflow);
+            if (overflow || addr >= NEVER)
+                addr = -1;
+        }
+        Py_DECREF(v);
+        if (addr == -1 && PyErr_Occurred())
+            goto error;
+    }
+    if (addr < 0) {
+        PyErr_SetString(PyExc_ValueError,
+                        "request payload must expose .local_addr "
+                        "(channel-local), an int in [0, 2**62)");
+        goto error;
+    }
+    if (!(v = PyObject_GetAttr(packet, s_size_bytes)))
+        goto error;
+    size = PyLong_AsLongLong(v);
+    Py_DECREF(v);
+    if ((size == -1 && PyErr_Occurred())
+            || ring_reserve(&mc->input, sizeof(Pending)) < 0)
+        goto error;
+    slot = ring_push(&mc->input, sizeof(Pending));
+    Py_INCREF(packet);
+    slot->packet = packet;
+    slot->ready = cycle + m->l2_latency;
+    slot->addr = addr;
+    slot->is_read = size <= 8;
+    mc->received++;
+    if (mc->input.n > mc->max_depth)
+        mc->max_depth = mc->input.n;
+    m->stale = 1;
+    m->busy = 0;
+    Py_RETURN_NONE;
+error:
+    m->busy = 0;
+    return NULL;
+}
+
+static PyObject *
+memory_step(Memory *m, PyObject *const *args, Py_ssize_t nargs)
+{
+    long long cycle, first, ticks, t;
+    int32_t i;
+    if (nargs != 3) {
+        PyErr_SetString(PyExc_TypeError, "step(cycle, first_mclk, ticks)");
+        return NULL;
+    }
+    if (((cycle = PyLong_AsLongLong(args[0])) == -1 && PyErr_Occurred())
+            || ((first = PyLong_AsLongLong(args[1])) == -1
+                && PyErr_Occurred())
+            || ((ticks = PyLong_AsLongLong(args[2])) == -1
+                && PyErr_Occurred())
+            || memory_enter(m) < 0)
+        return NULL;
+    m->stale = 1;
+    for (i = 0; i < m->nmcs; i++) {
+        Mc *mc = &m->mcs[i];
+        if (mc->replies.n || mc->writebacks.n
+                || (mc->input.n && ((Pending *)ring_at(
+                        &mc->input, sizeof(Pending), 0))->ready <= cycle)) {
+            mc->icnt_cycle = cycle;
+            mc->cycles++;
+            if (drain_replies(mc, args[0]) < 0
+                    || process_input(m, mc, cycle, args[0]) < 0
+                    || drain_writebacks(m, mc) < 0)
+                goto error;
+        }
+        else {                      /* idle tick: only the clocks move */
+            mc->cycles++;
+            mc->icnt_cycle = cycle;
+        }
+    }
+    for (t = 0; t < ticks; t++) {
+        int64_t mclk = first + t;
+        for (i = 0; i < m->nmcs; i++) {
+            Channel *ch = &m->mcs[i].dram;
+            if (ch->next_event <= mclk) {
+                if (channel_step(m, &m->mcs[i], mclk, args[0]) < 0)
+                    goto error;
+            }
+            else {
+                /* Nothing completes or issues before next_event: only
+                 * the clock and, unless empty, the busy accounting. */
+                ch->now = mclk;
+                if (ch->next_event != NEVER) {
+                    ch->pending++;
+                    if (ch->bus_free_at > mclk)
+                        ch->data_busy++;
+                }
+            }
+        }
+    }
+    m->busy = 0;
+    Py_RETURN_NONE;
+error:
+    m->busy = 0;
+    return NULL;
+}
+
+static PyObject *
+memory_idle(Memory *m, PyObject *Py_UNUSED(ignored))
+{
+    int32_t i;
+    for (i = 0; i < m->nmcs; i++) {
+        Mc *mc = &m->mcs[i];
+        if (mc->input.n || mc->replies.n || mc->writebacks.n
+                || mc->dram.nqueue || mc->dram.nflight)
+            Py_RETURN_FALSE;
+    }
+    Py_RETURN_TRUE;
+}
+
+/* (addr, is_write, size_bytes, arrival, payload, bank, row, issue_time,
+ * complete_time, row_hit): DramRequest's fields in order. */
+static PyObject *
+export_requests(Req *reqs, int64_t n)
+{
+    PyObject *out = PyTuple_New(n);
+    int64_t k;
+    if (!out)
+        return NULL;
+    for (k = 0; k < n; k++) {
+        Req *r = &reqs[k];
+        PyObject *row = Py_BuildValue(
+            "(LOiLOiLLLO)", (long long)r->addr,
+            r->packet ? Py_False : Py_True, 64, (long long)r->arrival,
+            r->packet ? r->packet : Py_None, r->bank, (long long)r->row,
+            (long long)r->issue_time, (long long)r->complete_time,
+            r->row_hit ? Py_True : Py_False);
+        if (!row) {
+            Py_DECREF(out);
+            return NULL;
+        }
+        PyTuple_SET_ITEM(out, k, row);
+    }
+    return out;
+}
+
+static PyObject *
+export_channel(Memory *m, Channel *ch)
+{
+    PyObject *banks = PyTuple_New(m->num_banks), *queue = NULL;
+    PyObject *flight = NULL;
+    int32_t b;
+    if (!banks)
+        return NULL;
+    for (b = 0; b < m->num_banks; b++) {
+        Bank *bank = &ch->banks[b];
+        PyObject *row = bank->open_row < 0
+            ? Py_BuildValue("(OLL)", Py_None, (long long)bank->busy_until,
+                            (long long)bank->last_activate)
+            : Py_BuildValue("(LLL)", (long long)bank->open_row,
+                            (long long)bank->busy_until,
+                            (long long)bank->last_activate);
+        if (!row)
+            goto error;
+        PyTuple_SET_ITEM(banks, b, row);
+    }
+    if (!(queue = export_requests(ch->queue, ch->nqueue))
+            || !(flight = export_requests(ch->flight, ch->nflight)))
+        goto error;
+    return Py_BuildValue(
+        "(LLLLLLLLLLNNN)", (long long)ch->serviced, (long long)ch->row_hits,
+        (long long)ch->row_misses, (long long)ch->data_busy,
+        (long long)ch->pending, (long long)ch->now,
+        (long long)ch->next_event, (long long)ch->next_completion,
+        (long long)ch->bus_free_at, (long long)ch->last_activate_any,
+        banks, queue, flight);
+error:
+    Py_DECREF(banks);
+    Py_XDECREF(queue);
+    return NULL;
+}
+
+static PyObject *
+export_mc(Memory *m, Mc *mc)
+{
+    PyObject *input = PyTuple_New(mc->input.n), *replies = NULL;
+    PyObject *writebacks = NULL, *channel = NULL;
+    int64_t k;
+    if (!input)
+        return NULL;
+    for (k = 0; k < mc->input.n; k++) {
+        Pending *p = ring_at(&mc->input, sizeof(Pending), k);
+        PyObject *row = Py_BuildValue("(LO)", (long long)p->ready, p->packet);
+        if (!row)
+            goto error;
+        PyTuple_SET_ITEM(input, k, row);
+    }
+    if (!(replies = PyTuple_New(mc->replies.n)))
+        goto error;
+    for (k = 0; k < mc->replies.n; k++) {
+        PyObject *reply = *(PyObject **)ring_at(&mc->replies,
+                                                sizeof(PyObject *), k);
+        Py_INCREF(reply);
+        PyTuple_SET_ITEM(replies, k, reply);
+    }
+    if (!(writebacks = PyTuple_New(mc->writebacks.n)))
+        goto error;
+    for (k = 0; k < mc->writebacks.n; k++) {
+        PyObject *v = PyLong_FromLongLong(*(int64_t *)ring_at(
+            &mc->writebacks, sizeof(int64_t), k));
+        if (!v)
+            goto error;
+        PyTuple_SET_ITEM(writebacks, k, v);
+    }
+    if (!(channel = export_channel(m, &mc->dram)))
+        goto error;
+    return Py_BuildValue(
+        "(LLLLLLLLLLNNNN)", (long long)mc->cycles, (long long)mc->blocked,
+        (long long)mc->received, (long long)mc->reads,
+        (long long)mc->writes, (long long)mc->sent,
+        (long long)mc->max_depth, (long long)mc->icnt_cycle,
+        (long long)mc->l2.hits, (long long)mc->l2.misses,
+        input, replies, writebacks, channel);
+error:
+    Py_DECREF(input);
+    Py_XDECREF(replies);
+    Py_XDECREF(writebacks);
+    return NULL;
+}
+
+static PyObject *
+memory_export(Memory *m, PyObject *Py_UNUSED(ignored))
+{
+    PyObject *out;
+    int32_t i;
+    if (memory_enter(m) < 0)
+        return NULL;
+    if ((out = PyList_New(m->nmcs))) {
+        for (i = 0; i < m->nmcs; i++) {
+            PyObject *row = export_mc(m, &m->mcs[i]);
+            if (!row) {
+                Py_CLEAR(out);
+                break;
+            }
+            PyList_SET_ITEM(out, i, row);
+        }
+    }
+    if (out)
+        m->stale = 0;
+    m->busy = 0;
+    return out;
+}
+
+static int
+memory_traverse(Memory *m, visitproc visit, void *arg)
+{
+    int32_t i;
+    int64_t k;
+    Py_VISIT(m->factory);
+    Py_VISIT(m->request_class);
+    for (i = 0; m->mcs && i < m->nmcs; i++) {
+        Mc *mc = &m->mcs[i];
+        Py_VISIT(mc->coord);
+        Py_VISIT(mc->inject);
+        for (k = 0; k < mc->input.n; k++)
+            Py_VISIT(((Pending *)ring_at(&mc->input, sizeof(Pending),
+                                         k))->packet);
+        for (k = 0; k < mc->replies.n; k++)
+            Py_VISIT(*(PyObject **)ring_at(&mc->replies, sizeof(PyObject *),
+                                           k));
+        for (k = 0; k < mc->dram.nqueue; k++)
+            Py_VISIT(mc->dram.queue[k].packet);
+        for (k = 0; k < mc->dram.nflight; k++)
+            Py_VISIT(mc->dram.flight[k].packet);
+    }
+    return 0;
+}
+
+/* Drop every Python reference: the queues empty and the object refuses
+ * further calls (memory_enter checks the factory). */
+static int
+memory_clear(Memory *m)
+{
+    int32_t i;
+    Py_CLEAR(m->factory);
+    Py_CLEAR(m->request_class);
+    for (i = 0; m->mcs && i < m->nmcs; i++) {
+        Mc *mc = &m->mcs[i];
+        Py_CLEAR(mc->coord);
+        Py_CLEAR(mc->inject);
+        while (mc->input.n)
+            pop_input(mc);
+        while (mc->replies.n) {
+            PyObject *reply = *(PyObject **)ring_at(
+                &mc->replies, sizeof(PyObject *), 0);
+            ring_pop(&mc->replies);
+            Py_DECREF(reply);
+        }
+        while (mc->dram.nqueue) {
+            PyObject *packet = mc->dram.queue[--mc->dram.nqueue].packet;
+            Py_XDECREF(packet);
+        }
+        while (mc->dram.nflight) {
+            PyObject *packet = mc->dram.flight[--mc->dram.nflight].packet;
+            Py_XDECREF(packet);
+        }
+    }
+    return 0;
+}
+
+static void
+memory_dealloc(Memory *m)
+{
+    int32_t i;
+    PyObject_GC_UnTrack(m);
+    if (m->weakreflist)
+        PyObject_ClearWeakRefs((PyObject *)m);
+    memory_clear(m);
+    for (i = 0; m->mcs && i < m->nmcs; i++) {
+        Mc *mc = &m->mcs[i];
+        PyMem_Free(mc->input.buf);
+        PyMem_Free(mc->replies.buf);
+        PyMem_Free(mc->writebacks.buf);
+        cache_free(&mc->l2);
+        PyMem_Free(mc->dram.queue);
+        PyMem_Free(mc->dram.flight);
+        PyMem_Free(mc->dram.banks);
+    }
+    PyMem_Free(m->mcs);
+    Py_TYPE(m)->tp_free((PyObject *)m);
+}
+
+static PyMethodDef memory_methods[] = {
+    {"request", (PyCFunction)(void (*)(void))memory_request, METH_FASTCALL,
+     NULL},
+    {"step", (PyCFunction)(void (*)(void))memory_step, METH_FASTCALL, NULL},
+    {"idle", (PyCFunction)memory_idle, METH_NOARGS, NULL},
+    {"export", (PyCFunction)memory_export, METH_NOARGS, NULL},
+    {NULL, NULL, 0, NULL}
+};
+
+static PyMemberDef memory_members[] = {
+    {"stale", T_BOOL, offsetof(Memory, stale), READONLY, NULL},
+    {NULL, 0, 0, 0, NULL}
+};
+
+static PyTypeObject MemoryType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "_core_kernel.Memory",
+    .tp_basicsize = sizeof(Memory),
+    .tp_dealloc = (destructor)memory_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_traverse = (traverseproc)memory_traverse,
+    .tp_clear = (inquiry)memory_clear,
+    .tp_weaklistoffset = offsetof(Memory, weakreflist),
+    .tp_methods = memory_methods,
+    .tp_members = memory_members,
+    .tp_free = PyObject_GC_Del,
+};
+
+/* memory((l2_size, l2_line, l2_assoc, l2_latency, requests_per_cycle,
+ *         reply_backlog_limit),
+ *        (tCL, tRP, tRC, tRAS, tRCD, tRRD, bytes_per_cycle, num_banks,
+ *         row_bytes, queue_capacity),
+ *        coords, injects, factory, request_class): McConfig's and
+ * DramTiming's fields, one coord and inject callable per MC. */
+static PyObject *
+kernel_memory(PyObject *Py_UNUSED(module), PyObject *args)
+{
+    Memory *m;
+    PyObject *coords, *injects, *factory, *request_class;
+    PyObject *cfast = NULL, *ifast = NULL;
+    long long size, line, latency, tCL, tRP, tRC, tRAS, tRCD, tRRD;
+    long long bytes, row_bytes;
+    int assoc, per_cycle, backlog, banks, capacity;
+    Py_ssize_t n;
+    int32_t i, b;
+    if (!PyArg_ParseTuple(
+            args, "(LLiLii)(LLLLLLLiLi)OOOO", &size, &line, &assoc,
+            &latency, &per_cycle, &backlog, &tCL, &tRP, &tRC, &tRAS, &tRCD,
+            &tRRD, &bytes, &banks, &row_bytes, &capacity, &coords, &injects,
+            &factory, &request_class))
+        return NULL;
+    if (line < 1 || assoc < 1 || size < 1 || size % (line * assoc)
+            || size / (line * assoc) > INT32_MAX || bytes < 1 || banks < 1
+            || row_bytes < 1) {
+        PyErr_SetString(PyExc_ValueError, "bad memory configuration");
+        return NULL;
+    }
+    if (!(cfast = PySequence_Fast(coords, "coords must be a sequence"))
+            || !(ifast = PySequence_Fast(injects,
+                                         "injects must be a sequence")))
+        goto fail;
+    n = PySequence_Fast_GET_SIZE(cfast);
+    if (n < 1 || n > INT32_MAX || PySequence_Fast_GET_SIZE(ifast) != n) {
+        PyErr_SetString(PyExc_ValueError, "need one coord and inject per MC");
+        goto fail;
+    }
+    if (!(m = PyObject_GC_New(Memory, &MemoryType)))
+        goto fail;
+    memset((char *)m + sizeof(PyObject), 0, sizeof(Memory) - sizeof(PyObject));
+    m->nmcs = (int32_t)n;
+    m->per_cycle = per_cycle;
+    m->backlog_limit = backlog;
+    m->num_banks = banks;
+    m->queue_capacity = capacity;
+    m->l2_latency = latency;
+    m->tCL = tCL;
+    m->tRP = tRP;
+    m->tRC = tRC;
+    m->tRAS = tRAS;
+    m->tRCD = tRCD;
+    m->tRRD = tRRD;
+    m->burst = (64 + bytes - 1) / bytes;    /* burst_cycles(64) */
+    m->row_bytes = row_bytes;
+    Py_INCREF(factory);
+    m->factory = factory;
+    Py_INCREF(request_class);
+    m->request_class = request_class;
+    if (!(m->mcs = zeroed(n, sizeof(Mc))))
+        goto error;
+    for (i = 0; i < m->nmcs; i++) {
+        Mc *mc = &m->mcs[i];
+        Channel *ch = &mc->dram;
+        mc->coord = PySequence_Fast_GET_ITEM(cfast, i);
+        Py_INCREF(mc->coord);
+        mc->inject = PySequence_Fast_GET_ITEM(ifast, i);
+        Py_INCREF(mc->inject);
+        if (cache_init(&mc->l2, (int32_t)(size / (line * assoc)), assoc,
+                       line) < 0
+                || !(ch->banks = zeroed(banks, sizeof(Bank))))
+            goto error;
+        for (b = 0; b < banks; b++) {
+            ch->banks[b].open_row = -1;
+            ch->banks[b].busy_until = -1;
+            ch->banks[b].last_activate = -((int64_t)1 << 30);
+        }
+        ch->last_activate_any = -((int64_t)1 << 30);
+        ch->next_completion = ch->next_event = NEVER;
+    }
+    Py_DECREF(cfast);
+    Py_DECREF(ifast);
+    PyObject_GC_Track(m);
+    return (PyObject *)m;
+error:
+    Py_DECREF(m);
+fail:
+    Py_XDECREF(cfast);
+    Py_XDECREF(ifast);
+    return NULL;
+}
+
+/* -- module functions ----------------------------------------------------- */
 
 static int
 read_seeds(PyObject *seq, Py_ssize_t n, uint64_t **out)
@@ -841,7 +1846,7 @@ kernel_new(PyObject *Py_UNUSED(module), PyObject *args)
     int simd_full, act_lo, act_hi, div_hi, window;
     double mem, shr, sto, reuse, streaming;
     int64_t nw;
-    int32_t i, k;
+    int32_t i;
     if (!PyArg_ParseTuple(
             args, "(iiLLLLLiiLii)(iiiiiLLL)(ddddd)OO", &ncores, &nwarps,
             &alu, &shared, &hit, &store, &interval, &nsets, &assoc,
@@ -866,9 +1871,6 @@ kernel_new(PyObject *Py_UNUSED(module), PyObject *args)
     c->hit_lat = hit;
     c->store_lat = store;
     c->issue_interval = interval;
-    c->nsets = nsets;
-    c->assoc = assoc;
-    c->line_bytes = line_bytes;
     c->mshr_entries = entries;
     c->max_merged = merged;
     c->simd_full = simd_full;
@@ -898,10 +1900,8 @@ kernel_new(PyObject *Py_UNUSED(module), PyObject *args)
     for (i = 0; i < ncores; i++) {
         Core *core = &c->cores[i];
         if (!(core->entries = zeroed(entries, sizeof(Entry)))
-                || !(core->l1 = zeroed((int64_t)nsets * assoc, sizeof(Line))))
+                || cache_init(&core->l1, nsets, assoc, line_bytes) < 0)
             goto error;
-        for (k = 0; k < nsets * assoc; k++)
-            core->l1[k].tag = -1;
     }
     return (PyObject *)c;
 error:
@@ -961,6 +1961,7 @@ error:
 
 static PyMethodDef kernel_methods[] = {
     {"new", kernel_new, METH_VARARGS, NULL},
+    {"memory", kernel_memory, METH_VARARGS, NULL},
     {"mt_sample", kernel_mt_sample, METH_VARARGS, NULL},
     {NULL, NULL, 0, NULL}
 };
@@ -968,7 +1969,7 @@ static PyMethodDef kernel_methods[] = {
 static struct PyModuleDef kernel_module = {
     PyModuleDef_HEAD_INIT,
     "_core_kernel",
-    "Compiled SIMT core cluster (see repro/gpu/cluster.py).",
+    "Compiled chip side: SIMT cores and memory nodes.",
     -1,
     kernel_methods,
 };
@@ -977,7 +1978,12 @@ PyMODINIT_FUNC
 PyInit__core_kernel(void)
 {
     PyObject *m;
-    if (PyType_Ready(&ClusterType) < 0)
+    if (PyType_Ready(&ClusterType) < 0 || PyType_Ready(&MemoryType) < 0)
+        return NULL;
+    if (!(s_traffic_class = PyUnicode_InternFromString("traffic_class"))
+            || !(s_payload = PyUnicode_InternFromString("payload"))
+            || !(s_local_addr = PyUnicode_InternFromString("local_addr"))
+            || !(s_size_bytes = PyUnicode_InternFromString("size_bytes")))
         return NULL;
     if (!(m = PyModule_Create(&kernel_module)))
         return NULL;

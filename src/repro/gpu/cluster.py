@@ -19,9 +19,10 @@ memo; per core, the scheduler pointer, the issue-busy time, ``wake`` and
 the counters; the L1 tags with LRU clocks and dirty bits; the MSHR
 entries with their waiters; and each warp's stream (generator state,
 recent-line ring, grid-stride cursor, the core's region).  Python keeps
-the ``Packet`` objects, the ``outbound`` deques, the network, the MCs
-and DRAM.  The chip owns the cluster; the network's reply handlers hold
-it weakly, so a dropped chip frees the kernel state at once.
+the ``Packet`` objects, the ``outbound`` deques and the network; the MCs
+and DRAM run in the same extension, owned by :mod:`repro.mem.nodes`.
+The chip owns the cluster; the network's reply handlers hold it weakly,
+so a dropped chip frees the kernel state at once.
 
 Each interconnect cycle makes one kernel call, :meth:`CoreCluster.step`,
 that runs every due core through all of that cycle's core ticks and
@@ -34,7 +35,8 @@ Seeding.  The streams draw from CPython's MT19937, ported to C together
 with ``random()``, ``_randbelow`` and ``randint``.  Each warp's
 generator is seeded in C from its ``derive_seed`` value at the warp's
 first instruction, as the reference does; the seed values themselves
-are computed in Python when the cluster starts.
+are computed in Python when the cluster starts, by ``derive_seeds``,
+which hashes the labels' shared prefix once.
 
 Readers see objects.  Reading ``Accelerator.cores`` first exports the
 counters, wake, issue-busy time, scheduler pointer, warps and MSHR
@@ -57,18 +59,18 @@ from typing import List, Optional
 
 from ..mem.mshr import MshrEntry
 from ..native import CompiledKernel
-from ..parallel import derive_seed
+from ..parallel import derive_seeds
 from ..workloads.generator import SyntheticKernel
 from .core import MemoryToken, SimtCore
 from .instruction import InstrKind, WarpInstruction
 
 #: State layout version (mirrors ``_core_kernel.c``).
-LAYOUT = 1
+LAYOUT = 2
 
 KERNEL = CompiledKernel(Path(__file__).with_name("_core_kernel.c"),
                         "_core_kernel", LAYOUT, "core",
                         event="gpu.kernel_unavailable",
-                        fallback="chips run the Python cores")
+                        fallback="chips run the Python cores and MCs")
 
 #: The kernel's instruction kinds, by code.
 KINDS = (InstrKind.ALU, InstrKind.SHARED, InstrKind.GLOBAL_LOAD,
@@ -110,10 +112,12 @@ class CoreCluster:
              profile.warps_per_core, -1 if ipw is None else ipw),
             (profile.mem_fraction, profile.shared_fraction,
              profile.store_fraction, profile.reuse, profile.streaming),
-            [derive_seed(seed, profile.abbr, c.coord.x, c.coord.y, w)
-             for c in cores for w in range(nwarps)],
-            [derive_seed(seed, profile.abbr, core_id, "region")
-             for core_id in range(len(cores))])
+            derive_seeds(seed, (profile.abbr,),
+                         [(c.coord.x, c.coord.y, w)
+                          for c in cores for w in range(nwarps)]),
+            derive_seeds(seed, (profile.abbr,),
+                         [(core_id, "region")
+                          for core_id in range(len(cores))]))
         #: True once the kernel state may differ from the objects'.
         self.stale = False
 

@@ -104,13 +104,14 @@ class MemoryController:
     # -- clocking ------------------------------------------------------------
 
     def icnt_step(self, cycle: int) -> None:
-        # Contract with ``Accelerator.step``'s idle fast-path: when
-        # ``_replies`` and ``_writebacks`` are empty and ``_input`` is
-        # empty or its head is still in its L2-latency wait
-        # (``_input[0][0] > cycle``), this method mutates exactly
-        # ``_icnt_cycle`` and ``cycles`` (the drains below are no-ops and
-        # ``_process_input`` returns at once) — the chip loop inlines that
-        # idle tick and skips the call.  Keep both in sync.
+        # Contract with the idle fast-path of ``Accelerator.step`` and of
+        # the compiled memory side (``memory_step`` in
+        # ``gpu/_core_kernel.c``): when ``_replies`` and ``_writebacks``
+        # are empty and ``_input`` is empty or its head is still in its
+        # L2-latency wait (``_input[0][0] > cycle``), this method mutates
+        # exactly ``_icnt_cycle`` and ``cycles`` (the drains below are
+        # no-ops and ``_process_input`` returns at once) — both inline
+        # that idle tick and skip the call.  Keep all three in sync.
         self._icnt_cycle = cycle
         self.cycles += 1
         self._drain_replies(cycle)

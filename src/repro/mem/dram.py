@@ -73,7 +73,8 @@ class GddrChannel:
     or the smallest ``busy_until`` among the banks of queued requests
     (``NEVER`` when both are empty).  Before it, ``step`` only advances
     ``now``, ``pending_cycles`` and ``data_busy_cycles``, so the chip loop
-    may make exactly those updates itself and skip the call.
+    (and the compiled memory side, ``mem/nodes.py``) may make exactly
+    those updates itself and skip the call.
     """
 
     def __init__(self, timing: DramTiming = DramTiming(),

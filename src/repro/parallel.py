@@ -12,6 +12,7 @@ the pluggable executor underneath them:
 * :func:`derive_seed` — deterministic, platform-independent per-task seed
   derivation (SHA-256 based, immune to ``PYTHONHASHSEED``), so every design
   point is statistically independent yet exactly reproducible.
+  :func:`derive_seeds` derives many seeds that share a label prefix.
 * :class:`ResultCache` — an on-disk store keyed by a stable hash of the
   full task specification ``(ChipConfig, NetworkDesign, profile, seed,
   warmup, measure)``; any field change produces a different key.
@@ -36,8 +37,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
-                    Tuple, Union)
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple, Union)
 
 from .obs import log as obs_log
 
@@ -84,6 +85,28 @@ def derive_seed(seed: int, *parts: Any) -> int:
     digest = hashlib.sha256(
         canonical_json([seed, *parts]).encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+def derive_seeds(seed: int, prefix: Sequence[Any],
+                 suffixes: Iterable[Sequence[Any]]) -> List[int]:
+    """``[derive_seed(seed, *prefix, *s) for s in suffixes]``, hashing the
+    shared start of the canonical JSON once and copying the hash state
+    for each suffix.  The encoding is :func:`canonical_json`'s, element by
+    element: ``str`` for exact ints, :func:`canonical_json` for the rest."""
+    def encode(parts) -> str:
+        return "".join([
+            "," + (str(v) if type(v) is int else canonical_json(v))
+            for v in parts])
+
+    head = hashlib.sha256(
+        ("[" + encode([seed])[1:] + encode(prefix)).encode("utf-8"))
+    copy, from_bytes = head.copy, int.from_bytes
+    seeds = []
+    for suffix in suffixes:
+        digest = copy()
+        digest.update((encode(suffix) + "]").encode("utf-8"))
+        seeds.append(from_bytes(digest.digest()[:8], "big"))
+    return seeds
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:

@@ -155,14 +155,14 @@ class Accelerator:
                                    self.config.core.max_warps))
             for coord in self.compute_coords
         ]
-        self.mcs: List[MemoryController] = [
+        self._mcs: List[MemoryController] = [
             MemoryController(coord, self.config.mc,
                              inject=network.try_inject)
             for coord in self.mc_coords
         ]
         for core in self._cores:
             network.set_ejection_handler(core.coord, core.on_reply)
-        for mc in self.mcs:
+        for mc in self._mcs:
             network.set_ejection_handler(mc.coord, mc.on_packet)
 
         clocks = self.config.clocks
@@ -185,6 +185,9 @@ class Accelerator:
         #: The compiled core cluster (``gpu/cluster.py``): None until the
         #: first step starts it, False when the Python cores run instead.
         self._cluster = None
+        #: The compiled memory side (``mem/nodes.py``), started with the
+        #: cluster; None while the Python MCs and channels run.
+        self._memory = None
 
     @property
     def cores(self) -> List[SimtCore]:
@@ -195,6 +198,16 @@ class Accelerator:
         if cluster and cluster.stale:
             cluster.export()
         return self._cores
+
+    @property
+    def mcs(self) -> List[MemoryController]:
+        """The MC nodes.  On the compiled memory side, reading them first
+        exports its state into these objects and their channels if it has
+        changed since the last read."""
+        memory = self._memory
+        if memory is not None and memory.stale:
+            memory.export()
+        return self._mcs
 
     # -- plumbing -------------------------------------------------------------
 
@@ -216,12 +229,15 @@ class Accelerator:
     def step(self) -> None:
         """One interconnect cycle (master clock), event-driven.
 
-        The compiled core cluster steps every due core in one call (the
-        Python cores, when it is unavailable, step only when their wake
-        time is due: a skipped ``SimtCore.step`` is provably a no-op);
-        MCs whose step would change only their clocks, and DRAM channels
+        The compiled core cluster steps every due core in one call, and
+        after the network the compiled memory side steps every MC and
+        every DRAM tick of the cycle in one more.  When they are
+        unavailable, the Python cores step only when their wake time is
+        due (a skipped ``SimtCore.step`` is provably a no-op), and MCs
+        whose step would change only their clocks, and DRAM channels
         before their ``next_event``, take an inline tick that performs
-        exactly the mutations their full step would.
+        exactly the mutations their full step would; the memory kernel
+        applies the same two gates.
         ``_step_reference`` is the exhaustive twin (the pre-event-core
         loop); both must change together and the golden tests compare
         them bit for bit.
@@ -261,34 +277,40 @@ class Accelerator:
                     break
                 outbound.popleft()
         self.network.step(now)
-        for mc in self.mcs:
-            if (mc._replies or mc._writebacks
-                    or (mc._input and mc._input[0][0] <= now)):
-                mc.icnt_step(now)
-            else:
-                # Idle tick: exactly what ``icnt_step`` mutates with no
-                # replies, no write-backs and no input ready (see the
-                # contract note there).
-                mc.cycles += 1
-                mc._icnt_cycle = now
-        for _ in range(self._dram_clock.advance()):
-            self.dram_cycle += 1
-            mclk = self.dram_cycle
-            for mc in self.mcs:
-                dram = mc.dram
-                next_event = dram.next_event
-                if next_event <= mclk:
-                    dram.step(mclk)
+        if cluster:
+            ticks = self._dram_clock.advance()
+            self._memory.step(now, self.dram_cycle + 1, ticks)
+            self.dram_cycle += ticks
+        else:
+            for mc in self._mcs:
+                if (mc._replies or mc._writebacks
+                        or (mc._input and mc._input[0][0] <= now)):
+                    mc.icnt_step(now)
                 else:
-                    # Nothing completes or issues before ``next_event``:
-                    # make only the updates ``GddrChannel.step`` would
-                    # (clock, and busy accounting unless the channel is
-                    # empty, whose next event is ``NEVER``).
-                    dram.now = mclk
-                    if next_event != NEVER:
-                        dram.pending_cycles += 1
-                        if dram._bus_free_at > mclk:
-                            dram.data_busy_cycles += 1
+                    # Idle tick: exactly what ``icnt_step`` mutates with
+                    # no replies, no write-backs and no input ready (see
+                    # the contract note there).
+                    mc.cycles += 1
+                    mc._icnt_cycle = now
+            for _ in range(self._dram_clock.advance()):
+                self.dram_cycle += 1
+                mclk = self.dram_cycle
+                for mc in self._mcs:
+                    dram = mc.dram
+                    next_event = dram.next_event
+                    if next_event <= mclk:
+                        dram.step(mclk)
+                    else:
+                        # Nothing completes or issues before
+                        # ``next_event``: make only the updates
+                        # ``GddrChannel.step`` would (clock, and busy
+                        # accounting unless the channel is empty, whose
+                        # next event is ``NEVER``).
+                        dram.now = mclk
+                        if next_event != NEVER:
+                            dram.pending_cycles += 1
+                            if dram._bus_free_at > mclk:
+                                dram.data_busy_cycles += 1
         if self._check_interval and now % self._check_interval == 0:
             check_accelerator(self)
 
@@ -311,21 +333,22 @@ class Accelerator:
                     break
                 outbound.popleft()
         self.network.step(now)
-        for mc in self.mcs:
+        for mc in self._mcs:
             mc.icnt_step(now)
         for _ in range(self._dram_clock.advance()):
             self.dram_cycle += 1
             mclk = self.dram_cycle
-            for mc in self.mcs:
+            for mc in self._mcs:
                 mc.dram_step(mclk)
         if self._check_interval and now % self._check_interval == 0:
             check_accelerator(self)
 
     def use_reference_stepper(self) -> None:
         """Run the exhaustive reference loops (chip and network).  Once
-        the compiled core cluster has stepped, this raises.  The network
-        switch is idle-only; it runs next, so a busy network raises with
-        the chip still on its event-driven loop."""
+        the compiled chip side (core cluster and memory side) has
+        stepped, this raises.  The network switch is idle-only; it runs
+        next, so a busy network raises with the chip still on its
+        event-driven loop."""
         if self._cluster:
             raise RuntimeError(
                 "the compiled core cluster has stepped this chip; select "
@@ -368,13 +391,18 @@ class Accelerator:
                 outbound.popleft()
         self.network.step(now)
         t = profiler.add_since("network", t)
-        for mc in self.mcs:
-            mc.icnt_step(now)
-        for _ in range(self._dram_clock.advance()):
-            self.dram_cycle += 1
-            mclk = self.dram_cycle
-            for mc in self.mcs:
-                mc.dram_step(mclk)
+        if cluster:
+            ticks = self._dram_clock.advance()
+            self._memory.step(now, self.dram_cycle + 1, ticks)
+            self.dram_cycle += ticks
+        else:
+            for mc in self._mcs:
+                mc.icnt_step(now)
+            for _ in range(self._dram_clock.advance()):
+                self.dram_cycle += 1
+                mclk = self.dram_cycle
+                for mc in self._mcs:
+                    mc.dram_step(mclk)
         t = profiler.add_since("memory", t)
         if self._check_interval and now % self._check_interval == 0:
             check_accelerator(self)
@@ -382,12 +410,16 @@ class Accelerator:
         profiler.add_since("telemetry", t)
 
     def _start_cluster(self):
-        """Start the compiled core cluster at the first step; False (the
-        Python cores run this chip) if it cannot run it."""
+        """Start the compiled chip side at the first step: the core
+        cluster and, with it, the memory side; False (the Python cores,
+        MCs and channels run this chip) if the cluster cannot run it."""
         # Imported here, not at module level, so ``import repro`` does not
-        # pay for the cluster and loader modules.
+        # pay for the cluster, memory-side and loader modules.
         from ..gpu import cluster
+        from ..mem import nodes
         self._cluster = cluster.start(self) or False
+        if self._cluster:
+            self._memory = nodes.start(self, cluster.KERNEL.load())
         return self._cluster
 
     def run(self, warmup: int = 1_000, measure: int = 3_000,
@@ -418,11 +450,10 @@ class Accelerator:
     def finished(self) -> bool:
         cluster = self._cluster
         if cluster:
-            if not cluster.finished():
+            if not (cluster.finished() and self._memory.idle()):
                 return False
-        elif not all(core.finished for core in self._cores):
-            return False
-        if not all(mc.idle for mc in self.mcs):
+        elif not (all(core.finished for core in self._cores)
+                  and all(mc.idle for mc in self._mcs)):
             return False
         return getattr(self.network, "idle", True)
 
@@ -462,6 +493,7 @@ class Accelerator:
             cs.latency_hist for net in nets
             for cs in net.stats.per_class.values())
         cores = self.cores
+        mcs = self.mcs
         return _Snapshot(
             core_cycles=self.core_cycle,
             retired=sum(core.retired_scalar for core in cores),
@@ -469,20 +501,20 @@ class Accelerator:
             bytes_ejected=bytes_ejected,
             mc_inj_flits=mc_flits,
             mc_inj_bytes=mc_bytes,
-            mc_blocked=sum(mc.blocked_cycles for mc in self.mcs),
-            mc_cycles=sum(mc.cycles for mc in self.mcs),
+            mc_blocked=sum(mc.blocked_cycles for mc in mcs),
+            mc_cycles=sum(mc.cycles for mc in mcs),
             net_latency_sum=net_lat,
             packet_latency_sum=packet_lat,
             packets=packets,
-            dram_busy=sum(mc.dram.data_busy_cycles for mc in self.mcs),
-            dram_pending=sum(mc.dram.pending_cycles for mc in self.mcs),
-            dram_row_hits=sum(mc.dram.row_hits for mc in self.mcs),
+            dram_busy=sum(mc.dram.data_busy_cycles for mc in mcs),
+            dram_pending=sum(mc.dram.pending_cycles for mc in mcs),
+            dram_row_hits=sum(mc.dram.row_hits for mc in mcs),
             dram_row_total=sum(mc.dram.row_hits + mc.dram.row_misses
-                               for mc in self.mcs),
+                               for mc in mcs),
             l1_hits=sum(core.l1.hits for core in cores),
             l1_accesses=sum(core.l1.accesses for core in cores),
-            l2_hits=sum(mc.l2.hits for mc in self.mcs),
-            l2_accesses=sum(mc.l2.accesses for mc in self.mcs),
+            l2_hits=sum(mc.l2.hits for mc in mcs),
+            l2_accesses=sum(mc.l2.accesses for mc in mcs),
             crossbar_traversals=sum(net.stats.crossbar_traversals
                                     for net in nets),
             buffer_reads=sum(net.stats.buffer_reads for net in nets),

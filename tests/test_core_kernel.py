@@ -1,8 +1,10 @@
-"""The compiled core cluster: its MT19937 and address streams against
-``random.Random`` and ``SyntheticKernel``, that the default chip really
-runs on it (telemetry included), export, the reference switch, reply
-errors, import hygiene and the fallback when it cannot be built.
-Cycle-by-cycle bit-identity with the Python cores is pinned by the
+"""The compiled chip side: the core cluster's MT19937 and address streams
+against ``random.Random`` and ``SyntheticKernel``, corner machines of
+the cores and of the memory side in lockstep with the Python ones, that
+the default chip really runs on both (telemetry included), export, the
+reference switch, reply and request errors, callbacks that raise or
+re-enter, import hygiene and the fallback when it cannot be built.
+Cycle-by-cycle bit-identity on the paper's machine is pinned by the
 lockstep legs of tests/test_stepper_equivalence.py."""
 
 import dataclasses
@@ -10,6 +12,7 @@ import gc
 import json
 import random
 import weakref
+from functools import partial
 
 import pytest
 
@@ -17,15 +20,20 @@ from repro.core.builder import design_by_name
 from repro.gpu import cluster
 from repro.gpu.cluster import CoreCluster
 from repro.gpu.core import MemoryToken, SimtCore
+from repro.mem import nodes
+from repro.mem.controller import MemoryController
+from repro.mem.dram import GddrChannel
+from repro.mem.nodes import MemoryNodes
 from repro.noc.ideal import PerfectNetwork
-from repro.noc.packet import read_reply
+from repro.noc.packet import read_reply, read_request
 from repro.system.accelerator import build_chip
-from repro.system.config import paper_config
+from repro.system.config import paper_config, scaled_config
 from repro.telemetry import TelemetryHub, TelemetrySpec
 from repro.workloads.generator import SyntheticKernel
 from repro.workloads.profiles import PROFILES, profile
 
 from .test_noc_kernel import _python
+from .test_stepper_equivalence import _lockstep_to_completion
 
 SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63 + 12345, 2**64 - 1)
 
@@ -155,6 +163,116 @@ def test_corner_machines_match_the_python_cores(case):
     assert fast.run(0, 1).to_json() == ref.run(0, 1).to_json()
 
 
+def _backlog_corner(seen, chip):
+    for mc in chip.mcs:
+        done = mc.reads + mc.writes
+        seen["gated"] = seen.get("gated", False) or mc.gated
+        seen["most"] = max(seen.get("most", 0),
+                           done - seen.get(mc.coord, 0))
+        seen[mc.coord] = done
+
+
+def _backlog_reached(seen, chip):
+    # gated behind a one-reply backlog, and two requests in one cycle
+    return seen["gated"] and seen["most"] == 2
+
+
+def _writeback_corner(seen, chip):
+    seen["waits"] = seen.get("waits", 0) + sum(
+        1 for mc in chip.mcs
+        if mc._writebacks and not mc.dram.can_accept())
+
+
+def _writeback_reached(seen, chip):
+    return seen["waits"] > 0
+
+
+def _reprobe_reached(seen, chip):
+    # every read probes the L2 once unless it re-probes behind a full
+    # DRAM queue; more row misses than banks means bank conflicts
+    return all(mc.l2.accesses > mc.reads
+               and mc.dram.row_misses > mc.dram.timing.num_banks
+               for mc in chip.mcs)
+
+
+def _latency_corner(seen, chip):
+    for mc in chip.mcs:
+        for ready, packet in mc._input:
+            seen["latency"] = seen.get("latency", set()) | {
+                ready - packet.ejected}
+
+
+def _latency_reached(seen, chip):
+    # every request waited one cycle between ejection and its L2 lookup
+    return seen["latency"] == {1}
+
+
+#: Memory machines Table II does not reach: McConfig overrides,
+#: DramTiming overrides, profile overrides, a per-cycle observer of the
+#: reference chip and the check that the run reached its corner.
+MEMORY_CORNERS = {
+    "backlog-1-two-per-cycle": (
+        dict(reply_backlog_limit=1, requests_per_cycle=2), {},
+        dict(warps_per_core=12), _backlog_corner, _backlog_reached),
+    "direct-mapped-4k-l2-stores": (
+        dict(l2_size_bytes=4096, l2_associativity=1), {},
+        dict(store_fraction=0.7, reuse=0.0), _writeback_corner,
+        _writeback_reached),
+    "two-banks-queue-2": (
+        {}, dict(queue_capacity=2, num_banks=2, row_bytes=256),
+        dict(warps_per_core=12), None, _reprobe_reached),
+    "l2-latency-1": (
+        dict(l2_latency=1), {}, dict(warps_per_core=12), _latency_corner,
+        _latency_reached),
+}
+
+
+@pytest.mark.parametrize("where", ("TB-DOR", "perfect"))
+@pytest.mark.parametrize("corner", sorted(MEMORY_CORNERS))
+def test_memory_corner_machines_match_the_python_mcs(corner, where):
+    """Lockstep to completion against the Python MCs and channels on
+    memory machines outside the paper's, every MC and channel field
+    compared at every check (``_chip_counters``; the network's own state
+    is left to tests/test_stepper_equivalence.py), and each run shows it
+    reached its corner."""
+    mc_over, dram_over, prof_over, observer, reached = MEMORY_CORNERS[corner]
+    config = paper_config()
+    config = dataclasses.replace(config, mc=dataclasses.replace(
+        config.mc, dram=dataclasses.replace(config.mc.dram, **dram_over),
+        **mc_over))
+    prof = dataclasses.replace(profile("MUM"), **prof_over)
+    seen = {}
+
+    def make_chip(reference):
+        chip = build_chip(
+            prof, config=config, seed=11, instructions_per_warp=3,
+            **({"network": PerfectNetwork()} if where == "perfect"
+               else {"design": design_by_name(where)}))
+        # The Python cores and MCs, on the same compiled network.
+        chip._reference = reference
+        return chip
+
+    ref, _ = _lockstep_to_completion(
+        make_chip, 20_000, mesh=False,
+        observe=observer and (lambda chip: observer(seen, chip)))
+    assert reached(seen, ref), seen
+
+
+@pytest.mark.parametrize("cores, mcs", ((24, 12), (30, 6)))
+def test_any_mc_count_matches_the_python_mcs(cores, mcs):
+    """Nothing in the memory kernel assumes Table II's 8 MCs."""
+    config = scaled_config(cores, mcs, 6, 6)
+
+    def make_chip(reference):
+        chip = build_chip(profile("RD"), network=PerfectNetwork(),
+                          config=config, seed=5, instructions_per_warp=3)
+        chip._reference = reference
+        return chip
+
+    ref, _ = _lockstep_to_completion(make_chip, 20_000, mesh=False)
+    assert len(ref.mcs) == mcs
+
+
 # -- the default path runs on the cluster -----------------------------------
 
 def test_default_chip_never_runs_the_python_cores(monkeypatch):
@@ -170,12 +288,18 @@ def test_default_chip_never_runs_the_python_cores(monkeypatch):
         raise AssertionError("Python core path ran")
 
     for owner, attr in ((SimtCore, "step"), (SimtCore, "on_reply"),
-                        (SyntheticKernel, "next_instruction")):
+                        (SyntheticKernel, "next_instruction"),
+                        (MemoryController, "icnt_step"),
+                        (MemoryController, "on_packet"),
+                        (MemoryController, "_dram_done"),
+                        (GddrChannel, "step")):
         monkeypatch.setattr(owner, attr, forbidden)
     chip = _perfect_chip()
     assert chip._cluster is None, "started before the first step"
+    assert chip._memory is None, "started before the first step"
     assert chip.run_to_completion().to_json() == expected
     assert isinstance(chip._cluster, CoreCluster)
+    assert isinstance(chip._memory, MemoryNodes)
 
 
 def test_telemetry_runs_the_cluster():
@@ -188,6 +312,7 @@ def test_telemetry_runs_the_cluster():
     hub.attach_chip(chip)
     assert chip.run_to_completion().to_json() == expected
     assert isinstance(chip._cluster, CoreCluster)
+    assert isinstance(chip._memory, MemoryNodes)
     assert hub.sampler.rows, "sampler saw no cycles"
 
 
@@ -209,6 +334,19 @@ def test_edit_after_export_is_what_the_audit_sees():
     assert any("orphan in-flight request" in p for p in chip.audit())
     chip.step()                      # the cluster steps: the next read
     assert chip.audit() == []        # exports again
+    # The same for the memory side: a reply dropped from an exported
+    # backlog is missing from what the audit sees, until the next step.
+    for _ in range(400):
+        if any(mc._replies for mc in chip.mcs):
+            break
+        chip.step()
+    mc = next(mc for mc in chip.mcs if mc._replies)
+    mc._replies.popleft()
+    assert not chip._memory.stale
+    assert any("request conservation broken" in p for p in chip.audit())
+    chip.step()
+    assert chip._memory.stale
+    assert chip.audit() == []
 
 
 def test_reference_switch_raises_once_the_cluster_stepped():
@@ -246,25 +384,149 @@ def test_reply_without_an_mshr_entry_raises_and_writes_nothing():
 
 def test_dropped_chip_frees_its_cluster_at_once():
     """Nothing the chip owns refers back to it, and the network holds the
-    cluster weakly, so a dropped chip and its kernel state go without
-    waiting for the cycle collector."""
+    cluster and the memory side weakly, so a dropped chip and its kernel
+    state go without waiting for the cycle collector."""
     gc.disable()
     try:
         chip = build_chip(profile("RD"), design=design_by_name("TB-DOR"),
                           seed=11)
         chip.run(warmup=20, measure=20)
-        refs = weakref.ref(chip), weakref.ref(chip._cluster)
+        refs = (weakref.ref(chip), weakref.ref(chip._cluster),
+                weakref.ref(chip._memory), weakref.ref(chip._memory._c))
         del chip
-        assert [ref() for ref in refs] == [None, None]
+        assert [ref() for ref in refs] == [None] * 4
     finally:
         gc.enable()
+
+
+def _memory_chip(inject=None):
+    """A MUM chip on the perfect network whose MC 0 offers its replies
+    through ``inject(network, packet, cycle)``, if given."""
+    chip = _perfect_chip("MUM", 6)
+    if inject is not None:
+        chip._mcs[0].inject = partial(inject, chip.network)
+    return chip
+
+
+def _step_until(chip, ready):
+    for _ in range(2_000):
+        chip.step()
+        if ready(chip):
+            return
+    raise AssertionError("state not reached")
+
+
+def test_raising_inject_leaves_its_reply_queued():
+    armed = []
+
+    def inject(network, packet, cycle):
+        if armed:
+            raise RuntimeError("inject failed")
+        return network.try_inject(packet, cycle)
+
+    chip = _memory_chip(inject)
+    _step_until(chip, lambda chip: chip.mcs[0]._replies)
+    mc = chip.mcs[0]
+    head, sent = mc._replies[0], mc.replies_sent
+    armed.append(True)
+    with pytest.raises(RuntimeError, match="inject failed"):
+        chip.step()
+    mc = chip.mcs[0]
+    assert mc._replies[0] is head and mc.replies_sent == sent
+    armed.clear()
+    chip.step()
+    mc = chip.mcs[0]
+    assert head not in mc._replies and mc.replies_sent > sent
+
+
+def test_raising_reply_factory_leaves_its_request_queued(monkeypatch):
+    """A reply is built before anything changes for its request, so a
+    raising factory leaves the request where it was (here in flight at
+    its channel, MUM's L2 hardly hitting), and the run goes on."""
+    build, armed, failed = nodes._reply, [], []
+
+    def factory(coord, request, cycle):
+        if armed and not failed:
+            failed.append(request)
+            raise RuntimeError("factory failed")
+        return build(coord, request, cycle)
+
+    monkeypatch.setattr(nodes, "_reply", factory)
+    chip = _memory_chip()
+    _step_until(chip, lambda chip: chip.icnt_cycle >= 100)
+    armed.append(True)
+    with pytest.raises(RuntimeError, match="factory failed"):
+        for _ in range(500):
+            chip.step()
+    request, = failed
+    assert any(r.payload is request
+               for mc in chip.mcs for r in mc.dram.outstanding_requests())
+    chip.run_to_completion()
+    assert chip.audit() == []
+
+
+def test_malformed_request_queues_nothing():
+    """The request handler checks the packet before anything is queued:
+    a non-request packet, or a payload without an in-range int
+    ``local_addr``, raises and leaves the MC as it was."""
+    chip = _memory_chip()
+    chip.run(warmup=0, measure=30)
+    mc = chip.mcs[1]
+    handler = chip.network._handlers[mc.coord]
+    core = chip._cores[0].coord
+
+    def state():
+        mc = chip.mcs[1]
+        return mc.requests_received, mc.max_queue_depth, list(mc._input)
+
+    before = state()
+    token = MemoryToken(core, 0x4000, 0x400)
+    with pytest.raises(ValueError, match="non-request"):
+        handler(read_reply(mc.coord, core, payload=token), chip.icnt_cycle)
+    for payload in (object(), MemoryToken(core, 0x4000, None),
+                    MemoryToken(core, 0x4000, -64),
+                    MemoryToken(core, 0x4000, 2**62),
+                    MemoryToken(core, 0x4000, 2**70),
+                    MemoryToken(core, 0x4000, 64.0)):
+        with pytest.raises(ValueError, match="local_addr"):
+            handler(read_request(core, mc.coord, payload=payload),
+                    chip.icnt_cycle)
+    assert state() == before
+    with pytest.raises(IndexError):
+        chip._memory._c.request(len(chip.mcs), read_request(
+            core, mc.coord, payload=token), chip.icnt_cycle)
+
+
+@pytest.mark.parametrize("call", ("step", "request", "export"))
+def test_kernel_refuses_reentry(call):
+    """A callback that calls back into the memory side gets a
+    RuntimeError, which propagates with the reply still queued."""
+    def inject(network, packet, cycle):
+        memory = memory_ref()
+        if call == "step":
+            memory.step(cycle, 1, 1)
+        elif call == "request":
+            memory.request(0, packet, cycle)
+        else:
+            memory.export()
+        return network.try_inject(packet, cycle)
+
+    chip = _memory_chip(inject)
+    chip.step()
+    memory_ref = weakref.ref(chip._memory._c)
+    with pytest.raises(RuntimeError, match="re-entered"):
+        for _ in range(2_000):
+            chip.step()
+    mc = chip.mcs[0]
+    assert mc._replies and mc.replies_sent == 0
 
 
 # -- build and import ---------------------------------------------------------
 
 def test_import_and_construction_load_no_kernel():
     """``import repro`` neither loads nor compiles either kernel, and a
-    chip loads the core kernel only at its first step."""
+    chip loads the core kernel, and imports the memory side, only at its
+    first step."""
     out = _python("""
         import sys
         import repro
@@ -274,7 +536,8 @@ def test_import_and_construction_load_no_kernel():
         from repro.system.accelerator import build_chip
         from repro.workloads.profiles import profile
         loaded = lambda: (sorted(m for m in ("setuptools", "_noc_kernel",
-                                             "_core_kernel")
+                                             "_core_kernel",
+                                             "repro.mem.nodes")
                                  if m in sys.modules),
                           batched.KERNEL.loaded, cluster.KERNEL.loaded)
         print(loaded())
@@ -286,7 +549,7 @@ def test_import_and_construction_load_no_kernel():
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == [
         "([], False, False)", "([], False, False)",
-        "(['_core_kernel'], False, True)"]
+        "(['_core_kernel', 'repro.mem.nodes'], False, True)"]
 
 
 def test_failing_build_runs_the_python_cores(tmp_path):
@@ -305,7 +568,7 @@ def test_failing_build_runs_the_python_cores(tmp_path):
             chip = build_chip(profile("MUM"), network=PerfectNetwork(),
                               seed=11, instructions_per_warp=4)
             results.append(chip.run_to_completion().to_json())
-            assert chip._cluster is False
+            assert chip._cluster is False and chip._memory is None
         print(json.dumps(results))
     """, env={"CC": "false"})
     assert out.returncode == 0, out.stderr

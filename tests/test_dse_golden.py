@@ -16,7 +16,8 @@ import json
 import pytest
 
 from repro.dse import (CSV_COLUMNS, NODE_CSV_COLUMNS, ExplorationResult,
-                       FidelityLadder, explore, figure2, power)
+                       FidelityLadder, explore, explore_preset, figure2,
+                       power)
 from repro.parallel import ReportCollector
 
 #: The head example's Figure 2 ordering, best throughput-effectiveness
@@ -203,3 +204,24 @@ class TestPowerPresetFullSweep:
         # of the 2-D one.
         assert "Throughput-Effective" in result.frontier3d
         assert set(result.frontier) <= set(result.frontier3d)
+
+
+class TestFrontiersOverConfirmedCandidates:
+    def test_smoke_frontiers_hold_only_confirmed_candidates(self):
+        """A halving round's HM IPC is over a smaller mix and shorter
+        windows than the confirm stage's, so only confirmed candidates
+        are ranked against each other: ``smoke``'s round-1 drop-outs
+        (cp-dor-w16-v2-b8, tb-dor-w16-v2-b8) keep their rows, on no
+        frontier."""
+        result = explore_preset("smoke")
+        fidelity = {c.name: c.fidelity for c in result.candidates}
+        assert result.frontier == ["cp-dor-w16-v2-b4", "CP-CR-4VC"]
+        assert result.frontier3d == ["cp-dor-w16-v2-b4", "CP-CR-4VC"]
+        for name in result.frontier + result.frontier3d:
+            assert fidelity[name] == "confirm", name
+        dropped = [c for c in result.candidates if c.fidelity == "round1"]
+        assert {c.name for c in dropped} == {"cp-dor-w16-v2-b8",
+                                             "tb-dor-w16-v2-b8"}
+        for c in dropped:
+            assert c.hm_ipc is not None and c.noc_power_w is not None
+            assert not (c.on_frontier or c.on_frontier3d)

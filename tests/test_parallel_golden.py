@@ -11,12 +11,14 @@ import os
 import time
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core.builder import BASELINE, CP_DOR, DOUBLE_BW, NAMED_DESIGNS
 from repro.experiments import (classify_benchmarks, compare_designs,
                                load_latency_curves)
 from repro.noc.traffic import UniformManyToFew
-from repro.parallel import derive_seed, resolve_jobs, stable_key
+from repro.parallel import (derive_seed, derive_seeds, resolve_jobs,
+                            stable_key)
 from repro.workloads.profiles import PROFILES, profile
 
 DESIGNS = [BASELINE, CP_DOR, DOUBLE_BW]
@@ -107,6 +109,12 @@ class TestOpenLoopGolden:
             seeds
 
 
+#: Label parts ``derive_seed`` is given: ints (bools among them), floats
+#: and strings, non-ASCII included.
+_parts = st.one_of(st.integers(-2**70, 2**70), st.booleans(),
+                   st.floats(), st.text(max_size=6))
+
+
 class TestSeedDerivation:
     def test_deterministic_across_processes(self):
         """SHA-based derivation must not depend on PYTHONHASHSEED; pin an
@@ -121,6 +129,15 @@ class TestSeedDerivation:
         assert derive_seed(11, "openloop", "TB-DOR", "RD") != base
         assert derive_seed(11, "closed", "CP-DOR", "RD") != base
         assert derive_seed(11, "closed", "TB-DOR", "AES") != base
+
+    @given(seed=st.integers(-2**70, 2**70),
+           prefix=st.lists(_parts, max_size=3),
+           suffixes=st.lists(st.lists(_parts, max_size=4), max_size=5))
+    def test_derive_seeds_equals_derive_seed(self, seed, prefix, suffixes):
+        """The shared-prefix form hashes exactly what ``derive_seed``
+        hashes, for ints, bools, floats and strings (non-ASCII too)."""
+        assert derive_seeds(seed, prefix, suffixes) == [
+            derive_seed(seed, *prefix, *suffix) for suffix in suffixes]
 
     def test_stable_key_covers_dataclasses(self):
         key = stable_key({"design": BASELINE, "seed": 11})

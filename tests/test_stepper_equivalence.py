@@ -49,6 +49,7 @@ from repro.noc.topology import Coord, Mesh
 from repro.noc.traffic import UniformManyToFew
 from repro.noc.vc import VcConfig, dedicated_vc_config, shared_vc_config
 from repro.gpu.cluster import CoreCluster
+from repro.mem.nodes import MemoryNodes
 from repro.system.accelerator import build_chip
 from repro.telemetry import TelemetryHub, TelemetrySpec
 from repro.workloads.profiles import QUICK_MIX, profile
@@ -201,18 +202,52 @@ def test_open_loop_bit_identity(design_name, rate):
                          f"cycles {start}..{start + CHECKPOINT}")
 
 
+def _token(packet):
+    """A packet's memory token (packet ids differ between two chips)."""
+    return None if packet is None else packet.payload
+
+
+def _dram_request(request):
+    return (request.addr, request.is_write, request.size_bytes,
+            request.arrival, _token(request.payload), request.bank,
+            request.row, request.issue_time, request.complete_time,
+            request.row_hit)
+
+
 def _chip_counters(chip):
     """The chip's measurement counters, its latency histogram by summary
-    (histograms do not define equality), and per core the state a
-    structural-stall retry touches: the stall count, each warp's
+    (histograms do not define equality), per core the state a
+    structural-stall retry touches (the stall count, each warp's
     ``ready_at`` and ``pending_loads``, the scheduler pointer and the
-    wake time."""
+    wake time), per MC its counters, input pipeline (ready cycle and
+    token), reply backlog and write-backs and L2 hits and misses, and
+    per channel its counters, clock, ``next_event``, banks, bus and
+    activate times and queued and in-flight requests."""
     counters = dict(vars(chip._snapshot()))
     counters["latency_hist"] = counters["latency_hist"].summary()
     counters["cores"] = [
         (core.structural_stalls, core.scheduler._pointer, core.wake,
          [(warp.ready_at, warp.pending_loads) for warp in core.warps])
         for core in chip.cores]
+    counters["mcs"] = [
+        (mc.cycles, mc.blocked_cycles, mc.requests_received, mc.reads,
+         mc.writes, mc.replies_sent, mc.max_queue_depth, mc._icnt_cycle,
+         mc.l2.hits, mc.l2.misses,
+         [(ready, _token(packet)) for ready, packet in mc._input],
+         [(reply.dest, reply.created, _token(reply))
+          for reply in mc._replies],
+         list(mc._writebacks))
+        for mc in chip.mcs]
+    counters["channels"] = [
+        (dram.requests_serviced, dram.row_hits, dram.row_misses,
+         dram.data_busy_cycles, dram.pending_cycles, dram.now,
+         dram.next_event, dram._next_completion, dram._bus_free_at,
+         dram._last_activate_any,
+         [(bank.open_row, bank.busy_until, bank.last_activate)
+          for bank in dram._banks],
+         [_dram_request(r) for r in dram._queue],
+         [_dram_request(r) for r in dram._in_flight])
+        for dram in (mc.dram for mc in chip.mcs)]
     return counters
 
 
@@ -248,18 +283,22 @@ def test_closed_loop_three_way(design_name):
     assert run(audited) == oracle, "system audit perturbed the defaults"
 
 
-def _lockstep_to_completion(make_chip, max_cycles, mesh=True):
+def _lockstep_to_completion(make_chip, max_cycles, mesh=True,
+                            observe=None):
     """Step ``make_chip(reference=True)`` and ``make_chip(reference=False)``
     in lockstep until the kernel completes: they finish on the same cycle
     and agree on chip counters (and, on a mesh, network stats and state)
-    at every ``CHECKPOINT``.  Returns the reference chip and the deepest
-    DRAM queue it saw."""
+    at every ``CHECKPOINT``.  ``observe(ref)``, if given, sees the
+    reference chip after every cycle.  Returns the reference chip and the
+    deepest DRAM queue it saw."""
     ref, fast = make_chip(reference=True), make_chip(reference=False)
     peak_queue = 0
     while not ref.finished:
         assert ref.icnt_cycle < max_cycles, "kernel did not finish"
         ref.step()
         fast.step()
+        if observe is not None:
+            observe(ref)
         peak_queue = max(peak_queue, *(mc.dram.queue_occupancy
                                        for mc in ref.mcs))
         where = f"cycle {ref.icnt_cycle}"
@@ -319,8 +358,9 @@ def test_closed_loop_bit_identity_quick_mix_on_the_cluster(abbr):
 
     _lockstep_to_completion(make_chip, 10_000, mesh=False)
     reference, default = chips
-    assert reference._cluster is None
+    assert reference._cluster is None and reference._memory is None
     assert isinstance(default._cluster, CoreCluster)
+    assert isinstance(default._memory, MemoryNodes)
 
 
 # -- randomized fuzz sweep -------------------------------------------------
