@@ -13,9 +13,6 @@ Usage::
     python -m repro run --benchmark RD --trace --sample-interval 100 \
         --telemetry-out out/rd
     python -m repro report out/rd --heatmaps
-    python -m repro serve --cache ~/.cache/repro-noc --workers 2
-    python -m repro submit sweep --design TB-DOR --rates 0.01,0.03
-    python -m repro submit stats
 
 The CLI is a thin veneer over the public API; everything it prints can be
 obtained programmatically (see examples/).
@@ -316,13 +313,8 @@ def _cmd_explore(args) -> int:
     print(f"exploring preset '{spec.name}': {raw} raw points, "
           f"mix {','.join(spec.mix)}, seed {spec.seed} "
           f"({spec.seed_policy})")
-    # explore_preset is the shared CLI/job-server entry point: routing
-    # through it is what makes served explorations bit-identical to this
-    # command's output.
-    result = dse.explore_preset(args.preset, seed=args.seed,
-                                jobs=args.jobs, cache=args.cache,
-                                progress=log_progress if args.progress
-                                else None)
+    result = dse.explore(spec, jobs=args.jobs, cache=args.cache,
+                         progress=log_progress if args.progress else None)
 
     if result.rejected:
         rules: dict = {}
@@ -372,100 +364,6 @@ def _cmd_explore(args) -> int:
         written = result.write_artifacts(args.out)
         for name in sorted(written):
             print(f"wrote {name:17s} {written[name]}")
-    return 0
-
-
-def _cmd_serve(args) -> int:
-    """Run the simulation job server (`repro serve`)."""
-    import asyncio
-
-    from .serve import JobServer, ServerConfig
-
-    config = ServerConfig(
-        host=args.host, port=args.port, socket_path=args.socket,
-        cache=args.cache if args.cache is not None else True,
-        cache_max_mb=args.cache_max_mb, workers=args.workers,
-        job_jobs=args.jobs)
-    server = JobServer(config)
-
-    async def _run() -> None:
-        await server.start()
-        where = (config.socket_path if config.socket_path is not None
-                 else "%s:%d" % server.address)
-        obs_log.emit(
-            "server_listening",
-            f"repro job server listening on {where} "
-            f"(workers={config.workers})",
-            address=str(where), workers=config.workers)
-        await server.serve_until_stopped()
-
-    try:
-        asyncio.run(_run())
-    except KeyboardInterrupt:
-        obs_log.emit("server_interrupted",
-                     "interrupted; queued jobs dropped")
-    return 0
-
-
-def _submit_client(args):
-    from .serve import ServeClient
-    return ServeClient(host=args.host, port=args.port,
-                       socket_path=args.socket)
-
-
-def _print_event_progress(event: dict) -> None:
-    origin = "cache" if event.get("cached") else "run"
-    obs_log.emit(
-        "task_progress",
-        f"[{event['index'] + 1:3d}/{event['total']}] "
-        f"{event['label']:40s} {event['seconds']:7.2f}s ({origin})",
-        job_id=event.get("job_id"), index=event["index"],
-        total=event["total"], label=event["label"],
-        seconds=event["seconds"], cached=bool(event.get("cached")))
-
-
-def _cmd_submit(args) -> int:
-    """Submit a job to a running server (`repro submit sweep ...`)."""
-    from .serve import JobFailed, ServeError
-
-    if args.job_kind == "stats":
-        try:
-            with _submit_client(args) as client:
-                stats = client.stats()
-        except (ServeError, OSError) as exc:
-            raise SystemExit(f"error: {exc}") from None
-        print(json.dumps(stats, indent=2, sort_keys=True))
-        return 0
-
-    if args.job_kind == "sweep":
-        job = {"kind": "sweep", "design": args.design,
-               "rates": [float(r) for r in args.rates.split(",")],
-               "pattern": "hotspot" if args.hotspot else "uniform",
-               "warmup": args.warmup, "measure": args.measure,
-               "seed": args.seed}
-    elif args.job_kind == "compare":
-        job = {"kind": "compare",
-               "designs": [n.strip() for n in args.designs.split(",")],
-               "warmup": args.warmup, "measure": args.measure,
-               "seed": args.seed}
-        if args.benchmarks:
-            job["benchmarks"] = [b.strip().upper()
-                                 for b in args.benchmarks.split(",")]
-    else:   # explore
-        job = {"kind": "explore", "preset": args.preset}
-        if args.seed is not None:
-            job["seed"] = args.seed
-
-    progress = _print_event_progress if args.progress else None
-    try:
-        with _submit_client(args) as client:
-            result = client.submit(job, progress=progress)
-    except JobFailed as exc:
-        label = f" (task {exc.label!r})" if exc.label else ""
-        raise SystemExit(f"error: job failed{label}: {exc}") from None
-    except (ServeError, OSError) as exc:    # includes JobRejected
-        raise SystemExit(f"error: {exc}") from None
-    print(json.dumps(result, indent=2, sort_keys=True))
     return 0
 
 
@@ -649,60 +547,6 @@ def make_parser() -> argparse.ArgumentParser:
                          help="override the preset's base seed")
     parallel_args(explore)
 
-    from .serve import protocol as serve_protocol
-
-    def endpoint_args(p):
-        p.add_argument("--host", default=serve_protocol.DEFAULT_HOST)
-        p.add_argument("--port", type=int,
-                       default=serve_protocol.DEFAULT_PORT)
-        p.add_argument("--socket", default=None, metavar="PATH",
-                       help="unix socket path (overrides --host/--port)")
-
-    serve = sub.add_parser(
-        "serve", help="run the simulation job server")
-    endpoint_args(serve)
-    serve.add_argument("--cache", default=None, metavar="DIR",
-                       help="result cache directory (default: the "
-                            "shared REPRO_CACHE_DIR / XDG cache)")
-    serve.add_argument("--cache-max-mb", type=float, default=None,
-                       metavar="MB",
-                       help="LRU-evict the cache past this size budget")
-    serve.add_argument("--workers", type=positive_int, default=1,
-                       help="concurrent jobs (default 1)")
-    serve.add_argument("--jobs", type=positive_int, default=None,
-                       help="worker processes per job (run_tasks fan-out)")
-
-    submit = sub.add_parser(
-        "submit", help="submit a job to a running server")
-    endpoint_args(submit)
-    submit.add_argument("--progress", action="store_true",
-                        help="print streamed per-task progress to stderr")
-    job_sub = submit.add_subparsers(dest="job_kind", required=True)
-
-    jsweep = job_sub.add_parser("sweep", help="open-loop sweep job")
-    jsweep.add_argument("--design", required=True)
-    jsweep.add_argument("--rates", default="0.005,0.02,0.04,0.06")
-    jsweep.add_argument("--hotspot", action="store_true")
-    jsweep.add_argument("--warmup", type=int, default=1000)
-    jsweep.add_argument("--measure", type=int, default=3000)
-    jsweep.add_argument("--seed", type=int, default=7)
-
-    jcompare = job_sub.add_parser("compare", help="design comparison job")
-    jcompare.add_argument("--designs", required=True,
-                          help="comma-separated design names")
-    jcompare.add_argument("--benchmarks", default=None,
-                          help="comma-separated benchmark abbreviations "
-                               "(default: full Table I mix)")
-    jcompare.add_argument("--warmup", type=int, default=400)
-    jcompare.add_argument("--measure", type=int, default=800)
-    jcompare.add_argument("--seed", type=int, default=11)
-
-    jexplore = job_sub.add_parser("explore", help="DSE preset job")
-    jexplore.add_argument("--preset", default="smoke")
-    jexplore.add_argument("--seed", type=int, default=None)
-
-    job_sub.add_parser("stats", help="print server + cache statistics")
-
     report = sub.add_parser(
         "report", help="inspect a telemetry artifact directory")
     report.add_argument("dir", help="directory holding summary.json "
@@ -724,8 +568,6 @@ _COMMANDS = {
     "power": _cmd_power,
     "sweep": _cmd_sweep,
     "explore": _cmd_explore,
-    "serve": _cmd_serve,
-    "submit": _cmd_submit,
     "report": _cmd_report,
 }
 

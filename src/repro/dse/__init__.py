@@ -31,7 +31,7 @@ Quickstart::
 """
 
 from .engine import (SEED_POLICIES, ExplorationSpec, FidelityLadder,
-                     StageReport, explore, explore_preset)
+                     StageReport, explore)
 from .pareto import (ParetoPoint, ParetoPoint3, ParetoResult, dominates,
                      dominates3, pareto_frontier, pareto_frontier3)
 from .presets import (FIGURE2_DESIGNS, FULL_MIX, PRESETS, ROUND_MIX,
@@ -49,7 +49,7 @@ __all__ = [
     "ParetoPoint", "ParetoPoint3", "ParetoResult", "PRESETS",
     "READABLE_SCHEMAS", "RejectedPoint", "ROUND_MIX", "SCHEMA_VERSION",
     "SearchSpace", "SEED_POLICIES", "StageOutcome", "StageReport",
-    "design_label", "dominates", "dominates3", "explore",
-    "explore_preset", "extended", "figure2", "pareto_frontier",
-    "pareto_frontier3", "power", "preset", "smoke",
+    "design_label", "dominates", "dominates3", "explore", "extended",
+    "figure2", "pareto_frontier", "pareto_frontier3", "power", "preset",
+    "smoke",
 ]

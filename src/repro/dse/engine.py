@@ -40,8 +40,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..area.chip import design_chip_area_mm2, design_noc_area
 from ..experiments import closed_task, open_loop_task
 from ..noc.traffic import UniformManyToFew
-from ..parallel import (ReportCollector, resolve_jobs,
-                        run_tasks)
+from ..parallel import ReportCollector, resolve_jobs, run_tasks
 from ..power import ActivityCounts, design_power, tech_node
 from ..system.accelerator import SimulationResult
 from ..system.metrics import harmonic_mean
@@ -166,25 +165,6 @@ def _merged_activity(runs: Sequence[SimulationResult]) -> ActivityCounts:
         link_flit_hops=sum(r.link_flit_hops for r in runs),
         flits_ejected=sum(r.flits_ejected for r in runs),
     )
-
-
-def explore_preset(name: str, seed: Optional[int] = None,
-                   jobs: Optional[int] = None, cache=None,
-                   progress=None) -> ExplorationResult:
-    """Run a named preset exploration (``figure2``/``smoke``/...).
-
-    The single submission entry point shared by ``repro explore`` and the
-    job server: both resolve the preset, apply an optional seed override
-    and call :func:`explore`, so a served exploration is evaluated
-    exactly as a direct CLI run and its payload (which excludes host-side
-    timing) is bit-identical.  Unknown names raise ``KeyError`` with a
-    did-you-mean hint.
-    """
-    from .presets import preset
-    spec = preset(name)
-    if seed is not None:
-        spec = dataclasses.replace(spec, seed=seed)
-    return explore(spec, jobs=jobs, cache=cache, progress=progress)
 
 
 def explore(spec: ExplorationSpec, jobs: Optional[int] = None,

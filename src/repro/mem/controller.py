@@ -93,9 +93,15 @@ class MemoryController:
     # -- network-facing ------------------------------------------------------
 
     def on_packet(self, packet: Packet, cycle: int) -> None:
-        """Ejection handler: a request packet arrived from the NoC."""
+        """Ejection handler: a request packet arrived from the NoC.  It is
+        checked before anything is counted or queued, as the compiled
+        memory side's ``memory_request`` checks it."""
         if packet.traffic_class is not TrafficClass.REQUEST:
             raise ValueError("MC received a non-request packet")
+        addr = getattr(packet.payload, "local_addr", None)
+        if not (isinstance(addr, int) and 0 <= addr < 1 << 62):
+            raise ValueError("request payload must expose .local_addr "
+                             "(channel-local), an int in [0, 2**62)")
         self.requests_received += 1
         self._input.append((cycle + self.config.l2_latency, packet))
         if len(self._input) > self.max_queue_depth:
@@ -149,7 +155,7 @@ class MemoryController:
             if self._gated():
                 return
             ready, packet = self._input[0]
-            addr = self._request_addr(packet)
+            addr = packet.payload.local_addr
             if packet.size_bytes <= 8:          # read request
                 if self.l2.access(addr, is_write=False).hit:
                     self._input.popleft()
@@ -189,15 +195,6 @@ class MemoryController:
         reply = read_reply(self.coord, request_packet.src, created=cycle,
                            payload=request_packet.payload)
         self._replies.append(reply)
-
-    @staticmethod
-    def _request_addr(packet: Packet) -> int:
-        payload = packet.payload
-        addr = getattr(payload, "local_addr", None)
-        if addr is None:
-            raise ValueError(
-                "request payload must expose .local_addr (channel-local)")
-        return addr
 
     # -- read-only introspection (invariant checker) -------------------------
 

@@ -90,11 +90,9 @@ class UniformRandom(DestinationPattern):
         return dest
 
 
-#: The destination patterns addressable by name — the vocabulary shared
-#: by the ``repro sweep`` CLI and job-server sweep submissions, so a
-#: pattern name on the wire resolves to the exact factory a direct
-#: harness call would use (``hotspot`` pins the paper's 20 % fraction).
-#: Every factory here must stay picklable for process-pool fan-out.
+#: The destination patterns addressable by name, as ``repro sweep``
+#: selects them (``hotspot`` pins the paper's 20 % fraction).  Every
+#: factory here must stay picklable for process-pool fan-out.
 NAMED_PATTERNS = ("uniform", "hotspot")
 
 

@@ -1,6 +1,6 @@
-"""Structured one-line-JSON logging with correlation ids.
+"""Structured one-line-JSON logging.
 
-Every operational message in the serving/execution stack flows through
+Every operational message of the execution stack flows through
 :func:`emit`.  The output format is an environment escape hatch, not an
 API choice, so existing CI greps keep working:
 
@@ -9,31 +9,21 @@ API choice, so existing CI greps keep working:
   prints used to produce.  Events without a message are silent.
 * ``REPRO_LOG_FORMAT=json`` prints one JSON object per line with a
   pinned schema: ``schema`` (:data:`SCHEMA`), ``ts`` (unix seconds),
-  ``event`` (the record type), plus any bound context and per-call
-  fields, and ``message`` when one was given.  Keys are sorted, so
-  records are stable under ``grep``/``jq``.
-
-Correlation: :func:`bind` pushes fields (``job_id``, ``kind``) onto a
-:class:`contextvars.ContextVar`, so every record
-emitted underneath — including from ``asyncio.to_thread`` executor
-threads, which copy the caller's context — carries the job's identity
-without any plumbing through function signatures.  That is how one
-``job_id`` threads from ``submit`` through the queue, the worker, the
-executor, ``run_tasks``, and the response.
+  ``event`` (the record type), plus the per-call fields, and
+  ``message`` when one was given.  Keys are sorted, so records are
+  stable under ``grep``/``jq``.
 
 The reserved keys ``schema``/``ts``/``event`` can never be shadowed by
-context or fields.
+fields.
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import json
 import os
 import sys
 import time
-from typing import Any, Dict, Iterator, Optional, TextIO
+from typing import Any, Dict, Optional, TextIO
 
 #: Bumped whenever the record shape changes incompatibly.
 SCHEMA = 1
@@ -41,9 +31,6 @@ SCHEMA = 1
 FORMATS = ("text", "json")
 
 _RESERVED = ("schema", "ts", "event")
-
-_CONTEXT: contextvars.ContextVar[Optional[Dict[str, Any]]] = \
-    contextvars.ContextVar("repro_log_context", default=None)
 
 
 def log_format() -> str:
@@ -55,24 +42,6 @@ def log_format() -> str:
         raise ValueError(f"REPRO_LOG_FORMAT must be one of {FORMATS}, "
                          f"got {value!r}")
     return value
-
-
-@contextlib.contextmanager
-def bind(**fields: Any) -> Iterator[None]:
-    """Attach ``fields`` to every record emitted inside the block (and
-    in threads started from it via ``asyncio.to_thread``)."""
-    merged = dict(_CONTEXT.get() or {})
-    merged.update(fields)
-    token = _CONTEXT.set(merged)
-    try:
-        yield
-    finally:
-        _CONTEXT.reset(token)
-
-
-def context() -> Dict[str, Any]:
-    """The currently bound correlation fields (a copy)."""
-    return dict(_CONTEXT.get() or {})
 
 
 def emit(event: str, message: Optional[str] = None, *,
@@ -90,9 +59,7 @@ def emit(event: str, message: Optional[str] = None, *,
         if message is not None:
             print(message, file=out)
         return
-    record: Dict[str, Any] = {}
-    record.update(_CONTEXT.get() or {})
-    record.update(fields)
+    record: Dict[str, Any] = dict(fields)
     for key in _RESERVED:
         record.pop(key, None)
     record["schema"] = SCHEMA

@@ -218,12 +218,6 @@ class ResultCache:
     leaves an orphan ``<key>.tmp.<pid>`` behind; those are age-swept on
     :meth:`put` and unconditionally removed by :meth:`clear`.  Orphans are
     never served: :meth:`get` only ever reads ``<key>.json``.
-
-    ``counters`` tallies this instance's lifetime activity — hits,
-    misses, puts, evictions, evicted bytes, and index-lock timeouts —
-    for the serve ``stats``/``metrics`` endpoints.  They are in-memory
-    and per-process: concurrent writers sharing one directory each see
-    their own counts, never each other's.
     """
 
     def __init__(self, root: Union[str, Path, None] = None,
@@ -233,9 +227,6 @@ class ResultCache:
             else default_cache_budget()
         if self.max_bytes is not None and self.max_bytes <= 0:
             raise ValueError(f"max_bytes must be > 0, got {self.max_bytes}")
-        self.counters: Dict[str, int] = {
-            "hits": 0, "misses": 0, "puts": 0, "evictions": 0,
-            "evicted_bytes": 0, "lock_timeouts": 0}
 
     def path_for(self, key: str) -> Path:
         """Cache file path for ``key``."""
@@ -248,9 +239,7 @@ class ResultCache:
             with open(path, "r", encoding="utf-8") as fh:
                 payload = json.load(fh)
         except (OSError, ValueError):
-            self.counters["misses"] += 1
             return None
-        self.counters["hits"] += 1
         try:
             os.utime(path)      # LRU recency: eviction orders by mtime
         except OSError:
@@ -267,7 +256,6 @@ class ResultCache:
             json.dump(payload, fh)
         size = tmp.stat().st_size
         os.replace(tmp, path)
-        self.counters["puts"] += 1
         with self._locked():
             index = self._read_index()
             index["entries"][key] = {"bytes": size, "used": time.time()}
@@ -310,11 +298,9 @@ class ResultCache:
 
     def stats(self) -> dict:
         """Entry count, byte total and budget, from the index reconciled
-        against the directory (entries deleted externally are dropped),
-        plus this instance's lifetime ``counters``."""
+        against the directory (entries deleted externally are dropped)."""
         if not self.root.is_dir():      # nothing cached yet
-            return {"entries": 0, "bytes": 0, "max_bytes": self.max_bytes,
-                    "counters": dict(self.counters)}
+            return {"entries": 0, "bytes": 0, "max_bytes": self.max_bytes}
         with self._locked():
             index = self._read_index()
             entries = index["entries"]
@@ -326,7 +312,6 @@ class ResultCache:
             "entries": len(entries),
             "bytes": sum(e["bytes"] for e in entries.values()),
             "max_bytes": self.max_bytes,
-            "counters": dict(self.counters),
         }
 
     def __len__(self) -> int:
@@ -361,7 +346,6 @@ class ResultCache:
                     lock.unlink(missing_ok=True)
                     continue
                 if time.monotonic() >= deadline:
-                    self.counters["lock_timeouts"] += 1
                     break
                 time.sleep(0.005)
         try:
@@ -399,7 +383,7 @@ class ResultCache:
         tmp.write_text(json.dumps(index), encoding="utf-8")
         os.replace(tmp, self.root / INDEX_NAME)
 
-    def _evict(self, index: dict, keep: Optional[str] = None) -> int:
+    def _evict(self, index: dict, keep: Optional[str] = None) -> None:
         """Delete least-recently-used entries until the cache fits
         ``max_bytes``; never evicts ``keep`` (the entry whose ``put``
         triggered the pass).  Recency and sizes are refreshed from the
@@ -414,19 +398,13 @@ class ResultCache:
                 continue
             entries[key] = {"bytes": st.st_size, "used": st.st_mtime}
         total = sum(e["bytes"] for e in entries.values())
-        evicted = 0
         for key in sorted(entries, key=lambda k: (entries[k]["used"], k)):
             if total <= self.max_bytes:
                 break
             if key == keep:
                 continue
             self.path_for(key).unlink(missing_ok=True)
-            size = entries.pop(key)["bytes"]
-            total -= size
-            evicted += 1
-            self.counters["evictions"] += 1
-            self.counters["evicted_bytes"] += size
-        return evicted
+            total -= entries.pop(key)["bytes"]
 
 
 def as_cache(cache: Union[None, bool, str, Path, ResultCache]
@@ -740,11 +718,10 @@ class ReportCollector:
     the ``BENCH_dse.json`` trajectory.
     """
 
-    def __init__(self, chain: Optional[Callable[[TaskReport], None]] = None,
-                 cache: Optional["ResultCache"] = None) -> None:
+    def __init__(self, chain: Optional[Callable[[TaskReport], None]] = None
+                 ) -> None:
         self.reports: List[TaskReport] = []
         self.chain = chain
-        self.cache = cache
 
     def __call__(self, report: TaskReport) -> None:
         self.reports.append(report)
@@ -770,27 +747,6 @@ class ReportCollector:
     def seconds(self) -> float:
         """Summed wall-clock seconds of the executed (non-cached) tasks."""
         return sum(r.seconds for r in self.reports if not r.cached)
-
-    def hit_rate(self) -> float:
-        """Cache hits over all observed tasks (0.0 when none ran)."""
-        return self.cached / self.total if self.total else 0.0
-
-    def summary(self) -> Dict[str, Any]:
-        """The tallies as one JSON-ready dict (the shape the serve layer
-        attaches to each job's ``stats``).  When constructed with a
-        ``cache``, includes that store's lifetime counters as of now —
-        a job's stats then carry both the run's hit rate and the
-        process-lifetime cache history behind it."""
-        tallies: Dict[str, Any] = {
-            "tasks": self.total,
-            "executed": self.executed,
-            "cached": self.cached,
-            "task_seconds": round(self.seconds, 6),
-            "hit_rate": round(self.hit_rate(), 6),
-        }
-        if self.cache is not None:
-            tallies["cache_counters"] = dict(self.cache.counters)
-        return tallies
 
 
 def log_progress(report: TaskReport) -> None:

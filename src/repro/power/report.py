@@ -6,7 +6,7 @@ The bridge between the simulator's always-on activity counters
 ``SimulationResult`` and ``LoadLatencyPoint``) and the per-event energy
 model in :mod:`repro.power.orion`.  Because the counters ride along in
 every result payload, a :class:`PowerReport` is computable from any
-cached or served result *without rerunning the simulation* — and
+cached result *without rerunning the simulation* — and
 technology scaling is purely analytic, so one simulation prices a design
 at every node of the sweep.
 

@@ -4,6 +4,8 @@ import pytest
 
 from repro.cli import main, make_parser
 
+from .test_noc_kernel import _python
+
 
 class TestParser:
     def test_requires_command(self):
@@ -15,12 +17,26 @@ class TestParser:
         assert args.design == "TB-DOR"
         assert args.warmup == 500
 
-    @pytest.mark.parametrize("command", ["metrics", "top"])
+    @pytest.mark.parametrize("command", ["metrics", "top", "serve",
+                                         "submit"])
     def test_removed_server_dashboards_are_invalid(self, command, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main([command])
         assert excinfo.value.code == 2
         assert f"invalid choice: '{command}'" in capsys.readouterr().err
+
+    def test_parser_imports_no_asyncio_and_no_server(self):
+        """Building the parser, as every command does, loads neither
+        asyncio nor a job-server module."""
+        done = _python("""
+            import sys
+            from repro.cli import make_parser
+            make_parser()
+            print(sorted(m for m in sys.modules if m == "asyncio"
+                         or m.startswith(("asyncio.", "repro.serve"))))
+        """)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
 
 class TestCommands:

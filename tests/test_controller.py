@@ -170,11 +170,14 @@ class TestStallAccounting:
             h.mc.on_packet(read_reply(CORE, MC), 0)
 
     def test_requires_local_addr_payload(self):
+        """The request is refused on arrival, so nothing is queued and
+        later cycles run on."""
         h = Harness()
         packet = read_request(CORE, MC, payload="nope")
-        h.mc.on_packet(packet, 0)
-        with pytest.raises(ValueError):
-            h.run(20)
+        with pytest.raises(ValueError, match="local_addr"):
+            h.mc.on_packet(packet, 0)
+        assert h.mc.requests_received == 0 and h.mc.idle
+        h.run(20)
 
 
 class TestAddressMapProperties:

@@ -468,33 +468,38 @@ def test_raising_reply_factory_leaves_its_request_queued(monkeypatch):
 def test_malformed_request_queues_nothing():
     """The request handler checks the packet before anything is queued:
     a non-request packet, or a payload without an in-range int
-    ``local_addr``, raises and leaves the MC as it was."""
-    chip = _memory_chip()
-    chip.run(warmup=0, measure=30)
-    mc = chip.mcs[1]
-    handler = chip.network._handlers[mc.coord]
-    core = chip._cores[0].coord
-
-    def state():
-        mc = chip.mcs[1]
-        return mc.requests_received, mc.max_queue_depth, list(mc._input)
-
-    before = state()
+    ``local_addr``, raises and leaves the MC as it was.  So does the
+    reference, whose handler is the MC's own ``on_packet``."""
+    compiled, reference = _memory_chip(), _memory_chip()
+    reference.use_reference_stepper()
+    core = compiled._cores[0].coord
     token = MemoryToken(core, 0x4000, 0x400)
-    with pytest.raises(ValueError, match="non-request"):
-        handler(read_reply(mc.coord, core, payload=token), chip.icnt_cycle)
-    for payload in (object(), MemoryToken(core, 0x4000, None),
-                    MemoryToken(core, 0x4000, -64),
-                    MemoryToken(core, 0x4000, 2**62),
-                    MemoryToken(core, 0x4000, 2**70),
-                    MemoryToken(core, 0x4000, 64.0)):
-        with pytest.raises(ValueError, match="local_addr"):
-            handler(read_request(core, mc.coord, payload=payload),
+    for chip in (compiled, reference):
+        chip.run(warmup=0, measure=30)
+        mc = chip.mcs[1]
+        handler = chip.network._handlers[mc.coord]
+        assert (handler == mc.on_packet) is (chip is reference)
+
+        def state():
+            mc = chip.mcs[1]
+            return mc.requests_received, mc.max_queue_depth, list(mc._input)
+
+        before = state()
+        with pytest.raises(ValueError, match="non-request"):
+            handler(read_reply(mc.coord, core, payload=token),
                     chip.icnt_cycle)
-    assert state() == before
+        for payload in (object(), MemoryToken(core, 0x4000, None),
+                        MemoryToken(core, 0x4000, -64),
+                        MemoryToken(core, 0x4000, 2**62),
+                        MemoryToken(core, 0x4000, 2**70),
+                        MemoryToken(core, 0x4000, 64.0)):
+            with pytest.raises(ValueError, match="local_addr"):
+                handler(read_request(core, mc.coord, payload=payload),
+                        chip.icnt_cycle)
+        assert state() == before
     with pytest.raises(IndexError):
-        chip._memory._c.request(len(chip.mcs), read_request(
-            core, mc.coord, payload=token), chip.icnt_cycle)
+        compiled._memory._c.request(len(compiled.mcs), read_request(
+            core, compiled.mcs[1].coord, payload=token), compiled.icnt_cycle)
 
 
 @pytest.mark.parametrize("call", ("step", "request", "export"))

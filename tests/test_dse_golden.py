@@ -16,8 +16,7 @@ import json
 import pytest
 
 from repro.dse import (CSV_COLUMNS, NODE_CSV_COLUMNS, ExplorationResult,
-                       FidelityLadder, explore, explore_preset, figure2,
-                       power)
+                       FidelityLadder, explore, figure2, power, preset)
 from repro.parallel import ReportCollector
 
 #: The head example's Figure 2 ordering, best throughput-effectiveness
@@ -213,7 +212,7 @@ class TestFrontiersOverConfirmedCandidates:
         are ranked against each other: ``smoke``'s round-1 drop-outs
         (cp-dor-w16-v2-b8, tb-dor-w16-v2-b8) keep their rows, on no
         frontier."""
-        result = explore_preset("smoke")
+        result = explore(preset("smoke"))
         fidelity = {c.name: c.fidelity for c in result.candidates}
         assert result.frontier == ["cp-dor-w16-v2-b4", "CP-CR-4VC"]
         assert result.frontier3d == ["cp-dor-w16-v2-b4", "CP-CR-4VC"]

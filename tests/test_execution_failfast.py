@@ -183,7 +183,7 @@ class TestIndexAndEviction:
         with ProcessPoolExecutor(max_workers=4) as pool:
             futures = [pool.submit(_hammer_cache, str(tmp_path), worker)
                        for worker in range(4)]
-            counters = [future.result() for future in futures]
+            hits = [future.result() for future in futures]
         store = ResultCache(tmp_path)
         # 4 workers x 10 distinct keys plus 5 shared keys.
         assert len(store) == 45
@@ -194,28 +194,23 @@ class TestIndexAndEviction:
                     {"result": [worker, i]}
         for i in range(5):
             assert store.get(f"shared-{i}") is not None
-        # Lifetime counters are per-process: each hammer saw exactly its
-        # own 20 puts and 10 lookups, no matter how the four interleaved.
         # Every lookup followed that worker's own put of the same key, so
-        # under contention it is still a hit (entries are never deleted
-        # here; the advisory index lock only guards metadata).
-        for worker_counters in counters:
-            assert worker_counters["puts"] == 20
-            assert worker_counters["hits"] == 10
-            assert worker_counters["misses"] == 0
-            assert worker_counters["evictions"] == 0
+        # under contention it is still a hit, no matter how the four
+        # interleaved (entries are never deleted here; the advisory index
+        # lock only guards metadata).
+        assert hits == [10] * 4
 
 
 def _hammer_cache(root, worker):
     """Worker for the concurrent-writer test (module-level: picklable).
-    Returns the worker's own lifetime counters for per-process
-    consistency assertions."""
+    Returns how many of its own lookups returned a payload."""
     store = ResultCache(root)
+    hits = 0
     for i in range(10):
         store.put(f"w{worker}-{i}", {"result": [worker, i]})
         store.put(f"shared-{i % 5}", {"result": worker})
-        store.get(f"shared-{i % 5}")
-    return dict(store.counters)
+        hits += store.get(f"shared-{i % 5}") is not None
+    return hits
 
 
 class TestArtifactCompletionSentinel:

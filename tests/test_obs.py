@@ -1,4 +1,4 @@
-"""Logging tests: the log contract, serve correlation, cache counters.
+"""Logging tests: the log contract.
 
 The load-bearing guarantees pinned here:
 
@@ -6,10 +6,7 @@ The load-bearing guarantees pinned here:
   protection) is pinned, and the text format stays byte-identical to
   the legacy stderr prints;
 * an invalid ``REPRO_LOG_FORMAT`` is refused before any simulation runs,
-  and the CLI reports it in one line;
-* a served job's JSON log records all carry its ``job_id``, including
-  the ones emitted on the executor thread;
-* the result cache keeps exact lifetime counters.
+  and the CLI reports it in one line.
 """
 
 from __future__ import annotations
@@ -20,24 +17,10 @@ import pytest
 
 from repro import cli
 from repro.noc.traffic import named_pattern_factory
-from repro.obs import bind, context, emit, log_format
+from repro.obs import emit, log_format
 from repro.obs.log import SCHEMA as LOG_SCHEMA
-from repro.parallel import (EXECUTION_COUNTER, ResultCache, TaskReport,
-                            log_progress, run_tasks)
-from repro.serve import ServeClient, ServerConfig, ThreadedServer
-
-SWEEP_JOB = {"kind": "sweep", "design": "CP-DOR", "rates": [0.01],
-             "warmup": 50, "measure": 100}
-
-
-def serve(tmp_path, name="cache", **overrides):
-    config = ServerConfig(port=0, cache=str(tmp_path / name), **overrides)
-    return ThreadedServer(config)
-
-
-def connect(server, **kw) -> ServeClient:
-    host, port = server.address
-    return ServeClient(host=host, port=port, **kw)
+from repro.parallel import (EXECUTION_COUNTER, TaskReport, log_progress,
+                            run_tasks)
 
 
 # ---------------------------------------------------------------------------
@@ -112,30 +95,11 @@ class TestEmit:
 
     def test_reserved_keys_protected(self, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_LOG_FORMAT", "json")
-        with bind(schema=99, ts="fake", event="fake"):
-            emit("real_event", schema=99)
+        emit("real_event", schema=99, ts="fake")
         record = json.loads(capsys.readouterr().err)
         assert record["schema"] == LOG_SCHEMA
         assert record["event"] == "real_event"
         assert record["ts"] != "fake"
-
-    def test_bind_nests_and_restores(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_LOG_FORMAT", "json")
-        assert context() == {}
-        with bind(job_id="j1"):
-            with bind(client="alice"):
-                assert context() == {"job_id": "j1", "client": "alice"}
-                emit("inner")
-            assert context() == {"job_id": "j1"}
-        assert context() == {}
-        record = json.loads(capsys.readouterr().err)
-        assert record["job_id"] == "j1" and record["client"] == "alice"
-
-    def test_fields_override_context(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_LOG_FORMAT", "json")
-        with bind(kind="sweep"):
-            emit("evt", kind="compare")
-        assert json.loads(capsys.readouterr().err)["kind"] == "compare"
 
 
 class TestLogProgress:
@@ -160,59 +124,3 @@ class TestLogProgress:
         assert record["index"] == 2 and record["total"] == 10
         assert record["cached"] is False
 
-
-# ---------------------------------------------------------------------------
-# Serve integration
-# ---------------------------------------------------------------------------
-
-
-class TestServeMetrics:
-    def test_json_logs_correlate_by_job_id(self, tmp_path, monkeypatch,
-                                           capsys):
-        monkeypatch.setenv("REPRO_LOG_FORMAT", "json")
-        with serve(tmp_path) as server:
-            with connect(server) as client:
-                client.submit(SWEEP_JOB, events=(events := []))
-        job_id = events[0]["job_id"]
-        records = [json.loads(line) for line
-                   in capsys.readouterr().err.splitlines() if line]
-        by_event = {}
-        for record in records:
-            by_event.setdefault(record["event"], []).append(record)
-        for event in ("job_submitted", "job_started", "job_execute",
-                      "job_executed", "task_done", "job_done"):
-            assert event in by_event, sorted(by_event)
-            assert all(r["job_id"] == job_id for r in by_event[event])
-        # The executor-thread records carry the bound context, proving
-        # the contextvars crossed asyncio.to_thread.
-        assert by_event["task_done"][0]["kind"] == "sweep"
-        assert all(r["schema"] == LOG_SCHEMA for r in records)
-
-
-# ---------------------------------------------------------------------------
-# Result-cache lifetime counters
-# ---------------------------------------------------------------------------
-
-
-class TestCacheCounters:
-    def test_lifetime_counters(self, tmp_path):
-        store = ResultCache(tmp_path)
-        assert store.get("missing") is None
-        assert store.counters["misses"] == 1
-        store.put("abc", {"result": 1})
-        assert store.counters["puts"] == 1
-        assert store.get("abc") == {"result": 1}
-        assert store.counters["hits"] == 1
-        assert store.stats()["counters"] == store.counters
-
-    def test_eviction_counters(self, tmp_path):
-        probe = ResultCache(tmp_path)
-        probe.put("0" * 64, {"result": "x" * 200})
-        size = probe.path_for("0" * 64).stat().st_size
-        probe.clear()
-        store = ResultCache(tmp_path, max_bytes=2 * size + size // 2)
-        for i in range(4):
-            store.put(f"{i:064x}", {"result": "x" * 200})
-        assert store.counters["evictions"] == 2
-        assert store.counters["evicted_bytes"] == 2 * size
-        assert store.stats()["entries"] == 2

@@ -4,7 +4,7 @@ The same discipline as ``tests/test_area.py``: every anchor constant is
 pinned *exactly* (they are calibration inputs, not predictions); every
 other configuration is a prediction of the documented functional form,
 checked against the form within tolerance.  On top of that,
-:class:`PowerReport` has contracts the DSE and serve layers lean on:
+:class:`PowerReport` has contracts the DSE leans on:
 JSON round-trip equality, node-independence of the underlying activity,
 and monotonically improving IPC/W across the technology sweep.
 """

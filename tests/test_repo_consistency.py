@@ -137,16 +137,6 @@ class TestDocsMatchCli:
                           if cmd not in commands})
         assert not missing, missing
 
-    def test_documented_job_kinds_exist(self, docs):
-        from repro import cli
-        kinds = _subcommands(_subcommands(cli.make_parser())["submit"])
-        pattern = re.compile(r"repro\s+submit\s+([a-z][\w-]*)")
-        missing = sorted({f"{name}: repro submit {kind}"
-                          for name, text in docs.items()
-                          for kind in pattern.findall(text)
-                          if kind not in kinds})
-        assert not missing, missing
-
     def test_documented_environment_variables_are_read(self, docs):
         code = "\n".join(path.read_text(encoding="utf-8")
                          for root in ("src", "benchmarks")

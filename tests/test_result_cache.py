@@ -10,9 +10,10 @@ from dataclasses import replace
 import pytest
 
 from repro.core.builder import BASELINE, CP_DOR
-from repro.experiments import compare_designs
-from repro.parallel import (EXECUTION_COUNTER, ResultCache, SimTask,
-                            as_cache, default_cache_dir)
+from repro.experiments import compare_designs, load_latency_curves
+from repro.noc.traffic import UniformManyToFew
+from repro.parallel import (EXECUTION_COUNTER, ReportCollector, ResultCache,
+                            SimTask, as_cache, default_cache_dir)
 from repro.system.config import paper_config
 from repro.workloads.profiles import profile
 
@@ -36,6 +37,27 @@ class TestCacheHits:
         warm, second = executed_by(run)
         assert warm == 0, "second identical run must be fully cached"
         assert first.to_json() == second.to_json()
+
+    @pytest.mark.parametrize("jobs", [1, 4])
+    def test_sweep_second_run_executes_zero_simulations(self, tmp_path,
+                                                        jobs):
+        """A cached open-loop sweep, serial or on a process pool: the
+        warm run executes nothing and returns the cold run's curve."""
+        rates = [0.01, 0.02, 0.03]
+
+        def run():
+            collector = ReportCollector()
+            (curve,) = load_latency_curves(
+                [CP_DOR], rates, UniformManyToFew, cache=tmp_path,
+                jobs=jobs, progress=collector, **FAST)
+            return curve, sorted(collector.reports, key=lambda r: r.index)
+
+        cold, cold_reports = run()
+        assert [(r.label, r.cached) for r in cold_reports] == [
+            (f"CP-DOR/uniform@{rate:g}", False) for rate in rates]
+        warm, warm_reports = run()
+        assert [r.cached for r in warm_reports] == [True] * len(rates)
+        assert warm.to_json() == cold.to_json()
 
     def test_cached_equals_uncached(self, tmp_path):
         cached = compare_designs([BASELINE], profiles=[PROF],
