@@ -47,7 +47,8 @@ instruction not yet issued and stream state are not exported.
 
 Build.  :data:`KERNEL` builds, caches and loads the extension through
 the package's shared loader (:mod:`repro.native`).  If it cannot be
-built or loaded, chips run the Python cores and one warning is logged.
+built or loaded, chips run the reference (the Python cores, MCs and
+DRAM channels) and one warning is logged.
 """
 
 from __future__ import annotations
@@ -70,14 +71,15 @@ LAYOUT = 2
 KERNEL = CompiledKernel(Path(__file__).with_name("_core_kernel.c"),
                         "_core_kernel", LAYOUT, "core",
                         event="gpu.kernel_unavailable",
-                        fallback="chips run the Python cores and MCs")
+                        fallback="chips run the reference Python cores, "
+                        "MCs and DRAM channels")
 
 #: The kernel's instruction kinds, by code.
 KINDS = (InstrKind.ALU, InstrKind.SHARED, InstrKind.GLOBAL_LOAD,
          InstrKind.GLOBAL_STORE)
 
 #: Programs a cluster has taken over: their streams live in that
-#: cluster, so a second chip sharing one must run the Python cores.
+#: cluster, so a second chip sharing one must run the reference.
 _CLAIMED: "weakref.WeakSet[SyntheticKernel]" = weakref.WeakSet()
 
 
@@ -187,7 +189,8 @@ class CoreCluster:
 
 def start(chip) -> Optional[CoreCluster]:
     """A cluster for ``chip``'s cores, with their reply handlers moved to
-    it; None when the chip must run the Python cores: the kernel is
+    it; None when the chip must run the reference (the Python cores, MCs
+    and DRAM channels, each stepped every tick): the kernel is
     unavailable, or the program is not a fresh ``SyntheticKernel``."""
     program = chip.kernel
     if (type(program) is not SyntheticKernel or program in _CLAIMED

@@ -84,9 +84,11 @@ class SimtCore:
         self._issue_busy_until = 0
         self._issue_interval = config.issue_interval
         #: Earliest core cycle the next ``step`` can do anything.  The
-        #: chip's event-driven loop skips the call entirely before then; a
-        #: skipped step is provably a no-op (every early return above the
-        #: wake assignment mutates nothing).  Reset to 0 by ``on_reply``.
+        #: compiled core cluster skips the core before then; a skipped
+        #: step is provably a no-op (every early return above the wake
+        #: assignment mutates nothing).  The reference chip loop steps
+        #: every core every tick, so this is the oracle the cluster's
+        #: gate is checked against.  Reset to 0 by ``on_reply``.
         self.wake = 0
         # Statistics.
         self.retired_scalar = 0

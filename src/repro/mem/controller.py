@@ -110,14 +110,14 @@ class MemoryController:
     # -- clocking ------------------------------------------------------------
 
     def icnt_step(self, cycle: int) -> None:
-        # Contract with the idle fast-path of ``Accelerator.step`` and of
-        # the compiled memory side (``memory_step`` in
-        # ``gpu/_core_kernel.c``): when ``_replies`` and ``_writebacks``
-        # are empty and ``_input`` is empty or its head is still in its
-        # L2-latency wait (``_input[0][0] > cycle``), this method mutates
-        # exactly ``_icnt_cycle`` and ``cycles`` (the drains below are
-        # no-ops and ``_process_input`` returns at once) — both inline
-        # that idle tick and skip the call.  Keep all three in sync.
+        # Contract with the idle tick of the compiled memory side
+        # (``memory_step`` in ``gpu/_core_kernel.c``): when ``_replies``
+        # and ``_writebacks`` are empty and ``_input`` is empty or its
+        # head is still in its L2-latency wait (``_input[0][0] > cycle``),
+        # this method mutates exactly ``_icnt_cycle`` and ``cycles`` (the
+        # drains below are no-ops and ``_process_input`` returns at
+        # once), so the kernel makes those two updates and skips the
+        # rest.  Keep both in sync.
         self._icnt_cycle = cycle
         self.cycles += 1
         self._drain_replies(cycle)

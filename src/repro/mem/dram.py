@@ -72,9 +72,11 @@ class GddrChannel:
     complete or issue anything: the smallest ``complete_time`` in flight
     or the smallest ``busy_until`` among the banks of queued requests
     (``NEVER`` when both are empty).  Before it, ``step`` only advances
-    ``now``, ``pending_cycles`` and ``data_busy_cycles``, so the chip loop
-    (and the compiled memory side, ``mem/nodes.py``) may make exactly
-    those updates itself and skip the call.
+    ``now``, ``pending_cycles`` and ``data_busy_cycles``, so the compiled
+    memory side (``mem/nodes.py``) makes exactly those updates itself and
+    skips the step.  The reference chip loop steps every channel every
+    tick, so the field is the oracle the kernel's gate is checked
+    against.
     """
 
     def __init__(self, timing: DramTiming = DramTiming(),

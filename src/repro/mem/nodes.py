@@ -9,12 +9,13 @@ state lives in the chip-side extension (``gpu/_core_kernel.c``, the
 ejection handler ``on_packet``, ``icnt_step`` with its reply drain, input
 processing with its L2 probe and write-back drain, ``_dram_done``), the
 L2 bank (the L1's ``SetAssociativeCache`` code) and ``GddrChannel``
-(``enqueue``, FR-FCFS issue, bank timing, completion), with the chip
-loop's two idle gates: the MC idle tick and the channel's
-``next_event``.  ``MemoryController`` and ``GddrChannel`` stay the
-bit-identity oracle behind ``REPRO_REFERENCE_STEPPER=1``,
-``use_reference_stepper()`` and the no-compiler fallback;
-tests/test_stepper_equivalence.py compares the two.
+(``enqueue``, FR-FCFS issue, bank timing, completion), plus two idle
+gates of its own: the MC idle tick and the channel's ``next_event``.
+``MemoryController`` and ``GddrChannel``, which the reference chip loop
+steps on every tick, stay the bit-identity oracle behind
+``REPRO_REFERENCE_STEPPER=1``, ``use_reference_stepper()`` and the
+no-compiler fallback; tests/test_stepper_equivalence.py compares the
+two.
 
 Ownership.  The kernel owns, per MC, the counters, the input pipeline
 (ready cycle, request packet), the reply backlog, the write-backs, the

@@ -266,9 +266,6 @@ class MeshNetwork:
         occ = self._source_occ
         return {coord: occ[i] for coord, i in self._node_index.items()}
 
-    def source_queue_occupancy(self, coord: Coord) -> int:
-        return self._source_occ[self._node_index[coord]]
-
     def try_inject(self, packet: Packet, cycle: int) -> bool:
         """Queue ``packet`` at its source network interface.
 
@@ -312,8 +309,10 @@ class MeshNetwork:
         records the completed packets, Python runs their handlers in
         ejection order, and :meth:`BatchedCore.drain` drains the sources
         and records each injection.  A fully idle network reduces to a
-        cycle-counter bump.  ``_step_reference`` is the exhaustive scan
-        the kernel ports line for line;
+        cycle-counter bump.  Without the kernel, the reference scan runs:
+        channels with traffic in flight deliver (in insertion order),
+        every occupied router steps in mesh order, then every queued
+        source port is attempted.  The kernel ports it line for line;
         tests/test_stepper_equivalence.py compares them bit for bit.
         """
         self.cycle = self.cycle + 1 if cycle is None else cycle
@@ -321,7 +320,42 @@ class MeshNetwork:
         self.stats.cycles = now
         core = self._batched
         if core is None:
-            self._step_reference(now)
+            if self._active_channels:
+                # ``deliver`` never activates or deactivates other
+                # channels, so iterate the dict directly; drained channels
+                # are collected into a reused scratch list instead of
+                # copying the dict every cycle.
+                scratch = self._channel_scratch
+                for channel in self._active_channels:
+                    n = channel.deliver(now)
+                    if n:
+                        self._buffered_flits += n
+                        self.stats.link_flit_hops += n
+                        self.stats.buffer_writes += n
+                    if not channel.busy:
+                        scratch.append(channel)
+                if scratch:
+                    for channel in scratch:
+                        del self._active_channels[channel]
+                    del scratch[:]
+            if self._buffered_flits:
+                for router in self._router_list:
+                    if router.occupancy:
+                        before = router.occupancy
+                        for flit, _port in router.step(now):
+                            self._eject(flit, now)
+                        moved = before - router.occupancy
+                        self._buffered_flits -= moved
+                        self.stats.crossbar_traversals += moved
+                        self.stats.buffer_reads += moved
+            if self._source_flits:
+                occ = self._source_occ
+                for idx, (coord, ports, router) in enumerate(
+                        self._source_rows):
+                    if occ[idx]:
+                        for port in ports:
+                            self._drain_source(idx, coord, router, port,
+                                               now)
         else:
             st = core.st
             if st[core.BUFFERED] or st[core.NACTIVE]:
@@ -337,45 +371,6 @@ class MeshNetwork:
         checker = self.checker
         if checker is not None:
             checker.on_cycle(now)
-
-    def _step_reference(self, now: int) -> None:
-        """Reference cycle: channels with traffic in flight deliver (in
-        insertion order), every occupied router steps in mesh order, then
-        every queued source port is attempted.  The oracle the compiled
-        kernel ports."""
-        if self._active_channels:
-            # ``deliver`` never activates or deactivates other channels, so
-            # iterate the dict directly; drained channels are collected into
-            # a reused scratch list instead of copying the dict every cycle.
-            scratch = self._channel_scratch
-            for channel in self._active_channels:
-                n = channel.deliver(now)
-                if n:
-                    self._buffered_flits += n
-                    self.stats.link_flit_hops += n
-                    self.stats.buffer_writes += n
-                if not channel.busy:
-                    scratch.append(channel)
-            if scratch:
-                for channel in scratch:
-                    del self._active_channels[channel]
-                del scratch[:]
-        if self._buffered_flits:
-            for router in self._router_list:
-                if router.occupancy:
-                    before = router.occupancy
-                    for flit, _port in router.step(now):
-                        self._eject(flit, now)
-                    moved = before - router.occupancy
-                    self._buffered_flits -= moved
-                    self.stats.crossbar_traversals += moved
-                    self.stats.buffer_reads += moved
-        if self._source_flits:
-            occ = self._source_occ
-            for idx, (coord, ports, router) in enumerate(self._source_rows):
-                if occ[idx]:
-                    for port in ports:
-                        self._drain_source(idx, coord, router, port, now)
 
     def use_reference_stepper(self) -> None:
         """Switch to the exhaustive-scan stepper (debug/benchmark oracle).

@@ -113,16 +113,14 @@ class OpenLoopRunner:
 
     # -- driving -------------------------------------------------------------
 
-    def run(self, warmup: int = 2_000, measure: int = 6_000,
-            drain: int = 0) -> LoadLatencyPoint:
+    def run(self, warmup: int = 2_000,
+            measure: int = 6_000) -> LoadLatencyPoint:
         for _ in range(warmup):
             self._cycle(tag=None)
         self._measuring = True
         self._measure_start = self.network.cycle
         for _ in range(measure):
             self._cycle(tag="measured")
-        for _ in range(drain):
-            self.network.step()
         self._final_audit()
         return self._summarize(measure)
 
@@ -143,16 +141,13 @@ class OpenLoopRunner:
                 + format_system_state(self.network))
 
     def _cycle(self, tag: Optional[str]) -> None:
+        """One cycle: Bernoulli injection at every compute node, then the
+        network's step.  With ``telemetry`` attached, both are timed and
+        the per-cycle hook runs last."""
         telemetry = self.telemetry
         if telemetry is not None:
-            self._cycle_instrumented(telemetry, tag)
-            return
-        self._inject_cycle(tag)
-        self.network.step()
-
-    def _inject_cycle(self, tag: Optional[str]) -> None:
-        """Bernoulli injection for one cycle, without stepping the network
-        (shared by :meth:`_cycle` and :meth:`_cycle_instrumented`)."""
+            profiler = telemetry.profiler
+            t = profiler.clock()
         net = self.network
         cycle = net.cycle
         rng = self._rng
@@ -170,20 +165,13 @@ class OpenLoopRunner:
                 dest = pick(core, rng)
                 inject(make(core, dest, size, tclass, cycle, payload=tag),
                        cycle)
-
-    def _cycle_instrumented(self, telemetry, tag: Optional[str]) -> None:
-        """Telemetry-enabled twin of :meth:`_cycle`: identical simulation
-        order (results stay bit-identical) plus host timing and the
-        per-cycle telemetry hook.  Changes must be made in both bodies."""
-        profiler = telemetry.profiler
-        t = profiler.clock()
-        self._inject_cycle(tag)
-        t = profiler.add_since("injection", t)
-        net = self.network
+        if telemetry is not None:
+            t = profiler.add_since("injection", t)
         net.step()
-        t = profiler.add_since("network", t)
-        telemetry.on_cycle(net.cycle)
-        profiler.add_since("telemetry", t)
+        if telemetry is not None:
+            t = profiler.add_since("network", t)
+            telemetry.on_cycle(net.cycle)
+            profiler.add_since("telemetry", t)
 
     def _summarize(self, measure: int) -> LoadLatencyPoint:
         req_n = self._lat_count[TrafficClass.REQUEST]

@@ -17,7 +17,6 @@ from typing import Dict, List, Optional, Sequence
 from ..core.builder import NetworkDesign, NetworkSystem, build
 from ..gpu.core import SimtCore
 from ..mem.controller import AddressMap, MemoryController
-from ..mem.dram import NEVER
 from ..noc.histogram import merge_histograms
 from ..noc.ideal import BandwidthLimitedNetwork, PerfectNetwork
 from ..noc.invariants import (audit_accelerator, check_accelerator,
@@ -176,14 +175,15 @@ class Accelerator:
         #: ``network.step`` independently of this.
         self._check_interval = 0
         #: Opt-in telemetry hub (``repro.telemetry``), attached via
-        #: ``TelemetryHub.attach_chip``; ``None`` keeps ``step`` at a
-        #: single attribute test.
+        #: ``TelemetryHub.attach_chip``; ``None`` costs ``step`` one local
+        #: test per phase.
         self.telemetry = None
-        #: Debug escape hatch mirroring the network's: run the reference
-        #: exhaustive component loops instead of the event-driven ones.
+        #: Debug escape hatch mirroring the network's: never start the
+        #: compiled chip side, so the reference Python objects run.
         self._reference = os.environ.get("REPRO_REFERENCE_STEPPER") == "1"
         #: The compiled core cluster (``gpu/cluster.py``): None until the
-        #: first step starts it, False when the Python cores run instead.
+        #: first step starts it (and on a reference chip), False when it
+        #: cannot run this chip and the reference runs instead.
         self._cluster = None
         #: The compiled memory side (``mem/nodes.py``), started with the
         #: cluster; None while the Python MCs and channels run.
@@ -227,147 +227,25 @@ class Accelerator:
     # -- simulation loop --------------------------------------------------------
 
     def step(self) -> None:
-        """One interconnect cycle (master clock), event-driven.
+        """One interconnect cycle (master clock).
 
-        The compiled core cluster steps every due core in one call, and
-        after the network the compiled memory side steps every MC and
-        every DRAM tick of the cycle in one more.  When they are
-        unavailable, the Python cores step only when their wake time is
-        due (a skipped ``SimtCore.step`` is provably a no-op), and MCs
-        whose step would change only their clocks, and DRAM channels
-        before their ``next_event``, take an inline tick that performs
-        exactly the mutations their full step would; the memory kernel
-        applies the same two gates.
-        ``_step_reference`` is the exhaustive twin (the pre-event-core
-        loop); both must change together and the golden tests compare
-        them bit for bit.
+        Each phase runs on the compiled chip side when it runs this chip:
+        one core-cluster call before the network and one memory-side call
+        after it, which skip cores before their ``wake``, MCs whose step
+        would only advance their clocks and DRAM channels before their
+        ``next_event``.  Otherwise it runs on the ``SimtCore``,
+        ``MemoryController`` and ``GddrChannel`` objects, each stepped
+        every tick: the reference, which the golden tests compare with
+        the compiled side bit for bit.  With ``telemetry`` attached, each
+        phase is timed and the per-cycle hook runs last.
         """
-        telemetry = self.telemetry
-        if telemetry is not None:
-            self._step_instrumented(telemetry)
-            return
-        if self._reference:
-            self._step_reference()
-            return
-        cluster = self._cluster
-        if cluster is None:
-            cluster = self._start_cluster()
-        self.icnt_cycle += 1
-        now = self.icnt_cycle
-        ticks = self._core_clock.advance()
-        if cluster:
-            if ticks:
-                cluster.step(self.core_cycle + 1, ticks)
-                self.core_cycle += ticks
-        else:
-            for _ in range(ticks):
-                self.core_cycle += 1
-                cc = self.core_cycle
-                for core in self._cores:
-                    if core.wake <= cc:
-                        core.step(cc)
-        for core in self._cores:
-            outbound = core.outbound
-            while outbound:
-                # Cores timestamp in the core clock domain; packet latency
-                # is accounted in interconnect cycles, so re-stamp at the
-                # network interface.
-                outbound[0].created = now
-                if not self.network.try_inject(outbound[0], now):
-                    break
-                outbound.popleft()
-        self.network.step(now)
-        if cluster:
-            ticks = self._dram_clock.advance()
-            self._memory.step(now, self.dram_cycle + 1, ticks)
-            self.dram_cycle += ticks
-        else:
-            for mc in self._mcs:
-                if (mc._replies or mc._writebacks
-                        or (mc._input and mc._input[0][0] <= now)):
-                    mc.icnt_step(now)
-                else:
-                    # Idle tick: exactly what ``icnt_step`` mutates with
-                    # no replies, no write-backs and no input ready (see
-                    # the contract note there).
-                    mc.cycles += 1
-                    mc._icnt_cycle = now
-            for _ in range(self._dram_clock.advance()):
-                self.dram_cycle += 1
-                mclk = self.dram_cycle
-                for mc in self._mcs:
-                    dram = mc.dram
-                    next_event = dram.next_event
-                    if next_event <= mclk:
-                        dram.step(mclk)
-                    else:
-                        # Nothing completes or issues before
-                        # ``next_event``: make only the updates
-                        # ``GddrChannel.step`` would (clock, and busy
-                        # accounting unless the channel is empty, whose
-                        # next event is ``NEVER``).
-                        dram.now = mclk
-                        if next_event != NEVER:
-                            dram.pending_cycles += 1
-                            if dram._bus_free_at > mclk:
-                                dram.data_busy_cycles += 1
-        if self._check_interval and now % self._check_interval == 0:
-            check_accelerator(self)
-
-    def _step_reference(self) -> None:
-        """Reference exhaustive step (the pre-event-core loop): every core,
-        MC and DRAM channel is stepped every cycle.  Twin of :meth:`step`;
-        used as the benchmark baseline and bit-identity oracle."""
-        self.icnt_cycle += 1
-        now = self.icnt_cycle
-        for _ in range(self._core_clock.advance()):
-            self.core_cycle += 1
-            cc = self.core_cycle
-            for core in self._cores:
-                core.step(cc)
-        for core in self._cores:
-            outbound = core.outbound
-            while outbound:
-                outbound[0].created = now
-                if not self.network.try_inject(outbound[0], now):
-                    break
-                outbound.popleft()
-        self.network.step(now)
-        for mc in self._mcs:
-            mc.icnt_step(now)
-        for _ in range(self._dram_clock.advance()):
-            self.dram_cycle += 1
-            mclk = self.dram_cycle
-            for mc in self._mcs:
-                mc.dram_step(mclk)
-        if self._check_interval and now % self._check_interval == 0:
-            check_accelerator(self)
-
-    def use_reference_stepper(self) -> None:
-        """Run the exhaustive reference loops (chip and network).  Once
-        the compiled chip side (core cluster and memory side) has
-        stepped, this raises.  The network switch is idle-only; it runs
-        next, so a busy network raises with the chip still on its
-        event-driven loop."""
-        if self._cluster:
-            raise RuntimeError(
-                "the compiled core cluster has stepped this chip; select "
-                "the reference stepper before the first step")
-        if hasattr(self.network, "use_reference_stepper"):
-            self.network.use_reference_stepper()
-        self._reference = True
-
-    def _step_instrumented(self, telemetry) -> None:
-        """Telemetry-enabled twin of :meth:`step`: identical simulation
-        order (results stay bit-identical — pinned by golden tests) with
-        per-phase host timing and the per-cycle telemetry hook.  Kept as a
-        separate body so the common path stays branch-free; any change to
-        the phase sequence must be made in both."""
-        profiler = telemetry.profiler
         cluster = self._cluster
         if cluster is None and not self._reference:
             cluster = self._start_cluster()
-        t = profiler.clock()
+        telemetry = self.telemetry
+        if telemetry is not None:
+            profiler = telemetry.profiler
+            t = profiler.clock()
         self.icnt_cycle += 1
         now = self.icnt_cycle
         ticks = self._core_clock.advance()
@@ -381,38 +259,59 @@ class Accelerator:
                 cc = self.core_cycle
                 for core in self._cores:
                     core.step(cc)
-        t = profiler.add_since("cores", t)
+        if telemetry is not None:
+            t = profiler.add_since("cores", t)
         for core in self._cores:
             outbound = core.outbound
             while outbound:
+                # Cores timestamp in the core clock domain; packet latency
+                # is accounted in interconnect cycles, so re-stamp at the
+                # network interface.
                 outbound[0].created = now
                 if not self.network.try_inject(outbound[0], now):
                     break
                 outbound.popleft()
         self.network.step(now)
-        t = profiler.add_since("network", t)
+        if telemetry is not None:
+            t = profiler.add_since("network", t)
+        ticks = self._dram_clock.advance()
         if cluster:
-            ticks = self._dram_clock.advance()
             self._memory.step(now, self.dram_cycle + 1, ticks)
             self.dram_cycle += ticks
         else:
             for mc in self._mcs:
                 mc.icnt_step(now)
-            for _ in range(self._dram_clock.advance()):
+            for _ in range(ticks):
                 self.dram_cycle += 1
                 mclk = self.dram_cycle
                 for mc in self._mcs:
                     mc.dram_step(mclk)
-        t = profiler.add_since("memory", t)
+        if telemetry is not None:
+            t = profiler.add_since("memory", t)
         if self._check_interval and now % self._check_interval == 0:
             check_accelerator(self)
-        telemetry.on_cycle(now)
-        profiler.add_since("telemetry", t)
+        if telemetry is not None:
+            telemetry.on_cycle(now)
+            profiler.add_since("telemetry", t)
+
+    def use_reference_stepper(self) -> None:
+        """Run the reference loops (chip and network).  Once the compiled
+        chip side (core cluster and memory side) has stepped, this
+        raises.  The network switch is idle-only; it runs next, so a busy
+        network raises with the chip still on its compiled side."""
+        if self._cluster:
+            raise RuntimeError(
+                "the compiled core cluster has stepped this chip; select "
+                "the reference stepper before the first step")
+        if hasattr(self.network, "use_reference_stepper"):
+            self.network.use_reference_stepper()
+        self._reference = True
 
     def _start_cluster(self):
         """Start the compiled chip side at the first step: the core
-        cluster and, with it, the memory side; False (the Python cores,
-        MCs and channels run this chip) if the cluster cannot run it."""
+        cluster and, with it, the memory side; False (the reference
+        Python cores, MCs and channels run this chip) if the cluster
+        cannot run it."""
         # Imported here, not at module level, so ``import repro`` does not
         # pay for the cluster, memory-side and loader modules.
         from ..gpu import cluster

@@ -90,7 +90,7 @@ class TelemetryHub:
             self.sampler.attach_chip(chip)
         chip.telemetry = self
 
-    # -- per-cycle hook (called from instrumented step loops) ----------------
+    # -- per-cycle hook (called from the step loops) -------------------------
 
     def on_cycle(self, cycle: int) -> None:
         self.profiler.cycles += 1

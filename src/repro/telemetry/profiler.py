@@ -1,11 +1,11 @@
 """Host-side profiling: wall-clock per simulation component.
 
 The Python hot path is the ROADMAP's main scaling risk; this profiler
-answers "where do the seconds go" without ``cProfile``'s overhead.  The
-instrumented step loops (``Accelerator._step_instrumented``,
-``OpenLoopRunner``'s telemetry path) bracket each phase with
-``perf_counter`` reads and feed the deltas here; the summary reports
-per-section seconds plus simulated cycles per wall-clock second.
+answers "where do the seconds go" without ``cProfile``'s overhead.  With
+telemetry attached, the step loops (``Accelerator.step``,
+``OpenLoopRunner._cycle``) bracket each phase with ``perf_counter``
+reads and feed the deltas here; the summary reports per-section seconds
+plus simulated cycles per wall-clock second.
 
 Host timing never influences simulation state, so it cannot perturb
 results — it only runs when telemetry is enabled at all.
@@ -49,9 +49,6 @@ class HostProfiler:
             yield
         finally:
             self.add_since(name, start)
-
-    def tick(self, count: int = 1) -> None:
-        self.cycles += count
 
     @property
     def elapsed(self) -> float:

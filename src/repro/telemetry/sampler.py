@@ -48,9 +48,6 @@ Accelerator` for memory-system columns."""
 
     # -- sampling ------------------------------------------------------------
 
-    def wants(self, cycle: int) -> bool:
-        return cycle % self.interval == 0
-
     def sample(self, cycle: int) -> None:
         """Record one row per attached network (plus one chip row)."""
         for net in self._networks:

@@ -303,8 +303,8 @@ def test_default_chip_never_runs_the_python_cores(monkeypatch):
 
 
 def test_telemetry_runs_the_cluster():
-    """The instrumented step (profiling and sampling) runs the cluster
-    too, with the same result as a plain run."""
+    """A chip with telemetry attached (profiling and sampling) runs the
+    cluster too, with the same result as a plain run."""
     plain = _perfect_chip("RD", 6)
     expected = plain.run_to_completion().to_json()
     chip = _perfect_chip("RD", 6)
@@ -558,26 +558,53 @@ def test_import_and_construction_load_no_kernel():
 
 
 def test_failing_build_runs_the_python_cores(tmp_path):
-    """With a compiler that always fails, chips run the Python cores with
-    the cluster's results, and the failure is logged once."""
+    """With a compiler that always fails, chips run the reference: every
+    Python core, MC and DRAM channel steps on every tick of its clock,
+    with the cluster's results, and the failure is logged once."""
     out = _python(f"""
         import json
+        from collections import Counter
         from pathlib import Path
         from repro.gpu import cluster
+        from repro.gpu.core import SimtCore
+        from repro.mem.controller import MemoryController
+        from repro.mem.dram import GddrChannel
         from repro.noc.ideal import PerfectNetwork
         from repro.system.accelerator import build_chip
         from repro.workloads.profiles import profile
         cluster.KERNEL.cache_dirs = lambda: [Path({str(tmp_path)!r})]
-        results = []
+        calls = Counter()
+
+        def counted(owner, attr):
+            method = getattr(owner, attr)
+
+            def wrapper(*args):
+                calls[owner.__name__] += 1
+                return method(*args)
+            setattr(owner, attr, wrapper)
+
+        counted(SimtCore, "step")
+        counted(MemoryController, "icnt_step")
+        counted(GddrChannel, "step")
+        results, counts = [], []
         for _ in range(2):
+            calls.clear()
             chip = build_chip(profile("MUM"), network=PerfectNetwork(),
                               seed=11, instructions_per_warp=4)
             results.append(chip.run_to_completion().to_json())
             assert chip._cluster is False and chip._memory is None
-        print(json.dumps(results))
+            counts.append([
+                [calls["SimtCore"], calls["MemoryController"],
+                 calls["GddrChannel"]],
+                [chip.core_cycle * len(chip.cores),
+                 chip.icnt_cycle * len(chip.mcs),
+                 chip.dram_cycle * len(chip.mcs)]])
+        print(json.dumps([results, counts]))
     """, env={"CC": "false"})
     assert out.returncode == 0, out.stderr
-    first, second = json.loads(out.stdout.splitlines()[-1])
+    (first, second), counts = json.loads(out.stdout.splitlines()[-1])
+    for made, ticks in counts:
+        assert made == ticks and min(ticks) > 0, (made, ticks)
     warnings = [line for line in out.stderr.splitlines()
                 if "compiled core kernel unavailable" in line]
     assert len(warnings) == 1, out.stderr

@@ -3,10 +3,13 @@
 Every network steps through the compiled cycle kernel
 (``repro.noc.batched``, the default); the reference exhaustive scan
 (``use_reference_stepper`` / ``REPRO_REFERENCE_STEPPER=1``) is the oracle
-it must match.  The chip adds its own pair: the wake-gated loop in
-``Accelerator.step`` against its exhaustive twin.  The two must be
-bit-identical — not statistically close — on every design the builder
-can produce, or a result could silently depend on which stepper ran it.
+it must match.  The chip adds its own pair in ``Accelerator.step``: the
+compiled chip side (core cluster and memory side, which skip cores,
+MCs and DRAM channels that provably cannot change state) against the
+Python cores, MCs and channels it steps on every tick without it.  The
+two must be bit-identical — not statistically close — on every design
+the builder can produce, or a result could silently depend on which
+stepper ran it.
 
 This module pins that contract:
 
@@ -268,9 +271,9 @@ def _bin_chip(design_name, *, reference=False):
 def test_closed_loop_three_way(design_name):
     """Three chip legs agree on a finite BIN kernel whose drained tail
     exercises the idle fast paths (finished cores, idle MCs and DRAM
-    channels, empty networks): the exhaustive twins of chip and network,
-    the defaults, and the defaults under the system-level audit, which
-    must not perturb them."""
+    channels, empty networks): the references of chip and network, the
+    defaults, and the defaults under the system-level audit, which must
+    not perturb them."""
 
     def run(chip):
         result = chip.run(warmup=100, measure=900).to_json()
@@ -312,7 +315,7 @@ def _lockstep_to_completion(make_chip, max_cycles, mesh=True,
 
 @pytest.mark.parametrize("design_name", CLOSED_DESIGNS)
 def test_closed_loop_bit_identity(design_name):
-    """Chip defaults == exhaustive twins cycle by cycle through to kernel
+    """Chip defaults == references cycle by cycle through to kernel
     completion on a finite BIN kernel."""
     _lockstep_to_completion(
         lambda reference: _bin_chip(design_name, reference=reference),
@@ -503,8 +506,8 @@ def test_tracer_attach_is_all_or_nothing(via):
 
 def test_chip_reference_switch_is_all_or_nothing():
     """A chip whose network is busy refuses the switch without flipping
-    its own loops to the reference twins: chip and networks stay on the
-    fast path together."""
+    itself to the reference: chip and networks stay on the fast path
+    together."""
     chip = build_chip(profile("BIN"), design=design_by_name("Double-CP-CR"),
                       seed=SEED, instructions_per_warp=8)
     _make_busy(chip.network.networks[1], chip.cores[0].coord,

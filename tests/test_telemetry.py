@@ -225,9 +225,37 @@ class TestZeroPerturbation:
 
         hub = TelemetryHub(TelemetrySpec(trace=True, sample_interval=100))
         assert point(hub).to_json() == point(None).to_json()
+        assert sorted(hub.profiler.sections) == [
+            "injection", "network", "telemetry"]
+        assert hub.profiler.cycles == 700
         assert hub.tracer.completed
         for trace in hub.tracer.completed:
             assert sum(trace.components().values()) == trace.latency
+
+    @pytest.mark.parametrize("reference", [False, True])
+    def test_profiled_chip_times_every_phase(self, reference):
+        """Profiling and sampling a chip, on the compiled chip side or
+        on the reference, leave its result unchanged and time each of
+        its phases on every cycle."""
+        def chip():
+            chip = build_chip(profile("RD"), design=design_by_name("TB-DOR"),
+                              seed=11)
+            if reference:
+                chip.use_reference_stepper()
+            return chip
+
+        baseline = chip().run(warmup=100, measure=300)
+        profiled = chip()
+        hub = TelemetryHub(TelemetrySpec(sample_interval=50))
+        hub.attach_chip(profiled)
+        result = profiled.run(warmup=100, measure=300)
+        assert result.to_json() == baseline.to_json()
+        assert (profiled._cluster is None) == reference
+        assert sorted(hub.profiler.sections) == [
+            "cores", "memory", "network", "telemetry"]
+        assert hub.profiler.cycles == 400
+        # A network row and a chip row per sample.
+        assert len(hub.sampler.rows) == 2 * (400 // 50)
 
     def test_hooks_default_off(self):
         system = build(open_loop_variant(BASELINE))
