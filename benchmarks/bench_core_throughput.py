@@ -5,7 +5,8 @@ exhaustive scan (``use_reference_stepper``: every core, MC and occupied
 router stepped every cycle, in Python) and the default (the compiled
 chip side, one kernel call per cycle for every SIMT core and one for
 every MC and DRAM channel, around networks stepped by the compiled NoC
-kernel, at most two kernel calls per network per cycle) — and writes
+kernel, at most two kernel calls per network per cycle, or by a third
+chip-side call on an ideal network) — and writes
 ``benchmarks/results/BENCH_core.json`` with per-mode cycles-per-second
 and flits-per-second plus the default's speedup over the reference:
 
@@ -22,11 +23,13 @@ and flits-per-second plus the default's speedup over the reference:
   the work is the chip side.  MUM's divergent loads keep the MSHR files
   full and the DRAM queues deep, so the memory kernel's DRAM wake gate
   and the cluster's issue-retry memo both act.  Its ``kernel`` mode is
-  the default chip loop on the compiled chip side (core cluster and
-  memory side); the perfect network has no kernel.  The default must be
-  at least 3.5x the reference here, so a chip whose cores or memory
-  side silently stay in Python (about 2.9x with only the cores
-  compiled) fails.
+  the default chip loop on the compiled chip side: core cluster, memory
+  side and the perfect network, three kernel calls a cycle and no
+  Python packet.  The default must be at least 9.8x the reference here
+  (about 14-15x measured), so a chip whose network silently stays in
+  Python (5.5x, its per-packet records and packets in Python) or whose
+  memory side or cores do (about 2.9x with only the cores compiled)
+  fails.
 * ``cold_start`` — one CP-CR-4VC point at the DSE screen rate (0.35,
   6x6 mesh, 200/600) on the default core, built and run in a fresh
   interpreter, where the process-wide route table starts empty, and then
@@ -83,7 +86,7 @@ CLOSED_FLOORS = {"kernel": 2.0}
 # over the benchmarks' 400/800 window.
 PERFECT_PROFILE = "MUM"
 PERFECT_WARMUP, PERFECT_MEASURE = 400, 800
-PERFECT_FLOORS = {"kernel": 3.5}
+PERFECT_FLOORS = {"kernel": 9.8}
 
 # Open loop: a mesh large enough that saturation leaves most routers
 # blocked (occupied but unable to grant) rather than actively draining —

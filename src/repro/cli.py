@@ -155,11 +155,14 @@ def _apply_checks(design, args):
 def _cmd_run(args) -> int:
     prof = profile(args.benchmark.upper())
     if args.design.lower() == "perfect":
-        if args.check or args.watchdog_cycles:
-            print("note: --check/--watchdog-cycles ignored for the "
-                  "perfect network (no flow control to audit)",
-                  file=sys.stderr)
+        if args.watchdog_cycles:
+            print("note: --watchdog-cycles ignored for the perfect network "
+                  "(no flow control to watch)", file=sys.stderr)
         chip = perfect_chip(prof, seed=args.seed)
+        if args.check:
+            # No flit/credit/VC state to audit: the chip's request
+            # conservation audit, at the same cadence.
+            chip.enable_checks(args.check_interval)
     else:
         design = _apply_checks(_design(args.design), args)
         chip = build_chip(prof, design=design, seed=args.seed)
@@ -170,7 +173,7 @@ def _cmd_run(args) -> int:
         hub.attach_chip(chip)
     result = chip.run(warmup=args.warmup, measure=args.measure)
     _print_result(result)
-    if args.check and args.design.lower() != "perfect":
+    if args.check:
         problems = chip.audit()
         if problems:
             print("invariant audit FAILED:", file=sys.stderr)

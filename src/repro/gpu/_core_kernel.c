@@ -1,5 +1,7 @@
 /* Compiled chip side of one Accelerator: its SIMT cores (see
- * repro/gpu/cluster.py) and its memory nodes (see repro/mem/nodes.py).
+ * repro/gpu/cluster.py), its memory nodes (see repro/mem/nodes.py) and,
+ * when it is a PerfectNetwork or BandwidthLimitedNetwork, its network
+ * (see repro/noc/ideal.py).
  *
  * A line-for-line port of the SIMT core side over flat C state:
  * SimtCore.step with _issue_global and its stall memo, SimtCore.on_reply,
@@ -15,42 +17,78 @@
  * its reply drain, input processing and write-back drain, _dram_done),
  * its L2 bank (the same SetAssociativeCache as the L1) and GddrChannel
  * (enqueue, step with FR-FCFS issue, bank timing and completion), with
- * the chip loop's two idle gates.  The Memory object holds the request
+ * two idle gates of its own: the MC idle tick and the channel's
+ * next_event.  On a Python network the Memory object holds the request
  * and reply packets, each MC's coord and inject callable and the reply
  * factory between calls, so it takes part in cycle collection.
+ *
+ * And of the ideal networks: the Ideal object takes a chip's network
+ * over, with its core cluster and memory side.  Packets are then records
+ * (Rec: kind, MemoryToken, MC, timestamps), never Python objects: the
+ * cluster routes each request as AddressMap does onto its core's
+ * outbound FIFO, the network's step drains those FIFOs (the chip loop's
+ * outbound loop, try_inject) and delivers its queue (PerfectNetwork.step,
+ * or BandwidthLimitedNetwork.step under its flit allowance) into the
+ * MCs' input pipelines and the cluster's reply path, and the MCs offer
+ * their replies to it.  It keeps the network's NetworkStats, histograms
+ * included.  Exports return records as tuples for Python to turn into
+ * packets.
  *
  * Module functions:
  *   new(config, program, fractions, warp_seeds, region_seeds) -> Cluster
  *   memory(mc, dram, coords, injects, factory, request_class) -> Memory
+ *   ideal(cluster, memory, network) -> Ideal   (see kernel_ideal)
  *   mt_sample(seed, ops) -> list   draws of one generator (tests)
+ * A record, as exported: (kind, core, mc, line, local_addr, created,
+ * injected, ejected), kind 0 a read request, 1 a write request, 2 a
+ * reply; core and mc are indices, timestamps -1 until set.
  * Cluster methods:
  *   step(first_cycle, ticks) -> [(core, line, cycle), ...] or None
  *       one call per interconnect cycle: core cycles first_cycle ..
  *       first_cycle + ticks - 1, each stepping every core whose wake is
- *       due, in core order; returns the read requests in issue order;
- *   reply(core, line) -> write-back line, or -1
- *       a read reply: MSHR complete, L1 fill, waiter release; raises
- *       KeyError, writing nothing, if the line has no MSHR entry;
- *   finished() -> bool   every warp finished and every MSHR file empty;
+ *       due, in core order; returns the read requests in issue order
+ *       (None on an ideal network, which queues them as records);
+ *   reply(core, line, cycle) -> write-back line, or -1
+ *       a read reply: MSHR complete, L1 fill, waiter release; on an ideal
+ *       network the write-back joins the core's FIFO and -1 is returned;
+ *       raises KeyError, writing nothing, if the line has no MSHR entry;
+ *   finished() -> bool   every warp finished, every MSHR file empty and
+ *       every outbound FIFO drained;
+ *   counters() -> (retired, l1 hits, l1 accesses) over every core;
  *   export(core) -> tuple   the core's counters, wake, issue-busy time,
- *       scheduler pointer, warps and MSHR entries;
+ *       scheduler pointer, warps, MSHR entries and outbound records (None
+ *       on a Python network);
  *   next_instruction(core, warp) -> None or (kind, lines, active)
- *       draw the warp's next instruction without issuing it (tests).
+ *       draw the warp's next instruction without issuing it (tests);
+ *   stale   True once stepped, given a reply or drawn from since Python
+ *       last cleared it (after an export).
  * Memory methods (each refuses to run inside another's callback):
  *   request(mc, packet, cycle)   the MC's ejection handler: checks the
  *       packet, then queues it for its L2 lookup; raises, queueing
  *       nothing, for a non-request packet or a payload without an
- *       in-range int local_addr;
+ *       in-range int local_addr, and on an ideal network;
  *   step(cycle, first_mclk, ticks)   one call per interconnect cycle:
  *       every MC in index order (or its idle tick), then memory cycles
  *       first_mclk .. first_mclk + ticks - 1, each stepping every due
- *       channel in index order (the others take their idle tick);
- *       replies are built by factory(coord, request, cycle) and offered
- *       by inject(reply, cycle); an exception from either propagates
- *       with the reply, or the request it is for, still queued;
+ *       channel in index order (the others take their idle tick); on a
+ *       Python network replies are built by factory(coord, request,
+ *       cycle) and offered by inject(reply, cycle), and an exception from
+ *       either propagates with the reply, or the request it is for, still
+ *       queued; on an ideal network they are records, and offered to it;
  *   idle() -> bool   no MC holds a request, reply or write-back;
+ *   counters() -> (blocked, cycles, DRAM busy, DRAM pending, row hits,
+ *       row accesses, L2 hits, L2 accesses) over every MC;
  *   export() -> [tuple, ...]   per MC its counters, queues and channel;
  *   stale   True once stepped or given a request since the last export.
+ * Ideal methods:
+ *   step(cycle)   one call per interconnect cycle, between the cluster's
+ *       and the memory side's: every core's outbound FIFO in core order,
+ *       then the queue in order, as far as the allowance reaches;
+ *   idle() -> bool   the queue is empty;
+ *   export() -> tuple   the clock, allowance and NetworkStats;
+ *   queued() -> tuple   the queue's records, in delivery order;
+ *   cycle, stale   the clock; True once stepped or offered a reply since
+ *       the last export.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -59,7 +97,7 @@
 #include <string.h>
 #include <structmember.h>
 
-#define LAYOUT 2
+#define LAYOUT 3
 #define NEVER ((int64_t)1 << 62)
 #define MAX_LINES 32                /* lines of one warp instruction */
 #define LINE_BYTES 64               /* the generator's line size */
@@ -187,6 +225,13 @@ mt_randint(Mt *m, int32_t a, int32_t b)
 
 /* -- state ---------------------------------------------------------------- */
 
+static PyObject *
+new_ref(PyObject *o)
+{
+    Py_INCREF(o);
+    return o;
+}
+
 static void *
 zeroed(size_t count, size_t size)
 {
@@ -198,6 +243,84 @@ zeroed(size_t count, size_t size)
         PyErr_NoMemory();
     return p;
 }
+
+/* A growable ring of fixed-size items: a core's outbound FIFO, an MC's
+ * deques and an ideal network's queue. */
+typedef struct {
+    char *buf;
+    int64_t head, n, cap;
+} Ring;
+
+static void *
+ring_at(Ring *r, size_t size, int64_t k)
+{
+    return r->buf + (size_t)((r->head + k) % r->cap) * size;
+}
+
+/* Room for one more item; -1 (MemoryError) if the ring cannot grow. */
+static int
+ring_reserve(Ring *r, size_t size)
+{
+    int64_t cap, k;
+    char *buf;
+    if (r->n < r->cap)
+        return 0;
+    cap = r->cap ? 2 * r->cap : 8;
+    if (!(buf = zeroed(cap, size)))
+        return -1;
+    for (k = 0; k < r->n; k++)
+        memcpy(buf + k * size, ring_at(r, size, k), size);
+    PyMem_Free(r->buf);
+    r->buf = buf;
+    r->head = 0;
+    r->cap = cap;
+    return 0;
+}
+
+/* The new tail slot (after ring_reserve). */
+static void *
+ring_push(Ring *r, size_t size)
+{
+    return ring_at(r, size, r->n++);
+}
+
+static void
+ring_pop(Ring *r)
+{
+    r->head = (r->head + 1) % r->cap;
+    r->n--;
+}
+
+/* Room for n items in a growable array; -1 (MemoryError) if it cannot
+ * grow. */
+static int
+reserve(void **buf, int64_t *cap, int64_t n, size_t size)
+{
+    int64_t grown = *cap ? *cap : 8;
+    void *p;
+    if (n <= *cap)
+        return 0;
+    while (grown < n)
+        grown *= 2;
+    if (!(p = zeroed(grown, size)))
+        return -1;
+    if (*cap)
+        memcpy(p, *buf, *cap * size);
+    PyMem_Free(*buf);
+    *buf = p;
+    *cap = grown;
+    return 0;
+}
+
+/* A packet on an ideal network, which builds no Python packet: its kind,
+ * its MemoryToken (core index, line, MC-local address), its MC's index
+ * and its timestamps (-1 until set). */
+enum { R_READ, R_WRITE, R_REPLY };
+
+typedef struct {
+    int64_t line, local, created, injected, ejected;
+    int32_t kind, core, mc;
+} Rec;
 
 typedef struct {
     int64_t tag;                    /* line address, -1 if the way is empty */
@@ -228,6 +351,7 @@ typedef struct {
     int64_t base_line, phase;       /* the core's region, once placed */
     int32_t pointer, placed, nentries;
     Entry *entries;                 /* nentries live, in insertion order */
+    Ring outbound;                  /* Rec: requests for an ideal network */
     Cache l1;
 } Core;
 
@@ -261,6 +385,13 @@ typedef struct {
     int64_t *recent;                /* window lines per warp */
     int64_t *lines;                 /* max_lines lines per warp */
     PyObject *out;                  /* requests of the running step */
+    /* On an ideal network (set by ideal()): AddressMap's interleave and MC
+     * count, and the records in the outbound FIFOs; the network, borrowed
+     * (see Ideal). */
+    int32_t routed, nmcs;
+    int64_t interleave, queued;
+    struct Ideal *net;
+    char stale;
 } Cluster;
 
 /* -- address streams (SyntheticKernel) ------------------------------------ */
@@ -501,11 +632,38 @@ mshr_allocate(Cluster *c, Core *core, int64_t line, int32_t waiter)
     return add_waiter(e, waiter) < 0 ? NULL : e;
 }
 
+/* _send_read_request or _send_write_request on an ideal network: a
+ * record on the core's outbound FIFO, routed as AddressMap does. */
+static int
+queue_request(Cluster *c, int32_t i, int32_t kind, int64_t line,
+              int64_t cycle)
+{
+    Ring *fifo = &c->cores[i].outbound;
+    int64_t chunk = line / c->interleave;
+    Rec *r;
+    if (ring_reserve(fifo, sizeof(Rec)) < 0)
+        return -1;
+    r = ring_push(fifo, sizeof(Rec));
+    r->kind = kind;
+    r->core = i;
+    r->mc = (int32_t)(chunk % c->nmcs);
+    r->line = line;
+    r->local = chunk / c->nmcs * c->interleave + line % c->interleave;
+    r->created = cycle;
+    r->injected = r->ejected = -1;
+    c->queued++;
+    return 0;
+}
+
+/* A read request: a record on an ideal network, else a row of the step's
+ * result for Python to send. */
 static int
 emit_read(Cluster *c, int32_t i, int64_t line, int64_t cycle)
 {
     PyObject *request;
     int rc;
+    if (c->routed)
+        return queue_request(c, i, R_READ, line, cycle);
     if (!c->out && !(c->out = PyList_New(0)))
         return -1;
     request = Py_BuildValue("(iLL)", i, (long long)line, (long long)cycle);
@@ -674,6 +832,7 @@ cluster_step(Cluster *c, PyObject *args)
     if (!PyArg_ParseTuple(args, "Li", &first, &ticks))
         return NULL;
     c->out = NULL;
+    c->stale = 1;
     for (t = 0; t < ticks; t++) {
         int64_t cycle = first + t;
         for (i = 0; i < c->ncores; i++)
@@ -689,18 +848,19 @@ cluster_step(Cluster *c, PyObject *args)
     return out;
 }
 
-static PyObject *
-cluster_reply(Cluster *c, PyObject *args)
+/* SimtCore.on_reply for a read of line: MSHR complete, L1 fill, waiter
+ * release.  Returns the evicted dirty line for Python to send, or -1 (none,
+ * or on an ideal network queued on the core's FIFO, created at cycle); -2
+ * with an exception set, writing nothing, if the line has no MSHR entry or
+ * memory runs out. */
+static int64_t
+core_reply(Cluster *c, int32_t i, int64_t line, int64_t cycle)
 {
-    int i, dirty = 0;
-    long long line;
+    int dirty = 0;
     int32_t j, k;
-    Core *core;
+    Core *core = &c->cores[i];
     Entry *e = NULL, done;
     int64_t writeback;
-    if (!PyArg_ParseTuple(args, "iL", &i, &line) || check_core(c, i) < 0)
-        return NULL;
-    core = &c->cores[i];
     for (k = 0; k < core->nentries; k++)
         if (core->entries[k].line == line) {
             e = &core->entries[k];
@@ -712,10 +872,12 @@ cluster_reply(Cluster *c, PyObject *args)
                  (unsigned long long)(line < 0 ? -line : line));
         PyErr_Format(PyExc_KeyError, "no outstanding MSHR for line %s",
                      hex);
-        return NULL;
+        return -2;
     }
-    if (cache_reserve(&core->l1, line) < 0)
-        return NULL;
+    if (cache_reserve(&core->l1, line) < 0
+            || (c->routed && ring_reserve(&core->outbound, sizeof(Rec)) < 0))
+        return -2;
+    c->stale = 1;
     /* complete: take the entry out, keeping the others in order; its
      * waiter buffer moves to the freed last slot for reuse. */
     done = *e;
@@ -729,6 +891,10 @@ cluster_reply(Cluster *c, PyObject *args)
         if (done.waiters[j] < 0)
             dirty = 1;
     writeback = cache_fill(&core->l1, line, dirty);
+    if (writeback >= 0 && c->routed) {
+        queue_request(c, i, R_WRITE, writeback, cycle);     /* reserved */
+        writeback = -1;
+    }
     for (j = 0; j < done.nwait; j++) {
         Warp *wp;
         if (done.waiters[j] < 0)
@@ -736,17 +902,71 @@ cluster_reply(Cluster *c, PyObject *args)
         wp = &c->warps[(int64_t)i * c->nwarps + done.waiters[j]];
         if (--wp->pending < 0) {
             PyErr_SetString(PyExc_RuntimeError, "pending-load underflow");
-            return NULL;
+            return -2;
         }
     }
     core->wake = 0;
+    return writeback;
+}
+
+static PyObject *
+cluster_reply(Cluster *c, PyObject *args)
+{
+    int i;
+    long long line, cycle;
+    int64_t writeback;
+    if (!PyArg_ParseTuple(args, "iLL", &i, &line, &cycle)
+            || check_core(c, i) < 0
+            || (writeback = core_reply(c, i, line, cycle)) == -2)
+        return NULL;
     return PyLong_FromLongLong(writeback);
 }
 
 static PyObject *
 cluster_finished(Cluster *c, PyObject *Py_UNUSED(ignored))
 {
-    return PyBool_FromLong(c->unfinished == 0 && c->outstanding == 0);
+    return PyBool_FromLong(c->unfinished == 0 && c->outstanding == 0
+                           && c->queued == 0);
+}
+
+static PyObject *
+cluster_counters(Cluster *c, PyObject *Py_UNUSED(ignored))
+{
+    int64_t retired = 0, hits = 0, accesses = 0;
+    int32_t i;
+    for (i = 0; i < c->ncores; i++) {
+        Core *core = &c->cores[i];
+        retired += core->retired;
+        hits += core->l1.hits;
+        accesses += core->l1.hits + core->l1.misses;
+    }
+    return Py_BuildValue("(LLL)", (long long)retired, (long long)hits,
+                         (long long)accesses);
+}
+
+static PyObject *
+rec_tuple(Rec *r)
+{
+    return Py_BuildValue("(iiiLLLLL)", r->kind, r->core, r->mc,
+                         (long long)r->line, (long long)r->local,
+                         (long long)r->created, (long long)r->injected,
+                         (long long)r->ejected);
+}
+
+/* The records of a ring, oldest first. */
+static PyObject *
+ring_records(Ring *ring)
+{
+    PyObject *out = PyTuple_New(ring->n);
+    int64_t k;
+    for (k = 0; out && k < ring->n; k++) {
+        PyObject *row = rec_tuple(ring_at(ring, sizeof(Rec), k));
+        if (!row)
+            Py_CLEAR(out);
+        else
+            PyTuple_SET_ITEM(out, k, row);
+    }
+    return out;
 }
 
 static PyObject *
@@ -755,7 +975,7 @@ cluster_export(Cluster *c, PyObject *args)
     int i;
     int32_t w, k, j;
     Core *core;
-    PyObject *warps = NULL, *entries = NULL;
+    PyObject *warps = NULL, *entries = NULL, *outbound;
     if (!PyArg_ParseTuple(args, "i", &i) || check_core(c, i) < 0)
         return NULL;
     core = &c->cores[i];
@@ -791,14 +1011,18 @@ cluster_export(Cluster *c, PyObject *args)
             goto error;
         PyTuple_SET_ITEM(entries, k, row);
     }
+    if (!c->routed)
+        outbound = new_ref(Py_None);
+    else if (!(outbound = ring_records(&core->outbound)))
+        goto error;
     return Py_BuildValue(
-        "(LLLLLLLiLLLLNN)", (long long)core->retired,
+        "(LLLLLLLiLLLLNNN)", (long long)core->retired,
         (long long)core->issued, (long long)core->stalls,
         (long long)core->loads, (long long)core->stores,
         (long long)core->wake, (long long)core->busy_until, core->pointer,
         (long long)core->l1.hits, (long long)core->l1.misses,
         (long long)core->allocations, (long long)core->merges,
-        warps, entries);
+        warps, entries, outbound);
 error:
     Py_XDECREF(warps);
     Py_XDECREF(entries);
@@ -819,6 +1043,7 @@ cluster_next_instruction(Cluster *c, PyObject *args)
         PyErr_Format(PyExc_IndexError, "warp %d out of range", w);
         return NULL;
     }
+    c->stale = 1;
     if (!next_instruction(c, i, w))
         Py_RETURN_NONE;
     g = (int64_t)i * c->nwarps + w;
@@ -836,10 +1061,14 @@ cluster_next_instruction(Cluster *c, PyObject *args)
     return Py_BuildValue("(iNi)", wp->kind, lines, wp->active);
 }
 
+static void ideal_drop_cluster(struct Ideal *n);
+
 static void
 cluster_dealloc(Cluster *c)
 {
     int32_t i, k;
+    if (c->net)
+        ideal_drop_cluster(c->net);
     if (c->cores) {
         for (i = 0; i < c->ncores; i++) {
             Core *core = &c->cores[i];
@@ -847,6 +1076,7 @@ cluster_dealloc(Cluster *c)
                 for (k = 0; k < c->mshr_entries; k++)
                     PyMem_Free(core->entries[k].waiters);
             PyMem_Free(core->entries);
+            PyMem_Free(core->outbound.buf);
             cache_free(&core->l1);
         }
     }
@@ -865,10 +1095,16 @@ static PyMethodDef cluster_methods[] = {
     {"step", (PyCFunction)cluster_step, METH_VARARGS, NULL},
     {"reply", (PyCFunction)cluster_reply, METH_VARARGS, NULL},
     {"finished", (PyCFunction)cluster_finished, METH_NOARGS, NULL},
+    {"counters", (PyCFunction)cluster_counters, METH_NOARGS, NULL},
     {"export", (PyCFunction)cluster_export, METH_VARARGS, NULL},
     {"next_instruction", (PyCFunction)cluster_next_instruction,
      METH_VARARGS, NULL},
     {NULL, NULL, 0, NULL}
+};
+
+static PyMemberDef cluster_members[] = {
+    {"stale", T_BOOL, offsetof(Cluster, stale), 0, NULL},
+    {NULL, 0, 0, 0, NULL}
 };
 
 static PyTypeObject ClusterType = {
@@ -878,90 +1114,30 @@ static PyTypeObject ClusterType = {
     .tp_dealloc = (destructor)cluster_dealloc,
     .tp_flags = Py_TPFLAGS_DEFAULT,
     .tp_methods = cluster_methods,
+    .tp_members = cluster_members,
 };
 
 /* -- the memory side (MemoryController, GddrChannel) ----------------------- */
 
-/* A growable ring of fixed-size items: the MC's deques. */
+/* A packet the memory side holds: the Python packet on a Python network,
+ * its record (obj NULL) on an ideal one. */
 typedef struct {
-    char *buf;
-    int64_t head, n, cap;
-} Ring;
-
-static void *
-ring_at(Ring *r, size_t size, int64_t k)
-{
-    return r->buf + (size_t)((r->head + k) % r->cap) * size;
-}
-
-/* Room for one more item; -1 (MemoryError) if the ring cannot grow. */
-static int
-ring_reserve(Ring *r, size_t size)
-{
-    int64_t cap, k;
-    char *buf;
-    if (r->n < r->cap)
-        return 0;
-    cap = r->cap ? 2 * r->cap : 8;
-    if (!(buf = zeroed(cap, size)))
-        return -1;
-    for (k = 0; k < r->n; k++)
-        memcpy(buf + k * size, ring_at(r, size, k), size);
-    PyMem_Free(r->buf);
-    r->buf = buf;
-    r->head = 0;
-    r->cap = cap;
-    return 0;
-}
-
-/* The new tail slot (after ring_reserve). */
-static void *
-ring_push(Ring *r, size_t size)
-{
-    return ring_at(r, size, r->n++);
-}
-
-static void
-ring_pop(Ring *r)
-{
-    r->head = (r->head + 1) % r->cap;
-    r->n--;
-}
-
-/* Room for n items in a growable array; -1 (MemoryError) if it cannot
- * grow. */
-static int
-reserve(void **buf, int64_t *cap, int64_t n, size_t size)
-{
-    int64_t grown = *cap ? *cap : 8;
-    void *p;
-    if (n <= *cap)
-        return 0;
-    while (grown < n)
-        grown *= 2;
-    if (!(p = zeroed(grown, size)))
-        return -1;
-    if (*cap)
-        memcpy(p, *buf, *cap * size);
-    PyMem_Free(*buf);
-    *buf = p;
-    *cap = grown;
-    return 0;
-}
+    PyObject *obj;
+    Rec rec;
+} Pkt;
 
 /* One request in the L2-lookup input pipeline. */
 typedef struct {
-    PyObject *packet;
+    Pkt pkt;
     int64_t ready, addr;
     int32_t is_read;
 } Pending;
 
-/* One DramRequest; a read carries its request packet, a write-back
- * none. */
+/* One DramRequest; a read carries its request packet. */
 typedef struct {
-    PyObject *packet;
+    Pkt pkt;
     int64_t addr, arrival, row, issue_time, complete_time;
-    int32_t bank, row_hit;
+    int32_t bank, row_hit, is_write;
 } Req;
 
 typedef struct {
@@ -979,8 +1155,8 @@ typedef struct {
 } Channel;
 
 typedef struct {
-    PyObject *coord, *inject;
-    Ring input, replies, writebacks;    /* Pending, PyObject *, int64_t */
+    PyObject *coord, *inject;           /* inject NULL on an ideal network */
+    Ring input, replies, writebacks;    /* Pending, Pkt, int64_t */
     int64_t icnt_cycle, cycles, blocked, received, reads, writes, sent;
     int64_t max_depth;
     Cache l2;
@@ -994,9 +1170,46 @@ typedef struct {
     int64_t l2_latency, tCL, tRP, tRC, tRAS, tRCD, tRRD, burst, row_bytes;
     PyObject *factory, *request_class;
     Mc *mcs;
-    char busy, stale;
+    struct Ideal *net;          /* the ideal network it replies into, if
+                                 * routed (borrowed, see Ideal) */
+    char busy, stale, routed;
     PyObject *weakreflist;
 } Memory;
+
+/* A StreamingHistogram: exact counts below the linear limit, grown on
+ * demand, and counts by bit length at or above it. */
+typedef struct {
+    int64_t *lin, nlin, log[65];
+    int64_t total, min, max;
+} Hist;
+
+typedef struct {                        /* _ClassStats */
+    int64_t packets, flits, latency_sum, network_latency_sum;
+    Hist latency, network_latency;
+} ClassStats;
+
+/* A PerfectNetwork or BandwidthLimitedNetwork stepped with its chip's
+ * cluster and memory side.  The network owns this object, the chip owns
+ * the other two; each side holds the other's pointer borrowed and clears
+ * it when freed, so a dropped chip frees its cluster and memory side at
+ * once and leaves the network its counters. */
+typedef struct Ideal {
+    PyObject_HEAD
+    Cluster *c;                         /* NULL once the chip is freed */
+    Memory *m;
+    int32_t perfect, ncores, nin, nout;
+    double cap, allowance;              /* BandwidthLimitedNetwork's */
+    int64_t flits[3];                   /* of each record kind */
+    int64_t limit, cycle;               /* histograms' linear limit */
+    Ring queue;                         /* Rec: accepted, not delivered */
+    int64_t packets_injected, flits_injected, packets_ejected;
+    int64_t flits_ejected;
+    ClassStats cls[2];                  /* REQUEST, REPLY */
+    int64_t *node_in, *node_out;        /* flits by node: cores, then MCs */
+    int32_t *order_in, *order_out;      /* nodes, by first flit */
+    char stale;
+    PyObject *weakreflist;
+} Ideal;
 
 static PyObject *s_traffic_class, *s_payload, *s_local_addr, *s_size_bytes;
 
@@ -1018,6 +1231,35 @@ memory_enter(Memory *m)
     return 0;
 }
 
+/* -- the ideal network's records ------------------------------------------- */
+
+static void
+count_node(int64_t *flits, int32_t *order, int32_t *n, int32_t node,
+           int64_t k)
+{
+    if (!flits[node])
+        order[(*n)++] = node;
+    flits[node] += k;
+}
+
+/* try_inject: the network accepts every packet, stamps it and counts it
+ * at its source (record_injection). */
+static int
+ideal_inject(Ideal *n, Rec *r, int64_t now)
+{
+    int64_t flits = n->flits[r->kind];
+    if (ring_reserve(&n->queue, sizeof(Rec)) < 0)
+        return -1;
+    r->injected = now;
+    n->packets_injected++;
+    n->flits_injected += flits;
+    count_node(n->node_in, n->order_in, &n->nin,
+               r->kind == R_REPLY ? n->ncores + r->mc : r->core, flits);
+    *(Rec *)ring_push(&n->queue, sizeof(Rec)) = *r;
+    n->stale = 1;
+    return 0;
+}
+
 /* -- GddrChannel ------------------------------------------------------------ */
 
 static void
@@ -1035,7 +1277,7 @@ channel_update_next_event(Channel *ch)
 /* enqueue(DramRequest(addr, packet is NULL, 64, payload=packet), now);
  * the caller has checked can_accept. */
 static int
-channel_enqueue(Memory *m, Channel *ch, int64_t addr, PyObject *packet,
+channel_enqueue(Memory *m, Channel *ch, int64_t addr, Pkt *packet,
                 int64_t now)
 {
     int64_t row_id = addr / m->row_bytes, ready;
@@ -1045,8 +1287,12 @@ channel_enqueue(Memory *m, Channel *ch, int64_t addr, PyObject *packet,
         return -1;
     r = &ch->queue[ch->nqueue++];
     memset(r, 0, sizeof *r);
-    r->packet = packet;
-    Py_XINCREF(packet);
+    if (packet) {
+        r->pkt = *packet;
+        Py_XINCREF(packet->obj);
+    }
+    else
+        r->is_write = 1;
     r->addr = addr;
     r->arrival = now;
     r->bank = (int32_t)(row_id % m->num_banks);
@@ -1058,31 +1304,43 @@ channel_enqueue(Memory *m, Channel *ch, int64_t addr, PyObject *packet,
     return 0;
 }
 
-static PyObject *
-make_reply(Memory *m, Mc *mc, PyObject *request, PyObject *cycle)
+/* _send_reply's packet for request, built at cycle: by the factory on a
+ * Python network, a record on an ideal one; -1 if the factory raises. */
+static int
+make_reply(Memory *m, Mc *mc, Pkt *request, int64_t cycle,
+           PyObject *cycle_obj, Pkt *reply)
 {
-    PyObject *args[3] = {mc->coord, request, cycle};
-    return PyObject_Vectorcall(m->factory, args, 3, NULL);
+    PyObject *args[3] = {mc->coord, request->obj, cycle_obj};
+    if (m->routed) {
+        reply->obj = NULL;
+        reply->rec = request->rec;
+        reply->rec.kind = R_REPLY;
+        reply->rec.created = cycle;
+        reply->rec.injected = reply->rec.ejected = -1;
+        return 0;
+    }
+    reply->obj = PyObject_Vectorcall(m->factory, args, 3, NULL);
+    return reply->obj ? 0 : -1;
 }
 
 /* MemoryController._dram_done for a completed read: L2 fill, then the
  * reply; nothing changes if the factory raises. */
 static int
-dram_done(Memory *m, Mc *mc, Req *r, PyObject *cycle)
+dram_done(Memory *m, Mc *mc, Req *r, int64_t cycle, PyObject *cycle_obj)
 {
-    PyObject *reply;
+    Pkt reply;
     int64_t writeback;
-    if (!r->packet)
+    if (r->is_write)
         return 0;
-    if (ring_reserve(&mc->replies, sizeof(PyObject *)) < 0
+    if (ring_reserve(&mc->replies, sizeof(Pkt)) < 0
             || ring_reserve(&mc->writebacks, sizeof(int64_t)) < 0
             || cache_reserve(&mc->l2, r->addr) < 0
-            || !(reply = make_reply(m, mc, r->packet, cycle)))
+            || make_reply(m, mc, &r->pkt, cycle, cycle_obj, &reply) < 0)
         return -1;
     writeback = cache_fill(&mc->l2, r->addr, 0);
     if (writeback >= 0)
         *(int64_t *)ring_push(&mc->writebacks, sizeof(int64_t)) = writeback;
-    *(PyObject **)ring_push(&mc->replies, sizeof(PyObject *)) = reply;
+    *(Pkt *)ring_push(&mc->replies, sizeof(Pkt)) = reply;
     return 0;
 }
 
@@ -1090,19 +1348,20 @@ dram_done(Memory *m, Mc *mc, Req *r, PyObject *cycle)
  * order.  Each leaves the array before the next callback runs, so the
  * collector never sees a half-compacted array. */
 static int
-channel_complete(Memory *m, Mc *mc, int64_t now, PyObject *cycle)
+channel_complete(Memory *m, Mc *mc, int64_t now, int64_t cycle,
+                 PyObject *cycle_obj)
 {
     Channel *ch = &mc->dram;
     int64_t k = 0, next = NEVER;
     int rc = 0, removed = 0;
     while (k < ch->nflight) {
         Req *r = &ch->flight[k];
-        PyObject *packet = r->packet;
+        PyObject *packet = r->pkt.obj;
         if (r->complete_time > now) {
             k++;
             continue;
         }
-        if (dram_done(m, mc, r, cycle) < 0) {
+        if (dram_done(m, mc, r, cycle, cycle_obj) < 0) {
             rc = -1;
             break;
         }
@@ -1196,7 +1455,8 @@ channel_issue(Memory *m, Channel *ch, int64_t now)
 
 /* GddrChannel.step */
 static int
-channel_step(Memory *m, Mc *mc, int64_t now, PyObject *cycle)
+channel_step(Memory *m, Mc *mc, int64_t now, int64_t cycle,
+             PyObject *cycle_obj)
 {
     Channel *ch = &mc->dram;
     ch->now = now;
@@ -1205,7 +1465,7 @@ channel_step(Memory *m, Mc *mc, int64_t now, PyObject *cycle)
         if (ch->bus_free_at > now)
             ch->data_busy++;
     }
-    if (channel_complete(m, mc, now, cycle) < 0)
+    if (channel_complete(m, mc, now, cycle, cycle_obj) < 0)
         return -1;
     return channel_issue(m, ch, now);
 }
@@ -1216,34 +1476,40 @@ static void
 pop_input(Mc *mc)
 {
     PyObject *packet = ((Pending *)ring_at(&mc->input, sizeof(Pending),
-                                           0))->packet;
+                                           0))->pkt.obj;
     ring_pop(&mc->input);
-    Py_DECREF(packet);
+    Py_XDECREF(packet);
 }
 
-/* _drain_replies: offer the backlog in order until the network refuses;
- * a refused cycle counts as blocked. */
+/* _drain_replies: offer the backlog in order until the network refuses
+ * (an ideal network never does); a refused cycle counts as blocked. */
 static int
-drain_replies(Mc *mc, PyObject *cycle)
+drain_replies(Memory *m, Mc *mc, int64_t cycle, PyObject *cycle_obj)
 {
     while (mc->replies.n) {
-        PyObject *reply = *(PyObject **)ring_at(&mc->replies,
-                                                sizeof(PyObject *), 0);
-        PyObject *args[2] = {reply, cycle}, *res;
-        int accepted;
-        if (!(res = PyObject_Vectorcall(mc->inject, args, 2, NULL)))
-            return -1;
-        accepted = PyObject_IsTrue(res);
-        Py_DECREF(res);
-        if (accepted < 0)
-            return -1;
-        if (!accepted) {
-            mc->blocked++;
-            return 0;
+        Pkt *reply = ring_at(&mc->replies, sizeof(Pkt), 0);
+        PyObject *obj = reply->obj;
+        if (m->routed) {
+            if (ideal_inject(m->net, &reply->rec, cycle) < 0)
+                return -1;
+        }
+        else {
+            PyObject *args[2] = {obj, cycle_obj}, *res;
+            int accepted;
+            if (!(res = PyObject_Vectorcall(mc->inject, args, 2, NULL)))
+                return -1;
+            accepted = PyObject_IsTrue(res);
+            Py_DECREF(res);
+            if (accepted < 0)
+                return -1;
+            if (!accepted) {
+                mc->blocked++;
+                return 0;
+            }
         }
         ring_pop(&mc->replies);
         mc->sent++;
-        Py_DECREF(reply);
+        Py_XDECREF(obj);
     }
     return 0;
 }
@@ -1265,20 +1531,19 @@ process_input(Memory *m, Mc *mc, int64_t cycle, PyObject *cycle_obj)
         if (head->is_read) {
             Line *hit = cache_find(&mc->l2, head->addr);
             if (hit) {
-                PyObject *reply;
-                if (ring_reserve(&mc->replies, sizeof(PyObject *)) < 0
-                        || !(reply = make_reply(m, mc, head->packet,
-                                                cycle_obj)))
+                Pkt reply;
+                if (ring_reserve(&mc->replies, sizeof(Pkt)) < 0
+                        || make_reply(m, mc, &head->pkt, cycle, cycle_obj,
+                                      &reply) < 0)
                     return -1;
                 cache_hit(&mc->l2, hit);
-                *(PyObject **)ring_push(&mc->replies,
-                                        sizeof(PyObject *)) = reply;
+                *(Pkt *)ring_push(&mc->replies, sizeof(Pkt)) = reply;
             }
             else {
                 mc->l2.misses++;
                 if (mc->dram.nqueue >= m->queue_capacity)
                     return 0;       /* DRAM queue full: stall */
-                if (channel_enqueue(m, &mc->dram, head->addr, head->packet,
+                if (channel_enqueue(m, &mc->dram, head->addr, &head->pkt,
                                     cycle) < 0)
                     return -1;
             }
@@ -1314,6 +1579,24 @@ drain_writebacks(Memory *m, Mc *mc)
     return 0;
 }
 
+/* on_packet after its checks: the request enters the L2-lookup pipeline,
+ * in the slot the caller has reserved. */
+static void
+mc_queue(Memory *m, Mc *mc, Pkt *packet, int64_t addr, int is_read,
+         int64_t cycle)
+{
+    Pending *slot = ring_push(&mc->input, sizeof(Pending));
+    slot->pkt = *packet;
+    Py_XINCREF(packet->obj);
+    slot->ready = cycle + m->l2_latency;
+    slot->addr = addr;
+    slot->is_read = is_read;
+    mc->received++;
+    if (mc->input.n > mc->max_depth)
+        mc->max_depth = mc->input.n;
+    m->stale = 1;
+}
+
 /* -- Memory methods ------------------------------------------------------- */
 
 static PyObject *
@@ -1322,7 +1605,7 @@ memory_request(Memory *m, PyObject *const *args, Py_ssize_t nargs)
     Py_ssize_t index;
     long long cycle, addr = -1, size;
     PyObject *packet, *v, *payload;
-    Pending *slot;
+    Pkt pkt = {0};
     Mc *mc;
     if (nargs != 3) {
         PyErr_SetString(PyExc_TypeError, "request(mc, packet, cycle)");
@@ -1335,6 +1618,12 @@ memory_request(Memory *m, PyObject *const *args, Py_ssize_t nargs)
         return NULL;
     if (index < 0 || index >= m->nmcs) {
         PyErr_Format(PyExc_IndexError, "MC %zd out of range", index);
+        return NULL;
+    }
+    if (m->routed) {
+        PyErr_SetString(PyExc_RuntimeError,
+                        "requests reach this memory side through its "
+                        "compiled network");
         return NULL;
     }
     if (memory_enter(m) < 0)
@@ -1381,16 +1670,8 @@ memory_request(Memory *m, PyObject *const *args, Py_ssize_t nargs)
     if ((size == -1 && PyErr_Occurred())
             || ring_reserve(&mc->input, sizeof(Pending)) < 0)
         goto error;
-    slot = ring_push(&mc->input, sizeof(Pending));
-    Py_INCREF(packet);
-    slot->packet = packet;
-    slot->ready = cycle + m->l2_latency;
-    slot->addr = addr;
-    slot->is_read = size <= 8;
-    mc->received++;
-    if (mc->input.n > mc->max_depth)
-        mc->max_depth = mc->input.n;
-    m->stale = 1;
+    pkt.obj = packet;
+    mc_queue(m, mc, &pkt, addr, size <= 8, cycle);
     m->busy = 0;
     Py_RETURN_NONE;
 error:
@@ -1414,6 +1695,11 @@ memory_step(Memory *m, PyObject *const *args, Py_ssize_t nargs)
                 && PyErr_Occurred())
             || memory_enter(m) < 0)
         return NULL;
+    if (m->routed && !m->net) {
+        PyErr_SetString(PyExc_RuntimeError,
+                        "the network of this memory side was freed");
+        goto error;
+    }
     m->stale = 1;
     for (i = 0; i < m->nmcs; i++) {
         Mc *mc = &m->mcs[i];
@@ -1422,7 +1708,7 @@ memory_step(Memory *m, PyObject *const *args, Py_ssize_t nargs)
                         &mc->input, sizeof(Pending), 0))->ready <= cycle)) {
             mc->icnt_cycle = cycle;
             mc->cycles++;
-            if (drain_replies(mc, args[0]) < 0
+            if (drain_replies(m, mc, cycle, args[0]) < 0
                     || process_input(m, mc, cycle, args[0]) < 0
                     || drain_writebacks(m, mc) < 0)
                 goto error;
@@ -1437,7 +1723,7 @@ memory_step(Memory *m, PyObject *const *args, Py_ssize_t nargs)
         for (i = 0; i < m->nmcs; i++) {
             Channel *ch = &m->mcs[i].dram;
             if (ch->next_event <= mclk) {
-                if (channel_step(m, &m->mcs[i], mclk, args[0]) < 0)
+                if (channel_step(m, &m->mcs[i], mclk, cycle, args[0]) < 0)
                     goto error;
             }
             else {
@@ -1472,6 +1758,36 @@ memory_idle(Memory *m, PyObject *Py_UNUSED(ignored))
     Py_RETURN_TRUE;
 }
 
+static PyObject *
+memory_counters(Memory *m, PyObject *Py_UNUSED(ignored))
+{
+    int64_t sums[8] = {0};
+    int32_t i;
+    for (i = 0; i < m->nmcs; i++) {
+        Mc *mc = &m->mcs[i];
+        sums[0] += mc->blocked;
+        sums[1] += mc->cycles;
+        sums[2] += mc->dram.data_busy;
+        sums[3] += mc->dram.pending;
+        sums[4] += mc->dram.row_hits;
+        sums[5] += mc->dram.row_hits + mc->dram.row_misses;
+        sums[6] += mc->l2.hits;
+        sums[7] += mc->l2.hits + mc->l2.misses;
+    }
+    return Py_BuildValue("(LLLLLLLL)", (long long)sums[0],
+                         (long long)sums[1], (long long)sums[2],
+                         (long long)sums[3], (long long)sums[4],
+                         (long long)sums[5], (long long)sums[6],
+                         (long long)sums[7]);
+}
+
+/* The packet, or on an ideal network its record. */
+static PyObject *
+export_packet(Pkt *p)
+{
+    return p->obj ? new_ref(p->obj) : rec_tuple(&p->rec);
+}
+
 /* (addr, is_write, size_bytes, arrival, payload, bank, row, issue_time,
  * complete_time, row_hit): DramRequest's fields in order. */
 static PyObject *
@@ -1483,12 +1799,14 @@ export_requests(Req *reqs, int64_t n)
         return NULL;
     for (k = 0; k < n; k++) {
         Req *r = &reqs[k];
-        PyObject *row = Py_BuildValue(
-            "(LOiLOiLLLO)", (long long)r->addr,
-            r->packet ? Py_False : Py_True, 64, (long long)r->arrival,
-            r->packet ? r->packet : Py_None, r->bank, (long long)r->row,
+        PyObject *payload = r->is_write ? new_ref(Py_None)
+                                        : export_packet(&r->pkt);
+        PyObject *row = payload ? Py_BuildValue(
+            "(LOiLNiLLLO)", (long long)r->addr,
+            r->is_write ? Py_True : Py_False, 64, (long long)r->arrival,
+            payload, r->bank, (long long)r->row,
             (long long)r->issue_time, (long long)r->complete_time,
-            r->row_hit ? Py_True : Py_False);
+            r->row_hit ? Py_True : Py_False) : NULL;
         if (!row) {
             Py_DECREF(out);
             return NULL;
@@ -1544,7 +1862,9 @@ export_mc(Memory *m, Mc *mc)
         return NULL;
     for (k = 0; k < mc->input.n; k++) {
         Pending *p = ring_at(&mc->input, sizeof(Pending), k);
-        PyObject *row = Py_BuildValue("(LO)", (long long)p->ready, p->packet);
+        PyObject *packet = export_packet(&p->pkt);
+        PyObject *row = packet ? Py_BuildValue("(LN)", (long long)p->ready,
+                                               packet) : NULL;
         if (!row)
             goto error;
         PyTuple_SET_ITEM(input, k, row);
@@ -1552,9 +1872,10 @@ export_mc(Memory *m, Mc *mc)
     if (!(replies = PyTuple_New(mc->replies.n)))
         goto error;
     for (k = 0; k < mc->replies.n; k++) {
-        PyObject *reply = *(PyObject **)ring_at(&mc->replies,
-                                                sizeof(PyObject *), k);
-        Py_INCREF(reply);
+        PyObject *reply = export_packet(ring_at(&mc->replies, sizeof(Pkt),
+                                                k));
+        if (!reply)
+            goto error;
         PyTuple_SET_ITEM(replies, k, reply);
     }
     if (!(writebacks = PyTuple_New(mc->writebacks.n)))
@@ -1618,14 +1939,13 @@ memory_traverse(Memory *m, visitproc visit, void *arg)
         Py_VISIT(mc->inject);
         for (k = 0; k < mc->input.n; k++)
             Py_VISIT(((Pending *)ring_at(&mc->input, sizeof(Pending),
-                                         k))->packet);
+                                         k))->pkt.obj);
         for (k = 0; k < mc->replies.n; k++)
-            Py_VISIT(*(PyObject **)ring_at(&mc->replies, sizeof(PyObject *),
-                                           k));
+            Py_VISIT(((Pkt *)ring_at(&mc->replies, sizeof(Pkt), k))->obj);
         for (k = 0; k < mc->dram.nqueue; k++)
-            Py_VISIT(mc->dram.queue[k].packet);
+            Py_VISIT(mc->dram.queue[k].pkt.obj);
         for (k = 0; k < mc->dram.nflight; k++)
-            Py_VISIT(mc->dram.flight[k].packet);
+            Py_VISIT(mc->dram.flight[k].pkt.obj);
     }
     return 0;
 }
@@ -1645,17 +1965,17 @@ memory_clear(Memory *m)
         while (mc->input.n)
             pop_input(mc);
         while (mc->replies.n) {
-            PyObject *reply = *(PyObject **)ring_at(
-                &mc->replies, sizeof(PyObject *), 0);
+            PyObject *reply = ((Pkt *)ring_at(&mc->replies, sizeof(Pkt),
+                                              0))->obj;
             ring_pop(&mc->replies);
-            Py_DECREF(reply);
+            Py_XDECREF(reply);
         }
         while (mc->dram.nqueue) {
-            PyObject *packet = mc->dram.queue[--mc->dram.nqueue].packet;
+            PyObject *packet = mc->dram.queue[--mc->dram.nqueue].pkt.obj;
             Py_XDECREF(packet);
         }
         while (mc->dram.nflight) {
-            PyObject *packet = mc->dram.flight[--mc->dram.nflight].packet;
+            PyObject *packet = mc->dram.flight[--mc->dram.nflight].pkt.obj;
             Py_XDECREF(packet);
         }
     }
@@ -1669,6 +1989,8 @@ memory_dealloc(Memory *m)
     PyObject_GC_UnTrack(m);
     if (m->weakreflist)
         PyObject_ClearWeakRefs((PyObject *)m);
+    if (m->net)
+        m->net->m = NULL;
     memory_clear(m);
     for (i = 0; m->mcs && i < m->nmcs; i++) {
         Mc *mc = &m->mcs[i];
@@ -1689,6 +2011,7 @@ static PyMethodDef memory_methods[] = {
      NULL},
     {"step", (PyCFunction)(void (*)(void))memory_step, METH_FASTCALL, NULL},
     {"idle", (PyCFunction)memory_idle, METH_NOARGS, NULL},
+    {"counters", (PyCFunction)memory_counters, METH_NOARGS, NULL},
     {"export", (PyCFunction)memory_export, METH_NOARGS, NULL},
     {NULL, NULL, 0, NULL}
 };
@@ -1802,6 +2125,356 @@ fail:
     Py_XDECREF(cfast);
     Py_XDECREF(ifast);
     return NULL;
+}
+
+/* -- the ideal networks (PerfectNetwork, BandwidthLimitedNetwork) -------- */
+
+/* Room to count the value v; -1 (MemoryError) if it cannot be made. */
+static int
+hist_reserve(Hist *h, int64_t v, int64_t limit)
+{
+    if (v >= limit || v < h->nlin)
+        return 0;
+    return reserve((void **)&h->lin, &h->nlin, v + 1, sizeof(int64_t));
+}
+
+/* StreamingHistogram.add(v), after hist_reserve. */
+static void
+hist_add(Hist *h, int64_t v, int64_t limit)
+{
+    if (v < limit)
+        h->lin[v]++;
+    else {
+        int bits = 0;
+        int64_t x;
+        for (x = v; x; x >>= 1)
+            bits++;
+        h->log[bits]++;
+    }
+    if (!h->total || v < h->min)
+        h->min = v;
+    if (!h->total || v > h->max)
+        h->max = v;
+    h->total++;
+}
+
+static int
+append_bucket(PyObject *buckets, int64_t id, int64_t count)
+{
+    PyObject *row = Py_BuildValue("(LL)", (long long)id, (long long)count);
+    int rc = row ? PyList_Append(buckets, row) : -1;
+    Py_XDECREF(row);
+    return rc;
+}
+
+/* (buckets, total, min, max): the buckets as (id, count) pairs in value
+ * order, id the value below the limit and minus the bit length above it;
+ * min and max None while empty. */
+static PyObject *
+hist_export(Hist *h)
+{
+    PyObject *buckets = PyList_New(0);
+    int64_t v;
+    if (!buckets)
+        return NULL;
+    for (v = 0; v < h->nlin; v++)
+        if (h->lin[v] && append_bucket(buckets, v, h->lin[v]) < 0)
+            goto error;
+    for (v = 0; v < 65; v++)
+        if (h->log[v] && append_bucket(buckets, -v, h->log[v]) < 0)
+            goto error;
+    if (!h->total)
+        return Py_BuildValue("(NLOO)", buckets, 0LL, Py_None, Py_None);
+    return Py_BuildValue("(NLLL)", buckets, (long long)h->total,
+                         (long long)h->min, (long long)h->max);
+error:
+    Py_DECREF(buckets);
+    return NULL;
+}
+
+/* _deliver: the handler (the MC's input pipeline for a request, the
+ * cluster's reply path for a reply), then the ejection records; nothing
+ * changes on an error. */
+static int
+deliver(Ideal *n, Rec *r, int64_t now)
+{
+    int reply = r->kind == R_REPLY;
+    ClassStats *s = &n->cls[reply];
+    int64_t flits = n->flits[r->kind];
+    int64_t latency = now - r->created, network = now - r->injected;
+    if (latency < 0 || network < 0) {   /* StreamingHistogram.add's check */
+        PyErr_SetString(PyExc_ValueError,
+                        "histogram samples must be >= 0");
+        return -1;
+    }
+    if (hist_reserve(&s->latency, latency, n->limit) < 0
+            || hist_reserve(&s->network_latency, network, n->limit) < 0)
+        return -1;
+    if (reply) {
+        if (core_reply(n->c, r->core, r->line, now) == -2)
+            return -1;
+    }
+    else {
+        Mc *mc = &n->m->mcs[r->mc];
+        Pkt packet;
+        if (ring_reserve(&mc->input, sizeof(Pending)) < 0)
+            return -1;
+        packet.obj = NULL;
+        packet.rec = *r;
+        packet.rec.ejected = now;
+        mc_queue(n->m, mc, &packet, r->local, r->kind == R_READ, now);
+    }
+    n->packets_ejected++;
+    n->flits_ejected += flits;
+    s->packets++;
+    s->flits += flits;
+    s->latency_sum += latency;
+    s->network_latency_sum += network;
+    hist_add(&s->latency, latency, n->limit);
+    hist_add(&s->network_latency, network, n->limit);
+    count_node(n->node_out, n->order_out, &n->nout,
+               reply ? r->core : n->ncores + r->mc, flits);
+    return 0;
+}
+
+/* The chip freed its cluster. */
+static void
+ideal_drop_cluster(Ideal *n)
+{
+    n->c = NULL;
+}
+
+static PyObject *
+ideal_step(Ideal *n, PyObject *arg)
+{
+    long long now = PyLong_AsLongLong(arg);
+    Cluster *c = n->c;
+    int32_t i;
+    if (now == -1 && PyErr_Occurred())
+        return NULL;
+    if (!c || !n->m) {
+        PyErr_SetString(PyExc_RuntimeError,
+                        "the chip of this network was freed");
+        return NULL;
+    }
+    if (memory_enter(n->m) < 0)
+        return NULL;
+    n->cycle = now;
+    n->stale = c->stale = 1;
+    /* The chip's outbound loop: each core's FIFO in core order, every
+     * packet re-stamped at the network interface. */
+    for (i = 0; c->queued && i < c->ncores; i++) {
+        Ring *fifo = &c->cores[i].outbound;
+        while (fifo->n) {
+            Rec *r = ring_at(fifo, sizeof(Rec), 0);
+            r->created = now;
+            if (ideal_inject(n, r, now) < 0)
+                goto error;
+            ring_pop(fifo);
+            c->queued--;
+        }
+    }
+    if (!n->perfect) {
+        /* min(allowance + cap, 4.0 * cap), in doubles as in Python */
+        double sum = n->allowance + n->cap, bound = 4.0 * n->cap;
+        n->allowance = bound < sum ? bound : sum;
+    }
+    while (n->queue.n) {
+        Rec *r = ring_at(&n->queue, sizeof(Rec), 0);
+        int64_t flits = n->flits[r->kind];
+        if (!n->perfect && (double)flits > n->allowance)
+            break;
+        if (deliver(n, r, now) < 0)
+            goto error;
+        if (!n->perfect)
+            n->allowance -= (double)flits;
+        ring_pop(&n->queue);
+    }
+    n->m->busy = 0;
+    Py_RETURN_NONE;
+error:
+    n->m->busy = 0;
+    return NULL;
+}
+
+static PyObject *
+ideal_idle(Ideal *n, PyObject *Py_UNUSED(ignored))
+{
+    return PyBool_FromLong(n->queue.n == 0);
+}
+
+/* (node, flits) in first-flit order. */
+static PyObject *
+export_nodes(int64_t *flits, int32_t *order, int32_t count)
+{
+    PyObject *out = PyTuple_New(count);
+    int32_t k;
+    for (k = 0; out && k < count; k++) {
+        PyObject *row = Py_BuildValue("(iL)", order[k],
+                                      (long long)flits[order[k]]);
+        if (!row)
+            Py_CLEAR(out);
+        else
+            PyTuple_SET_ITEM(out, k, row);
+    }
+    return out;
+}
+
+/* (cycle, allowance, packets_injected, flits_injected, packets_ejected,
+ * flits_ejected, per class (packets, flits, latency_sum,
+ * network_latency_sum, latency_hist, network_latency_hist), injected
+ * flits by node, ejected flits by node) */
+static PyObject *
+ideal_export(Ideal *n, PyObject *Py_UNUSED(ignored))
+{
+    PyObject *classes = PyTuple_New(2), *out;
+    int k;
+    if (!classes)
+        return NULL;
+    for (k = 0; k < 2; k++) {
+        ClassStats *s = &n->cls[k];
+        PyObject *latency = hist_export(&s->latency), *network = NULL;
+        PyObject *row = NULL;
+        if (latency && (network = hist_export(&s->network_latency)))
+            row = Py_BuildValue("(LLLLNN)", (long long)s->packets,
+                                (long long)s->flits,
+                                (long long)s->latency_sum,
+                                (long long)s->network_latency_sum,
+                                latency, network);
+        else
+            Py_XDECREF(latency);
+        if (!row) {
+            Py_DECREF(classes);
+            return NULL;
+        }
+        PyTuple_SET_ITEM(classes, k, row);
+    }
+    out = Py_BuildValue(
+        "(LdLLLLNNN)", (long long)n->cycle, n->allowance,
+        (long long)n->packets_injected, (long long)n->flits_injected,
+        (long long)n->packets_ejected, (long long)n->flits_ejected, classes,
+        export_nodes(n->node_in, n->order_in, n->nin),
+        export_nodes(n->node_out, n->order_out, n->nout));
+    if (out)
+        n->stale = 0;
+    return out;
+}
+
+static PyObject *
+ideal_queued(Ideal *n, PyObject *Py_UNUSED(ignored))
+{
+    return ring_records(&n->queue);
+}
+
+static void
+ideal_dealloc(Ideal *n)
+{
+    int k;
+    if (n->weakreflist)
+        PyObject_ClearWeakRefs((PyObject *)n);
+    if (n->c)
+        n->c->net = NULL;
+    if (n->m)
+        n->m->net = NULL;
+    PyMem_Free(n->queue.buf);
+    for (k = 0; k < 2; k++) {
+        PyMem_Free(n->cls[k].latency.lin);
+        PyMem_Free(n->cls[k].network_latency.lin);
+    }
+    PyMem_Free(n->node_in);
+    PyMem_Free(n->node_out);
+    PyMem_Free(n->order_in);
+    PyMem_Free(n->order_out);
+    Py_TYPE(n)->tp_free((PyObject *)n);
+}
+
+static PyMethodDef ideal_methods[] = {
+    {"step", (PyCFunction)ideal_step, METH_O, NULL},
+    {"idle", (PyCFunction)ideal_idle, METH_NOARGS, NULL},
+    {"export", (PyCFunction)ideal_export, METH_NOARGS, NULL},
+    {"queued", (PyCFunction)ideal_queued, METH_NOARGS, NULL},
+    {NULL, NULL, 0, NULL}
+};
+
+static PyMemberDef ideal_members[] = {
+    {"cycle", T_LONGLONG, offsetof(Ideal, cycle), READONLY, NULL},
+    {"stale", T_BOOL, offsetof(Ideal, stale), READONLY, NULL},
+    {NULL, 0, 0, 0, NULL}
+};
+
+static PyTypeObject IdealType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "_core_kernel.Ideal",
+    .tp_basicsize = sizeof(Ideal),
+    .tp_dealloc = (destructor)ideal_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_weaklistoffset = offsetof(Ideal, weakreflist),
+    .tp_methods = ideal_methods,
+    .tp_members = ideal_members,
+};
+
+/* ideal(cluster, memory, (interleave, cap, allowance, read_flits,
+ *        write_flits, reply_flits, linear_limit)): the network of the chip
+ * whose fresh cluster and memory side these are, which it takes over: the
+ * cluster routes its requests with AddressMap's interleave onto its
+ * outbound FIFOs, the MCs offer their replies to it.  cap is
+ * BandwidthLimitedNetwork's flits per cycle, 0 for a PerfectNetwork,
+ * allowance its banked budget; the flits are each packet size's
+ * num_flits at the network's channel width. */
+static PyObject *
+kernel_ideal(PyObject *Py_UNUSED(module), PyObject *args)
+{
+    Cluster *c;
+    Memory *m;
+    Ideal *n;
+    long long interleave, read, write, reply, limit;
+    double cap, allowance;
+    int32_t i, nodes;
+    if (!PyArg_ParseTuple(args, "O!O!(LddLLLL)", &ClusterType, &c,
+                          &MemoryType, &m, &interleave, &cap, &allowance,
+                          &read, &write, &reply, &limit))
+        return NULL;
+    if (interleave < 1 || read < 1 || write < 1 || reply < 1 || limit < 1
+            || cap < 0) {
+        PyErr_SetString(PyExc_ValueError, "bad ideal-network configuration");
+        return NULL;
+    }
+    if (c->routed || c->stale || m->routed || m->stale || m->busy) {
+        PyErr_SetString(PyExc_ValueError,
+                        "the cluster and memory side must be fresh");
+        return NULL;
+    }
+    if (!(n = PyObject_New(Ideal, &IdealType)))
+        return NULL;
+    memset((char *)n + sizeof(PyObject), 0, sizeof(Ideal) - sizeof(PyObject));
+    nodes = c->ncores + m->nmcs;
+    if (!(n->node_in = zeroed(nodes, sizeof(int64_t)))
+            || !(n->node_out = zeroed(nodes, sizeof(int64_t)))
+            || !(n->order_in = zeroed(nodes, sizeof(int32_t)))
+            || !(n->order_out = zeroed(nodes, sizeof(int32_t)))) {
+        Py_DECREF(n);
+        return NULL;
+    }
+    n->perfect = cap == 0;
+    n->cap = cap;
+    n->allowance = allowance;
+    n->flits[R_READ] = read;
+    n->flits[R_WRITE] = write;
+    n->flits[R_REPLY] = reply;
+    n->limit = limit;
+    n->ncores = c->ncores;
+    c->routed = 1;
+    c->nmcs = m->nmcs;
+    c->interleave = interleave;
+    m->routed = 1;
+    /* The MCs offer their replies to this network, not through inject. */
+    for (i = 0; i < m->nmcs; i++)
+        Py_CLEAR(m->mcs[i].inject);
+    n->c = c;
+    c->net = n;
+    n->m = m;
+    m->net = n;
+    return (PyObject *)n;
 }
 
 /* -- module functions ----------------------------------------------------- */
@@ -1962,6 +2635,7 @@ error:
 static PyMethodDef kernel_methods[] = {
     {"new", kernel_new, METH_VARARGS, NULL},
     {"memory", kernel_memory, METH_VARARGS, NULL},
+    {"ideal", kernel_ideal, METH_VARARGS, NULL},
     {"mt_sample", kernel_mt_sample, METH_VARARGS, NULL},
     {NULL, NULL, 0, NULL}
 };
@@ -1969,7 +2643,7 @@ static PyMethodDef kernel_methods[] = {
 static struct PyModuleDef kernel_module = {
     PyModuleDef_HEAD_INIT,
     "_core_kernel",
-    "Compiled chip side: SIMT cores and memory nodes.",
+    "Compiled chip side: SIMT cores, memory nodes and ideal networks.",
     -1,
     kernel_methods,
 };
@@ -1978,7 +2652,8 @@ PyMODINIT_FUNC
 PyInit__core_kernel(void)
 {
     PyObject *m;
-    if (PyType_Ready(&ClusterType) < 0 || PyType_Ready(&MemoryType) < 0)
+    if (PyType_Ready(&ClusterType) < 0 || PyType_Ready(&MemoryType) < 0
+            || PyType_Ready(&IdealType) < 0)
         return NULL;
     if (!(s_traffic_class = PyUnicode_InternFromString("traffic_class"))
             || !(s_payload = PyUnicode_InternFromString("payload"))

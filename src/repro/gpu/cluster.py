@@ -18,11 +18,12 @@ Ownership.  The cluster owns, per warp, ``ready_at``, ``pending_loads``,
 memo; per core, the scheduler pointer, the issue-busy time, ``wake`` and
 the counters; the L1 tags with LRU clocks and dirty bits; the MSHR
 entries with their waiters; and each warp's stream (generator state,
-recent-line ring, grid-stride cursor, the core's region).  Python keeps
-the ``Packet`` objects, the ``outbound`` deques and the network; the MCs
-and DRAM run in the same extension, owned by :mod:`repro.mem.nodes`.
-The chip owns the cluster; the network's reply handlers hold it weakly,
-so a dropped chip frees the kernel state at once.
+recent-line ring, grid-stride cursor, the core's region).  On a mesh
+Python keeps the ``Packet`` objects, the ``outbound`` deques and the
+network; the MCs and DRAM run in the same extension, owned by
+:mod:`repro.mem.nodes`.  The chip owns the cluster; the network's reply
+handlers hold it weakly, so a dropped chip frees the kernel state at
+once.
 
 Each interconnect cycle makes one kernel call, :meth:`CoreCluster.step`,
 that runs every due core through all of that cycle's core ticks and
@@ -30,6 +31,13 @@ returns the new read requests in issue order; Python builds each packet
 exactly as ``SimtCore._send_read_request`` does.  Each reply makes one
 more (MSHR complete, L1 fill, waiter release), and Python builds the
 write-back packet it returns, if any.
+
+On an ideal network the extension steps the network too
+(:mod:`repro.noc.ideal`), and :meth:`CoreCluster.route` hands it the
+requests: the kernel routes each one as ``AddressMap`` does into a record
+on its core's outbound FIFO, which the network drains, and the network
+delivers replies into the cluster without Python; ``step`` and
+``finished`` are then the kernel's own calls, and no packet is built.
 
 Seeding.  The streams draw from CPython's MT19937, ported to C together
 with ``random()``, ``_randbelow`` and ``randint``.  Each warp's
@@ -40,10 +48,12 @@ which hashes the labels' shared prefix once.
 
 Readers see objects.  Reading ``Accelerator.cores`` first exports the
 counters, wake, issue-busy time, scheduler pointer, warps and MSHR
-entries into the ``SimtCore`` objects, if the cluster has stepped or
-taken a reply since the last export, so an edit made to the objects
-after an export is what the next reader sees.  L1 lines, the
-instruction not yet issued and stream state are not exported.
+entries (and, on an ideal network, the outbound FIFO as packets) into
+the ``SimtCore`` objects, if the cluster has stepped or taken a reply
+since the last export, so an edit made to the objects after an export is
+what the next reader sees.  L1 lines, the instruction not yet issued and
+stream state are not exported.  :meth:`CoreCluster.counters` reads the
+sums a measurement needs without an export.
 
 Build.  :data:`KERNEL` builds, caches and loads the extension through
 the package's shared loader (:mod:`repro.native`).  If it cannot be
@@ -54,6 +64,7 @@ DRAM channels) and one warning is logged.
 from __future__ import annotations
 
 import weakref
+from collections import deque
 from functools import partial
 from pathlib import Path
 from typing import List, Optional
@@ -66,7 +77,7 @@ from .core import MemoryToken, SimtCore
 from .instruction import InstrKind, WarpInstruction
 
 #: State layout version (mirrors ``_core_kernel.c``).
-LAYOUT = 2
+LAYOUT = 3
 
 KERNEL = CompiledKernel(Path(__file__).with_name("_core_kernel.c"),
                         "_core_kernel", LAYOUT, "core",
@@ -120,15 +131,31 @@ class CoreCluster:
             derive_seeds(seed, (profile.abbr,),
                          [(core_id, "region")
                           for core_id in range(len(cores))]))
-        #: True once the kernel state may differ from the objects'.
-        self.stale = False
+        #: ``counters()``: retired instructions, L1 hits and L1 accesses
+        #: summed over every core.
+        self.counters = self._c.counters
+        #: Builds the packet a record of an ideal network stands for, once
+        #: :meth:`route` has handed the requests to one; None before.
+        self.packet = None
+
+    @property
+    def stale(self) -> bool:
+        """True once the kernel state may differ from the objects'."""
+        return self._c.stale
+
+    def route(self, packet) -> None:
+        """Hand the requests to the ideal network the kernel now steps
+        (``_core_kernel.c``'s ``ideal``): ``step`` and ``finished`` become
+        the kernel's, and exports build packets with ``packet``."""
+        self.packet = packet
+        self.step = self._c.step
+        self.finished = self._c.finished
 
     # -- per cycle ---------------------------------------------------------------
 
     def step(self, first_cycle: int, ticks: int) -> None:
         """Core cycles ``first_cycle .. first_cycle + ticks - 1``: every
         due core steps, and its read requests enter ``outbound``."""
-        self.stale = True
         requests = self._c.step(first_cycle, ticks)
         if requests:
             cores = self._cores
@@ -140,8 +167,7 @@ class CoreCluster:
         token = packet.payload
         if not isinstance(token, MemoryToken):
             raise TypeError("reply payload is not a MemoryToken")
-        self.stale = True
-        writeback = self._c.reply(index, token.line_addr)
+        writeback = self._c.reply(index, token.line_addr, cycle)
         if writeback >= 0:
             self._cores[index]._send_write_request(writeback, cycle)
 
@@ -154,12 +180,14 @@ class CoreCluster:
 
     def export(self) -> None:
         """Write the kernel state into the ``SimtCore`` objects."""
+        packet = self.packet
         for index, core in enumerate(self._cores):
             (core.retired_scalar, core.issued_instructions,
              core.structural_stalls, core.global_loads, core.global_stores,
              core.wake, core._issue_busy_until, core.scheduler._pointer,
              core.l1.hits, core.l1.misses, core.mshrs.allocations,
-             core.mshrs.merges, warps, entries) = self._c.export(index)
+             core.mshrs.merges, warps, entries,
+             outbound) = self._c.export(index)
             for warp, (ready_at, pending, retired, finished) in zip(
                     core.warps, warps):
                 warp.ready_at = ready_at
@@ -172,14 +200,15 @@ class CoreCluster:
                     else (core.warps[waiter], False)
                     for waiter in waiters], issued)
                 for line, issued, waiters in entries}
-        self.stale = False
+            if packet is not None:
+                core.outbound = deque(map(packet, outbound))
+        self._c.stale = False
 
     def next_instruction(self, index: int,
                          warp_id: int) -> Optional[WarpInstruction]:
         """Draw warp ``warp_id`` of core ``index``'s next instruction
         without issuing it, as ``SyntheticKernel.next_instruction``
         would (for tests; it replaces any instruction not yet issued)."""
-        self.stale = True
         drawn = self._c.next_instruction(index, warp_id)
         if drawn is None:
             return None

@@ -21,9 +21,9 @@ Ownership.  The kernel owns, per MC, the counters, the input pipeline
 (ready cycle, request packet), the reply backlog, the write-backs, the
 L2 lines with their LRU clock and dirty bits, and the channel: counters,
 clock, ``next_event``, banks, bus and activate times, and the queued and
-in-flight requests.  It holds the request and reply packets by
-reference, each MC's coord and ``inject`` callable, and the reply
-factory, so it takes part in cycle collection.  Python keeps the
+in-flight requests.  On a mesh it holds the request and reply packets
+by reference, each MC's coord and ``inject`` callable, and the reply
+factory, so it takes part in cycle collection; Python keeps the
 ``Packet`` objects themselves and the network.  The chip owns the
 kernel; the network's request handlers hold it weakly, so a dropped
 chip frees it at once.
@@ -44,6 +44,12 @@ for, stays queued.  Each arriving request is one more call, through the
 MC's ejection handler, which checks the packet before anything is
 queued.
 
+On an ideal network (:mod:`repro.noc.ideal`) the extension steps the
+network too, and the memory side calls no Python: requests arrive from
+the network's step as records, a reply is a record made where
+``_send_reply`` builds its packet, and the reply drain hands each one to
+the network, which accepts it, instead of calling ``inject``.
+
 The reference's L2 re-probe is reproduced: a read that misses while the
 DRAM queue is full stays at the head of the input pipeline, probes the
 L2 again every cycle and counts a miss each time.  It inflates the L2
@@ -55,7 +61,9 @@ counters, input pipeline as (ready, packet) pairs, reply backlog,
 write-backs, ``_icnt_cycle`` and L2 hits and misses, and every channel's
 counters, clock, ``next_event``, bus and activate times, banks, and
 queued and in-flight requests as ``DramRequest`` objects carrying their
-packets.  L2 lines are not exported.
+packets (built from the records on an ideal network).  L2 lines are not
+exported; :meth:`MemoryNodes.counters` reads the sums a measurement needs
+without an export.
 """
 
 from __future__ import annotations
@@ -97,6 +105,13 @@ class MemoryNodes:
         self.step = self._c.step
         #: ``idle()``: ``MemoryController.idle`` over every MC.
         self.idle = self._c.idle
+        #: ``counters()``: blocked cycles, cycles, DRAM busy and pending
+        #: cycles, row hits, row accesses, L2 hits and L2 accesses summed
+        #: over every MC.
+        self.counters = self._c.counters
+        #: Builds the packet a record stands for, on an ideal network
+        #: (``noc/ideal.py``); None on a mesh.
+        self.packet = None
 
     @property
     def stale(self) -> bool:
@@ -106,11 +121,15 @@ class MemoryNodes:
     def export(self) -> None:
         """Write the kernel state into the ``MemoryController`` and
         ``GddrChannel`` objects."""
+        packet = self.packet
         for mc, state in zip(self._mcs, self._c.export()):
             (mc.cycles, mc.blocked_cycles, mc.requests_received, mc.reads,
              mc.writes, mc.replies_sent, mc.max_queue_depth, mc._icnt_cycle,
              mc.l2.hits, mc.l2.misses, pending, replies, writebacks,
              channel) = state
+            if packet is not None:
+                pending = [(ready, packet(r)) for ready, r in pending]
+                replies = map(packet, replies)
             mc._input = deque(pending)
             mc._replies = deque(replies)
             mc._writebacks = deque(writebacks)
@@ -126,6 +145,10 @@ class MemoryNodes:
                 bank.last_activate = last_activate
             dram._queue = [DramRequest(*request) for request in queue]
             dram._in_flight = [DramRequest(*request) for request in flight]
+            if packet is not None:
+                for request in dram._queue + dram._in_flight:
+                    if request.payload is not None:
+                        request.payload = packet(request.payload)
 
 
 def start(chip, module) -> MemoryNodes:

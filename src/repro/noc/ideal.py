@@ -11,16 +11,54 @@
 Both expose the same interface as :class:`repro.noc.network.MeshNetwork`
 (``try_inject`` / ``step`` / ``set_ejection_handler`` / ``stats``) so the
 closed-loop simulator can swap them in for the real mesh.
+
+Compiled.  When a chip's compiled side starts (its first step) on a
+network of exactly one of these two classes that no chip has taken over
+and that is empty, the chip-side extension (``gpu/_core_kernel.c``, the
+``Ideal`` object) takes the network over with the core cluster and the
+memory side: packets become records there, and the chip steps the
+network with one kernel call per cycle, with no Python packet, handler or
+``try_inject`` call (see :meth:`_IdealBase._compile`).  The network's
+counters, clock and queue then live in the kernel.  Reading ``stats``
+first exports the counters, if the kernel has changed them since the
+last read; ``cycle`` and ``idle`` read the kernel; ``queued_packets``
+builds the packets its queued records stand for.  The Python ``step``
+and ``try_inject`` below stay the oracle: reference chips, standalone
+use, and a network that cannot be taken over (the chip then runs the
+reference).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, Optional
+from functools import partial
+from typing import Callable, Deque, Dict, List, Optional
 
-from .packet import Packet, TrafficClass
+from .packet import (READ_REPLY_BYTES, READ_REQUEST_BYTES,
+                     WRITE_REQUEST_BYTES, Packet, TrafficClass, read_reply,
+                     read_request, write_request)
 from .stats import NetworkStats
 from .topology import Coord
+
+#: Kinds of the kernel's packet records (mirror ``_core_kernel.c``).
+_READ, _WRITE, _REPLY = range(3)
+
+
+def _packet(token, nodes, ncores, record) -> Packet:
+    """The packet a kernel ``record`` (kind, core, MC, line, local address,
+    created, injected, ejected) stands for, as the reference builds it;
+    ``nodes`` are the cores' coords, then the MCs'."""
+    kind, core, mc, line, local, created, injected, ejected = record
+    core, mc = nodes[core], nodes[ncores + mc]
+    payload = token(core, line, local)
+    if kind == _REPLY:
+        packet = read_reply(mc, core, created, payload)
+    else:
+        make = read_request if kind == _READ else write_request
+        packet = make(core, mc, created, payload)
+    packet.injected = injected
+    packet.ejected = ejected
+    return packet
 
 
 class _IdealBase:
@@ -28,9 +66,17 @@ class _IdealBase:
 
     def __init__(self, channel_width: int = 16) -> None:
         self.channel_width = channel_width
-        self.cycle = 0
-        self.stats = NetworkStats()
+        self._cycle = 0
+        self._stats = NetworkStats()
+        #: Packets accepted and not yet delivered, in delivery order.
+        self._queue: Deque[Packet] = deque()
         self._handlers: Dict[Coord, Callable[[Packet, int], None]] = {}
+        #: The kernel's ``Ideal`` once a chip has taken this network over,
+        #: with the builder of the packets its records stand for and the
+        #: node coords its counters are kept by; None before.
+        self._kernel = None
+        self._packet: Optional[Callable[[tuple], Packet]] = None
+        self._nodes: tuple = ()
 
     def set_ejection_handler(self, coord: Coord,
                              handler: Callable[[Packet, int], None]) -> None:
@@ -39,38 +85,115 @@ class _IdealBase:
     def carries(self, packet: Packet) -> bool:
         return True
 
+    @property
+    def stats(self) -> NetworkStats:
+        kernel = self._kernel
+        if kernel is not None and kernel.stale:
+            self._export()
+        return self._stats
+
+    @property
+    def cycle(self) -> int:
+        kernel = self._kernel
+        return self._cycle if kernel is None else kernel.cycle
+
+    @property
+    def idle(self) -> bool:
+        kernel = self._kernel
+        return not self._queue if kernel is None else kernel.idle()
+
+    def queued_packets(self) -> List[Packet]:
+        """The packets accepted and not yet delivered, in delivery order."""
+        kernel = self._kernel
+        if kernel is None:
+            return list(self._queue)
+        return [self._packet(record) for record in kernel.queued()]
+
+    def try_inject(self, packet: Packet, cycle: int) -> bool:
+        packet.injected = cycle
+        self._stats.record_injection(
+            packet, packet.num_flits(self.channel_width))
+        self._queue.append(packet)
+        return True
+
     def _deliver(self, packet: Packet, now: int) -> None:
         num_flits = packet.num_flits(self.channel_width)
         packet.ejected = now
-        self.stats.record_ejection(packet, num_flits)
+        self._stats.record_ejection(packet, num_flits)
         handler = self._handlers.get(packet.dest)
         if handler is not None:
             handler(packet, now)
+
+    # -- the compiled network ---------------------------------------------------
+
+    def _claimable(self, chip) -> bool:
+        """True when ``chip``'s compiled side may take this network over:
+        no chip has, nothing has used it, its channel width is valid, the
+        chip's MCs offer replies to it and its nodes are distinct."""
+        stats = self._stats
+        coords = chip.compute_coords + chip.mc_coords
+        return (self._kernel is None and self._cycle == 0 and not self._queue
+                and not (stats.packets_injected or stats.packets_ejected)
+                and self.channel_width > 0
+                and len(set(coords)) == len(coords)
+                and all(mc.inject == self.try_inject for mc in chip._mcs))
+
+    def _compile(self, module, cluster, memory, interleave: int, cores: list,
+                 mcs: list, token) -> Callable[[tuple], Packet]:
+        """Hand this network to the kernel with a chip's fresh ``cluster``
+        and ``memory`` side (their extension objects), whose requests are
+        routed with ``interleave``; ``cores`` and ``mcs`` are the nodes'
+        coords in index order, ``token`` the payload type.  Returns the
+        builder of the packets the kernel's records stand for."""
+        width = self.channel_width
+
+        def flits(size: int) -> int:
+            return max(1, -(-size // width))
+
+        histogram = self._stats.per_class[TrafficClass.REQUEST].latency_hist
+        self._kernel = module.ideal(
+            cluster, memory,
+            (interleave, getattr(self, "flits_per_cycle", 0.0),
+             getattr(self, "_allowance", 0.0), flits(READ_REQUEST_BYTES),
+             flits(WRITE_REQUEST_BYTES), flits(READ_REPLY_BYTES),
+             histogram.linear_limit))
+        self._nodes = nodes = tuple(cores) + tuple(mcs)
+        self._packet = partial(_packet, token, nodes, len(cores))
+        return self._packet
+
+    def _export(self) -> None:
+        """Write the kernel's clock and counters into this object."""
+        stats = self._stats
+        (self._cycle, allowance, stats.packets_injected, stats.flits_injected,
+         stats.packets_ejected, stats.flits_ejected, classes, injected,
+         ejected) = self._kernel.export()
+        if hasattr(self, "_allowance"):
+            self._allowance = allowance
+        stats.cycles = self._cycle
+        for tclass, row in zip(TrafficClass, classes):
+            cs = stats.per_class[tclass]
+            (cs.packets, cs.flits, cs.latency_sum, cs.network_latency_sum,
+             latency, network) = row
+            for histogram, (buckets, total, low, high) in (
+                    (cs.latency_hist, latency),
+                    (cs.network_latency_hist, network)):
+                histogram.counts = dict(buckets)
+                histogram.total = total
+                histogram._min = low
+                histogram._max = high
+        nodes = self._nodes
+        stats.node_injected_flits = {nodes[n]: f for n, f in injected}
+        stats.node_ejected_flits = {nodes[n]: f for n, f in ejected}
 
 
 class PerfectNetwork(_IdealBase):
     """Zero-latency, infinite-bandwidth interconnect."""
 
-    def __init__(self, channel_width: int = 16) -> None:
-        super().__init__(channel_width)
-        self._pending: Deque[Packet] = deque()
-
-    def try_inject(self, packet: Packet, cycle: int) -> bool:
-        packet.injected = cycle
-        self.stats.record_injection(
-            packet, packet.num_flits(self.channel_width))
-        self._pending.append(packet)
-        return True
-
     def step(self, cycle: Optional[int] = None) -> None:
-        self.cycle = self.cycle + 1 if cycle is None else cycle
-        self.stats.cycles = self.cycle
-        while self._pending:
-            self._deliver(self._pending.popleft(), self.cycle)
-
-    @property
-    def idle(self) -> bool:
-        return not self._pending
+        self._cycle = self._cycle + 1 if cycle is None else cycle
+        self._stats.cycles = self._cycle
+        while self._queue:
+            self._deliver(self._queue.popleft(), self._cycle)
 
 
 class BandwidthLimitedNetwork(_IdealBase):
@@ -89,18 +212,10 @@ class BandwidthLimitedNetwork(_IdealBase):
             raise ValueError("bandwidth cap must be positive")
         self.flits_per_cycle = flits_per_cycle
         self._allowance = 0.0
-        self._queue: Deque[Packet] = deque()
-
-    def try_inject(self, packet: Packet, cycle: int) -> bool:
-        packet.injected = cycle
-        self.stats.record_injection(
-            packet, packet.num_flits(self.channel_width))
-        self._queue.append(packet)
-        return True
 
     def step(self, cycle: Optional[int] = None) -> None:
-        self.cycle = self.cycle + 1 if cycle is None else cycle
-        self.stats.cycles = self.cycle
+        self._cycle = self._cycle + 1 if cycle is None else cycle
+        self._stats.cycles = self._cycle
         self._allowance = min(
             self._allowance + self.flits_per_cycle,
             # Never bank more than a few cycles of budget; keeps bursts
@@ -111,8 +226,4 @@ class BandwidthLimitedNetwork(_IdealBase):
             if flits > self._allowance:
                 break
             self._allowance -= flits
-            self._deliver(self._queue.popleft(), self.cycle)
-
-    @property
-    def idle(self) -> bool:
-        return not self._queue
+            self._deliver(self._queue.popleft(), self._cycle)

@@ -543,6 +543,17 @@ def _network_packets(net) -> Dict[int, Packet]:
     return packets
 
 
+def _queued_packets(network) -> List[Tuple[str, Iterable[Packet]]]:
+    """(name, packets) for each network behind ``network``: every packet
+    with a flit inside a mesh slice, or every packet an ideal network has
+    accepted and not yet delivered."""
+    queued = getattr(network, "queued_packets", None)
+    if queued is not None:
+        return [(type(network).__name__, queued())]
+    return [(net.name, _network_packets(net).values())
+            for net in _iter_networks(network)]
+
+
 def audit_accelerator(accel) -> List[str]:
     """Closed-loop conservation: every issued-and-outstanding MSHR line has
     exactly one read request/reply in flight, and vice versa."""
@@ -571,12 +582,12 @@ def audit_accelerator(accel) -> List[str]:
         for packet in core.outbound:
             if _is_read_request(packet):
                 record(packet, f"core {core.coord} outbound")
-    for net in _iter_networks(accel.network):
-        for packet in _network_packets(net).values():
+    for name, packets in _queued_packets(accel.network):
+        for packet in packets:
             if _is_read_request(packet):
-                record(packet, f"network {net.name}")
+                record(packet, f"network {name}")
             elif packet.traffic_class is TrafficClass.REPLY:
-                record(packet, f"network {net.name} (reply)")
+                record(packet, f"network {name} (reply)")
     for mc in accel.mcs:
         for packet in mc.pending_request_packets():
             if _is_read_request(packet):

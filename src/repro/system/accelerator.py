@@ -15,7 +15,7 @@ from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 from ..core.builder import NetworkDesign, NetworkSystem, build
-from ..gpu.core import SimtCore
+from ..gpu.core import MemoryToken, SimtCore
 from ..mem.controller import AddressMap, MemoryController
 from ..noc.histogram import merge_histograms
 from ..noc.ideal import BandwidthLimitedNetwork, PerfectNetwork
@@ -188,6 +188,9 @@ class Accelerator:
         #: The compiled memory side (``mem/nodes.py``), started with the
         #: cluster; None while the Python MCs and channels run.
         self._memory = None
+        #: The compiled ideal network's step (``noc/ideal.py``), when the
+        #: chip side took its network over with it; None otherwise.
+        self._ideal = None
 
     @property
     def cores(self) -> List[SimtCore]:
@@ -233,7 +236,9 @@ class Accelerator:
         one core-cluster call before the network and one memory-side call
         after it, which skip cores before their ``wake``, MCs whose step
         would only advance their clocks and DRAM channels before their
-        ``next_event``.  Otherwise it runs on the ``SimtCore``,
+        ``next_event``; on an ideal network the network phase is a third
+        kernel call, which takes the cores' requests from the kernel
+        itself.  Otherwise it runs on the ``SimtCore``,
         ``MemoryController`` and ``GddrChannel`` objects, each stepped
         every tick: the reference, which the golden tests compare with
         the compiled side bit for bit.  With ``telemetry`` attached, each
@@ -261,17 +266,21 @@ class Accelerator:
                     core.step(cc)
         if telemetry is not None:
             t = profiler.add_since("cores", t)
-        for core in self._cores:
-            outbound = core.outbound
-            while outbound:
-                # Cores timestamp in the core clock domain; packet latency
-                # is accounted in interconnect cycles, so re-stamp at the
-                # network interface.
-                outbound[0].created = now
-                if not self.network.try_inject(outbound[0], now):
-                    break
-                outbound.popleft()
-        self.network.step(now)
+        ideal = self._ideal
+        if ideal is None:
+            for core in self._cores:
+                outbound = core.outbound
+                while outbound:
+                    # Cores timestamp in the core clock domain; packet
+                    # latency is accounted in interconnect cycles, so
+                    # re-stamp at the network interface.
+                    outbound[0].created = now
+                    if not self.network.try_inject(outbound[0], now):
+                        break
+                    outbound.popleft()
+            self.network.step(now)
+        else:
+            ideal(now)
         if telemetry is not None:
             t = profiler.add_since("network", t)
         ticks = self._dram_clock.advance()
@@ -309,16 +318,32 @@ class Accelerator:
 
     def _start_cluster(self):
         """Start the compiled chip side at the first step: the core
-        cluster and, with it, the memory side; False (the reference
-        Python cores, MCs and channels run this chip) if the cluster
-        cannot run it."""
+        cluster and, with it, the memory side and, on a
+        ``PerfectNetwork`` or ``BandwidthLimitedNetwork``, the network;
+        False (the reference Python cores, MCs, channels and network run
+        this chip) if the cluster cannot run it, or the ideal network
+        cannot be taken over (another chip has, or it has been used)."""
         # Imported here, not at module level, so ``import repro`` does not
         # pay for the cluster, memory-side and loader modules.
         from ..gpu import cluster
         from ..mem import nodes
+        network = self.network
+        ideal = type(network) in (PerfectNetwork, BandwidthLimitedNetwork)
+        if ideal and not network._claimable(self):
+            self._cluster = False
+            return False
         self._cluster = cluster.start(self) or False
         if self._cluster:
-            self._memory = nodes.start(self, cluster.KERNEL.load())
+            module = cluster.KERNEL.load()
+            self._memory = nodes.start(self, module)
+            if ideal:
+                packet = network._compile(
+                    module, self._cluster._c, self._memory._c,
+                    self.address_map.interleave, self.compute_coords,
+                    self.mc_coords, MemoryToken)
+                self._cluster.route(packet)
+                self._memory.packet = packet
+                self._ideal = network._kernel.step
         return self._cluster
 
     def run(self, warmup: int = 1_000, measure: int = 3_000,
@@ -391,29 +416,46 @@ class Accelerator:
         latency_hist = merge_histograms(
             cs.latency_hist for net in nets
             for cs in net.stats.per_class.values())
-        cores = self.cores
-        mcs = self.mcs
+        # The compiled chip side sums its counters itself, without
+        # exporting its cores and MCs.
+        if self._cluster:
+            retired, l1_hits, l1_accesses = self._cluster.counters()
+            (mc_blocked, mc_cycles, dram_busy, dram_pending, row_hits,
+             row_total, l2_hits, l2_accesses) = self._memory.counters()
+        else:
+            cores, mcs = self._cores, self._mcs
+            retired = sum(core.retired_scalar for core in cores)
+            l1_hits = sum(core.l1.hits for core in cores)
+            l1_accesses = sum(core.l1.accesses for core in cores)
+            mc_blocked = sum(mc.blocked_cycles for mc in mcs)
+            mc_cycles = sum(mc.cycles for mc in mcs)
+            dram_busy = sum(mc.dram.data_busy_cycles for mc in mcs)
+            dram_pending = sum(mc.dram.pending_cycles for mc in mcs)
+            row_hits = sum(mc.dram.row_hits for mc in mcs)
+            row_total = sum(mc.dram.row_hits + mc.dram.row_misses
+                            for mc in mcs)
+            l2_hits = sum(mc.l2.hits for mc in mcs)
+            l2_accesses = sum(mc.l2.accesses for mc in mcs)
         return _Snapshot(
             core_cycles=self.core_cycle,
-            retired=sum(core.retired_scalar for core in cores),
+            retired=retired,
             icnt_cycles=self.icnt_cycle,
             bytes_ejected=bytes_ejected,
             mc_inj_flits=mc_flits,
             mc_inj_bytes=mc_bytes,
-            mc_blocked=sum(mc.blocked_cycles for mc in mcs),
-            mc_cycles=sum(mc.cycles for mc in mcs),
+            mc_blocked=mc_blocked,
+            mc_cycles=mc_cycles,
             net_latency_sum=net_lat,
             packet_latency_sum=packet_lat,
             packets=packets,
-            dram_busy=sum(mc.dram.data_busy_cycles for mc in mcs),
-            dram_pending=sum(mc.dram.pending_cycles for mc in mcs),
-            dram_row_hits=sum(mc.dram.row_hits for mc in mcs),
-            dram_row_total=sum(mc.dram.row_hits + mc.dram.row_misses
-                               for mc in mcs),
-            l1_hits=sum(core.l1.hits for core in cores),
-            l1_accesses=sum(core.l1.accesses for core in cores),
-            l2_hits=sum(mc.l2.hits for mc in mcs),
-            l2_accesses=sum(mc.l2.accesses for mc in mcs),
+            dram_busy=dram_busy,
+            dram_pending=dram_pending,
+            dram_row_hits=row_hits,
+            dram_row_total=row_total,
+            l1_hits=l1_hits,
+            l1_accesses=l1_accesses,
+            l2_hits=l2_hits,
+            l2_accesses=l2_accesses,
             crossbar_traversals=sum(net.stats.crossbar_traversals
                                     for net in nets),
             buffer_reads=sum(net.stats.buffer_reads for net in nets),

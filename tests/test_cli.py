@@ -67,6 +67,25 @@ class TestCommands:
                      "--warmup", "50", "--measure", "100"]) == 0
         assert "PerfectNetwork" in capsys.readouterr().out
 
+    def test_run_perfect_check_audits_the_chip(self, capsys, monkeypatch):
+        """``--check`` on the perfect network runs the chip's request
+        conservation audit every ``--check-interval`` cycles and at the
+        end; only ``--watchdog-cycles`` is ignored there."""
+        from repro.system import accelerator
+        audits = []
+        check = accelerator.check_accelerator
+        monkeypatch.setattr(accelerator, "check_accelerator",
+                            lambda chip: audits.append(check(chip)))
+        assert main(["run", "--benchmark", "MUM", "--design", "perfect",
+                     "--warmup", "40", "--measure", "80", "--check",
+                     "--check-interval", "8",
+                     "--watchdog-cycles", "50"]) == 0
+        captured = capsys.readouterr()
+        assert len(audits) == 120 // 8
+        assert "invariant audit       clean (end state)" in captured.out
+        assert "--watchdog-cycles ignored" in captured.err
+        assert "--check" not in captured.err
+
     def test_compare(self, capsys):
         assert main(["compare", "--benchmark", "AES",
                      "--designs", "TB-DOR,CP-DOR",

@@ -1,9 +1,11 @@
 """The compiled chip side: the core cluster's MT19937 and address streams
 against ``random.Random`` and ``SyntheticKernel``, corner machines of
 the cores and of the memory side in lockstep with the Python ones, that
-the default chip really runs on both (telemetry included), export, the
-reference switch, reply and request errors, callbacks that raise or
-re-enter, import hygiene and the fallback when it cannot be built.
+the default chip really runs on both (telemetry included) and, on the
+perfect network, on its compiled network, which networks are taken
+over, export, the reference switch, dropped chips, reply and request
+errors, callbacks that raise or re-enter, import hygiene and the
+fallback when it cannot be built.
 Cycle-by-cycle bit-identity on the paper's machine is pinned by the
 lockstep legs of tests/test_stepper_equivalence.py."""
 
@@ -26,6 +28,7 @@ from repro.mem.dram import GddrChannel
 from repro.mem.nodes import MemoryNodes
 from repro.noc.ideal import PerfectNetwork
 from repro.noc.packet import read_reply, read_request
+from repro.noc.stats import NetworkStats
 from repro.system.accelerator import build_chip
 from repro.system.config import paper_config, scaled_config
 from repro.telemetry import TelemetryHub, TelemetrySpec
@@ -276,9 +279,10 @@ def test_any_mc_count_matches_the_python_mcs(cores, mcs):
 # -- the default path runs on the cluster -----------------------------------
 
 def test_default_chip_never_runs_the_python_cores(monkeypatch):
-    """With the kernel available, a chip steps, issues and takes replies
-    without touching the Python core path: a silent fallback fails
-    here."""
+    """With the kernel available, a chip on the perfect network steps,
+    issues, moves its packets and takes replies without touching the
+    Python core, memory or network path, and builds no packet: a silent
+    fallback fails here."""
     _module()
     reference = _perfect_chip()
     reference.use_reference_stepper()
@@ -288,11 +292,18 @@ def test_default_chip_never_runs_the_python_cores(monkeypatch):
         raise AssertionError("Python core path ran")
 
     for owner, attr in ((SimtCore, "step"), (SimtCore, "on_reply"),
+                        (SimtCore, "_send_read_request"),
+                        (SimtCore, "_send_write_request"),
                         (SyntheticKernel, "next_instruction"),
                         (MemoryController, "icnt_step"),
                         (MemoryController, "on_packet"),
                         (MemoryController, "_dram_done"),
-                        (GddrChannel, "step")):
+                        (GddrChannel, "step"),
+                        (PerfectNetwork, "try_inject"),
+                        (PerfectNetwork, "step"),
+                        (NetworkStats, "record_injection"),
+                        (NetworkStats, "record_ejection"),
+                        (nodes, "_reply")):
         monkeypatch.setattr(owner, attr, forbidden)
     chip = _perfect_chip()
     assert chip._cluster is None, "started before the first step"
@@ -300,6 +311,7 @@ def test_default_chip_never_runs_the_python_cores(monkeypatch):
     assert chip.run_to_completion().to_json() == expected
     assert isinstance(chip._cluster, CoreCluster)
     assert isinstance(chip._memory, MemoryNodes)
+    assert chip.network._kernel is not None
 
 
 def test_telemetry_runs_the_cluster():
@@ -349,6 +361,43 @@ def test_edit_after_export_is_what_the_audit_sees():
     assert chip.audit() == []
 
 
+class _OwnPerfectNetwork(PerfectNetwork):
+    """A subclass may change the network's behaviour, so the kernel does
+    not take it over."""
+
+
+def test_only_a_fresh_ideal_network_is_compiled():
+    """The chip side takes over an ideal network of exactly its class that
+    is unused and unclaimed.  A network another chip has claimed, or one
+    used before, runs the reference chip; a subclass keeps its Python
+    network beside the compiled cores and MCs.  Each equals the
+    reference on the same network."""
+    def run(network, reference):
+        chip = build_chip(profile("RD"), network=network, seed=11,
+                          instructions_per_warp=4)
+        chip._reference = reference
+        return chip, chip.run_to_completion().to_json()
+
+    def used():
+        network = PerfectNetwork()
+        network.step(1)
+        return network
+
+    claimed = PerfectNetwork()
+    first, _ = run(claimed, False)
+    assert first.network._kernel is not None
+    second, _ = run(claimed, False)
+    assert second._cluster is False
+    assert claimed._kernel is first.network._kernel
+    chip, result = run(used(), False)
+    assert chip._cluster is False
+    assert result == run(used(), True)[1]
+    chip, result = run(_OwnPerfectNetwork(), False)
+    assert isinstance(chip._cluster, CoreCluster)
+    assert chip.network._kernel is None
+    assert result == run(_OwnPerfectNetwork(), True)[1]
+
+
 def test_reference_switch_raises_once_the_cluster_stepped():
     chip = build_chip(profile("BIN"), design=design_by_name("TB-DOR"),
                       seed=11, instructions_per_warp=8)
@@ -382,27 +431,57 @@ def test_reply_without_an_mshr_entry_raises_and_writes_nothing():
     assert run(bogus=True) == run(bogus=False)
 
 
+def _drop_chip(**where):
+    """Run an RD chip briefly and drop it: whether the chip, its cluster
+    and its memory side (wrapper and kernel object) are still alive, and
+    the chip's network."""
+    chip = build_chip(profile("RD"), seed=11, **where)
+    chip.run(warmup=20, measure=20)
+    chip.step()
+    refs = (weakref.ref(chip), weakref.ref(chip._cluster),
+            weakref.ref(chip._memory), weakref.ref(chip._memory._c))
+    network = chip.network
+    del chip
+    return [ref() is not None for ref in refs], network
+
+
 def test_dropped_chip_frees_its_cluster_at_once():
     """Nothing the chip owns refers back to it, and the network holds the
     cluster and the memory side weakly, so a dropped chip and its kernel
     state go without waiting for the cycle collector."""
     gc.disable()
     try:
-        chip = build_chip(profile("RD"), design=design_by_name("TB-DOR"),
-                          seed=11)
-        chip.run(warmup=20, measure=20)
-        refs = (weakref.ref(chip), weakref.ref(chip._cluster),
-                weakref.ref(chip._memory), weakref.ref(chip._memory._c))
-        del chip
-        assert [ref() for ref in refs] == [None] * 4
+        alive, _ = _drop_chip(design=design_by_name("TB-DOR"))
+        assert alive == [False] * 4
+    finally:
+        gc.enable()
+
+
+def test_dropped_perfect_chip_frees_its_kernels_at_once():
+    """A compiled perfect network holds the chip's cluster and memory side
+    by pointers the kernel clears, so they go with the chip too; the
+    network, which outlives it, keeps its counters and refuses to
+    step."""
+    gc.disable()
+    try:
+        alive, network = _drop_chip(network=PerfectNetwork())
+        assert alive == [False] * 4
+        assert network.stats.cycles == 41
+        assert network.stats.flits_ejected > 0
+        with pytest.raises(RuntimeError, match="chip .* was freed"):
+            network._kernel.step(42)
     finally:
         gc.enable()
 
 
 def _memory_chip(inject=None):
-    """A MUM chip on the perfect network whose MC 0 offers its replies
-    through ``inject(network, packet, cycle)``, if given."""
-    chip = _perfect_chip("MUM", 6)
+    """A MUM chip on TB-DOR whose MC 0 offers its replies through
+    ``inject(network, packet, cycle)``, if given: on a mesh the memory
+    side still calls the MCs' inject, the reply factory and, through the
+    request handlers, ``request`` (on the perfect network the kernel
+    steps the network itself and calls none of them)."""
+    chip = build_chip(profile("MUM"), design=design_by_name("TB-DOR"),
+                      seed=11, instructions_per_warp=6)
     if inject is not None:
         chip._mcs[0].inject = partial(inject, chip.network)
     return chip
@@ -477,7 +556,7 @@ def test_malformed_request_queues_nothing():
     for chip in (compiled, reference):
         chip.run(warmup=0, measure=30)
         mc = chip.mcs[1]
-        handler = chip.network._handlers[mc.coord]
+        handler = chip.network.networks[0]._handlers[mc.coord]
         assert (handler == mc.on_packet) is (chip is reference)
 
         def state():

@@ -42,7 +42,7 @@ import pytest
 from repro.core.builder import (NAMED_DESIGNS, build, checked_variant,
                                 design_by_name, design_constraint_violations,
                                 open_loop_variant)
-from repro.noc.ideal import PerfectNetwork
+from repro.noc.ideal import BandwidthLimitedNetwork, PerfectNetwork
 from repro.noc.invariants import audit_network, format_system_state
 from repro.noc.openloop import OpenLoopRunner
 from repro.noc.packet import (Flit, Packet, RouteGroup, TrafficClass,
@@ -254,6 +254,28 @@ def _chip_counters(chip):
     return counters
 
 
+def _ideal_state(network):
+    """An ideal network's whole ``NetworkStats`` (every counter, per class
+    and per node in first-flit order, and each histogram's buckets, min
+    and max), clock, allowance, queued packets and ``idle``."""
+    stats = network.stats
+    state = {name: value for name, value in vars(stats).items()
+             if name not in ("per_class", "node_injected_flits",
+                             "node_ejected_flits", "_slice_stats")}
+    state["per_class"] = {
+        tclass.name: (cs.packets, cs.flits, cs.latency_sum,
+                      cs.network_latency_sum, cs.latency_hist.to_json(),
+                      cs.network_latency_hist.to_json())
+        for tclass, cs in stats.per_class.items()}
+    state["node_injected"] = list(stats.node_injected_flits.items())
+    state["node_ejected"] = list(stats.node_ejected_flits.items())
+    state["clock"] = (network.cycle, getattr(network, "_allowance", None),
+                      network.idle)
+    state["queue"] = [(p.src, p.dest, p.size_bytes, p.created, p.injected,
+                       _token(p)) for p in network.queued_packets()]
+    return state
+
+
 def _finite_chip(abbr, ipw, reference, **where):
     chip = build_chip(profile(abbr), seed=SEED, instructions_per_warp=ipw,
                       **where)
@@ -286,12 +308,42 @@ def test_closed_loop_three_way(design_name):
     assert run(audited) == oracle, "system audit perturbed the defaults"
 
 
+#: Ideal networks of the audited legs: the perfect network, a cap at which
+#: the queue drains, and one below a reply's four flits, where every
+#: reply waits in the queue for good.
+IDEAL_NETWORKS = {
+    "perfect": PerfectNetwork,
+    "cap-2.0": lambda: BandwidthLimitedNetwork(2.0),
+    "cap-0.3": lambda: BandwidthLimitedNetwork(0.3),
+}
+
+
+@pytest.mark.parametrize("network", sorted(IDEAL_NETWORKS))
+def test_closed_loop_audit_on_ideal_networks(network):
+    """The system-level audit, run every cycle, finds the packets an ideal
+    network holds (the reference's queue, the compiled network's
+    records), so it passes on both, and perturbs neither."""
+
+    def run(reference, audited):
+        chip = _finite_chip("MUM", 4, reference,
+                            network=IDEAL_NETWORKS[network]())
+        if audited:
+            chip.enable_checks(1)
+        result = chip.run(warmup=50, measure=150).to_json()
+        return result, _ideal_state(chip.network)
+
+    oracle = run(reference=True, audited=False)
+    assert run(reference=True, audited=True) == oracle
+    assert run(reference=False, audited=True) == oracle
+
+
 def _lockstep_to_completion(make_chip, max_cycles, mesh=True,
                             observe=None):
     """Step ``make_chip(reference=True)`` and ``make_chip(reference=False)``
     in lockstep until the kernel completes: they finish on the same cycle
-    and agree on chip counters (and, on a mesh, network stats and state)
-    at every ``CHECKPOINT``.  ``observe(ref)``, if given, sees the
+    and agree on chip counters (and, on a mesh, network stats and state;
+    on an ideal network, its stats, clock, queue and ``idle``) at every
+    ``CHECKPOINT``.  ``observe(ref)``, if given, sees the
     reference chip after every cycle.  Returns the reference chip and the
     deepest DRAM queue it saw."""
     ref, fast = make_chip(reference=True), make_chip(reference=False)
@@ -310,6 +362,10 @@ def _lockstep_to_completion(make_chip, max_cycles, mesh=True,
             assert _chip_counters(fast) == _chip_counters(ref), where
             if mesh:
                 _assert_lockstep(fast.network, ref.network, where)
+            elif isinstance(ref.network, (PerfectNetwork,
+                                          BandwidthLimitedNetwork)):
+                assert (_ideal_state(fast.network)
+                        == _ideal_state(ref.network)), where
     return ref, peak_queue
 
 
@@ -333,6 +389,34 @@ def test_closed_loop_bit_identity_perfect_mum():
         10_000, mesh=False)
     assert sum(core.structural_stalls for core in ref.cores) > 10_000
     assert peak_queue == ref.mcs[0].dram.timing.queue_capacity
+
+
+@pytest.mark.parametrize("abbr, cap, binds", (("BLK", 1.5, True),
+                                               ("MUM", 24.5, False)))
+def test_closed_loop_bit_identity_bandwidth_capped(abbr, cap, binds):
+    """The compiled capped network == the reference cycle by cycle to
+    completion, at a fractional cap whose allowance holds packets back at
+    the end of most network steps, and at one where it rarely does."""
+    chips, bound = [], []
+
+    def make_chip(reference):
+        chip = _finite_chip(abbr, 4, reference,
+                            network=BandwidthLimitedNetwork(cap))
+        if reference:
+            network = chip.network
+            step = network.step
+
+            def counted(cycle):
+                step(cycle)
+                bound.append(not network.idle)
+            network.step = counted
+        chips.append(chip)
+        return chip
+
+    _lockstep_to_completion(make_chip, 20_000, mesh=False)
+    share = sum(bound) / len(bound)
+    assert share > 0.9 if binds else 0 < share < 0.1, share
+    assert chips[1].network._kernel is not None
 
 
 def test_closed_loop_bit_identity_dram_mix():
@@ -364,6 +448,7 @@ def test_closed_loop_bit_identity_quick_mix_on_the_cluster(abbr):
     assert reference._cluster is None and reference._memory is None
     assert isinstance(default._cluster, CoreCluster)
     assert isinstance(default._memory, MemoryNodes)
+    assert default.network._kernel is not None
 
 
 # -- randomized fuzz sweep -------------------------------------------------
