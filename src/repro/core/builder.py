@@ -303,10 +303,10 @@ class NetworkSystem:
     def try_inject(self, packet: Packet, cycle: int) -> bool:
         return self._network_for(packet).try_inject(packet, cycle)
 
-    def set_ejection_handler(self, coord: Coord,
+    def set_ejection_handler(self, node: int,
                              handler: Callable[[Packet, int], None]) -> None:
         for network in self.networks:
-            network.set_ejection_handler(coord, handler)
+            network.set_ejection_handler(node, handler)
 
     def step(self, cycle: Optional[int] = None) -> None:
         self.cycle = self.cycle + 1 if cycle is None else cycle

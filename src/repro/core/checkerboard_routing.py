@@ -21,10 +21,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from ..noc.packet import Packet, RouteGroup, TrafficClass
-from ..noc.routing import RoutingAlgorithm
+from ..noc.routing import RoutingAlgorithm, pair_memo
 from ..noc.topology import Coord, Direction, Mesh
 from .placement import HALF_ROUTER_PARITY
 
@@ -54,7 +54,7 @@ def is_half_router(coord: Coord) -> bool:
 
 def classify(src: Coord, dest: Coord) -> RouteCase:
     """Classify the pair according to Section IV-B."""
-    if src == dest:
+    if src.x == dest.x and src.y == dest.y:
         return RouteCase.LOCAL
     if src.x == dest.x or src.y == dest.y:
         return RouteCase.STRAIGHT
@@ -85,11 +85,15 @@ def intermediate_candidates(mesh: Mesh, src: Coord,
         for iy in ys:
             if (iy + src.x) % 2:
                 continue
-            cand = Coord(ix, iy)
-            if cand in (src, dest):
+            if (ix, iy) in ((src.x, src.y), (dest.x, dest.y)):
                 continue
-            out.append(cand)
+            out.append(Coord(ix, iy))
     return out
+
+
+#: The plans of the pairs that need no intermediate, shared by every pair.
+_XY_PLAN = (RouteGroup.XY, None, 1, None)
+_YX_PLAN = (RouteGroup.YX, None, 1, None)
 
 
 class CheckerboardRouting(RoutingAlgorithm):
@@ -106,19 +110,19 @@ class CheckerboardRouting(RoutingAlgorithm):
                 f"unknown intermediate policy {intermediate_policy!r}")
         self.intermediate_policy = intermediate_policy
         self._fallback_rng = random.Random(0xC4)
-        #: (src.x, src.y, dest.x, dest.y) -> (group, intermediate, phase,
-        #: candidates to draw the intermediate from or None): each pair is
-        #: classified once.  Ints, because a Coord hashes through a
-        #: Python-level ``__hash__``.
-        self._plans: Dict[Tuple[int, int, int, int], tuple] = {}
+        self._n = mesh.num_nodes
+        #: Per (src, dest) pair, its plan: (group, intermediate, phase,
+        #: candidates to draw the intermediate from or None), so each pair
+        #: is classified once per process and policy.
+        self._plans = pair_memo(self)
 
     def plan(self, packet: Packet,
              rng: Optional[random.Random] = None) -> None:
-        src, dest = packet.src, packet.dest
-        key = (src.x, src.y, dest.x, dest.y)
+        key = packet.src * self._n + packet.dest
         plan = self._plans.get(key)
         if plan is None:
-            plan = self._plans[key] = self._classify(src, dest)
+            plan = self._plans[key] = self._classify(packet.src,
+                                                     packet.dest)
         group, intermediate, phase, candidates = plan
         if candidates is not None:
             rng = rng if rng is not None else self._fallback_rng
@@ -127,16 +131,19 @@ class CheckerboardRouting(RoutingAlgorithm):
         packet.intermediate = intermediate
         packet.phase = phase
 
-    def _classify(self, src: Coord, dest: Coord) -> tuple:
-        """The memoized plan of one pair (Section IV-B); raises
+    def _classify(self, src: int, dest: int) -> tuple:
+        """The memoized plan of one pair of nodes (Section IV-B); raises
         :class:`UnroutableError` for a pair CR cannot route."""
+        mesh = self.mesh
+        src, dest = mesh.coord(src), mesh.coord(dest)
         case = classify(src, dest)
         if case in (RouteCase.LOCAL, RouteCase.STRAIGHT, RouteCase.XY):
-            return RouteGroup.XY, None, 1, None
+            return _XY_PLAN
         if case is RouteCase.YX:
-            return RouteGroup.YX, None, 1, None
+            return _YX_PLAN
         if case is RouteCase.TWO_PHASE:
-            candidates = intermediate_candidates(self.mesh, src, dest)
+            candidates = [mesh.index(c) for c in
+                          intermediate_candidates(mesh, src, dest)]
             if not candidates:
                 raise UnroutableError(
                     f"no intermediate full-router for {src}->{dest}")
@@ -147,16 +154,16 @@ class CheckerboardRouting(RoutingAlgorithm):
             f"{src}->{dest}: full-router pair with both DOR turn nodes at "
             "half-routers")
 
-    def next_port(self, coord: Coord, packet: Packet) -> Direction:
+    def next_port(self, node: int, packet: Packet) -> Direction:
         if packet.phase == 0:
-            if coord == packet.intermediate:
+            if node == packet.intermediate:
                 # Second phase begins: switch to the XY group (and VC).
                 packet.phase = 1
                 packet.group = RouteGroup.XY
             else:
-                return self._dor_step(coord, packet.intermediate, "yx")
+                return self._dor_step(node, packet.intermediate, "yx")
         order = "yx" if packet.group is RouteGroup.YX else "xy"
-        return self._dor_step(coord, packet.dest, order)
+        return self._dor_step(node, packet.dest, order)
 
 
 @dataclass
@@ -175,13 +182,14 @@ def trace_route(mesh: Mesh, routing: RoutingAlgorithm, src: Coord,
                 dest: Coord, rng: Optional[random.Random] = None,
                 max_hops: int = 200) -> TracedRoute:
     """Walk a packet hop by hop without simulating the network."""
-    packet = Packet(src, dest, 8, traffic_class=TrafficClass.REQUEST)
+    packet = Packet(mesh.index(src), mesh.index(dest), 8,
+                    traffic_class=TrafficClass.REQUEST)
     routing.plan(packet, rng)
     path = [src]
     groups = []
     coord = src
     for _ in range(max_hops):
-        port = routing.next_port(coord, packet)
+        port = routing.next_port(mesh.index(coord), packet)
         groups.append(packet.group)
         if port is Direction.EJECT:
             if coord != dest:

@@ -19,7 +19,7 @@
  * (enqueue, step with FR-FCFS issue, bank timing and completion), with
  * two idle gates of its own: the MC idle tick and the channel's
  * next_event.  On a Python network the Memory object holds the request
- * and reply packets, each MC's coord and inject callable and the reply
+ * and reply packets, each MC's node id and inject callable and the reply
  * factory between calls, so it takes part in cycle collection.
  *
  * And of the ideal networks: the Ideal object takes a chip's network
@@ -36,7 +36,7 @@
  *
  * Module functions:
  *   new(config, program, fractions, warp_seeds, region_seeds) -> Cluster
- *   memory(mc, dram, coords, injects, factory, request_class) -> Memory
+ *   memory(mc, dram, nodes, injects, factory, request_class) -> Memory
  *   ideal(cluster, memory, network) -> Ideal   (see kernel_ideal)
  *   mt_sample(seed, ops) -> list   draws of one generator (tests)
  * A record, as exported: (kind, core, mc, line, local_addr, created,
@@ -71,7 +71,7 @@
  *       every MC in index order (or its idle tick), then memory cycles
  *       first_mclk .. first_mclk + ticks - 1, each stepping every due
  *       channel in index order (the others take their idle tick); on a
- *       Python network replies are built by factory(coord, request,
+ *       Python network replies are built by factory(node, request,
  *       cycle) and offered by inject(reply, cycle), and an exception from
  *       either propagates with the reply, or the request it is for, still
  *       queued; on an ideal network they are records, and offered to it;
@@ -97,7 +97,7 @@
 #include <string.h>
 #include <structmember.h>
 
-#define LAYOUT 3
+#define LAYOUT 4
 #define NEVER ((int64_t)1 << 62)
 #define MAX_LINES 32                /* lines of one warp instruction */
 #define LINE_BYTES 64               /* the generator's line size */
@@ -1155,7 +1155,7 @@ typedef struct {
 } Channel;
 
 typedef struct {
-    PyObject *coord, *inject;           /* inject NULL on an ideal network */
+    PyObject *node, *inject;            /* inject NULL on an ideal network */
     Ring input, replies, writebacks;    /* Pending, Pkt, int64_t */
     int64_t icnt_cycle, cycles, blocked, received, reads, writes, sent;
     int64_t max_depth;
@@ -1197,7 +1197,7 @@ typedef struct Ideal {
     PyObject_HEAD
     Cluster *c;                         /* NULL once the chip is freed */
     Memory *m;
-    int32_t perfect, ncores, nin, nout;
+    int32_t perfect, ncores, nnodes;
     double cap, allowance;              /* BandwidthLimitedNetwork's */
     int64_t flits[3];                   /* of each record kind */
     int64_t limit, cycle;               /* histograms' linear limit */
@@ -1206,7 +1206,6 @@ typedef struct Ideal {
     int64_t flits_ejected;
     ClassStats cls[2];                  /* REQUEST, REPLY */
     int64_t *node_in, *node_out;        /* flits by node: cores, then MCs */
-    int32_t *order_in, *order_out;      /* nodes, by first flit */
     char stale;
     PyObject *weakreflist;
 } Ideal;
@@ -1233,15 +1232,6 @@ memory_enter(Memory *m)
 
 /* -- the ideal network's records ------------------------------------------- */
 
-static void
-count_node(int64_t *flits, int32_t *order, int32_t *n, int32_t node,
-           int64_t k)
-{
-    if (!flits[node])
-        order[(*n)++] = node;
-    flits[node] += k;
-}
-
 /* try_inject: the network accepts every packet, stamps it and counts it
  * at its source (record_injection). */
 static int
@@ -1253,8 +1243,7 @@ ideal_inject(Ideal *n, Rec *r, int64_t now)
     r->injected = now;
     n->packets_injected++;
     n->flits_injected += flits;
-    count_node(n->node_in, n->order_in, &n->nin,
-               r->kind == R_REPLY ? n->ncores + r->mc : r->core, flits);
+    n->node_in[r->kind == R_REPLY ? n->ncores + r->mc : r->core] += flits;
     *(Rec *)ring_push(&n->queue, sizeof(Rec)) = *r;
     n->stale = 1;
     return 0;
@@ -1310,7 +1299,7 @@ static int
 make_reply(Memory *m, Mc *mc, Pkt *request, int64_t cycle,
            PyObject *cycle_obj, Pkt *reply)
 {
-    PyObject *args[3] = {mc->coord, request->obj, cycle_obj};
+    PyObject *args[3] = {mc->node, request->obj, cycle_obj};
     if (m->routed) {
         reply->obj = NULL;
         reply->rec = request->rec;
@@ -1935,7 +1924,7 @@ memory_traverse(Memory *m, visitproc visit, void *arg)
     Py_VISIT(m->request_class);
     for (i = 0; m->mcs && i < m->nmcs; i++) {
         Mc *mc = &m->mcs[i];
-        Py_VISIT(mc->coord);
+        Py_VISIT(mc->node);
         Py_VISIT(mc->inject);
         for (k = 0; k < mc->input.n; k++)
             Py_VISIT(((Pending *)ring_at(&mc->input, sizeof(Pending),
@@ -1960,7 +1949,7 @@ memory_clear(Memory *m)
     Py_CLEAR(m->request_class);
     for (i = 0; m->mcs && i < m->nmcs; i++) {
         Mc *mc = &m->mcs[i];
-        Py_CLEAR(mc->coord);
+        Py_CLEAR(mc->node);
         Py_CLEAR(mc->inject);
         while (mc->input.n)
             pop_input(mc);
@@ -2039,13 +2028,13 @@ static PyTypeObject MemoryType = {
  *         reply_backlog_limit),
  *        (tCL, tRP, tRC, tRAS, tRCD, tRRD, bytes_per_cycle, num_banks,
  *         row_bytes, queue_capacity),
- *        coords, injects, factory, request_class): McConfig's and
- * DramTiming's fields, one coord and inject callable per MC. */
+ *        nodes, injects, factory, request_class): McConfig's and
+ * DramTiming's fields, one node id and inject callable per MC. */
 static PyObject *
 kernel_memory(PyObject *Py_UNUSED(module), PyObject *args)
 {
     Memory *m;
-    PyObject *coords, *injects, *factory, *request_class;
+    PyObject *nodes, *injects, *factory, *request_class;
     PyObject *cfast = NULL, *ifast = NULL;
     long long size, line, latency, tCL, tRP, tRC, tRAS, tRCD, tRRD;
     long long bytes, row_bytes;
@@ -2055,7 +2044,7 @@ kernel_memory(PyObject *Py_UNUSED(module), PyObject *args)
     if (!PyArg_ParseTuple(
             args, "(LLiLii)(LLLLLLLiLi)OOOO", &size, &line, &assoc,
             &latency, &per_cycle, &backlog, &tCL, &tRP, &tRC, &tRAS, &tRCD,
-            &tRRD, &bytes, &banks, &row_bytes, &capacity, &coords, &injects,
+            &tRRD, &bytes, &banks, &row_bytes, &capacity, &nodes, &injects,
             &factory, &request_class))
         return NULL;
     if (line < 1 || assoc < 1 || size < 1 || size % (line * assoc)
@@ -2064,13 +2053,13 @@ kernel_memory(PyObject *Py_UNUSED(module), PyObject *args)
         PyErr_SetString(PyExc_ValueError, "bad memory configuration");
         return NULL;
     }
-    if (!(cfast = PySequence_Fast(coords, "coords must be a sequence"))
+    if (!(cfast = PySequence_Fast(nodes, "nodes must be a sequence"))
             || !(ifast = PySequence_Fast(injects,
                                          "injects must be a sequence")))
         goto fail;
     n = PySequence_Fast_GET_SIZE(cfast);
     if (n < 1 || n > INT32_MAX || PySequence_Fast_GET_SIZE(ifast) != n) {
-        PyErr_SetString(PyExc_ValueError, "need one coord and inject per MC");
+        PyErr_SetString(PyExc_ValueError, "need one node and inject per MC");
         goto fail;
     }
     if (!(m = PyObject_GC_New(Memory, &MemoryType)))
@@ -2099,8 +2088,8 @@ kernel_memory(PyObject *Py_UNUSED(module), PyObject *args)
     for (i = 0; i < m->nmcs; i++) {
         Mc *mc = &m->mcs[i];
         Channel *ch = &mc->dram;
-        mc->coord = PySequence_Fast_GET_ITEM(cfast, i);
-        Py_INCREF(mc->coord);
+        mc->node = PySequence_Fast_GET_ITEM(cfast, i);
+        Py_INCREF(mc->node);
         mc->inject = PySequence_Fast_GET_ITEM(ifast, i);
         Py_INCREF(mc->inject);
         if (cache_init(&mc->l2, (int32_t)(size / (line * assoc)), assoc,
@@ -2232,8 +2221,7 @@ deliver(Ideal *n, Rec *r, int64_t now)
     s->network_latency_sum += network;
     hist_add(&s->latency, latency, n->limit);
     hist_add(&s->network_latency, network, n->limit);
-    count_node(n->node_out, n->order_out, &n->nout,
-               reply ? r->core : n->ncores + r->mc, flits);
+    n->node_out[reply ? r->core : n->ncores + r->mc] += flits;
     return 0;
 }
 
@@ -2303,19 +2291,18 @@ ideal_idle(Ideal *n, PyObject *Py_UNUSED(ignored))
     return PyBool_FromLong(n->queue.n == 0);
 }
 
-/* (node, flits) in first-flit order. */
+/* The flits of every node: the cores', then the MCs'. */
 static PyObject *
-export_nodes(int64_t *flits, int32_t *order, int32_t count)
+export_nodes(int64_t *flits, int32_t count)
 {
     PyObject *out = PyTuple_New(count);
     int32_t k;
     for (k = 0; out && k < count; k++) {
-        PyObject *row = Py_BuildValue("(iL)", order[k],
-                                      (long long)flits[order[k]]);
-        if (!row)
+        PyObject *value = PyLong_FromLongLong(flits[k]);
+        if (!value)
             Py_CLEAR(out);
         else
-            PyTuple_SET_ITEM(out, k, row);
+            PyTuple_SET_ITEM(out, k, value);
     }
     return out;
 }
@@ -2323,7 +2310,8 @@ export_nodes(int64_t *flits, int32_t *order, int32_t count)
 /* (cycle, allowance, packets_injected, flits_injected, packets_ejected,
  * flits_ejected, per class (packets, flits, latency_sum,
  * network_latency_sum, latency_hist, network_latency_hist), injected
- * flits by node, ejected flits by node) */
+ * flits by node, ejected flits by node), the nodes being the cores, then
+ * the MCs */
 static PyObject *
 ideal_export(Ideal *n, PyObject *Py_UNUSED(ignored))
 {
@@ -2353,8 +2341,8 @@ ideal_export(Ideal *n, PyObject *Py_UNUSED(ignored))
         "(LdLLLLNNN)", (long long)n->cycle, n->allowance,
         (long long)n->packets_injected, (long long)n->flits_injected,
         (long long)n->packets_ejected, (long long)n->flits_ejected, classes,
-        export_nodes(n->node_in, n->order_in, n->nin),
-        export_nodes(n->node_out, n->order_out, n->nout));
+        export_nodes(n->node_in, n->nnodes),
+        export_nodes(n->node_out, n->nnodes));
     if (out)
         n->stale = 0;
     return out;
@@ -2383,8 +2371,6 @@ ideal_dealloc(Ideal *n)
     }
     PyMem_Free(n->node_in);
     PyMem_Free(n->node_out);
-    PyMem_Free(n->order_in);
-    PyMem_Free(n->order_out);
     Py_TYPE(n)->tp_free((PyObject *)n);
 }
 
@@ -2429,7 +2415,7 @@ kernel_ideal(PyObject *Py_UNUSED(module), PyObject *args)
     Ideal *n;
     long long interleave, read, write, reply, limit;
     double cap, allowance;
-    int32_t i, nodes;
+    int32_t i;
     if (!PyArg_ParseTuple(args, "O!O!(LddLLLL)", &ClusterType, &c,
                           &MemoryType, &m, &interleave, &cap, &allowance,
                           &read, &write, &reply, &limit))
@@ -2447,11 +2433,9 @@ kernel_ideal(PyObject *Py_UNUSED(module), PyObject *args)
     if (!(n = PyObject_New(Ideal, &IdealType)))
         return NULL;
     memset((char *)n + sizeof(PyObject), 0, sizeof(Ideal) - sizeof(PyObject));
-    nodes = c->ncores + m->nmcs;
-    if (!(n->node_in = zeroed(nodes, sizeof(int64_t)))
-            || !(n->node_out = zeroed(nodes, sizeof(int64_t)))
-            || !(n->order_in = zeroed(nodes, sizeof(int32_t)))
-            || !(n->order_out = zeroed(nodes, sizeof(int32_t)))) {
+    n->nnodes = c->ncores + m->nmcs;
+    if (!(n->node_in = zeroed(n->nnodes, sizeof(int64_t)))
+            || !(n->node_out = zeroed(n->nnodes, sizeof(int64_t)))) {
         Py_DECREF(n);
         return NULL;
     }

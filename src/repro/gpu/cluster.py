@@ -77,7 +77,7 @@ from .core import MemoryToken, SimtCore
 from .instruction import InstrKind, WarpInstruction
 
 #: State layout version (mirrors ``_core_kernel.c``).
-LAYOUT = 3
+LAYOUT = 4
 
 KERNEL = CompiledKernel(Path(__file__).with_name("_core_kernel.c"),
                         "_core_kernel", LAYOUT, "core",
@@ -237,7 +237,7 @@ def start(chip) -> Optional[CoreCluster]:
     # dropped chip frees the kernel state at once.
     ref = weakref.ref(cluster)
     for index, core in enumerate(cores):
-        chip.network.set_ejection_handler(core.coord,
+        chip.network.set_ejection_handler(core.node,
                                           partial(_on_reply, ref, index))
     return cluster
 

@@ -55,12 +55,15 @@ class MemoryToken:
 
 class SimtCore:
     """One compute node.  ``step`` runs at the core clock; replies arrive
-    via ``on_reply`` from the reply network's ejection handler."""
+    via ``on_reply`` from the reply network's ejection handler.  Its
+    packets name it by ``node``, its node id on the chip's network."""
 
     def __init__(self, coord: Coord, config: CoreConfig, program,
-                 route_request: Callable[[int], Tuple[Coord, int]],
-                 num_warps: Optional[int] = None) -> None:
+                 route_request: Callable[[int], Tuple[int, int]],
+                 num_warps: Optional[int] = None,
+                 node: Optional[int] = None) -> None:
         self.coord = coord
+        self.node = node
         self.config = config
         self.program = program
         self.route_request = route_request
@@ -190,13 +193,13 @@ class SimtCore:
     def _send_read_request(self, line_addr: int, cycle: int) -> None:
         mc, local = self.route_request(line_addr)
         token = MemoryToken(self.coord, line_addr, local)
-        self.outbound.append(read_request(self.coord, mc, created=cycle,
+        self.outbound.append(read_request(self.node, mc, created=cycle,
                                           payload=token))
 
     def _send_write_request(self, line_addr: int, cycle: int) -> None:
         mc, local = self.route_request(line_addr)
         token = MemoryToken(self.coord, line_addr, local)
-        self.outbound.append(write_request(self.coord, mc, created=cycle,
+        self.outbound.append(write_request(self.node, mc, created=cycle,
                                            payload=token))
 
     def on_reply(self, packet: Packet, cycle: int) -> None:

@@ -62,18 +62,20 @@ class McConfig:
 
 
 class MemoryController:
-    """One MC node of the closed-loop system."""
+    """One MC node of the closed-loop system.  Its replies name it by
+    ``node``, its node id on the chip's network."""
 
     def __init__(self, coord: Coord, config: McConfig = McConfig(),
-                 inject: Optional[Callable[[Packet, int], bool]] = None
-                 ) -> None:
+                 inject: Optional[Callable[[Packet, int], bool]] = None,
+                 node: Optional[int] = None) -> None:
         self.coord = coord
+        self.node = node
         self.config = config
         self.inject = inject
         self.l2 = SetAssociativeCache(CacheConfig(
             config.l2_size_bytes, config.l2_line_bytes,
             config.l2_associativity))
-        self.dram = GddrChannel(config.dram, on_complete=self._dram_done)
+        self.dram = GddrChannel(config.dram)
         #: (ready_cycle, packet) input pipeline modelling L2 lookup latency.
         self._input: Deque[Tuple[int, Packet]] = deque()
         self._replies: Deque[Packet] = deque()
@@ -125,7 +127,9 @@ class MemoryController:
         self._drain_writebacks()
 
     def dram_step(self, mclk: int) -> None:
-        self.dram.step(mclk)
+        # After the channel's issue, which reads nothing _dram_done writes.
+        for request in self.dram.step(mclk):
+            self._dram_done(request)
 
     # -- internals -----------------------------------------------------------
 
@@ -182,7 +186,7 @@ class MemoryController:
             self.dram.enqueue(DramRequest(line, is_write=True,
                                           size_bytes=64), self._icnt_cycle)
 
-    def _dram_done(self, request: DramRequest, _mclk: int) -> None:
+    def _dram_done(self, request: DramRequest) -> None:
         if request.is_write:
             return
         packet = request.payload
@@ -192,7 +196,7 @@ class MemoryController:
         self._send_reply(packet, self._icnt_cycle)
 
     def _send_reply(self, request_packet: Packet, cycle: int) -> None:
-        reply = read_reply(self.coord, request_packet.src, created=cycle,
+        reply = read_reply(self.node, request_packet.src, created=cycle,
                            payload=request_packet.payload)
         self._replies.append(reply)
 

@@ -15,7 +15,7 @@ multi-ejection-port speedups of Figure 19 (e.g. FWT going from 57 % to
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import List, Optional, Sequence
 
 #: ``GddrChannel.next_event`` of a channel with nothing queued or in flight.
 NEVER = 1 << 62
@@ -79,11 +79,8 @@ class GddrChannel:
     against.
     """
 
-    def __init__(self, timing: DramTiming = DramTiming(),
-                 on_complete: Optional[Callable[[DramRequest, int],
-                                                None]] = None) -> None:
+    def __init__(self, timing: DramTiming = DramTiming()) -> None:
         self.timing = timing
-        self.on_complete = on_complete
         self._queue: List[DramRequest] = []
         self._in_flight: List[DramRequest] = []
         self._banks = [_Bank() for _ in range(timing.num_banks)]
@@ -136,34 +133,38 @@ class GddrChannel:
 
     # -- timing --------------------------------------------------------------
 
-    def step(self, now: int) -> None:
-        """Advance to memory-clock cycle ``now``."""
+    def step(self, now: int) -> Sequence[DramRequest]:
+        """Advance to memory-clock cycle ``now``; returns the requests
+        completed at it, in completion order (the owner handles them:
+        the channel keeps no reference to it)."""
         self.now = now
         if self.busy:
             self.pending_cycles += 1
             if self._bus_free_at > now:
                 self.data_busy_cycles += 1
-        self._complete(now)
+        done = self._complete(now)
         self._issue(now)
+        return done
 
-    def _complete(self, now: int) -> None:
+    def _complete(self, now: int) -> Sequence[DramRequest]:
         if not self._in_flight:
-            return
+            return ()
+        done = []
         still = []
         next_completion = NEVER
         for request in self._in_flight:
             if request.complete_time <= now:
                 self.requests_serviced += 1
-                if self.on_complete is not None:
-                    self.on_complete(request, now)
+                done.append(request)
             else:
                 still.append(request)
                 if request.complete_time < next_completion:
                     next_completion = request.complete_time
-        if len(still) < len(self._in_flight):
+        if done:
             self._in_flight = still
             self._next_completion = next_completion
             self._update_next_event()
+        return done
 
     def _issue(self, now: int) -> None:
         queue = self._queue

@@ -22,7 +22,7 @@ Ownership.  The kernel owns, per MC, the counters, the input pipeline
 L2 lines with their LRU clock and dirty bits, and the channel: counters,
 clock, ``next_event``, banks, bus and activate times, and the queued and
 in-flight requests.  On a mesh it holds the request and reply packets
-by reference, each MC's coord and ``inject`` callable, and the reply
+by reference, each MC's node id and ``inject`` callable, and the reply
 factory, so it takes part in cycle collection; Python keeps the
 ``Packet`` objects themselves and the network.  The chip owns the
 kernel; the network's request handlers hold it weakly, so a dropped
@@ -78,9 +78,9 @@ from .controller import McConfig, MemoryController
 from .dram import DramRequest
 
 
-def _reply(coord, request, cycle):
+def _reply(node, request, cycle):
     """The reply ``MemoryController._send_reply`` builds for ``request``."""
-    return read_reply(coord, request.src, created=cycle,
+    return read_reply(node, request.src, created=cycle,
                       payload=request.payload)
 
 
@@ -98,7 +98,7 @@ class MemoryNodes:
             (dram.tCL, dram.tRP, dram.tRC, dram.tRAS, dram.tRCD, dram.tRRD,
              dram.bytes_per_cycle, dram.num_banks, dram.row_bytes,
              dram.queue_capacity),
-            [mc.coord for mc in mcs], [mc.inject for mc in mcs], _reply,
+            [mc.node for mc in mcs], [mc.inject for mc in mcs], _reply,
             TrafficClass.REQUEST)
         #: ``step(cycle, first_mclk, ticks)``: one interconnect cycle of
         #: every MC, then memory cycles ``first_mclk`` onwards.
@@ -159,7 +159,7 @@ def start(chip, module) -> MemoryNodes:
     # dropped chip frees it at once.
     ref = weakref.ref(memory._c)
     for index, mc in enumerate(chip._mcs):
-        chip.network.set_ejection_handler(mc.coord,
+        chip.network.set_ejection_handler(mc.node,
                                           partial(_on_request, ref, index))
     return memory
 

@@ -16,22 +16,26 @@
  *          nflits) -> slot, or -1 if no slot is free
  *       one per admitted packet: rotate the node's injection port, take a
  *       free slot, link the packet onto that port's FIFO, count the offer;
- *   sweep(st, slots, routes, packets, finals, stats, now) -> packets or None
+ *   sweep(st, slots, routes, packets, finals, stats, ejected, now)
+ *          -> packets or None
  *       once per cycle: channel delivery, then every occupied router in
  *       mesh order; returns the completed packets in ejection order, each
  *       recorded, its slot freed;
- *   drain(st, slots, routes, packets, occ, stats, now) -> None
+ *   drain(st, slots, routes, packets, occ, stats, injected, now) -> None
  *       once per cycle: one source-drain pass, recording every packet whose
  *       head leaves its FIFO.
  * All three write their counts and records into the NetworkStats object
- * ``stats``, exactly as the reference's record_* methods do.
+ * ``stats``, exactly as the reference's record_* methods do, but for its
+ * per-node flit counters: ``ejected`` and ``injected`` are those, each an
+ * array('q') indexed by node id (the router index), incremented in place
+ * at the ejecting router and at the source port's node.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <stdint.h>
 #include <string.h>
 
-#define LAYOUT 3
+#define LAYOUT 4
 #define MAX_PORTS 16
 #define MAX_VCS 32
 #define OUT_NONE (-1)
@@ -84,21 +88,19 @@ enum { RT_LEN, RT_INJSET, RT_FINAL, RT_HOPS };
 /* Interned attribute names. */
 enum {
     A_XBAR, A_READS, A_WRITES, A_HOPS, A_PKT_OFF, A_FLIT_OFF, A_PKT_INJ,
-    A_FLIT_INJ, A_PKT_EJ, A_FLIT_EJ, A_PER_CLASS, A_NODE_INJ, A_NODE_EJ,
-    A_PACKETS, A_FLITS, A_LAT_SUM, A_NETLAT_SUM, A_LAT_HIST,
-    A_NETLAT_HIST, A_COUNTS, A_TOTAL, A_MIN, A_MAX, A_LIMIT, A_INJECTED,
-    A_EJECTED, A_CREATED, A_TCLASS, A_SRC, A_DEST, A_GROUP, A_PHASE,
-    A_COUNT
+    A_FLIT_INJ, A_PKT_EJ, A_FLIT_EJ, A_PER_CLASS, A_PACKETS, A_FLITS,
+    A_LAT_SUM, A_NETLAT_SUM, A_LAT_HIST, A_NETLAT_HIST, A_COUNTS, A_TOTAL,
+    A_MIN, A_MAX, A_LIMIT, A_INJECTED, A_EJECTED, A_CREATED, A_TCLASS,
+    A_GROUP, A_PHASE, A_COUNT
 };
 static const char *const attr_names[A_COUNT] = {
     "crossbar_traversals", "buffer_reads", "buffer_writes",
     "link_flit_hops", "packets_offered", "flits_offered",
     "packets_injected", "flits_injected", "packets_ejected",
-    "flits_ejected", "per_class", "node_injected_flits",
-    "node_ejected_flits", "packets", "flits", "latency_sum",
+    "flits_ejected", "per_class", "packets", "flits", "latency_sum",
     "network_latency_sum", "latency_hist", "network_latency_hist",
     "counts", "total", "_min", "_max", "linear_limit", "injected",
-    "ejected", "created", "traffic_class", "src", "dest", "group", "phase",
+    "ejected", "created", "traffic_class", "group", "phase",
 };
 static PyObject *attr[A_COUNT];
 
@@ -120,18 +122,21 @@ fail(const char *message)
     return -1;
 }
 
-/* Acquire an int32 buffer; the caller releases it before returning. */
+/* Acquire the buffer of an array of ``format`` ("i": 32-bit words, "q":
+ * 64-bit counters); the caller releases it before returning. */
 static int
-get_buffer(PyObject *obj, Py_buffer *view, int writable, const char *what)
+get_buffer(PyObject *obj, Py_buffer *view, int writable, const char *format,
+           const char *what)
 {
     int flags = PyBUF_FORMAT | (writable ? PyBUF_WRITABLE : 0);
     if (PyObject_GetBuffer(obj, view, flags) < 0)
         return -1;
     const char *fmt = view->format;
-    if (view->itemsize != sizeof(word) || fmt == NULL
-            || strcmp(fmt, "i") != 0) {
+    Py_ssize_t size = *format == 'q' ? sizeof(int64_t) : sizeof(word);
+    if (view->itemsize != size || fmt == NULL || strcmp(fmt, format) != 0) {
         PyBuffer_Release(view);
-        PyErr_Format(PyExc_TypeError, "%s must be an array('i')", what);
+        PyErr_Format(PyExc_TypeError, "%s must be an array('%s')", what,
+                     format);
         return -1;
     }
     return 0;
@@ -371,12 +376,14 @@ typedef struct {
 } ClassRec;
 
 /* The NetworkStats records of one kernel call: scalar sums are written
- * once, at the end of the call (``rec_finish``); per-node flit counts and
- * histogram buckets go into their dicts packet by packet, so every dict
- * sees its keys in the order the reference's record_* calls insert them. */
+ * once, at the end of the call (``rec_finish``); per-node flit counts go
+ * into their arrays, and histogram buckets into their dicts, packet by
+ * packet, so every dict sees its keys in the order the reference's
+ * record_* calls insert them. */
 typedef struct {
-    PyObject *stats, *per_class, *node_injected, *node_ejected;
-    int64_t offered, offered_flits, injected, injected_flits;
+    PyObject *stats, *per_class;
+    int64_t *node_flits;            /* the call's per-node flit counter */
+    int64_t injected, injected_flits;
     int64_t ejected, ejected_flits;
     int nclasses;
     ClassRec cls[MAX_CLASSES];
@@ -431,29 +438,24 @@ rec_class(Rec *r, PyObject *packet)
     return c;
 }
 
-/* NetworkStats.record_injection, with packet.injected = now. */
+/* NetworkStats.record_injection at ``node``, with packet.injected = now. */
 static int
-record_injection(Rec *r, PyObject *packet, int64_t nflits, int64_t now)
+record_injection(Rec *r, PyObject *packet, int64_t node, int64_t nflits,
+                 int64_t now)
 {
     if (set_int_attr(packet, attr[A_INJECTED], now) < 0)
         return -1;
     r->injected++;
     r->injected_flits += nflits;
-    PyObject *node = dict_attr(&r->node_injected, r->stats,
-                               attr[A_NODE_INJ]);
-    PyObject *src = node ? PyObject_GetAttr(packet, attr[A_SRC]) : NULL;
-    if (src == NULL)
-        return -1;
-    int rc = dict_add(node, src, nflits);
-    Py_DECREF(src);
-    return rc;
+    r->node_flits[node] += nflits;
+    return 0;
 }
 
-/* NetworkStats.record_ejection, with packet.ejected = now; ``injected`` is
- * the cycle the kernel set packet.injected to. */
+/* NetworkStats.record_ejection at ``node``, with packet.ejected = now;
+ * ``injected`` is the cycle the kernel set packet.injected to. */
 static int
-record_ejection(Rec *r, PyObject *packet, int64_t nflits, int64_t injected,
-                int64_t now)
+record_ejection(Rec *r, PyObject *packet, int64_t node, int64_t nflits,
+                int64_t injected, int64_t now)
 {
     int64_t created;
     if (set_int_attr(packet, attr[A_EJECTED], now) < 0
@@ -472,13 +474,8 @@ record_ejection(Rec *r, PyObject *packet, int64_t nflits, int64_t injected,
     if (hist_add(&c->latency, latency) < 0
             || hist_add(&c->network_latency, network_latency) < 0)
         return -1;
-    PyObject *node = dict_attr(&r->node_ejected, r->stats, attr[A_NODE_EJ]);
-    PyObject *dest = node ? PyObject_GetAttr(packet, attr[A_DEST]) : NULL;
-    if (dest == NULL)
-        return -1;
-    int rc = dict_add(node, dest, nflits);
-    Py_DECREF(dest);
-    return rc;
+    r->node_flits[node] += nflits;
+    return 0;
 }
 
 /* Write the call's scalar sums into ``stats`` and release every
@@ -491,9 +488,7 @@ rec_finish(Rec *r, int ok)
     if (!ok)
         PyErr_Fetch(&type, &value, &tb);
     PyObject *s = r->stats;
-    int rc = add_stat(s, attr[A_PKT_OFF], r->offered) == 0
-        && add_stat(s, attr[A_FLIT_OFF], r->offered_flits) == 0
-        && add_stat(s, attr[A_PKT_INJ], r->injected) == 0
+    int rc = add_stat(s, attr[A_PKT_INJ], r->injected) == 0
         && add_stat(s, attr[A_FLIT_INJ], r->injected_flits) == 0
         && add_stat(s, attr[A_PKT_EJ], r->ejected) == 0
         && add_stat(s, attr[A_FLIT_EJ], r->ejected_flits) == 0 ? 0 : -1;
@@ -515,8 +510,6 @@ rec_finish(Rec *r, int ok)
         Py_XDECREF(c->network_latency.counts);
     }
     Py_XDECREF(r->per_class);
-    Py_XDECREF(r->node_injected);
-    Py_XDECREF(r->node_ejected);
     if (!ok) {
         PyErr_Restore(type, value, tb);
         return -1;
@@ -536,7 +529,7 @@ flit_at(Net *n, int64_t ci, int64_t k)
     return n->flit + (ci * n->depth + k) * FL_F;
 }
 
-/* Router.deliver_flit / deliver_channel_flit: buffer one flit. */
+/* Router.deliver_flit: buffer one flit. */
 static int
 push_flit(Net *n, int64_t r, int64_t ci, int64_t slot, int64_t index,
           int64_t now)
@@ -768,11 +761,12 @@ route_and_allocate(Net *n, word *R, int64_t now)
     return 0;
 }
 
-/* MeshNetwork._eject for a completed packet: record it, leave it the
- * group and phase its route's last next_port call leaves, hand it to
- * Python and free its slot. */
+/* MeshNetwork._eject for a packet completed at node ``node``: record
+ * it, leave it the group and phase its route's last next_port call
+ * leaves, hand it to Python and free its slot. */
 static int
-complete(Net *n, int64_t slot, int64_t now, PyObject **done, Rec *rec)
+complete(Net *n, int64_t node, int64_t slot, int64_t now, PyObject **done,
+         Rec *rec)
 {
     PyObject *packet = packet_at(n, slot);
     if (packet == NULL)
@@ -796,7 +790,7 @@ complete(Net *n, int64_t slot, int64_t now, PyObject **done, Rec *rec)
                                     PyTuple_GET_ITEM(state, 1)) < 0)
             return -1;
     }
-    if (record_ejection(rec, packet, sl[SL_NFLITS], sl[SL_INJECTED],
+    if (record_ejection(rec, packet, node, sl[SL_NFLITS], sl[SL_INJECTED],
                         now) < 0)
         return -1;
     if (*done == NULL && (*done = PyList_New(0)) == NULL)
@@ -810,13 +804,14 @@ complete(Net *n, int64_t slot, int64_t now, PyObject **done, Rec *rec)
     return 0;
 }
 
-/* Router._switch with SeparableAllocator.allocate: switch requests,
- * input-first separable allocation with iSLIP pointer updates, then
- * traversal of every grant in the allocator's order. */
+/* Router._switch of router ``r`` with SeparableAllocator.allocate: switch
+ * requests, input-first separable allocation with iSLIP pointer updates,
+ * then traversal of every grant in the allocator's order. */
 static int
-switch_traverse(Net *n, word *R, int64_t now, PyObject **done, Rec *rec,
+switch_traverse(Net *n, int64_t r, int64_t now, PyObject **done, Rec *rec,
                 int64_t *moved)
 {
+    word *R = n->router + r * R_F;
     int64_t nin = R[R_NIN], nout = R[R_NOUT], V = n->V;
     int64_t in_base = R[R_IN_BASE], out_base = R[R_OUT_BASE];
     uint32_t mask[MAX_PORTS];
@@ -908,7 +903,7 @@ switch_traverse(Net *n, word *R, int64_t now, PyObject **done, Rec *rec,
             /* MeshNetwork._eject: reassembly; a tail completes. */
             if (++sl[SL_GOT] == sl[SL_NFLITS]) {
                 sl[SL_GOT] = 0;
-                if (complete(n, f[FL_SLOT], now, done, rec) < 0)
+                if (complete(n, r, f[FL_SLOT], now, done, rec) < 0)
                     return -1;
             }
         }
@@ -949,68 +944,60 @@ check_list(PyObject *obj, const char *what)
     return -1;
 }
 
-/* The buffers every entry point works on.  ``occ`` is optional. */
+/* The buffers an entry point holds, released together. */
 typedef struct {
-    Py_buffer st, slots, routes, occ;
+    Py_buffer view[5];
     int nheld;
 } Views;
-
-static int
-get_views(Views *w, PyObject *const *args, PyObject *occ)
-{
-    w->nheld = 0;
-    if (get_buffer(args[0], &w->st, 1, "st") < 0)
-        return -1;
-    w->nheld = 1;
-    if (get_buffer(args[1], &w->slots, 1, "slots") < 0)
-        return -1;
-    w->nheld = 2;
-    if (get_buffer(args[2], &w->routes, 0, "routes") < 0)
-        return -1;
-    w->nheld = 3;
-    if (occ != NULL) {
-        if (get_buffer(occ, &w->occ, 1, "occ") < 0)
-            return -1;
-        w->nheld = 4;
-    }
-    return 0;
-}
 
 static void
 release_views(Views *w)
 {
-    Py_buffer *views[] = {&w->st, &w->slots, &w->routes, &w->occ};
-    for (int i = w->nheld - 1; i >= 0; i--)
-        PyBuffer_Release(views[i]);
-    w->nheld = 0;
+    while (w->nheld > 0)
+        PyBuffer_Release(&w->view[--w->nheld]);
 }
 
-/* Load the state and attach ``occ`` (checked to cover every node). */
+/* Hold st, slots and routes (args[0..2]) and load the state. */
 static int
-load_with_occ(Net *n, Views *w)
+load(Net *n, Views *w, PyObject *const *args)
 {
-    if (load_net(n, &w->st, &w->slots, &w->routes) < 0)
-        return -1;
-    if (w->occ.len / (Py_ssize_t)sizeof(word) < n->nr) {
-        PyErr_SetString(PyExc_ValueError, "occ is shorter than the mesh");
-        return -1;
+    static const char *names[3] = {"st", "slots", "routes"};
+    for (w->nheld = 0; w->nheld < 3; w->nheld++)
+        if (get_buffer(args[w->nheld], &w->view[w->nheld], w->nheld < 2, "i",
+                       names[w->nheld]) < 0)
+            return -1;
+    return load_net(n, &w->view[0], &w->view[1], &w->view[2]);
+}
+
+/* Hold a per-node array, checked to cover every node: ``occ`` ("i") or a
+ * flit counter ("q"); NULL on an error. */
+static void *
+hold_nodes(Net *n, Views *w, PyObject *obj, const char *format,
+           const char *what)
+{
+    Py_buffer *view = &w->view[w->nheld];
+    if (get_buffer(obj, view, 1, format, what) < 0)
+        return NULL;
+    w->nheld++;
+    if (view->len / view->itemsize < n->nr) {
+        PyErr_Format(PyExc_ValueError, "%s is shorter than the mesh", what);
+        return NULL;
     }
-    n->occ = (word *)w->occ.buf;
-    return 0;
+    return view->buf;
 }
 
 static PyObject *
 k_sweep(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)module;
-    if (nargs != 7) {
+    if (nargs != 8) {
         PyErr_SetString(PyExc_TypeError,
                         "sweep(st, slots, routes, packets, finals, stats, "
-                        "now)");
+                        "ejected, now)");
         return NULL;
     }
     int64_t now;
-    if (parse_now(args[6], &now) < 0 || check_list(args[3], "packets") < 0
+    if (parse_now(args[7], &now) < 0 || check_list(args[3], "packets") < 0
             || check_list(args[4], "finals") < 0)
         return NULL;
     Views w;
@@ -1019,8 +1006,8 @@ k_sweep(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     rec_init(&rec, args[5]);
     PyObject *done = NULL;
     int64_t delivered = 0, moved = 0;
-    int ok = get_views(&w, args, NULL) == 0
-        && load_net(&n, &w.st, &w.slots, &w.routes) == 0;
+    int ok = load(&n, &w, args) == 0
+        && (rec.node_flits = hold_nodes(&n, &w, args[6], "q", "ejected"));
     if (ok) {
         n.packets = args[3];
         n.finals = args[4];
@@ -1034,7 +1021,7 @@ k_sweep(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
             if (!R[R_OCC])
                 continue;
             ok = route_and_allocate(&n, R, now) == 0
-                && switch_traverse(&n, R, now, &done, &rec, &moved) == 0;
+                && switch_traverse(&n, r, now, &done, &rec, &moved) == 0;
         }
         n.st[H_BUFFERED] -= moved;
     }
@@ -1096,7 +1083,8 @@ drain_sources(Net *n, int64_t now, Rec *rec)
             S[S_CUR] = slot;
             S[S_NEXT] = 0;
             S[S_VC] = best;
-            if (record_injection(rec, packet, sl[SL_NFLITS], now) < 0)
+            if (record_injection(rec, packet, S[S_NODE], sl[SL_NFLITS],
+                                 now) < 0)
                 return -1;
         }
         int64_t ci = S[S_IN] * V + S[S_VC];
@@ -1121,20 +1109,23 @@ static PyObject *
 k_drain(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)module;
-    if (nargs != 7) {
+    if (nargs != 8) {
         PyErr_SetString(PyExc_TypeError,
-                        "drain(st, slots, routes, packets, occ, stats, now)");
+                        "drain(st, slots, routes, packets, occ, stats, "
+                        "injected, now)");
         return NULL;
     }
     int64_t now;
-    if (parse_now(args[6], &now) < 0 || check_list(args[3], "packets") < 0)
+    if (parse_now(args[7], &now) < 0 || check_list(args[3], "packets") < 0)
         return NULL;
     Views w;
     Net n;
     Rec rec;
     rec_init(&rec, args[5]);
     int64_t writes = 0;
-    int ok = get_views(&w, args, args[4]) == 0 && load_with_occ(&n, &w) == 0;
+    int ok = load(&n, &w, args) == 0
+        && (n.occ = hold_nodes(&n, &w, args[4], "i", "occ"))
+        && (rec.node_flits = hold_nodes(&n, &w, args[6], "q", "injected"));
     if (ok) {
         n.packets = args[3];
         writes = drain_sources(&n, now, &rec);
@@ -1151,14 +1142,13 @@ k_drain(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 
 /* The queueing half of MeshNetwork.try_inject, for a packet whose source
  * queue has room and whose route is registered: rotate the node's
- * injection ports, take the free slot at the head of the free list, link
- * the packet onto the chosen port's FIFO and count the offer
- * (NetworkStats.record_offer).  Every argument is range-checked before
- * anything is written.  Returns the slot, or -1 (nothing written) when
- * no slot is free: the caller grows the slot table and calls again. */
+ * injection ports, take the free slot at the head of the free list and
+ * link the packet onto the chosen port's FIFO.  Every argument is
+ * range-checked before anything is written.  The slot, or -1 (nothing
+ * written) when no slot is free, goes to *slot_out. */
 static int
 admit(Net *n, PyObject *packet, int64_t node, int64_t rid, int64_t nflits,
-      Rec *rec, int64_t *slot_out)
+      int64_t *slot_out)
 {
     if (node < 0 || node >= n->nr) {
         PyErr_Format(PyExc_ValueError, "node %lld outside the mesh",
@@ -1217,8 +1207,6 @@ admit(Net *n, PyObject *packet, int64_t node, int64_t rid, int64_t nflits,
     N[N_RR] = (N[N_RR] + 1) % N[N_NSRC];
     n->occ[node] += nflits;
     n->st[H_SRCFLITS] += nflits;
-    rec->offered++;
-    rec->offered_flits += nflits;
     *slot_out = slot;
     return 0;
 }
@@ -1243,18 +1231,18 @@ k_accept(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         return NULL;
     Views w;
     Net n;
-    Rec rec;
-    rec_init(&rec, args[5]);
     int64_t slot = -1;
-    int ok = get_views(&w, args, args[4]) == 0 && load_with_occ(&n, &w) == 0;
+    int ok = load(&n, &w, args) == 0
+        && (n.occ = hold_nodes(&n, &w, args[4], "i", "occ"));
     if (ok) {
         n.packets = args[3];
-        ok = admit(&n, args[6], field[0], field[1], field[2], &rec,
-                   &slot) == 0;
+        ok = admit(&n, args[6], field[0], field[1], field[2], &slot) == 0;
     }
     release_views(&w);
-    ok = rec_finish(&rec, ok) == 0 && ok;
-    if (!ok)
+    /* NetworkStats.record_offer */
+    if (!ok || (slot >= 0 && (add_stat(args[5], attr[A_PKT_OFF], 1) < 0
+                              || add_stat(args[5], attr[A_FLIT_OFF],
+                                          field[2]) < 0)))
         return NULL;
     return PyLong_FromLongLong(slot);
 }

@@ -17,9 +17,11 @@ plus a flit index, with its ready cycle), credits and output-VC owners,
 every rotation pointer, channels, reassembly, the four activity counters
 and every per-packet record (``record_offer``, ``record_injection``,
 ``record_ejection`` and ``packet.injected``/``ejected``), which it writes
-into the network's ``NetworkStats``.  Python keeps the ``Packet`` objects
-(indexed by slot), traffic generation, the capacity test, routing
-(``plan`` and ``next_port``) and the ejection handlers.
+into the network's ``NetworkStats``: its per-node flit counters are
+arrays indexed by node id, which the kernel increments in place at the
+source port's node and the ejecting router.  Python keeps the
+``Packet`` objects (indexed by slot), traffic generation, the capacity
+test, routing (``plan`` and ``next_port``) and the ejection handlers.
 
 Each packet costs one kernel call, :meth:`BatchedCore.accept`, after
 ``plan`` and a route-key lookup.  Each cycle makes at most two more:
@@ -30,9 +32,10 @@ nothing they touch), :meth:`BatchedCore.drain` drains the sources.
 
 Routing is data.  A route record (output position and allowed-VC set per
 hop) is registered the first time its key is seen, by walking
-``next_port`` on the planned packet; an illegal turn or a route that
-never ends raises at injection and registers nothing.  The key is every
-field ``next_port`` reads, plus the traffic class, which selects the
+``next_port`` on the planned packet; an illegal turn, an ejection away
+from ``dest`` or a route that never ends raises at injection and
+registers nothing.  The key is every field ``next_port`` reads (node
+ids and the group and phase), plus the traffic class, which selects the
 allowed-VC sets.  Records live in a :class:`RouteTable` shared by every
 network in the process with the same routing signature, mesh, router
 port layout and VC configuration (:func:`route_table`); registration
@@ -68,7 +71,7 @@ SOURCE = Path(__file__).with_name("_noc_kernel.c")
 MODULE = "_noc_kernel"
 
 # -- state layout (mirrors _noc_kernel.c) ------------------------------------
-LAYOUT = 3
+LAYOUT = 4
 MAX_PORTS = 16
 MAX_VCS = 32
 #: Pipeline and channel delays must stay below this, so that a cycle plus
@@ -194,18 +197,23 @@ def _walk(net, packet, set_ids):
     vcs = set_ids[allowed(tclass, group)]
     record = [0, vcs, -1]
     states = []
-    routers = net._routers
-    coord = packet.src
+    routers = net._router_list
+    node = packet.src
+    mesh = net.mesh
+    pair = f"{mesh.coord(node)}->{mesh.coord(packet.dest)}"
     in_port = None                        # injection ports turn anywhere
     try:
-        for _ in range(4 * net.mesh.num_nodes):
-            router = routers[coord]
-            direction = next_port(coord, packet)
+        for _ in range(4 * mesh.num_nodes):
+            router = routers[node]
+            direction = next_port(node, packet)
             states.append((packet.group, packet.phase))
             if packet.group is not group:
                 group = packet.group
                 vcs = set_ids[allowed(tclass, group)]
             if direction is Direction.EJECT:
+                if node != packet.dest:
+                    raise RoutingViolation(
+                        f"packet {pair} ejects at {router.coord}")
                 record += (OUT_EJECT, vcs)
                 break
             out = router._out_pos.get(direction)
@@ -213,17 +221,16 @@ def _walk(net, packet, set_ids):
                                and not router.connectivity(in_port,
                                                            direction)):
                 raise RoutingViolation(
-                    f"illegal turn at {coord} "
+                    f"illegal turn at {router.coord} "
                     f"({'half' if router.spec.half else 'full'}): "
-                    f"{in_port} -> {direction} for packet "
-                    f"{packet.src}->{packet.dest} group={group}")
+                    f"{in_port} -> {direction} for packet {pair} "
+                    f"group={group}")
             record += (out, vcs)
             in_port = direction.opposite()
-            coord = coord.neighbor(direction)
+            node = router.out_ports[direction].channel.dst_router.net_index
         else:
             raise RoutingViolation(
-                f"route {packet.src}->{packet.dest} group={planned[0]} "
-                f"does not terminate")
+                f"route {pair} group={planned[0]} does not terminate")
     finally:
         packet.group, packet.phase = planned
     record[RT_LEN] = len(states)
@@ -432,15 +439,17 @@ class BatchedCore:
         freed."""
         self.stale = True
         table = self.table
+        stats = self._stats
         return self._sweep(self.st, self.slots, table.routes, self.packets,
-                           table.finals, self._stats, now)
+                           table.finals, stats, stats.node_ejected_flits, now)
 
     def drain(self, now: int) -> None:
         """One source-drain pass, recording each packet whose head leaves
         its FIFO: one kernel call."""
         self.stale = True
+        stats = self._stats
         self._drain(self.st, self.slots, self.table.routes, self.packets,
-                    self._occ, self._stats, now)
+                    self._occ, stats, stats.node_injected_flits, now)
 
     def idle(self) -> bool:
         st = self.st
@@ -448,22 +457,23 @@ class BatchedCore:
 
     # -- admission ----------------------------------------------------------
 
-    def accept(self, packet, node: int, num_flits: int) -> None:
-        """Queue a planned packet at ``node``, whose source queue has room.
+    def accept(self, packet, num_flits: int) -> None:
+        """Queue a planned packet at its source node, whose source queue
+        has room.
 
         The route key is every field ``next_port`` reads, plus the traffic
-        class, which selects the allowed-VC sets; the source enters it as
-        the node index, since a ``Coord`` hashes through a Python-level
-        ``__hash__``.  The kernel does the rest of admission (see
-        ``_noc_kernel.c``'s ``admit``)."""
-        key = (packet.traffic_class, node, packet.dest, packet.group,
+        class, which selects the allowed-VC sets: node ids, a group and a
+        phase, all hashed in C.  The kernel does the rest of admission
+        (see ``_noc_kernel.c``'s ``admit``)."""
+        src = packet.src
+        key = (packet.traffic_class, src, packet.dest, packet.group,
                packet.intermediate, packet.phase)
         route = self._route_ids.get(key)
         if route is None:
             route = self.table.register(self.net, packet, key)
         routes = self.table.routes
         while self._accept(self.st, self.slots, routes, self.packets,
-                           self._occ, self._stats, packet, node, route,
+                           self._occ, self._stats, packet, src, route,
                            num_flits) < 0:
             self._grow()
         self.stale = True

@@ -20,7 +20,7 @@ class Channel:
 
     __slots__ = ("latency", "credit_delay", "src_router", "src_port",
                  "dst_router", "dst_port", "_flits", "_credits",
-                 "flits_carried", "watch", "tracer", "_dst_pos", "_src_out")
+                 "flits_carried", "watch", "tracer")
 
     def __init__(self, latency: int = 1, credit_delay: int = 1) -> None:
         if latency < 1:
@@ -41,8 +41,6 @@ class Channel:
         #: Opt-in per-link flit tracer (``repro.telemetry``); ``None``
         #: keeps the send path at a single attribute test.
         self.tracer = None
-        self._dst_pos = -1
-        self._src_out = None
 
     def connect(self, src_router, src_port: PortId,
                 dst_router, dst_port: PortId) -> None:
@@ -50,11 +48,6 @@ class Channel:
         self.src_port = src_port
         self.dst_router = dst_router
         self.dst_port = dst_port
-        # Endpoint fast-path handles, resolved lazily on first delivery
-        # (``Router.finalize`` runs after ``connect``, so the position
-        # tables do not exist yet here).
-        self._dst_pos = -1
-        self._src_out = None
 
     def send_flit(self, flit: Flit, vc: int, cycle: int) -> None:
         flits = self._flits
@@ -102,51 +95,12 @@ class Channel:
         so the network knows whether any router just became busy."""
         delivered = 0
         flits = self._flits
-        if flits and flits[0][0] <= cycle:
-            dst = self.dst_router
-            port = self.dst_port
-            pos = self._dst_pos
-            if pos < 0:
-                # Cache the input position once; endpoints without the
-                # Router internals (duck-typed test doubles) stay on the
-                # generic deliver_flit protocol.
-                in_pos = getattr(dst, "_in_pos", None)
-                if in_pos is not None:
-                    pos = self._dst_pos = in_pos[port]
-            popleft = flits.popleft
-            if pos < 0:
-                while True:
-                    _, flit, vc = popleft()
-                    dst.deliver_flit(port, vc, flit, cycle)
-                    delivered += 1
-                    if not flits or flits[0][0] > cycle:
-                        break
-            else:
-                while True:
-                    _, flit, vc = popleft()
-                    dst.deliver_channel_flit(pos, port, vc, flit, cycle)
-                    delivered += 1
-                    if not flits or flits[0][0] > cycle:
-                        break
+        while flits and flits[0][0] <= cycle:
+            _, flit, vc = flits.popleft()
+            self.dst_router.deliver_flit(self.dst_port, vc, flit, cycle)
+            delivered += 1
         credits = self._credits
-        if credits and credits[0][0] <= cycle:
-            src = self.src_router
-            out = self._src_out
-            if out is None:
-                out_ports = getattr(src, "out_ports", None)
-                if out_ports is not None:
-                    out = self._src_out = out_ports[self.src_port]
-            popleft = credits.popleft
-            if out is None:
-                while True:
-                    _, vc = popleft()
-                    src.deliver_credit(self.src_port, vc)
-                    if not credits or credits[0][0] > cycle:
-                        break
-            else:
-                while True:
-                    _, vc = popleft()
-                    src.deliver_credit_port(out, vc)
-                    if not credits or credits[0][0] > cycle:
-                        break
+        while credits and credits[0][0] <= cycle:
+            _, vc = credits.popleft()
+            self.src_router.deliver_credit(self.src_port, vc)
         return delivered

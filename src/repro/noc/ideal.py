@@ -35,27 +35,27 @@ from functools import partial
 from typing import Callable, Deque, Dict, List, Optional
 
 from .packet import (READ_REPLY_BYTES, READ_REQUEST_BYTES,
-                     WRITE_REQUEST_BYTES, Packet, TrafficClass, read_reply,
-                     read_request, write_request)
+                     WRITE_REQUEST_BYTES, Packet, TrafficClass, flit_count,
+                     read_reply, read_request, write_request)
 from .stats import NetworkStats
-from .topology import Coord
 
 #: Kinds of the kernel's packet records (mirror ``_core_kernel.c``).
 _READ, _WRITE, _REPLY = range(3)
 
 
-def _packet(token, nodes, ncores, record) -> Packet:
+def _packet(token, coords, nodes, ncores, record) -> Packet:
     """The packet a kernel ``record`` (kind, core, MC, line, local address,
     created, injected, ejected) stands for, as the reference builds it;
-    ``nodes`` are the cores' coords, then the MCs'."""
+    ``coords`` and ``nodes`` are the cores' coords and node ids, then the
+    MCs'."""
     kind, core, mc, line, local, created, injected, ejected = record
-    core, mc = nodes[core], nodes[ncores + mc]
-    payload = token(core, line, local)
+    mc += ncores
+    payload = token(coords[core], line, local)
     if kind == _REPLY:
-        packet = read_reply(mc, core, created, payload)
+        packet = read_reply(nodes[mc], nodes[core], created, payload)
     else:
         make = read_request if kind == _READ else write_request
-        packet = make(core, mc, created, payload)
+        packet = make(nodes[core], nodes[mc], created, payload)
     packet.injected = injected
     packet.ejected = ejected
     return packet
@@ -70,17 +70,21 @@ class _IdealBase:
         self._stats = NetworkStats()
         #: Packets accepted and not yet delivered, in delivery order.
         self._queue: Deque[Packet] = deque()
-        self._handlers: Dict[Coord, Callable[[Packet, int], None]] = {}
+        self._handlers: Dict[int, Callable[[Packet, int], None]] = {}
         #: The kernel's ``Ideal`` once a chip has taken this network over,
         #: with the builder of the packets its records stand for and the
-        #: node coords its counters are kept by; None before.
+        #: node ids its counters are kept by; None before.
         self._kernel = None
         self._packet: Optional[Callable[[tuple], Packet]] = None
         self._nodes: tuple = ()
 
-    def set_ejection_handler(self, coord: Coord,
+    def set_ejection_handler(self, node: int,
                              handler: Callable[[Packet, int], None]) -> None:
-        self._handlers[coord] = handler
+        """Deliver the packets addressed to node id ``node`` to
+        ``handler``.  This network has no mesh: its per-node counters
+        grow to cover every node named here or by a packet."""
+        self._handlers[node] = handler
+        self._stats.cover(node)
 
     def carries(self, packet: Packet) -> bool:
         return True
@@ -112,12 +116,12 @@ class _IdealBase:
     def try_inject(self, packet: Packet, cycle: int) -> bool:
         packet.injected = cycle
         self._stats.record_injection(
-            packet, packet.num_flits(self.channel_width))
+            packet, flit_count(packet.size_bytes, self.channel_width))
         self._queue.append(packet)
         return True
 
     def _deliver(self, packet: Packet, now: int) -> None:
-        num_flits = packet.num_flits(self.channel_width)
+        num_flits = flit_count(packet.size_bytes, self.channel_width)
         packet.ejected = now
         self._stats.record_ejection(packet, num_flits)
         handler = self._handlers.get(packet.dest)
@@ -131,34 +135,34 @@ class _IdealBase:
         no chip has, nothing has used it, its channel width is valid, the
         chip's MCs offer replies to it and its nodes are distinct."""
         stats = self._stats
-        coords = chip.compute_coords + chip.mc_coords
+        nodes = chip.compute_ids + chip.mc_ids
         return (self._kernel is None and self._cycle == 0 and not self._queue
                 and not (stats.packets_injected or stats.packets_ejected)
                 and self.channel_width > 0
-                and len(set(coords)) == len(coords)
+                and len(set(nodes)) == len(nodes)
                 and all(mc.inject == self.try_inject for mc in chip._mcs))
 
-    def _compile(self, module, cluster, memory, interleave: int, cores: list,
-                 mcs: list, token) -> Callable[[tuple], Packet]:
-        """Hand this network to the kernel with a chip's fresh ``cluster``
-        and ``memory`` side (their extension objects), whose requests are
-        routed with ``interleave``; ``cores`` and ``mcs`` are the nodes'
-        coords in index order, ``token`` the payload type.  Returns the
-        builder of the packets the kernel's records stand for."""
+    def _compile(self, module, cluster, memory, chip,
+                 token) -> Callable[[tuple], Packet]:
+        """Hand this network to the kernel with ``chip``'s fresh
+        ``cluster`` and ``memory`` side (their extension objects), whose
+        requests are routed as its ``address_map`` routes them; ``token``
+        is the payload type.  Returns the builder of the packets the
+        kernel's records stand for."""
         width = self.channel_width
-
-        def flits(size: int) -> int:
-            return max(1, -(-size // width))
-
         histogram = self._stats.per_class[TrafficClass.REQUEST].latency_hist
         self._kernel = module.ideal(
             cluster, memory,
-            (interleave, getattr(self, "flits_per_cycle", 0.0),
-             getattr(self, "_allowance", 0.0), flits(READ_REQUEST_BYTES),
-             flits(WRITE_REQUEST_BYTES), flits(READ_REPLY_BYTES),
-             histogram.linear_limit))
-        self._nodes = nodes = tuple(cores) + tuple(mcs)
-        self._packet = partial(_packet, token, nodes, len(cores))
+            (chip.address_map.interleave,
+             getattr(self, "flits_per_cycle", 0.0),
+             getattr(self, "_allowance", 0.0),
+             flit_count(READ_REQUEST_BYTES, width),
+             flit_count(WRITE_REQUEST_BYTES, width),
+             flit_count(READ_REPLY_BYTES, width), histogram.linear_limit))
+        self._nodes = nodes = tuple(chip.compute_ids + chip.mc_ids)
+        self._packet = partial(_packet, token,
+                               tuple(chip.compute_coords + chip.mc_coords),
+                               nodes, len(chip.compute_ids))
         return self._packet
 
     def _export(self) -> None:
@@ -181,9 +185,9 @@ class _IdealBase:
                 histogram.total = total
                 histogram._min = low
                 histogram._max = high
-        nodes = self._nodes
-        stats.node_injected_flits = {nodes[n]: f for n, f in injected}
-        stats.node_ejected_flits = {nodes[n]: f for n, f in ejected}
+        for node, inj, ej in zip(self._nodes, injected, ejected):
+            stats.node_injected_flits[node] = inj
+            stats.node_ejected_flits[node] = ej
 
 
 class PerfectNetwork(_IdealBase):
@@ -222,7 +226,7 @@ class BandwidthLimitedNetwork(_IdealBase):
             # bounded the way a real channel would.
             4.0 * self.flits_per_cycle)
         while self._queue:
-            flits = self._queue[0].num_flits(self.channel_width)
+            flits = flit_count(self._queue[0].size_bytes, self.channel_width)
             if flits > self._allowance:
                 break
             self._allowance -= flits

@@ -37,7 +37,7 @@ from __future__ import annotations
 import copy
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .packet import Flit, Packet, TrafficClass
+from .packet import Flit, Packet, TrafficClass, flit_count
 from .topology import Direction
 
 
@@ -75,7 +75,8 @@ def _source_flit_split(net) -> Tuple[int, int, int]:
     for ports in net._sources.values():
         for port in ports:
             fifo_packets += len(port.fifo)
-            fifo_flits += sum(p.num_flits(width) for p in port.fifo)
+            fifo_flits += sum(flit_count(p.size_bytes, width)
+                              for p in port.fifo)
             if port.flits is not None:
                 partial += len(port.flits)
     return fifo_flits, partial, fifo_packets
@@ -319,7 +320,7 @@ def planned_route(net, packet: Packet, start) -> List[object]:
     coord = start
     for _ in range(4 * net.mesh.num_nodes):
         try:
-            direction = net.routing.next_port(coord, probe)
+            direction = net.routing.next_port(net.mesh.index(coord), probe)
         except Exception as exc:                       # diagnostic only
             route.append(f"<route error: {exc}>")
             return route
@@ -421,7 +422,8 @@ def format_network_state(net, max_flits: int = 12) -> str:
     if packet is not None:
         lines.append(
             f"oldest stuck packet: p{packet.pid} "
-            f"{packet.traffic_class.name} {packet.src}->{packet.dest} "
+            f"{packet.traffic_class.name} {net.mesh.coord(packet.src)}->"
+            f"{net.mesh.coord(packet.dest)} "
             f"group={packet.group.value} phase={packet.phase} "
             f"created={packet.created} injected={packet.injected} "
             f"at {where}")

@@ -7,8 +7,8 @@ and the open-loop harness both drive it through the same small interface:
 * ``try_inject(packet, cycle)`` — queue a packet at its source node's
   network interface; fails (returns ``False``) when the bounded source queue
   is full, which is how memory-controller stalls (Figure 11) arise.
-* ``set_ejection_handler(coord, fn)`` — callback invoked with each fully
-  reassembled packet.
+* ``set_ejection_handler(node, fn)`` — callback invoked with each fully
+  reassembled packet addressed to node id ``node``.
 * ``step(cycle)`` — advance one interconnect clock.
 
 Every network steps through the compiled cycle kernel of a
@@ -30,7 +30,7 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from .channel import Channel
 from .invariants import DeadlockError, InvariantChecker, format_network_state
-from .packet import Flit, Packet
+from .packet import Flit, Packet, flit_count
 from .router import Router, RouterSpec
 from .routing import RoutingAlgorithm
 from .stats import NetworkStats
@@ -100,6 +100,8 @@ class MeshNetwork:
                  name: str = "net") -> None:
         self.mesh = mesh
         self.params = params
+        if params.channel_width <= 0:
+            raise ValueError("channel width must be positive")
         # Injection-path constants (``params`` is immutable after build).
         self._channel_width = params.channel_width
         self._source_cap = params.source_queue_flits
@@ -112,9 +114,11 @@ class MeshNetwork:
                       else routing.plan)
         self.name = name
         self.cycle = 0
-        self.stats = NetworkStats()
+        self.stats = NetworkStats(mesh.num_nodes)
         self._rng = random.Random(seed)
-        self._handlers: Dict[Coord, Callable[[Packet, int], None]] = {}
+        #: Ejection handler of each node id (None: packets are dropped).
+        self._handlers: List[Optional[Callable[[Packet, int], None]]] = (
+            [None] * mesh.num_nodes)
         self._reassembly: Dict[int, int] = {}
 
         #: Channels with flits or credits in flight (insertion-ordered so
@@ -125,8 +129,6 @@ class MeshNetwork:
         self._source_flits = 0
         #: Total flits buffered inside routers (makes ``idle`` O(1)).
         self._buffered_flits = 0
-        #: Reused per-cycle scratch (drained channels).
-        self._channel_scratch: List[Channel] = []
 
         self._routers: Dict[Coord, Router] = {}
         self._channels: List[Channel] = []
@@ -150,28 +152,24 @@ class MeshNetwork:
                 self._channels.append(channel)
 
         self._router_list: Tuple[Router, ...] = tuple(self._routers.values())
-        for idx, router in enumerate(self._router_list):
-            router.net_index = idx
+        for router in self._router_list:
             router.finalize()
 
-        #: Source-side state is indexed by node row (mesh order, equal to
-        #: ``Router.net_index``): plain indexing keeps ``try_inject`` and
-        #: the reference drain loop off the Coord-hashing path.
-        #: ``_sources`` is the coord-keyed view for audits/tests.
+        #: Source-side state is indexed by node id (mesh order, equal to
+        #: ``Router.net_index``).  ``_sources`` is the coord-keyed view
+        #: for audits and tests.
         self._source_ports: Dict[Coord, List[_SourcePort]] = {}
-        self._node_index: Dict[Coord, int] = {}
         self._source_rows: List[Tuple[Coord, List[_SourcePort], Router]] = []
         #: Flits accepted and not yet drained into a router, per node.
         #: An ``array('i')`` because the compiled kernel decrements it.
         self._source_occ = array("i")
         self._source_rr: List[int] = []
-        for idx, coord in enumerate(mesh.coords()):
+        for coord in mesh.coords():
             ports = [
                 _SourcePort(injection_port(k))
                 for k in range(self._routers[coord].spec.num_inject_ports)
             ]
             self._source_ports[coord] = ports
-            self._node_index[coord] = idx
             self._source_rows.append((coord, ports, self._routers[coord]))
             self._source_occ.append(0)
             self._source_rr.append(0)
@@ -201,9 +199,9 @@ class MeshNetwork:
 
     # -- public interface ---------------------------------------------------
 
-    def set_ejection_handler(self, coord: Coord,
+    def set_ejection_handler(self, node: int,
                              handler: Callable[[Packet, int], None]) -> None:
-        self._handlers[coord] = handler
+        self._handlers[node] = handler
 
     def enable_checks(self, check_interval: int = 64,
                       watchdog_cycles: int = 0) -> InvariantChecker:
@@ -264,19 +262,21 @@ class MeshNetwork:
         """Coord-keyed view of the per-node source occupancy (audits,
         telemetry sampling — the cycle loop uses ``_source_occ``)."""
         occ = self._source_occ
-        return {coord: occ[i] for coord, i in self._node_index.items()}
+        return {coord: occ[i] for i, coord in enumerate(self.mesh.coords())}
 
     def try_inject(self, packet: Packet, cycle: int) -> bool:
-        """Queue ``packet`` at its source network interface.
+        """Queue ``packet`` at its source network interface (node id
+        ``packet.src``).
 
         The capacity test comes first because ``plan`` may draw from the
         network's RNG, and only admitted packets draw.  On the compiled
         kernel, :meth:`BatchedCore.accept` does the rest: the route
         lookup, port rotation, slot, FIFO link, occupancy and offer
         counters."""
-        num_flits = packet.num_flits(self._channel_width)
+        # ``flit_count`` inlined: a packet of no bytes still takes a flit.
+        num_flits = -(-packet.size_bytes // self._channel_width) or 1
         cap = self._source_cap
-        idx = self._node_index[packet.src]
+        idx = packet.src
         occupancy = self._source_occ[idx]
         if cap is not None and occupancy + num_flits > cap:
             return False
@@ -285,7 +285,7 @@ class MeshNetwork:
             plan(packet, self._rng)
         core = self._batched
         if core is not None:
-            core.accept(packet, idx, num_flits)
+            core.accept(packet, num_flits)
             return True
         ports = self._source_rows[idx][1]
         k = 0
@@ -298,7 +298,7 @@ class MeshNetwork:
         self._source_occ[idx] = occupancy + num_flits
         self.stats.record_offer(packet, num_flits)
         if self.tracer is not None:
-            self.tracer.on_offer(packet, self.name, cycle)
+            self.tracer.on_offer(packet, self, cycle)
         return True
 
     def step(self, cycle: Optional[int] = None) -> None:
@@ -320,24 +320,19 @@ class MeshNetwork:
         self.stats.cycles = now
         core = self._batched
         if core is None:
-            if self._active_channels:
-                # ``deliver`` never activates or deactivates other
-                # channels, so iterate the dict directly; drained channels
-                # are collected into a reused scratch list instead of
-                # copying the dict every cycle.
-                scratch = self._channel_scratch
-                for channel in self._active_channels:
-                    n = channel.deliver(now)
-                    if n:
-                        self._buffered_flits += n
-                        self.stats.link_flit_hops += n
-                        self.stats.buffer_writes += n
-                    if not channel.busy:
-                        scratch.append(channel)
-                if scratch:
-                    for channel in scratch:
-                        del self._active_channels[channel]
-                    del scratch[:]
+            # ``deliver`` never activates or deactivates other channels, so
+            # the dict is iterated directly and drained channels go after.
+            drained = []
+            for channel in self._active_channels:
+                n = channel.deliver(now)
+                if n:
+                    self._buffered_flits += n
+                    self.stats.link_flit_hops += n
+                    self.stats.buffer_writes += n
+                if not channel.busy:
+                    drained.append(channel)
+            for channel in drained:
+                del self._active_channels[channel]
             if self._buffered_flits:
                 for router in self._router_list:
                     if router.occupancy:
@@ -363,7 +358,7 @@ class MeshNetwork:
                 if done:
                     handlers = self._handlers
                     for packet in done:
-                        handler = handlers.get(packet.dest)
+                        handler = handlers[packet.dest]
                         if handler is not None:
                             handler(packet, now)
             if st[core.SRCFLITS]:
@@ -482,7 +477,7 @@ class MeshNetwork:
 
     def _eject(self, flit: Flit, now: int) -> None:
         packet = flit.packet
-        total = packet.num_flits(self.params.channel_width)
+        total = flit_count(packet.size_bytes, self._channel_width)
         got = self._reassembly.get(packet.pid, 0) + 1
         if got < total:
             self._reassembly[packet.pid] = got
@@ -492,6 +487,6 @@ class MeshNetwork:
         self.stats.record_ejection(packet, total)
         if self.tracer is not None:
             self.tracer.on_eject(packet, now)
-        handler = self._handlers.get(packet.dest)
+        handler = self._handlers[packet.dest]
         if handler is not None:
             handler(packet, now)

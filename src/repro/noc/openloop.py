@@ -14,7 +14,8 @@ from typing import List, Optional, Sequence
 
 from .histogram import StreamingHistogram
 from .invariants import InvariantViolation, audit_system, format_system_state
-from .packet import READ_REQUEST_BYTES, Packet, TrafficClass, read_reply
+from .packet import (READ_REPLY_BYTES, READ_REQUEST_BYTES, Packet,
+                     TrafficClass)
 from .topology import Coord
 from .traffic import DestinationPattern
 
@@ -61,7 +62,11 @@ class LoadLatencyPoint:
 
 
 class OpenLoopRunner:
-    """Drives one network instance at one offered load."""
+    """Drives one network instance at one offered load.
+
+    The nodes and the pattern are given by coordinate; the runner
+    injects by node id (``Mesh.index`` on the network's mesh), drawing
+    from a relabelled copy of the pattern."""
 
     def __init__(self, network, compute_nodes: Sequence[Coord],
                  mc_nodes: Sequence[Coord], pattern: DestinationPattern,
@@ -69,9 +74,10 @@ class OpenLoopRunner:
                  saturation_latency: float = 300.0,
                  telemetry=None) -> None:
         self.network = network
-        self.compute_nodes = list(compute_nodes)
-        self.mc_nodes = list(mc_nodes)
-        self.pattern = pattern
+        index = network.mesh.index
+        self.compute_nodes = [index(node) for node in compute_nodes]
+        self.mc_nodes = [index(node) for node in mc_nodes]
+        self.pattern = pattern.relabel(index)
         self.rate = rate
         self.saturation_latency = saturation_latency
         self._rng = random.Random(seed)
@@ -88,23 +94,23 @@ class OpenLoopRunner:
         for mc in self.mc_nodes:
             network.set_ejection_handler(mc, self._on_request)
         for core in self.compute_nodes:
-            network.set_ejection_handler(core, self._on_reply)
+            network.set_ejection_handler(core, self._record)
 
     # -- handlers ------------------------------------------------------------
 
     def _on_request(self, packet: Packet, cycle: int) -> None:
-        self._record(packet)
-        reply = read_reply(packet.dest, packet.src, created=cycle,
-                           payload=packet.payload)
+        self._record(packet, cycle)
+        # ``read_reply`` unrolled, as ``_cycle`` unrolls ``read_request``.
+        reply = Packet(packet.dest, packet.src, READ_REPLY_BYTES,
+                       TrafficClass.REPLY, cycle, payload=packet.payload)
         accepted = self.network.try_inject(reply, cycle)
         if not accepted:
             raise RuntimeError("open-loop source queues must be unbounded\n"
                                + format_system_state(self.network))
 
-    def _on_reply(self, packet: Packet, cycle: int) -> None:
-        self._record(packet)
-
-    def _record(self, packet: Packet) -> None:
+    def _record(self, packet: Packet, cycle: int) -> None:
+        """Ejection handler of the compute nodes (and the first step of
+        the MCs'): a measured packet's latency."""
         if not self._measuring or packet.payload != "measured":
             return
         self._lat_sum[packet.traffic_class] += packet.latency

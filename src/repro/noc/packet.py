@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from typing import List, Optional
 
-from .topology import Coord
-
 #: Packet payload sizes in bytes (Section III-D).
 READ_REQUEST_BYTES = 8
 WRITE_REQUEST_BYTES = 64
@@ -52,26 +50,38 @@ class RouteGroup(Enum):
 _packet_ids = itertools.count()
 
 
+def flit_count(size_bytes: int, channel_width: int) -> int:
+    """Flits of a ``size_bytes`` packet on a ``channel_width``-byte
+    channel (at least one)."""
+    if channel_width <= 0:
+        raise ValueError("channel width must be positive")
+    return max(1, -(-size_bytes // channel_width))
+
+
 @dataclass(slots=True)
 class Packet:
     """A message travelling through one network.
 
-    The routing plan (``group``, ``intermediate``) is attached at injection
-    time by the routing algorithm.  ``phase`` tracks progress of two-phase
+    ``src``, ``dest`` and ``intermediate`` are node ids: a node's index in
+    its mesh (``Mesh.index``, ``y * cols + x``).  The routing plan
+    (``group``, ``intermediate``) is attached at injection time by the
+    routing algorithm.  ``phase`` tracks progress of two-phase
     checkerboard routes: 0 while heading to the intermediate full-router,
-    1 afterwards.
+    1 afterwards.  The flit count is not stored: the network carrying the
+    packet derives it from ``size_bytes`` and its channel width.
     """
 
-    src: Coord
-    dest: Coord
+    src: int
+    dest: int
     size_bytes: int
     traffic_class: TrafficClass
     created: int = 0
-    pid: int = field(default_factory=lambda: next(_packet_ids))
+    #: The counter's own ``__next__``: a packet id costs no Python frame.
+    pid: int = field(default_factory=_packet_ids.__next__)
 
     # Routing state
     group: RouteGroup = RouteGroup.ANY
-    intermediate: Optional[Coord] = None
+    intermediate: Optional[int] = None
     phase: int = 1
 
     # Opaque payload for closed-loop simulation (e.g. the memory request).
@@ -81,25 +91,8 @@ class Packet:
     injected: int = -1
     ejected: int = -1
 
-    #: ``num_flits`` memo for the last queried channel width — the
-    #: injection path asks twice per packet (capacity check, then
-    #: ``make_flits``) with the same width.  The sentinel is negative so
-    #: an (invalid) width of 0 can never hit the memo unvalidated.
-    _nf_width: int = field(default=-1, init=False, repr=False, compare=False)
-    _nf: int = field(default=0, init=False, repr=False, compare=False)
-
-    def num_flits(self, channel_width: int) -> int:
-        if channel_width == self._nf_width:
-            return self._nf
-        if channel_width <= 0:
-            raise ValueError("channel width must be positive")
-        n = max(1, -(-self.size_bytes // channel_width))
-        self._nf_width = channel_width
-        self._nf = n
-        return n
-
     def make_flits(self, channel_width: int) -> List["Flit"]:
-        n = self.num_flits(channel_width)
+        n = flit_count(self.size_bytes, channel_width)
         return [
             Flit(packet=self, index=i, is_head=(i == 0), is_tail=(i == n - 1))
             for i in range(n)
@@ -133,7 +126,7 @@ class Flit:
     ready: int = 0
 
     @property
-    def dest(self) -> Coord:
+    def dest(self) -> int:
         return self.packet.dest
 
     def __repr__(self) -> str:
@@ -141,21 +134,21 @@ class Flit:
         return f"Flit(p{self.packet.pid}[{self.index}]{kind}->{self.dest})"
 
 
-def read_request(src: Coord, dest: Coord, created: int = 0,
+def read_request(src: int, dest: int, created: int = 0,
                  payload: object = None) -> Packet:
     """An 8-byte read-request packet (core -> MC)."""
     return Packet(src, dest, READ_REQUEST_BYTES, TrafficClass.REQUEST,
                   created=created, payload=payload)
 
 
-def write_request(src: Coord, dest: Coord, created: int = 0,
+def write_request(src: int, dest: int, created: int = 0,
                   payload: object = None) -> Packet:
     """A 64-byte write-request packet (core -> MC)."""
     return Packet(src, dest, WRITE_REQUEST_BYTES, TrafficClass.REQUEST,
                   created=created, payload=payload)
 
 
-def read_reply(src: Coord, dest: Coord, created: int = 0,
+def read_reply(src: int, dest: int, created: int = 0,
                payload: object = None) -> Packet:
     """A 64-byte read-reply packet (MC -> core)."""
     return Packet(src, dest, READ_REPLY_BYTES, TrafficClass.REPLY,

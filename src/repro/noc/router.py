@@ -163,8 +163,9 @@ class Router:
         #: keeps each event site at a single attribute test.
         self.tracer = None
 
-        #: Position of this router in the network's router list.
-        self.net_index = 0
+        #: This router's node id (``Mesh.index`` of its coord), which is
+        #: its position in the network's router list.
+        self.net_index = routing.mesh.index(spec.coord)
         self._in_pos: Dict[PortId, int] = {}
 
     # -- assembly ----------------------------------------------------------
@@ -205,12 +206,7 @@ class Router:
 
     def deliver_flit(self, port: PortId, vc: int, flit: Flit,
                      cycle: int) -> None:
-        """A flit arrives from a channel (or from the injection source).
-
-        Twin of :meth:`deliver_channel_flit` (which skips the port-to-
-        position lookup and the terminal-port branches); any semantic
-        change must land in both bodies.
-        """
+        """A flit arrives from a channel (or from the injection source)."""
         pos = self._in_pos[port]
         terminal = type(port) is tuple
         state = self._ordered_inputs[pos][1][vc]
@@ -227,31 +223,8 @@ class Router:
         if tracer is not None and flit.is_head:
             tracer.on_hop_arrive(flit.packet, self.coord, port, cycle)
 
-    def deliver_channel_flit(self, pos: int, port: PortId, vc: int,
-                             flit: Flit, cycle: int) -> None:
-        """Channel-phase twin of :meth:`deliver_flit` with the input
-        position pre-resolved (channels cache it after the first hop) and
-        the terminal-port branches resolved statically — mesh channels
-        never end on a terminal port."""
-        state = self._ordered_inputs[pos][1][vc]
-        if len(state.buffer) >= self.buffer_depth:
-            raise RuntimeError(
-                f"buffer overflow at {self.coord} port {port} vc {vc}: "
-                "credit accounting violated")
-        flit.ready = cycle + self.pipeline_latency
-        state.buffer.append(flit)
-        self.occupancy += 1
-        tracer = self.tracer
-        if tracer is not None and flit.is_head:
-            tracer.on_hop_arrive(flit.packet, self.coord, port, cycle)
-
     def deliver_credit(self, port: PortId, vc: int) -> None:
-        self.deliver_credit_port(self.out_ports[port], vc)
-
-    def deliver_credit_port(self, out, vc: int) -> None:
-        """Credit return with the output port pre-resolved (channels cache
-        their upstream endpoint after the first delivery)."""
-        out.credits[vc] += 1
+        self.out_ports[port].credits[vc] += 1
 
     def injection_space(self, port: PortId, vc: int) -> int:
         return self.buffer_depth - len(self.in_ports[port][vc].buffer)
@@ -294,16 +267,19 @@ class Router:
                     continue
                 packet = head.packet
                 if vc_state.out_port is None:
-                    direction = self.routing.next_port(self.coord, packet)
+                    direction = self.routing.next_port(self.net_index,
+                                                       packet)
                     if direction is Direction.EJECT:
                         vc_state.out_port = Direction.EJECT
                     else:
                         if not self.connectivity(in_port, direction):
+                            mesh = self.routing.mesh
                             raise RoutingViolation(
                                 f"illegal turn at {self.coord} "
                                 f"({'half' if self.spec.half else 'full'}): "
                                 f"{in_port} -> {direction} for packet "
-                                f"{packet.src}->{packet.dest} "
+                                f"{mesh.coord(packet.src)}->"
+                                f"{mesh.coord(packet.dest)} "
                                 f"group={packet.group}")
                         vc_state.out_port = direction
                 if vc_state.out_vc is None:

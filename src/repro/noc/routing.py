@@ -6,9 +6,9 @@ A routing algorithm has two duties:
   (XY / YX / ANY) and, for two-phase checkerboard routes, the intermediate
   full-router.  The paper implements the group choice as a single header bit
   (Section IV-B).
-* ``next_port(coord, packet)`` — run at each router's route-computation
+* ``next_port(node, packet)`` — run at each router's route-computation
   stage; returns the output ``Direction`` or ``Direction.EJECT``.  It may
-  read only ``coord`` and the packet's ``src``, ``dest``, ``group``,
+  read only ``node`` and the packet's ``src``, ``dest``, ``group``,
   ``intermediate`` and ``phase``, and may write only ``group`` and
   ``phase``.  The compiled kernel relies on this: it walks each route
   once and memoizes it under exactly those fields (plus the traffic
@@ -23,10 +23,22 @@ Checkerboard routing (the paper's contribution) lives in
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .packet import Packet, RouteGroup
 from .topology import Coord, Direction, Mesh
+
+_pair_memos: Dict[tuple, dict] = {}
+
+
+def pair_memo(routing: "RoutingAlgorithm") -> dict:
+    """A memo of pure functions of a node pair (a, b) under ``routing``,
+    keyed by ``a * num_nodes + b``, shared by the routings of equal
+    signature in the process, like route tables."""
+    signature = routing.route_signature()
+    if signature is None:
+        return {}
+    return _pair_memos.setdefault(signature, {})
 
 
 class RoutingAlgorithm:
@@ -50,7 +62,7 @@ class RoutingAlgorithm:
 
     def route_signature(self) -> Optional[tuple]:
         """Hashable identity of ``next_port`` as a function of the
-        coordinate and the packet's routing fields: networks whose
+        node and the packet's routing fields: networks whose
         routings have equal signatures (on equal meshes, routers and VC
         configurations) share one process-wide route table.  None keeps
         a table per network."""
@@ -62,23 +74,26 @@ class RoutingAlgorithm:
     def plan(self, packet: Packet, rng: Optional[random.Random] = None) -> None:
         raise NotImplementedError
 
-    def next_port(self, coord: Coord, packet: Packet) -> Direction:
-        """Output port at ``coord``.  Reads only ``packet.src``, ``dest``,
-        ``group``, ``intermediate`` and ``phase``; writes only ``group``
-        and ``phase`` (so a route is a function of those fields)."""
+    def next_port(self, node: int, packet: Packet) -> Direction:
+        """Output port at node ``node``.  Reads only ``packet.src``,
+        ``dest``, ``group``, ``intermediate`` and ``phase``; writes only
+        ``group`` and ``phase`` (so a route is a function of those
+        fields)."""
         raise NotImplementedError
 
     # -- shared helpers ----------------------------------------------------
 
-    def _dor_step(self, coord: Coord, dest: Coord, order: str) -> Direction:
-        """One DOR step: complete the first axis of ``order`` then the
-        second, then eject."""
-        first, second = order[0], order[1]
-        for axis in (first, second):
-            if axis == "x" and coord.x != dest.x:
-                return self.mesh.direction_towards(coord, dest, "x")
-            if axis == "y" and coord.y != dest.y:
-                return self.mesh.direction_towards(coord, dest, "y")
+    def _dor_step(self, node: int, dest: int, order: str) -> Direction:
+        """One DOR step from ``node`` toward ``dest``: complete the first
+        axis of ``order`` then the second, then eject."""
+        cols = self.mesh.cols
+        x, y = node % cols, node // cols
+        dx, dy = dest % cols, dest // cols
+        for axis in order:
+            if axis == "x" and x != dx:
+                return Direction.EAST if dx > x else Direction.WEST
+            if axis == "y" and y != dy:
+                return Direction.SOUTH if dy > y else Direction.NORTH
         return Direction.EJECT
 
 
@@ -86,51 +101,36 @@ class DorXY(RoutingAlgorithm):
     """Dimension-ordered XY routing (the baseline, Table III)."""
 
     group = RouteGroup.XY
+    order = "xy"
     plan_writes_defaults = True
     route_params = ()
 
     def __init__(self, mesh: Mesh) -> None:
         super().__init__(mesh)
-        # DOR is a pure function of (coord, dest); memoizing the per-hop
-        # decision takes the arithmetic off the cycle loop.  Bounded by
-        # the (coord, dest) pairs actually routed — at most mesh^2.
-        self._memo: dict = {}
+        # DOR is a pure function of (node, dest); memoizing the per-hop
+        # decision takes the arithmetic off the cycle loop.
+        self._n = mesh.num_nodes
+        self._memo = pair_memo(self)
 
     def plan(self, packet: Packet, rng: Optional[random.Random] = None) -> None:
         packet.group = RouteGroup.ANY  # any VC of the class may be used
         packet.intermediate = None
         packet.phase = 1
 
-    def next_port(self, coord: Coord, packet: Packet) -> Direction:
-        key = (coord, packet.dest)
+    def next_port(self, node: int, packet: Packet) -> Direction:
+        key = node * self._n + packet.dest
         port = self._memo.get(key)
         if port is None:
-            port = self._memo[key] = self._dor_step(coord, key[1], "xy")
+            port = self._memo[key] = self._dor_step(node, packet.dest,
+                                                    self.order)
         return port
 
 
-class DorYX(RoutingAlgorithm):
+class DorYX(DorXY):
     """Dimension-ordered YX routing."""
 
     group = RouteGroup.YX
-    plan_writes_defaults = True
-    route_params = ()
-
-    def __init__(self, mesh: Mesh) -> None:
-        super().__init__(mesh)
-        self._memo: dict = {}
-
-    def plan(self, packet: Packet, rng: Optional[random.Random] = None) -> None:
-        packet.group = RouteGroup.ANY
-        packet.intermediate = None
-        packet.phase = 1
-
-    def next_port(self, coord: Coord, packet: Packet) -> Direction:
-        key = (coord, packet.dest)
-        port = self._memo.get(key)
-        if port is None:
-            port = self._memo[key] = self._dor_step(coord, key[1], "yx")
-        return port
+    order = "yx"
 
 
 class Romm2Phase(RoutingAlgorithm):
@@ -150,21 +150,23 @@ class Romm2Phase(RoutingAlgorithm):
 
     def __init__(self, mesh: Mesh) -> None:
         super().__init__(mesh)
-        #: (src.x, src.y, dest.x, dest.y) -> intermediate candidates, so
-        #: each pair's quadrant is enumerated once; ints, because a Coord
-        #: hashes through a Python-level ``__hash__``.
-        self._candidates: Dict[Tuple[int, int, int, int], List[Coord]] = {}
+        self._n = mesh.num_nodes
+        #: Per (src, dest) pair, the intermediate candidates, so each
+        #: pair's quadrant is enumerated once.
+        self._candidates = pair_memo(self)
 
     def plan(self, packet: Packet, rng: Optional[random.Random] = None) -> None:
         src, dest = packet.src, packet.dest
-        key = (src.x, src.y, dest.x, dest.y)
+        key = src * self._n + dest
         candidates = self._candidates.get(key)
         if candidates is None:
-            xs = range(min(src.x, dest.x), max(src.x, dest.x) + 1)
-            ys = range(min(src.y, dest.y), max(src.y, dest.y) + 1)
+            cols = self.mesh.cols
+            sx, sy, dx, dy = src % cols, src // cols, dest % cols, dest // cols
             candidates = self._candidates[key] = [
-                Coord(x, y) for x in xs for y in ys
-                if Coord(x, y) not in (src, dest)]
+                y * cols + x
+                for x in range(min(sx, dx), max(sx, dx) + 1)
+                for y in range(min(sy, dy), max(sy, dy) + 1)
+                if y * cols + x not in (src, dest)]
         if not candidates:
             packet.group = RouteGroup.XY
             packet.intermediate = None
@@ -175,14 +177,14 @@ class Romm2Phase(RoutingAlgorithm):
         packet.group = RouteGroup.YX       # phase-one VC
         packet.phase = 0
 
-    def next_port(self, coord: Coord, packet: Packet) -> Direction:
+    def next_port(self, node: int, packet: Packet) -> Direction:
         if packet.phase == 0:
-            if coord == packet.intermediate:
+            if node == packet.intermediate:
                 packet.phase = 1
                 packet.group = RouteGroup.XY
             else:
-                return self._dor_step(coord, packet.intermediate, "xy")
-        return self._dor_step(coord, packet.dest, "xy")
+                return self._dor_step(node, packet.intermediate, "xy")
+        return self._dor_step(node, packet.dest, "xy")
 
 
 def minimal_hops(src: Coord, dest: Coord) -> int:

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .histogram import StreamingHistogram, merge_histograms
 from .packet import Packet, TrafficClass
-from .topology import Coord
 
 
 @dataclass
@@ -29,9 +29,13 @@ class _ClassStats:
 
 
 class NetworkStats:
-    """Counters kept by each network (and by the ideal-network models)."""
+    """Counters kept by each network (and by the ideal-network models).
 
-    def __init__(self) -> None:
+    ``num_nodes`` sizes the per-node flit counters, which are indexed by
+    node id: a mesh network gives its node count, and the records grow
+    them to cover any other node id."""
+
+    def __init__(self, num_nodes: int = 0) -> None:
         self.cycles = 0
         #: Accepted by ``try_inject`` — includes packets still parked in a
         #: source FIFO, which ``*_injected`` (recorded at source-drain
@@ -61,14 +65,21 @@ class NetworkStats:
             TrafficClass.REQUEST: _ClassStats(),
             TrafficClass.REPLY: _ClassStats(),
         }
-        self.node_injected_flits: Dict[Coord, int] = {}
-        self.node_ejected_flits: Dict[Coord, int] = {}
+        #: Flits injected and ejected at each node id: ``array('q')``s,
+        #: which the compiled NoC kernel increments in place.
+        self.node_injected_flits = array("q", bytes(8 * num_nodes))
+        self.node_ejected_flits = array("q", bytes(8 * num_nodes))
         #: Per-slice source stats when this instance was produced by
         #: :func:`merge_stats`; empty for a plain single network.  Rate
         #: methods consult it so that slices measured over different cycle
         #: counts are aggregated per slice rather than dividing summed
         #: counters by ``max(cycles)``.
         self._slice_stats: List["NetworkStats"] = []
+
+    def cover(self, node: int) -> None:
+        """Grow the per-node counters to hold node id ``node``."""
+        for flits in (self.node_injected_flits, self.node_ejected_flits):
+            flits.frombytes(bytes(8 * max(0, node + 1 - len(flits))))
 
     # -- recording ----------------------------------------------------------
 
@@ -81,8 +92,9 @@ class NetworkStats:
     def record_injection(self, packet: Packet, num_flits: int) -> None:
         self.packets_injected += 1
         self.flits_injected += num_flits
-        node = self.node_injected_flits
-        node[packet.src] = node.get(packet.src, 0) + num_flits
+        if packet.src >= len(self.node_injected_flits):
+            self.cover(packet.src)
+        self.node_injected_flits[packet.src] += num_flits
 
     def record_ejection(self, packet: Packet, num_flits: int) -> None:
         self.packets_ejected += 1
@@ -94,8 +106,9 @@ class NetworkStats:
         cs.network_latency_sum += packet.network_latency
         cs.latency_hist.add(packet.latency)
         cs.network_latency_hist.add(packet.network_latency)
-        node = self.node_ejected_flits
-        node[packet.dest] = node.get(packet.dest, 0) + num_flits
+        if packet.dest >= len(self.node_ejected_flits):
+            self.cover(packet.dest)
+        self.node_ejected_flits[packet.dest] += num_flits
 
     # -- derived metrics ----------------------------------------------------
 
@@ -157,17 +170,18 @@ class NetworkStats:
             return sum(s.accepted_flit_rate() for s in slices)
         return self.flits_ejected / self.cycles if self.cycles else 0.0
 
-    def injection_rate(self, node: Coord) -> float:
-        """Injected flits per cycle at ``node`` (per-slice aware, like
-        :meth:`accepted_flit_rate`)."""
+    def injection_rate(self, node: int) -> float:
+        """Injected flits per cycle at node id ``node`` (per-slice aware,
+        like :meth:`accepted_flit_rate`)."""
         slices = self._slice_stats
         if slices and any(s.cycles != self.cycles for s in slices):
             return sum(s.injection_rate(node) for s in slices)
         if not self.cycles:
             return 0.0
-        return self.node_injected_flits.get(node, 0) / self.cycles
+        flits = self.node_injected_flits
+        return (flits[node] if node < len(flits) else 0) / self.cycles
 
-    def mean_injection_rate(self, nodes: List[Coord]) -> float:
+    def mean_injection_rate(self, nodes: List[int]) -> float:
         if not nodes:
             return 0.0
         return sum(self.injection_rate(n) for n in nodes) / len(nodes)
@@ -188,7 +202,8 @@ accepted_flit_rate` / :meth:`NetworkStats.injection_rate` switch to summing
     the single-division arithmetic so merged rates stay bit-identical to
     historical outputs (``a/c + b/c != (a+b)/c`` in floating point).
     """
-    merged = NetworkStats()
+    merged = NetworkStats(max((len(stats.node_injected_flits)
+                               for stats in stats_list), default=0))
     for stats in stats_list:
         merged.cycles = max(merged.cycles, stats.cycles)
         merged.packets_offered += stats.packets_offered
@@ -209,11 +224,9 @@ accepted_flit_rate` / :meth:`NetworkStats.injection_rate` switch to summing
             target.network_latency_sum += cs.network_latency_sum
             target.latency_hist.merge(cs.latency_hist)
             target.network_latency_hist.merge(cs.network_latency_hist)
-        for node, flits in stats.node_injected_flits.items():
-            merged.node_injected_flits[node] = (
-                merged.node_injected_flits.get(node, 0) + flits)
-        for node, flits in stats.node_ejected_flits.items():
-            merged.node_ejected_flits[node] = (
-                merged.node_ejected_flits.get(node, 0) + flits)
+        for node, flits in enumerate(stats.node_injected_flits):
+            merged.node_injected_flits[node] += flits
+        for node, flits in enumerate(stats.node_ejected_flits):
+            merged.node_ejected_flits[node] += flits
     merged._slice_stats = list(stats_list)
     return merged

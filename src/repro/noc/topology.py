@@ -69,10 +69,10 @@ class Coord:
     y: int
 
     # Interning (see ``_coord_pool``): ``Coord(x, y)`` returns the one
-    # canonical instance per coordinate, so the Coord-keyed dict lookups
-    # all over the cycle loop hit the identity fast path instead of
-    # calling ``__eq__``.  Bounded by the distinct coordinates ever
-    # constructed (mesh-sized).
+    # canonical instance per coordinate, so Coord-keyed dict lookups hit
+    # the identity fast path instead of calling ``__eq__``.  Bounded by
+    # the distinct coordinates ever constructed (mesh-sized).  The cycle
+    # loop names nodes by integer id (``Mesh.index``), never by Coord.
     def __new__(cls, x: int = 0, y: int = 0) -> "Coord":
         if cls is not Coord:
             return object.__new__(cls)
@@ -81,12 +81,6 @@ class Coord:
             self = object.__new__(cls)
             _coord_pool[(x, y)] = self
         return self
-
-    def __post_init__(self) -> None:
-        # Coords key every router/channel dict lookup on the hot path, so
-        # the tuple hash is computed once.  Must equal the dataclass-
-        # generated hash so dict/set iteration orders are unchanged.
-        object.__setattr__(self, "_hash", hash((self.x, self.y)))
 
     # Interned + immutable: copies are the object itself, and pickling
     # reconstructs through ``__new__`` so unpickled coords are interned
@@ -122,15 +116,6 @@ class Coord:
 
     def __repr__(self) -> str:  # compact, used in error messages and logs
         return f"({self.x},{self.y})"
-
-
-def _cached_coord_hash(self: Coord) -> int:
-    return self._hash
-
-
-# ``dataclass(frozen=True)`` always installs its own ``__hash__``, so the
-# cached variant has to be swapped in after class creation.
-Coord.__hash__ = _cached_coord_hash  # type: ignore[method-assign]
 
 
 class Mesh:

@@ -8,8 +8,9 @@ each MC answers every request with a 4-flit read reply.
 
 from __future__ import annotations
 
+import copy
 import random
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from .topology import Coord
 
@@ -28,6 +29,18 @@ class DestinationPattern:
 
     def pick(self, src: Coord, rng: random.Random) -> Coord:
         raise NotImplementedError
+
+    def relabel(self, label: Callable[[Coord], int]) -> "DestinationPattern":
+        """This pattern, drawing alike, over ``label(node)`` for each node
+        (held in attributes as a ``Coord`` or a list of them)."""
+        twin = copy.copy(self)
+        for name, value in vars(self).items():
+            if isinstance(value, Coord):
+                setattr(twin, name, label(value))
+            elif (isinstance(value, list) and value
+                  and all(isinstance(node, Coord) for node in value)):
+                setattr(twin, name, [label(node) for node in value])
+        return twin
 
 
 class UniformManyToFew(DestinationPattern):

@@ -10,6 +10,7 @@ this class under different network designs and workload profiles.
 from __future__ import annotations
 
 import os
+import weakref
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, List, Optional, Sequence
@@ -120,13 +121,18 @@ class _Snapshot:
     latency_hist: object = None          # StreamingHistogram copy
 
 
-def _route_request(address_map: AddressMap, mc_coords, line_addr: int):
-    return (mc_coords[address_map.mc_index(line_addr)],
+def _route_request(address_map: AddressMap, mc_nodes, line_addr: int):
+    return (mc_nodes[address_map.mc_index(line_addr)],
             address_map.local_address(line_addr))
 
 
+def _on_packet(ref, packet, cycle: int) -> None:
+    ref().on_packet(packet, cycle)
+
+
 class Accelerator:
-    """The full chip."""
+    """The full chip.  ``mc_ids`` and ``compute_ids`` are the nodes' ids
+    on the network (``Mesh.index`` of ``mc_coords``/``compute_coords``)."""
 
     def __init__(self, network, mc_coords: Sequence[Coord],
                  compute_coords: Sequence[Coord], kernel: SyntheticKernel,
@@ -141,28 +147,37 @@ class Accelerator:
         if len(self.compute_coords) != self.config.num_compute_cores:
             raise ValueError("core count does not match the configuration")
 
+        mesh = getattr(network, "mesh", None) or Mesh(
+            self.config.mesh_cols, self.config.mesh_rows)
+        self.mc_ids = [mesh.index(coord) for coord in self.mc_coords]
+        self.compute_ids = [mesh.index(coord)
+                            for coord in self.compute_coords]
+
         self.address_map = AddressMap(len(self.mc_coords))
         # The cores and MCs get callables that do not refer back to the
         # chip, so a dropped chip is freed by reference counting: its
         # core cluster's memory goes at once, not when the cycle
         # collector next runs a full collection.
         route_request = partial(_route_request, self.address_map,
-                                tuple(self.mc_coords))
+                                tuple(self.mc_ids))
         self._cores: List[SimtCore] = [
             SimtCore(coord, self.config.core, kernel, route_request,
                      num_warps=min(kernel.profile.warps_per_core,
-                                   self.config.core.max_warps))
-            for coord in self.compute_coords
+                                   self.config.core.max_warps),
+                     node=node)
+            for coord, node in zip(self.compute_coords, self.compute_ids)
         ]
         self._mcs: List[MemoryController] = [
             MemoryController(coord, self.config.mc,
-                             inject=network.try_inject)
-            for coord in self.mc_coords
+                             inject=network.try_inject, node=node)
+            for coord, node in zip(self.mc_coords, self.mc_ids)
         ]
         for core in self._cores:
-            network.set_ejection_handler(core.coord, core.on_reply)
+            network.set_ejection_handler(core.node, core.on_reply)
         for mc in self._mcs:
-            network.set_ejection_handler(mc.coord, mc.on_packet)
+            # Weakly, as the MC holds the network (its ``inject``).
+            network.set_ejection_handler(
+                mc.node, partial(_on_packet, weakref.ref(mc)))
 
         clocks = self.config.clocks
         self._core_clock = RateAccumulator(clocks.core_per_icnt)
@@ -338,9 +353,8 @@ class Accelerator:
             self._memory = nodes.start(self, module)
             if ideal:
                 packet = network._compile(
-                    module, self._cluster._c, self._memory._c,
-                    self.address_map.interleave, self.compute_coords,
-                    self.mc_coords, MemoryToken)
+                    module, self._cluster._c, self._memory._c, self,
+                    MemoryToken)
                 self._cluster.route(packet)
                 self._memory.packet = packet
                 self._ideal = network._kernel.step
@@ -399,13 +413,13 @@ class Accelerator:
             total_bytes += net.stats.flits_ejected * width
             if node_filter:
                 for node in node_filter:
-                    flits = net.stats.node_injected_flits.get(node, 0)
+                    flits = net.stats.node_injected_flits[node]
                     inj_flits += flits
                     inj_bytes += flits * width
         return total_bytes, inj_flits, inj_bytes
 
     def _snapshot(self) -> _Snapshot:
-        bytes_ejected, mc_flits, mc_bytes = self._bytes_flits(self.mc_coords)
+        bytes_ejected, mc_flits, mc_bytes = self._bytes_flits(self.mc_ids)
         nets = self._network_list()
         net_lat = packet_lat = packets = 0
         for net in nets:

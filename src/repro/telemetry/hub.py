@@ -104,16 +104,18 @@ class TelemetryHub:
         summaries = []
         for net in self._networks:
             cycles = net.stats.cycles
-            node_injection = {
-                coord_key(coord): flits / cycles
-                for coord, flits in sorted(
-                    net.stats.node_injected_flits.items())
-            } if cycles else {}
-            node_ejection = {
-                coord_key(coord): flits / cycles
-                for coord, flits in sorted(
-                    net.stats.node_ejected_flits.items())
-            } if cycles else {}
+            # Nodes with traffic, keyed "x,y" in ascending (x, y) order.
+            mesh = net.mesh
+            nodes = [(coord_key(coord), mesh.index(coord))
+                     for coord in sorted(mesh.coords())]
+            injected = net.stats.node_injected_flits
+            ejected = net.stats.node_ejected_flits
+            node_injection = {key: injected[node] / cycles
+                              for key, node in nodes
+                              if injected[node]} if cycles else {}
+            node_ejection = {key: ejected[node] / cycles
+                             for key, node in nodes
+                             if ejected[node]} if cycles else {}
             summaries.append({
                 "name": net.name,
                 "cycles": cycles,

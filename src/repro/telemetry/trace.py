@@ -65,12 +65,13 @@ class PacketTrace:
     __slots__ = ("pid", "network", "tclass", "src", "dest", "size_bytes",
                  "group", "created", "injected", "ejected", "hops")
 
-    def __init__(self, packet: Packet, network: str, cycle: int) -> None:
+    def __init__(self, packet: Packet, network, cycle: int) -> None:
+        mesh = network.mesh
         self.pid = packet.pid
-        self.network = network
+        self.network = network.name
         self.tclass = packet.traffic_class
-        self.src = packet.src
-        self.dest = packet.dest
+        self.src = mesh.coord(packet.src)
+        self.dest = mesh.coord(packet.dest)
         self.size_bytes = packet.size_bytes
         self.group = packet.group
         self.created = packet.created
@@ -195,7 +196,7 @@ class PacketTracer:
 
     # -- event points (called from the NoC hot path) -------------------------
 
-    def on_offer(self, packet: Packet, network: str, cycle: int) -> None:
+    def on_offer(self, packet: Packet, network, cycle: int) -> None:
         self.live[packet.pid] = PacketTrace(packet, network, cycle)
 
     def on_hop_arrive(self, packet: Packet, coord: Coord, in_port,

@@ -147,8 +147,10 @@ class TestBuild:
 
     def test_dedicated_slices_carry_one_class(self):
         system = build(DOUBLE_CP_CR_DEDICATED)
-        req = read_request(system.compute_nodes[0], system.mc_nodes[0])
-        rep = read_reply(system.mc_nodes[0], system.compute_nodes[0])
+        core = system.mesh.index(system.compute_nodes[0])
+        mc = system.mesh.index(system.mc_nodes[0])
+        req = read_request(core, mc)
+        rep = read_reply(mc, core)
         carriers_req = [n for n in system.networks if n.carries(req)]
         carriers_rep = [n for n in system.networks if n.carries(rep)]
         assert len(carriers_req) == 1
@@ -157,14 +159,16 @@ class TestBuild:
 
     def test_balanced_slices_carry_both(self):
         system = build(DOUBLE_CP_CR)
-        req = read_request(system.compute_nodes[0], system.mc_nodes[0])
+        req = read_request(system.mesh.index(system.compute_nodes[0]),
+                           system.mesh.index(system.mc_nodes[0]))
         assert all(n.carries(req) for n in system.networks)
 
     def test_balanced_round_robin_split(self):
         system = build(DOUBLE_CP_CR)
         src, dst = system.compute_nodes[0], system.mc_nodes[0]
         for _ in range(10):
-            system.try_inject(read_request(src, dst), 0)
+            system.try_inject(read_request(system.mesh.index(src),
+                                           system.mesh.index(dst)), 0)
         injected = [len(n._sources[src][0].fifo) for n in system.networks]
         assert injected == [5, 5]
 
@@ -195,7 +199,8 @@ class TestBuild:
 class TestNetworkSystemInterface:
     def test_stats_merged_across_slices(self):
         system = build(DOUBLE_CP_CR)
-        src, dst = system.compute_nodes[0], system.mc_nodes[0]
+        src = system.mesh.index(system.compute_nodes[0])
+        dst = system.mesh.index(system.mc_nodes[0])
         system.set_ejection_handler(dst, lambda p, c: None)
         for _ in range(4):
             system.try_inject(read_request(src, dst), 0)
@@ -204,7 +209,8 @@ class TestNetworkSystemInterface:
 
     def test_end_to_end_request_reply(self):
         system = build(THROUGHPUT_EFFECTIVE)
-        src, dst = system.compute_nodes[5], system.mc_nodes[3]
+        src = system.mesh.index(system.compute_nodes[5])
+        dst = system.mesh.index(system.mc_nodes[3])
         got = []
         system.set_ejection_handler(dst, lambda p, c: got.append(p))
         system.set_ejection_handler(src, lambda p, c: got.append(p))

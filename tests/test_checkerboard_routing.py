@@ -116,7 +116,7 @@ class TestRouting:
                 assert not is_half_router(node), (src, dest, trace.path)
 
     def test_unroutable_raises(self):
-        packet = read_request(Coord(0, 0), Coord(1, 1))
+        packet = read_request(MESH.index(Coord(0, 0)), MESH.index(Coord(1, 1)))
         with pytest.raises(UnroutableError):
             self.routing.plan(packet, self.rng)
         with pytest.raises(UnroutableError):     # also on a second call
@@ -132,14 +132,14 @@ class TestRouting:
         rng, expected_rng = random.Random(3), random.Random(3)
         pairs = list(self.routable_pairs())
         for src, dest in pairs + pairs:
-            packet = read_request(src, dest)
+            packet = read_request(MESH.index(src), MESH.index(dest))
             routing.plan(packet, rng)
             case = classify(src, dest)
             if case is RouteCase.TWO_PHASE:
                 candidates = intermediate_candidates(MESH, src, dest)
-                expected = (RouteGroup.YX, candidates[0]
-                            if policy == "first"
-                            else expected_rng.choice(candidates), 0)
+                expected = (RouteGroup.YX, MESH.index(
+                    candidates[0] if policy == "first"
+                    else expected_rng.choice(candidates)), 0)
             else:
                 group = (RouteGroup.YX if case is RouteCase.YX
                          else RouteGroup.XY)
@@ -158,7 +158,7 @@ class TestRouting:
 
     def test_two_phase_passes_through_intermediate(self):
         src, dest = Coord(1, 0), Coord(3, 2)
-        packet = read_request(src, dest)
+        packet = read_request(MESH.index(src), MESH.index(dest))
         self.routing.plan(packet, self.rng)
         assert packet.phase == 0
         intermediate = packet.intermediate
@@ -170,7 +170,7 @@ class TestRouting:
         src, dest = Coord(1, 0), Coord(5, 4)
         seen = set()
         for seed in range(40):
-            packet = read_request(src, dest)
+            packet = read_request(MESH.index(src), MESH.index(dest))
             self.routing.plan(packet, random.Random(seed))
             seen.add(packet.intermediate)
         assert len(seen) > 1, "intermediate should be randomised"
@@ -186,7 +186,7 @@ class TestRouting:
                 assert classify(mc, core) is not RouteCase.UNROUTABLE
 
     def test_plan_sets_group_for_straight(self):
-        packet = read_request(Coord(0, 0), Coord(5, 0))
+        packet = read_request(MESH.index(Coord(0, 0)), MESH.index(Coord(5, 0)))
         self.routing.plan(packet, self.rng)
         assert packet.group is RouteGroup.XY
         assert packet.intermediate is None
@@ -204,7 +204,7 @@ class TestVcUsageBalance:
             for core in MESH.coords():
                 if core in mcs:
                     continue
-                packet = read_request(mc, core)
+                packet = read_request(MESH.index(mc), MESH.index(core))
                 routing.plan(packet, rng)
                 groups[packet.group] += 1
         assert groups[RouteGroup.XY] > 0

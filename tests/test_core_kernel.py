@@ -432,27 +432,54 @@ def test_reply_without_an_mshr_entry_raises_and_writes_nothing():
 
 
 def _drop_chip(**where):
-    """Run an RD chip briefly and drop it: whether the chip, its cluster
-    and its memory side (wrapper and kernel object) are still alive, and
-    the chip's network."""
+    """Run an RD chip briefly and drop it: whether the chip, its MC 0, its
+    cluster and its memory side (wrapper and kernel object) are still
+    alive, and the chip's network."""
     chip = build_chip(profile("RD"), seed=11, **where)
     chip.run(warmup=20, measure=20)
     chip.step()
-    refs = (weakref.ref(chip), weakref.ref(chip._cluster),
-            weakref.ref(chip._memory), weakref.ref(chip._memory._c))
+    refs = (weakref.ref(chip), weakref.ref(chip._mcs[0]),
+            weakref.ref(chip._cluster), weakref.ref(chip._memory),
+            weakref.ref(chip._memory._c))
     network = chip.network
     del chip
     return [ref() is not None for ref in refs], network
 
 
 def test_dropped_chip_frees_its_cluster_at_once():
-    """Nothing the chip owns refers back to it, and the network holds the
-    cluster and the memory side weakly, so a dropped chip and its kernel
-    state go without waiting for the cycle collector."""
+    """Nothing the chip owns refers back to it, the MCs' DRAM channels
+    return their completions instead of calling back, and the network
+    holds the cluster and the memory side weakly, so a dropped chip, its
+    MCs and its kernel state go without waiting for the cycle
+    collector."""
     gc.disable()
     try:
         alive, _ = _drop_chip(design=design_by_name("TB-DOR"))
-        assert alive == [False] * 4
+        assert alive == [False] * 5
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("where", ("TB-DOR", "perfect"))
+def test_dropped_reference_chip_frees_its_mcs_at_once(where):
+    """On the reference chip too: the network holds each MC weakly (the
+    MC holds the network, through ``inject``), so dropping the chip with
+    its network frees the chip, its MC 0 and, on a perfect network
+    (which has no cycle of its own), the network."""
+    gc.disable()
+    try:
+        chip = build_chip(profile("RD"), seed=11, **(
+            {"network": PerfectNetwork()} if where == "perfect"
+            else {"design": design_by_name(where)}))
+        network = chip.network
+        chip.use_reference_stepper()
+        chip.run(warmup=20, measure=20)
+        assert chip._cluster is None and chip.network.stats.flits_ejected
+        refs = [weakref.ref(chip), weakref.ref(chip._mcs[0])]
+        if where == "perfect":
+            refs.append(weakref.ref(network))
+        del chip, network
+        assert [ref() for ref in refs] == [None] * len(refs)
     finally:
         gc.enable()
 
@@ -465,7 +492,7 @@ def test_dropped_perfect_chip_frees_its_kernels_at_once():
     gc.disable()
     try:
         alive, network = _drop_chip(network=PerfectNetwork())
-        assert alive == [False] * 4
+        assert alive == [False] * 5
         assert network.stats.cycles == 41
         assert network.stats.flits_ejected > 0
         with pytest.raises(RuntimeError, match="chip .* was freed"):
@@ -548,16 +575,17 @@ def test_malformed_request_queues_nothing():
     """The request handler checks the packet before anything is queued:
     a non-request packet, or a payload without an in-range int
     ``local_addr``, raises and leaves the MC as it was.  So does the
-    reference, whose handler is the MC's own ``on_packet``."""
+    reference, whose handler is the MC's own ``on_packet`` (through a
+    weak reference to the MC)."""
     compiled, reference = _memory_chip(), _memory_chip()
     reference.use_reference_stepper()
-    core = compiled._cores[0].coord
-    token = MemoryToken(core, 0x4000, 0x400)
+    core = compiled._cores[0].node
+    token = MemoryToken(compiled._cores[0].coord, 0x4000, 0x400)
     for chip in (compiled, reference):
         chip.run(warmup=0, measure=30)
         mc = chip.mcs[1]
-        handler = chip.network.networks[0]._handlers[mc.coord]
-        assert (handler == mc.on_packet) is (chip is reference)
+        handler = chip.network.networks[0]._handlers[mc.node]
+        assert (handler.args[0]() is mc) is (chip is reference)
 
         def state():
             mc = chip.mcs[1]
@@ -565,7 +593,7 @@ def test_malformed_request_queues_nothing():
 
         before = state()
         with pytest.raises(ValueError, match="non-request"):
-            handler(read_reply(mc.coord, core, payload=token),
+            handler(read_reply(mc.node, core, payload=token),
                     chip.icnt_cycle)
         for payload in (object(), MemoryToken(core, 0x4000, None),
                         MemoryToken(core, 0x4000, -64),
@@ -573,12 +601,12 @@ def test_malformed_request_queues_nothing():
                         MemoryToken(core, 0x4000, 2**70),
                         MemoryToken(core, 0x4000, 64.0)):
             with pytest.raises(ValueError, match="local_addr"):
-                handler(read_request(core, mc.coord, payload=payload),
+                handler(read_request(core, mc.node, payload=payload),
                         chip.icnt_cycle)
         assert state() == before
     with pytest.raises(IndexError):
         compiled._memory._c.request(len(compiled.mcs), read_request(
-            core, compiled.mcs[1].coord, payload=token), compiled.icnt_cycle)
+            core, compiled.mcs[1].node, payload=token), compiled.icnt_cycle)
 
 
 @pytest.mark.parametrize("call", ("step", "request", "export"))

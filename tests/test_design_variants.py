@@ -18,16 +18,18 @@ class TestYxDor:
     def test_builds_and_delivers(self):
         system = build(open_loop_variant(YX_DESIGN))
         got = []
-        dst = system.mc_nodes[0]
+        dst = system.mesh.index(system.mc_nodes[0])
         system.set_ejection_handler(dst, lambda p, c: got.append(p))
-        system.try_inject(read_request(Coord(2, 2), dst), 0)
+        system.try_inject(read_request(system.mesh.index(Coord(2, 2)), dst),
+                          0)
         system.run_until_idle()
         assert len(got) == 1
 
     def test_yx_goes_vertical_first(self):
         system = build(open_loop_variant(YX_DESIGN))
         net = system.networks[0]
-        src, dst = Coord(0, 2), Coord(3, 4)
+        src = system.mesh.index(Coord(0, 2))
+        dst = system.mesh.index(Coord(3, 4))
         system.set_ejection_handler(dst, lambda p, c: None)
         system.try_inject(read_request(src, dst), 0)
         system.run_until_idle()
@@ -41,7 +43,8 @@ class TestDedicatedSlicing:
     def test_request_slice_never_carries_replies(self):
         system = build(open_loop_variant(DOUBLE_CP_CR_DEDICATED))
         req_net, rep_net = system.networks
-        mc, core = system.mc_nodes[0], system.compute_nodes[0]
+        mc = system.mesh.index(system.mc_nodes[0])
+        core = system.mesh.index(system.compute_nodes[0])
         system.set_ejection_handler(mc, lambda p, c: None)
         system.set_ejection_handler(core, lambda p, c: None)
         for _ in range(5):
@@ -58,12 +61,13 @@ class TestDedicatedSlicing:
         Saturate both classes simultaneously and drain."""
         system = build(open_loop_variant(DOUBLE_CP_CR_DEDICATED))
         for node in system.mesh.coords():
-            system.set_ejection_handler(node, lambda p, c: None)
+            system.set_ejection_handler(system.mesh.index(node),
+                                        lambda p, c: None)
         import random
         rng = random.Random(0)
         for _ in range(200):
-            core = rng.choice(system.compute_nodes)
-            mc = rng.choice(system.mc_nodes)
+            core = system.mesh.index(rng.choice(system.compute_nodes))
+            mc = system.mesh.index(rng.choice(system.mc_nodes))
             system.try_inject(read_request(core, mc), system.cycle)
             system.try_inject(read_reply(mc, core), system.cycle)
             system.step()
@@ -79,9 +83,9 @@ class TestCustomWidths:
                                      source_queue_flits=None)
         system = build(design)
         got = []
-        dst = system.mc_nodes[0]
+        dst = system.mesh.index(system.mc_nodes[0])
         system.set_ejection_handler(dst, lambda p, c: got.append(p))
-        system.try_inject(read_reply(Coord(2, 2), dst), 0)
+        system.try_inject(read_reply(system.mesh.index(Coord(2, 2)), dst), 0)
         system.run_until_idle()
         assert len(got) == 1
 
@@ -91,9 +95,10 @@ class TestCustomWidths:
         wide = build(dataclasses.replace(
             BASELINE, name="w", channel_width=64, source_queue_flits=None))
         for system in (narrow, wide):
-            dst = system.mc_nodes[0]
+            dst = system.mesh.index(system.mc_nodes[0])
             system.set_ejection_handler(dst, lambda p, c: None)
-            system.try_inject(read_reply(Coord(2, 2), dst), 0)
+            system.try_inject(read_reply(system.mesh.index(Coord(2, 2)),
+                                         dst), 0)
             system.run_until_idle()
         assert narrow.stats.flits_ejected == 8
         assert wide.stats.flits_ejected == 1

@@ -9,13 +9,12 @@ from repro.mem.dram import NEVER, DramRequest, DramTiming, GddrChannel
 def drain(channel, max_cycles=10_000):
     """Step until idle; returns completion order as payload list."""
     done = []
-    channel.on_complete = lambda req, now: done.append(req)
     cycle = channel.now
     while channel.busy:
         cycle += 1
         if cycle > max_cycles:
             raise AssertionError("DRAM did not drain")
-        channel.step(cycle)
+        done.extend(channel.step(cycle))
     return done
 
 

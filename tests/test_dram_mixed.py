@@ -10,7 +10,6 @@ from repro.mem.dram import DramRequest, DramTiming, GddrChannel
 def run_stream(requests, timing=None):
     ch = GddrChannel(timing or DramTiming())
     done = []
-    ch.on_complete = lambda r, now: done.append(r)
     pending = list(requests)
     cycle = 0
     while pending or ch.busy:
@@ -19,7 +18,7 @@ def run_stream(requests, timing=None):
             raise AssertionError("stream did not drain")
         if pending and ch.can_accept():
             ch.enqueue(pending.pop(0), cycle)
-        ch.step(cycle)
+        done.extend(ch.step(cycle))
     return ch, done
 
 

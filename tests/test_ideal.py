@@ -4,9 +4,10 @@ import pytest
 
 from repro.noc.ideal import BandwidthLimitedNetwork, PerfectNetwork
 from repro.noc.packet import read_reply, read_request
-from repro.noc.topology import Coord
+from repro.noc.topology import Coord, Mesh
 
-SRC, DST = Coord(0, 0), Coord(5, 5)
+MESH = Mesh(6, 6)
+SRC, DST = MESH.index(Coord(0, 0)), MESH.index(Coord(5, 5))
 
 
 class TestPerfectNetwork:
@@ -93,7 +94,7 @@ class TestBandwidthLimited:
         got = []
         net.set_ejection_handler(DST, lambda p, c: got.append(p))
         for x in range(6):
-            net.try_inject(read_request(Coord(x, 0), DST), 0)
+            net.try_inject(read_request(MESH.index(Coord(x, 0)), DST), 0)
         net.step()
         assert len(got) == 6
 

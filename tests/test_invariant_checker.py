@@ -44,13 +44,13 @@ def make_network(cols=4, rows=4, vcs_per_class=2, depth=8, width=16,
     net = MeshNetwork(mesh, specs, params, shared_vc_config(vcs_per_class),
                       routing, seed=3)
     for node in mesh.coords():
-        net.set_ejection_handler(node, lambda p, c: None)
+        net.set_ejection_handler(mesh.index(node), lambda p, c: None)
     return net
 
 
 def drive_random_traffic(net, packets=120, seed=5):
     rng = random.Random(seed)
-    nodes = list(net.mesh.coords())
+    nodes = [net.mesh.index(c) for c in net.mesh.coords()]
     for i in range(packets):
         src, dst = rng.sample(nodes, 2)
         p = read_reply(src, dst) if i % 3 else read_request(src, dst)
@@ -192,10 +192,10 @@ class ClockwiseRing(RoutingAlgorithm):
     cyclic channel dependency with no VC escape — guaranteed deadlock."""
 
     _STEP = {
-        Coord(0, 0): Direction.EAST,
-        Coord(1, 0): Direction.SOUTH,
-        Coord(1, 1): Direction.WEST,
-        Coord(0, 1): Direction.NORTH,
+        Mesh(2, 2).index(Coord(0, 0)): Direction.EAST,
+        Mesh(2, 2).index(Coord(1, 0)): Direction.SOUTH,
+        Mesh(2, 2).index(Coord(1, 1)): Direction.WEST,
+        Mesh(2, 2).index(Coord(0, 1)): Direction.NORTH,
     }
 
     def plan(self, packet, rng=None):
@@ -220,7 +220,7 @@ def deadlocked_ring(watchdog_cycles=0):
     ring = [Coord(0, 0), Coord(1, 0), Coord(1, 1), Coord(0, 1)]
     for i, src in enumerate(ring):
         dest = ring[(i + 3) % 4]      # three clockwise hops away
-        net.try_inject(read_reply(src, dest), 0)
+        net.try_inject(read_reply(mesh.index(src), mesh.index(dest)), 0)
     return net
 
 
@@ -325,7 +325,8 @@ class TestSystemAudit:
 class TestStateDump:
     def test_dump_shows_traffic(self):
         net = make_network()
-        net.try_inject(read_reply(Coord(0, 0), Coord(3, 3)), 0)
+        net.try_inject(read_reply(net.mesh.index(Coord(0, 0)),
+                                  net.mesh.index(Coord(3, 3))), 0)
         for _ in range(4):
             net.step()
         dump = format_network_state(net)
@@ -336,7 +337,8 @@ class TestStateDump:
     def test_dump_route_is_read_only(self):
         """Planning the dump's route must not advance ROMM phase state."""
         net = make_network()
-        p = read_reply(Coord(0, 0), Coord(3, 3))
+        p = read_reply(net.mesh.index(Coord(0, 0)),
+                       net.mesh.index(Coord(3, 3)))
         net.try_inject(p, 0)
         for _ in range(4):
             net.step()

@@ -36,17 +36,18 @@ def audit(network) -> None:
 def saturate(design, cycles=800, audit_every=40, seed=3):
     system = build(open_loop_variant(design), seed=seed)
     rng = random.Random(seed)
-    for node in list(system.mesh.coords()):
-        system.set_ejection_handler(node, lambda p, c: None)
+    node = system.mesh.index
+    for coord in list(system.mesh.coords()):
+        system.set_ejection_handler(node(coord), lambda p, c: None)
     for _ in range(cycles):
         # Heavy request load plus replies from every MC each cycle.
         for core in rng.sample(system.compute_nodes, 8):
             system.try_inject(
-                read_request(core, rng.choice(system.mc_nodes)),
+                read_request(node(core), node(rng.choice(system.mc_nodes))),
                 system.cycle)
         for mc in system.mc_nodes:
             system.try_inject(
-                read_reply(mc, rng.choice(system.compute_nodes)),
+                read_reply(node(mc), node(rng.choice(system.compute_nodes))),
                 system.cycle)
         system.step()
         if system.cycle % audit_every == 0:

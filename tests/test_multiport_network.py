@@ -15,11 +15,12 @@ CP_CR_2P = dataclasses.replace(CP_CR, name="CP-CR-2P", mc_inject_ports=2)
 def reply_flood(system, mc, count=40):
     """Queue many replies at one MC and measure drain time."""
     done = []
+    node = system.mesh.index
     for core in system.compute_nodes:
-        system.set_ejection_handler(core, lambda p, c: done.append(c))
+        system.set_ejection_handler(node(core), lambda p, c: done.append(c))
     for i in range(count):
         core = system.compute_nodes[i % len(system.compute_nodes)]
-        system.try_inject(read_reply(mc, core), 0)
+        system.try_inject(read_reply(node(mc), node(core)), 0)
     system.run_until_idle(max_cycles=100_000)
     return max(done)
 
@@ -39,7 +40,8 @@ class TestInjectionBandwidth:
         net = system.networks[0]
         for i in range(6):
             system.try_inject(
-                read_reply(mc, system.compute_nodes[i]), 0)
+                read_reply(system.mesh.index(mc),
+                           system.mesh.index(system.compute_nodes[i])), 0)
         ports = net._sources[mc]
         assert len(ports) == 2
         assert len(ports[0].fifo) == 3
@@ -68,9 +70,9 @@ class TestWormholeWithMultiport:
         """Each packet streams through one injection port; reassembly at
         the destination must still see whole packets."""
         system = build(open_loop_variant(CP_CR_2P))
-        mc = system.mc_nodes[0]
+        mc = system.mesh.index(system.mc_nodes[0])
         got = []
-        dest = system.compute_nodes[0]
+        dest = system.mesh.index(system.compute_nodes[0])
         system.set_ejection_handler(dest, lambda p, c: got.append(p))
         for _ in range(10):
             system.try_inject(read_reply(mc, dest), 0)

@@ -24,9 +24,10 @@ ALL_DESIGNS = [BASELINE, CP_CR, CP_ROMM, DOUBLE_CP_CR,
 def random_mc_traffic(system, rng, count):
     """Generate request/reply pairs between cores and MCs."""
     packets = []
+    node = system.mesh.index
     for _ in range(count):
-        core = rng.choice(system.compute_nodes)
-        mc = rng.choice(system.mc_nodes)
+        core = node(rng.choice(system.compute_nodes))
+        mc = node(rng.choice(system.mc_nodes))
         kind = rng.randrange(3)
         if kind == 0:
             packets.append(read_request(core, mc))
@@ -44,7 +45,7 @@ def test_exactly_once_delivery(design):
     received = {}
     for node in list(system.mesh.coords()):
         system.set_ejection_handler(
-            node, lambda p, c: received.__setitem__(
+            system.mesh.index(node), lambda p, c: received.__setitem__(
                 p.pid, received.get(p.pid, 0) + 1))
     packets = random_mc_traffic(system, rng, 120)
     for p in packets:
@@ -63,7 +64,8 @@ def test_latency_timestamps_consistent(design):
     system = build(open_loop_variant(design))
     done = []
     for node in list(system.mesh.coords()):
-        system.set_ejection_handler(node, lambda p, c: done.append(p))
+        system.set_ejection_handler(system.mesh.index(node),
+                                    lambda p, c: done.append(p))
     rng = random.Random(7)
     for p in random_mc_traffic(system, rng, 60):
         system.try_inject(p, system.cycle)
@@ -82,7 +84,8 @@ def test_checkerboard_conserves_random_traffic(seed, count):
     rng = random.Random(seed)
     got = []
     for node in list(system.mesh.coords()):
-        system.set_ejection_handler(node, lambda p, c: got.append(p))
+        system.set_ejection_handler(system.mesh.index(node),
+                                    lambda p, c: got.append(p))
     for p in random_mc_traffic(system, rng, count):
         system.try_inject(p, 0)
     system.run_until_idle(max_cycles=100_000)

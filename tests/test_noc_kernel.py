@@ -259,6 +259,50 @@ def test_default_network_steps_on_the_kernel(monkeypatch):
     assert payload == expected
 
 
+def _counting(monkeypatch):
+    """Count every ``Coord.__hash__`` and ``Coord.__eq__`` call from now
+    on; returns the counts by method name."""
+    calls = {"__hash__": 0, "__eq__": 0}
+    for name in calls:
+        original = getattr(Coord, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(Coord, name, counted)
+    return calls
+
+
+@pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
+def test_default_hot_path_hashes_no_coord(monkeypatch):
+    """Once built, open-loop points (TB-DOR, CP-CR-4VC and ROMM, uniform
+    and hotspot) and compiled TB-DOR and Throughput-Effective chips step
+    on node ids: not one ``Coord`` is hashed or compared."""
+    from repro.noc.traffic import HotspotManyToFew
+    from repro.system.accelerator import build_chip
+    from repro.workloads.profiles import profile
+    runners = []
+    for design in ("TB-DOR", "CP-CR-4VC", "CP-ROMM-4VC"):
+        for pattern in (UniformManyToFew, HotspotManyToFew):
+            system = build(open_loop_variant(design_by_name(design)),
+                           num_mcs=8, seed=5)
+            runners.append(OpenLoopRunner(
+                system, system.compute_nodes, system.mc_nodes,
+                pattern(system.mc_nodes), 0.2, seed=5))
+    chips = [build_chip(profile("RD"), design=design_by_name(design),
+                        seed=5)
+             for design in ("TB-DOR", "Throughput-Effective")]
+    calls = _counting(monkeypatch)
+    for runner in runners:
+        assert runner.run(warmup=100, measure=200).packets_measured > 0
+    for chip in chips:
+        for _ in range(300):
+            chip.step()
+        assert chip._cluster and chip.network.stats.packets_ejected > 0
+    assert calls == {"__hash__": 0, "__eq__": 0}
+
+
 def _small_tb_dor():
     """An idle 4x4 TB-DOR system and its one network."""
     system = build(open_loop_variant(design_by_name("TB-DOR")), Mesh(4, 4),
@@ -276,8 +320,9 @@ def test_kernel_refuses_cycles_past_its_word_range():
     core = net._batched
     assert core is not None
     assert batched.load_kernel().MAX_CYCLE == batched.MAX_CYCLE
-    assert net.try_inject(read_request(system.compute_nodes[0],
-                                       system.mc_nodes[0]), 0)
+    assert net.try_inject(read_request(
+        system.mesh.index(system.compute_nodes[0]),
+        system.mesh.index(system.mc_nodes[0])), 0)
     with pytest.raises(OverflowError, match="32-bit"):
         net.step(2 ** 31)
     for call in (core.sweep, core.drain):
@@ -315,9 +360,10 @@ def test_accept_checks_every_argument_before_writing(case):
     from array import array
     system, net = _small_tb_dor()
     core = net._batched
-    src, dest = system.compute_nodes[0], system.mc_nodes[0]
+    src = system.mesh.index(system.compute_nodes[0])
+    dest = system.mesh.index(system.mc_nodes[0])
     assert net.try_inject(read_request(src, dest), 0)     # fills slot 0
-    node = net._node_index[src]
+    node = src
     args = {"st": core.st, "slots": core.slots,
             "routes": core.table.routes, "packets": core.packets,
             "occ": net._source_occ, "stats": net.stats,
@@ -357,7 +403,8 @@ def test_accept_grows_the_slot_table_on_demand():
     queued."""
     system, net = _small_tb_dor()
     core = net._batched
-    src, dest = system.compute_nodes[0], system.mc_nodes[0]
+    src = system.mesh.index(system.compute_nodes[0])
+    dest = system.mesh.index(system.mc_nodes[0])
     count = batched.SLOT_CHUNK + 1
     for _ in range(count):
         assert net.try_inject(read_request(src, dest), 0)
@@ -466,7 +513,8 @@ def test_routing_violation_registers_nothing(monkeypatch):
     net = _plain_network(_UTurn)
     table = net._batched.table
     assert list(batched._tables.values()) == [table]
-    packet = read_request(Coord(0, 0), Coord(0, 2))
+    packet = read_request(net.mesh.index(Coord(0, 0)),
+                          net.mesh.index(Coord(0, 2)))
     with pytest.raises(RoutingViolation, match="illegal turn"):
         net.try_inject(packet, 0)
     assert (table.ids, table.used, table.states, table.finals) == (
@@ -485,7 +533,8 @@ def test_routing_without_signature_keeps_a_table_per_network(monkeypatch):
     assert tables[0] is not tables[1]
     assert batched._tables == {}
     for net in nets:
-        assert net.try_inject(read_request(Coord(0, 0), Coord(2, 2)), 0)
+        assert net.try_inject(read_request(net.mesh.index(Coord(0, 0)),
+                                           net.mesh.index(Coord(2, 2))), 0)
         net.run_until_idle()
         assert net.stats.packets_ejected == 1
     assert [len(table.ids) for table in tables] == [1, 1]

@@ -6,10 +6,10 @@ from hypothesis import given, strategies as st
 from repro.noc.packet import (READ_REPLY_BYTES, READ_REQUEST_BYTES,
                               WRITE_REQUEST_BYTES, Packet, RouteGroup,
                               TrafficClass, read_reply, read_request,
-                              write_request)
-from repro.noc.topology import Coord
+                              flit_count, write_request)
+from repro.noc.topology import Coord, Mesh
 
-SRC, DST = Coord(0, 0), Coord(3, 2)
+SRC, DST = Mesh(6, 6).index(Coord(0, 0)), Mesh(6, 6).index(Coord(3, 2))
 
 
 class TestPacketSizes:
@@ -19,31 +19,31 @@ class TestPacketSizes:
         assert READ_REPLY_BYTES == 64
 
     def test_read_request_is_one_flit_at_16b(self):
-        assert read_request(SRC, DST).num_flits(16) == 1
+        assert len(read_request(SRC, DST).make_flits(16)) == 1
 
     def test_read_reply_is_four_flits_at_16b(self):
-        assert read_reply(SRC, DST).num_flits(16) == 4
+        assert len(read_reply(SRC, DST).make_flits(16)) == 4
 
     def test_write_request_is_four_flits_at_16b(self):
-        assert write_request(SRC, DST).num_flits(16) == 4
+        assert len(write_request(SRC, DST).make_flits(16)) == 4
 
     def test_channel_slicing_doubles_large_packets(self):
-        assert read_reply(SRC, DST).num_flits(8) == 8
+        assert len(read_reply(SRC, DST).make_flits(8)) == 8
 
     def test_small_requests_still_single_flit_when_sliced(self):
-        assert read_request(SRC, DST).num_flits(8) == 1
+        assert len(read_request(SRC, DST).make_flits(8)) == 1
 
     def test_double_width_halves_flits(self):
-        assert read_reply(SRC, DST).num_flits(32) == 2
+        assert len(read_reply(SRC, DST).make_flits(32)) == 2
 
     def test_rejects_nonpositive_width(self):
         with pytest.raises(ValueError):
-            read_request(SRC, DST).num_flits(0)
+            len(read_request(SRC, DST).make_flits(0))
 
     @given(st.integers(1, 512), st.integers(1, 64))
     def test_flit_count_covers_bytes(self, size, width):
         p = Packet(SRC, DST, size, TrafficClass.REQUEST)
-        n = p.num_flits(width)
+        n = flit_count(p.size_bytes, width)
         assert (n - 1) * width < size <= n * width
 
 

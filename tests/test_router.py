@@ -90,7 +90,8 @@ class TestRouterBasics:
 
     def test_local_delivery_via_ejection(self):
         router = make_router()
-        packet = read_request(Coord(2, 2), Coord(2, 2), created=0)
+        packet = read_request(MESH.index(Coord(2, 2)),
+                              MESH.index(Coord(2, 2)), created=0)
         packet.group = packet.group  # plan not needed for DOR ANY
         (flit,) = packet.make_flits(16)
         router.deliver_flit(injection_port(), 0, flit, 0)
@@ -102,7 +103,8 @@ class TestRouterBasics:
 
     def test_pipeline_latency_respected(self):
         router = make_router(latency=4)
-        packet = read_request(Coord(2, 2), Coord(2, 2), created=0)
+        packet = read_request(MESH.index(Coord(2, 2)),
+                              MESH.index(Coord(2, 2)), created=0)
         (flit,) = packet.make_flits(16)
         router.deliver_flit(injection_port(), 0, flit, 0)
         # ready = 0 + 4, so steps 1..3 must not eject.
@@ -112,14 +114,16 @@ class TestRouterBasics:
 
     def test_one_cycle_router_is_faster(self):
         router = make_router(latency=1)
-        packet = read_request(Coord(2, 2), Coord(2, 2), created=0)
+        packet = read_request(MESH.index(Coord(2, 2)),
+                              MESH.index(Coord(2, 2)), created=0)
         (flit,) = packet.make_flits(16)
         router.deliver_flit(injection_port(), 0, flit, 0)
         assert len(router.step(1)) == 1
 
     def test_buffer_overflow_detected(self):
         router = make_router(depth=2)
-        packet = read_reply(Coord(0, 2), Coord(5, 2), created=0)
+        packet = read_reply(MESH.index(Coord(0, 2)),
+                            MESH.index(Coord(5, 2)), created=0)
         flits = packet.make_flits(16)
         router.deliver_flit(Direction.WEST, 0, flits[0], 0)
         router.deliver_flit(Direction.WEST, 0, flits[1], 0)
@@ -128,7 +132,8 @@ class TestRouterBasics:
 
     def test_occupancy_tracking(self):
         router = make_router()
-        packet = read_reply(Coord(2, 2), Coord(2, 2), created=0)
+        packet = read_reply(MESH.index(Coord(2, 2)),
+                            MESH.index(Coord(2, 2)), created=0)
         for flit in packet.make_flits(16):
             router.deliver_flit(injection_port(), 0, flit, 0)
         assert router.occupancy == 4
@@ -141,7 +146,8 @@ class TestHalfRouterEnforcement:
     def test_illegal_turn_raises(self):
         router = make_router(coord=Coord(2, 3), half=True)  # parity 1
         # Packet arriving from the WEST heading NORTH would need a turn.
-        packet = read_request(Coord(0, 3), Coord(2, 0), created=0)
+        packet = read_request(MESH.index(Coord(0, 3)),
+                              MESH.index(Coord(2, 0)), created=0)
         (flit,) = packet.make_flits(16)
         router.deliver_flit(Direction.WEST, 0, flit, 0)
         with pytest.raises(RoutingViolation):
@@ -150,7 +156,8 @@ class TestHalfRouterEnforcement:
 
     def test_straight_through_allowed(self):
         router = make_router(coord=Coord(2, 3), half=True)
-        packet = read_request(Coord(0, 3), Coord(5, 3), created=0)
+        packet = read_request(MESH.index(Coord(0, 3)),
+                              MESH.index(Coord(5, 3)), created=0)
         (flit,) = packet.make_flits(16)
         router.deliver_flit(Direction.WEST, 0, flit, 0)
         for cycle in range(1, 10):
@@ -167,7 +174,8 @@ class TestMultiPortEjection:
         for router in (router1, router2):
             for port, src in ((Direction.WEST, Coord(0, 2)),
                               (Direction.EAST, Coord(5, 2))):
-                packet = read_request(src, Coord(2, 2), created=0)
+                packet = read_request(MESH.index(src),
+                                      MESH.index(Coord(2, 2)), created=0)
                 (flit,) = packet.make_flits(16)
                 router.deliver_flit(port, 0, flit, 0)
             first = None
@@ -223,12 +231,12 @@ class TestFreeVcFairness:
                  for c in mesh.coords()}
         net = MeshNetwork(mesh, specs, params, shared_vc_config(2),
                           DorXY(mesh), seed=1)
-        dest = Coord(3, 0)
+        src, dest = mesh.index(Coord(0, 0)), mesh.index(Coord(3, 0))
         net.set_ejection_handler(dest, lambda p, c: None)
         seen = set()
         for i in range(60):
-            net.try_inject(read_request(Coord(0, 0), dest), net.cycle)
-            net.try_inject(read_reply(Coord(0, 0), dest), net.cycle)
+            net.try_inject(read_request(src, dest), net.cycle)
+            net.try_inject(read_reply(src, dest), net.cycle)
             net.step()
             # Read through ``net.routers`` each cycle: that access exports
             # the compiled kernel's state into the router objects.

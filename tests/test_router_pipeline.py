@@ -12,6 +12,9 @@ from repro.noc.routing import DorXY
 from repro.noc.topology import Coord, Mesh
 from repro.noc.vc import shared_vc_config
 
+#: The 6x1 line's node ids.
+LINE = Mesh(6, 1)
+
 
 def line_network(length=6, latency=4, depth=8, vcs=1):
     mesh = Mesh(length, 1)
@@ -29,11 +32,11 @@ class TestStreamingThroughput:
         fills: N back-to-back 4-flit packets eject ~4N cycles apart."""
         net = line_network()
         times = []
-        dst = Coord(5, 0)
+        dst = LINE.index(Coord(5, 0))
         net.set_ejection_handler(dst, lambda p, c: times.append(c))
         n = 12
         for _ in range(n):
-            net.try_inject(read_reply(Coord(0, 0), dst), 0)
+            net.try_inject(read_reply(LINE.index(Coord(0, 0)), dst), 0)
         net.run_until_idle()
         assert len(times) == n
         spacing = [b - a for a, b in zip(times, times[1:])]
@@ -47,10 +50,10 @@ class TestStreamingThroughput:
         results = {}
         for name, net in (("deep", deep), ("shallow", shallow)):
             times = []
-            dst = Coord(5, 0)
+            dst = LINE.index(Coord(5, 0))
             net.set_ejection_handler(dst, lambda p, c: times.append(c))
             for _ in range(10):
-                net.try_inject(read_reply(Coord(0, 0), dst), 0)
+                net.try_inject(read_reply(LINE.index(Coord(0, 0)), dst), 0)
             net.run_until_idle()
             results[name] = times[-1] - times[0]
         assert results["shallow"] > results["deep"]
@@ -59,9 +62,9 @@ class TestStreamingThroughput:
         """First ejection after ~hops x (pipeline + channel) cycles."""
         net = line_network(latency=4)
         times = []
-        dst = Coord(5, 0)
+        dst = LINE.index(Coord(5, 0))
         net.set_ejection_handler(dst, lambda p, c: times.append(c))
-        net.try_inject(read_request(Coord(0, 0), dst), 0)
+        net.try_inject(read_request(LINE.index(Coord(0, 0)), dst), 0)
         net.run_until_idle()
         assert 6 * 5 - 2 <= times[0] <= 6 * 5 + 4
 
@@ -71,11 +74,11 @@ class TestWormholeBodies:
         """Two packets on different VCs may interleave on the link, but
         each packet's flits stay in order."""
         net = line_network(vcs=2)
-        dst = Coord(5, 0)
+        dst = LINE.index(Coord(5, 0))
         arrivals = []
         net.set_ejection_handler(dst, lambda p, c: arrivals.append(p.pid))
-        a = read_reply(Coord(0, 0), dst)
-        b = read_reply(Coord(0, 0), dst)
+        a = read_reply(LINE.index(Coord(0, 0)), dst)
+        b = read_reply(LINE.index(Coord(0, 0)), dst)
         net.try_inject(a, 0)
         net.try_inject(b, 0)
         net.run_until_idle()
@@ -85,14 +88,16 @@ class TestWormholeBodies:
         """With one VC, a packet blocked behind another cannot overtake."""
         net = line_network(vcs=1)
         order = []
-        for x, dst in ((0, Coord(5, 0)), (1, Coord(4, 0))):
+        for x, dst in ((0, LINE.index(Coord(5, 0))),
+                       (1, LINE.index(Coord(4, 0)))):
             net.set_ejection_handler(dst, lambda p, c, d=dst: order.append(d))
-        first = read_reply(Coord(0, 0), Coord(5, 0))
-        second = read_reply(Coord(0, 0), Coord(4, 0))
+        first = read_reply(LINE.index(Coord(0, 0)), LINE.index(Coord(5, 0)))
+        second = read_reply(LINE.index(Coord(0, 0)), LINE.index(Coord(4, 0)))
         net.try_inject(first, 0)
         net.try_inject(second, 0)
         net.run_until_idle()
-        assert order[0] == Coord(5, 0) or order[0] == Coord(4, 0)
+        assert (order[0] == LINE.index(Coord(5, 0))
+                or order[0] == LINE.index(Coord(4, 0)))
         assert len(order) == 2
 
 
@@ -107,9 +112,9 @@ class TestChannelLatencyKnob:
         net = MeshNetwork(mesh, specs, params, shared_vc_config(1),
                           DorXY(mesh), seed=1)
         times = []
-        dst = Coord(5, 0)
+        dst = LINE.index(Coord(5, 0))
         net.set_ejection_handler(dst, lambda p, c: times.append(c))
-        net.try_inject(read_request(Coord(0, 0), dst), 0)
+        net.try_inject(read_request(LINE.index(Coord(0, 0)), dst), 0)
         net.run_until_idle()
         expected = 6 * (1 + channel_latency)
         assert abs(times[0] - expected) <= 3

@@ -14,12 +14,12 @@ coords = st.builds(Coord, st.integers(0, 5), st.integers(0, 5))
 
 
 def walk(routing, src, dest, max_hops=50):
-    packet = read_request(src, dest)
+    packet = read_request(MESH.index(src), MESH.index(dest))
     routing.plan(packet, random.Random(0))
     path = [src]
     coord = src
     for _ in range(max_hops):
-        port = routing.next_port(coord, packet)
+        port = routing.next_port(MESH.index(coord), packet)
         if port is Direction.EJECT:
             return path
         coord = coord.neighbor(port)
@@ -30,9 +30,9 @@ def walk(routing, src, dest, max_hops=50):
 class TestDorXY:
     def test_same_node_ejects(self):
         r = DorXY(MESH)
-        p = read_request(Coord(2, 2), Coord(2, 2))
+        p = read_request(MESH.index(Coord(2, 2)), MESH.index(Coord(2, 2)))
         r.plan(p)
-        assert r.next_port(Coord(2, 2), p) is Direction.EJECT
+        assert r.next_port(MESH.index(Coord(2, 2)), p) is Direction.EJECT
 
     def test_x_first(self):
         path = walk(DorXY(MESH), Coord(0, 0), Coord(3, 2))
@@ -46,7 +46,7 @@ class TestDorXY:
         assert Coord(4, 4) in path      # the XY turn node
 
     def test_plan_uses_any_group(self):
-        p = read_request(Coord(0, 0), Coord(3, 3))
+        p = read_request(MESH.index(Coord(0, 0)), MESH.index(Coord(3, 3)))
         DorXY(MESH).plan(p)
         assert p.group is RouteGroup.ANY
 

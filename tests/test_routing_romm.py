@@ -15,12 +15,12 @@ coords = st.builds(Coord, st.integers(0, 5), st.integers(0, 5))
 
 def walk(src, dest, seed=0):
     routing = Romm2Phase(MESH)
-    packet = read_request(src, dest)
+    packet = read_request(MESH.index(src), MESH.index(dest))
     routing.plan(packet, random.Random(seed))
     path = [src]
     coord = src
     for _ in range(60):
-        port = routing.next_port(coord, packet)
+        port = routing.next_port(MESH.index(coord), packet)
         if port is Direction.EJECT:
             return path, packet
         coord = coord.neighbor(port)
@@ -38,11 +38,11 @@ class TestRomm:
     @given(coords, coords, st.integers(0, 20))
     def test_intermediate_inside_minimal_quadrant(self, src, dest, seed):
         routing = Romm2Phase(MESH)
-        packet = read_request(src, dest)
+        packet = read_request(MESH.index(src), MESH.index(dest))
         routing.plan(packet, random.Random(seed))
         if packet.intermediate is None:
             return
-        i = packet.intermediate
+        i = MESH.coord(packet.intermediate)
         assert min(src.x, dest.x) <= i.x <= max(src.x, dest.x)
         assert min(src.y, dest.y) <= i.y <= max(src.y, dest.y)
 
@@ -55,12 +55,12 @@ class TestRomm:
     def test_phase_groups_ordered(self, src, dest, seed):
         """Phase one on the YX VC, phase two on the XY VC — never back."""
         routing = Romm2Phase(MESH)
-        packet = read_request(src, dest)
+        packet = read_request(MESH.index(src), MESH.index(dest))
         routing.plan(packet, random.Random(seed))
         groups = []
         coord = src
         for _ in range(60):
-            port = routing.next_port(coord, packet)
+            port = routing.next_port(MESH.index(coord), packet)
             groups.append(packet.group)
             if port is Direction.EJECT:
                 break
@@ -77,14 +77,15 @@ class TestRomm:
         rng, expected_rng = random.Random(3), random.Random(3)
         pairs = [(s, d) for s in MESH.coords() for d in MESH.coords()]
         for src, dest in pairs + pairs:
-            packet = read_request(src, dest)
+            packet = read_request(MESH.index(src), MESH.index(dest))
             routing.plan(packet, rng)
             candidates = [
                 Coord(x, y)
                 for x in range(min(src.x, dest.x), max(src.x, dest.x) + 1)
                 for y in range(min(src.y, dest.y), max(src.y, dest.y) + 1)
                 if Coord(x, y) not in (src, dest)]
-            expected = ((RouteGroup.YX, expected_rng.choice(candidates), 0)
+            expected = ((RouteGroup.YX,
+                         MESH.index(expected_rng.choice(candidates)), 0)
                         if candidates else (RouteGroup.XY, None, 1))
             assert (packet.group, packet.intermediate,
                     packet.phase) == expected, (src, dest)
@@ -100,10 +101,10 @@ class TestRommDesign:
     def test_build_and_deliver(self):
         system = build(CP_ROMM)
         got = []
-        dst = system.mc_nodes[0]
+        dst = system.mesh.index(system.mc_nodes[0])
         system.set_ejection_handler(dst, lambda p, c: got.append(p))
         for core in system.compute_nodes[:6]:
-            system.try_inject(read_request(core, dst), 0)
+            system.try_inject(read_request(system.mesh.index(core), dst), 0)
         system.run_until_idle()
         assert len(got) == 6
 

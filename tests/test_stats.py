@@ -2,9 +2,9 @@
 
 from repro.noc.packet import TrafficClass, read_reply, read_request
 from repro.noc.stats import NetworkStats, merge_stats
-from repro.noc.topology import Coord
+from repro.noc.topology import Coord, Mesh
 
-SRC, DST = Coord(0, 0), Coord(3, 3)
+SRC, DST = Mesh(6, 6).index(Coord(0, 0)), Mesh(6, 6).index(Coord(3, 3))
 
 
 def ejected_packet(created=0, injected=2, ejected=10, reply=False):

@@ -115,8 +115,8 @@ def _stats_snapshot(system):
                               cs.network_latency_hist.to_json())
                 for tclass, cs in s.per_class.items()
             },
-            "node_injected": sorted(s.node_injected_flits.items()),
-            "node_ejected": sorted(s.node_ejected_flits.items()),
+            "node_injected": list(s.node_injected_flits),
+            "node_ejected": list(s.node_ejected_flits),
         })
     return snapshot
 
@@ -256,7 +256,7 @@ def _chip_counters(chip):
 
 def _ideal_state(network):
     """An ideal network's whole ``NetworkStats`` (every counter, per class
-    and per node in first-flit order, and each histogram's buckets, min
+    and per node, and each histogram's buckets, min
     and max), clock, allowance, queued packets and ``idle``."""
     stats = network.stats
     state = {name: value for name, value in vars(stats).items()
@@ -267,8 +267,8 @@ def _ideal_state(network):
                       cs.network_latency_sum, cs.latency_hist.to_json(),
                       cs.network_latency_hist.to_json())
         for tclass, cs in stats.per_class.items()}
-    state["node_injected"] = list(stats.node_injected_flits.items())
-    state["node_ejected"] = list(stats.node_ejected_flits.items())
+    state["node_injected"] = list(stats.node_injected_flits)
+    state["node_ejected"] = list(stats.node_ejected_flits)
     state["clock"] = (network.cycle, getattr(network, "_allowance", None),
                       network.idle)
     state["queue"] = [(p.src, p.dest, p.size_bytes, p.created, p.injected,
@@ -536,7 +536,8 @@ def test_reference_stepper_env_var(monkeypatch):
 
 def _make_busy(net, src, dest):
     """Queue one read request on ``net`` so that it is no longer idle."""
-    assert net.try_inject(read_request(src, dest), net.cycle)
+    assert net.try_inject(read_request(net.mesh.index(src),
+                                       net.mesh.index(dest)), net.cycle)
     assert not net.idle
 
 
@@ -724,7 +725,8 @@ def test_merge_stats_per_slice_rates_from_batched_windows():
     merged = merge_stats([short, long])
     assert merged.accepted_flit_rate() == pytest.approx(
         short.accepted_flit_rate() + long.accepted_flit_rate())
-    node = next(iter(long.node_injected_flits))
+    node = next(node for node, flits in
+                enumerate(long.node_injected_flits) if flits)
     assert merged.injection_rate(node) == pytest.approx(
         short.injection_rate(node) + long.injection_rate(node))
 
@@ -775,7 +777,8 @@ def test_packet_and_flit_are_slotted():
     """Packets and flits are the highest-volume objects in a run; the
     ``__slots__`` layout (no per-instance ``__dict__``) is part of the
     cycle core's memory/performance contract."""
-    packet = read_request(Coord(0, 0), Coord(1, 1))
+    packet = read_request(Mesh(6, 6).index(Coord(0, 0)),
+                          Mesh(6, 6).index(Coord(1, 1)))
     flits = packet.make_flits(16)
     assert not hasattr(packet, "__dict__")
     assert not hasattr(flits[0], "__dict__")

@@ -22,7 +22,7 @@ from repro.core.builder import design_by_name
 from repro.noc.histogram import StreamingHistogram, merge_histograms
 from repro.noc.openloop import OpenLoopRunner
 from repro.noc.stats import NetworkStats, merge_stats
-from repro.noc.topology import Coord
+from repro.noc.topology import Coord, Mesh
 from repro.noc.traffic import UniformManyToFew
 from repro.noc.packet import read_reply, read_request
 from repro.system.accelerator import build_chip
@@ -139,6 +139,7 @@ def _stats(cycles, flits_ejected, node=None, node_flits=0):
     s.cycles = cycles
     s.flits_ejected = flits_ejected
     if node is not None:
+        s.cover(node)
         s.node_injected_flits[node] = node_flits
     return s
 
@@ -161,7 +162,7 @@ class TestMergeStatsRates:
             300 / 1000 + 300 / 500)
 
     def test_unequal_cycles_injection_rate(self):
-        node = Coord(1, 1)
+        node = Mesh(6, 6).index(Coord(1, 1))
         a = _stats(1000, 0, node, 100)
         b = _stats(250, 0, node, 100)
         merged = merge_stats([a, b])
@@ -179,7 +180,8 @@ class TestMergeStatsRates:
 
 
 def _packet(latency):
-    p = read_request(Coord(0, 0), Coord(1, 0), created=0)
+    p = read_request(Mesh(6, 6).index(Coord(0, 0)),
+                     Mesh(6, 6).index(Coord(1, 0)), created=0)
     p.injected = 0
     p.ejected = latency
     return p

@@ -22,10 +22,10 @@ class TestManyToFewAsymmetry:
         times a compute core's (the paper measures 6.9x)."""
         chip, _ = hh_run
         stats = chip.network.stats
-        mc_bytes = sum(stats.node_injected_flits.get(mc, 0)
-                       for mc in chip.mc_coords) / len(chip.mc_coords)
-        core_bytes = sum(stats.node_injected_flits.get(c, 0)
-                         for c in chip.compute_coords) / \
+        mc_bytes = sum(stats.node_injected_flits[mc]
+                       for mc in chip.mc_ids) / len(chip.mc_coords)
+        core_bytes = sum(stats.node_injected_flits[c]
+                         for c in chip.compute_ids) / \
             len(chip.compute_coords)
         assert mc_bytes / core_bytes > 3.0
 

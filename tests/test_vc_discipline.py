@@ -13,7 +13,8 @@ def observed_vc_usage(system, packets, cycles=4000):
     """Run traffic and record which VC indices each (class, group) pair
     occupied, by auditing output-port ownership every cycle."""
     for node in list(system.mesh.coords()):
-        system.set_ejection_handler(node, lambda p, c: None)
+        system.set_ejection_handler(system.mesh.index(node),
+                                    lambda p, c: None)
     for p in packets:
         system.try_inject(p, 0)
     usage = {}
@@ -44,8 +45,8 @@ class TestVcDiscipline:
         rng = random.Random(0)
         packets = []
         for _ in range(60):
-            core = rng.choice(system.compute_nodes)
-            mc = rng.choice(system.mc_nodes)
+            core = system.mesh.index(rng.choice(system.compute_nodes))
+            mc = system.mesh.index(rng.choice(system.mc_nodes))
             packets.append(read_request(core, mc))
             packets.append(read_reply(mc, core))
         usage = observed_vc_usage(system, packets)
@@ -64,8 +65,8 @@ class TestVcDiscipline:
         rng = random.Random(1)
         packets = []
         for _ in range(40):
-            core = rng.choice(system.compute_nodes)
-            mc = rng.choice(system.mc_nodes)
+            core = system.mesh.index(rng.choice(system.compute_nodes))
+            mc = system.mesh.index(rng.choice(system.mc_nodes))
             packets.append(read_request(core, mc))
             packets.append(read_reply(mc, core))
         usage = observed_vc_usage(system, packets)
@@ -79,7 +80,8 @@ class TestVcDiscipline:
     def test_xy_and_yx_groups_use_distinct_vcs(self):
         system = build(open_loop_variant(CP_CR))
         rng = random.Random(2)
-        packets = [read_reply(mc, core)
+        node = system.mesh.index
+        packets = [read_reply(node(mc), node(core))
                    for mc in system.mc_nodes
                    for core in rng.sample(system.compute_nodes, 10)]
         usage = observed_vc_usage(system, packets)
