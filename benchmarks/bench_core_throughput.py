@@ -30,8 +30,8 @@ and flits-per-second plus the default's speedup over the reference:
   Python (5.5x, its per-packet records and packets in Python) or whose
   memory side or cores do (about 2.9x with only the cores compiled)
   fails.
-* ``cold_start`` — one CP-CR-4VC point at the DSE screen rate (0.35,
-  6x6 mesh, 200/600) on the default core, built and run in a fresh
+* ``cold_start`` — one CP-CR-4VC point at offered rate 0.35 (6x6
+  mesh, 200/600) on the default core, built and run in a fresh
   interpreter, where the process-wide route table starts empty, and then
   again in that interpreter on the filled table (informational).  The
   four rows above run many points per process, so their default times

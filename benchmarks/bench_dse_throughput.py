@@ -3,9 +3,10 @@
 Runs the fixed ``smoke`` exploration twice against a fresh cache — once
 cold (every task simulated), once warm (every task a cache hit) — and
 writes ``benchmarks/results/BENCH_dse.json``: wall-clock, evaluations per
-second and cache-hit rates, plus the per-stage tallies.  Future PRs
-compare their number against this baseline, so the workload is pinned
-(smoke preset, jobs/windows from the environment knobs in ``common``).
+second and cache-hit rates.  Later changes compare their number against
+this baseline, so the workload is pinned (smoke preset: every legal
+candidate on its 3-benchmark mix; jobs from ``REPRO_JOBS`` via
+``common``).
 
 The two explorations must also return bit-identical payloads — the same
 guarantee ``tests/test_dse_golden.py`` pins for ``figure2`` — so the
@@ -21,7 +22,7 @@ import time
 from common import JOBS, RESULTS_DIR, once, report
 from repro.dse import explore, preset
 
-BENCH_SCHEMA = 1
+BENCH_SCHEMA = 2
 
 
 def _run(cache_dir: str):
@@ -51,7 +52,6 @@ def _experiment():
                                if tasks else 0.0),
             "evaluations_per_second": (round(tasks / seconds, 2)
                                        if seconds > 0 else 0.0),
-            "stages": host.get("stages", []),
         }
 
     payload = {

@@ -17,7 +17,8 @@ The package is organised as one subpackage per subsystem:
 * :mod:`repro.area` — ORION-calibrated area model and the
   throughput-effectiveness (IPC/mm²) metric.
 * :mod:`repro.dse` — design-space exploration: constrained search over
-  the design axes, multi-fidelity evaluation, Pareto frontier.
+  the design axes, closed-loop evaluation of every legal point, Pareto
+  frontiers.
 
 Quickstart::
 

@@ -329,31 +329,26 @@ def _cmd_explore(args) -> int:
             rules.items(), key=lambda kv: (-kv[1], kv[0])))
         print(f"rejected {len(result.rejected)} illegal points up front: "
               f"{hist}")
-    host = result.host or {}
-    for stage in host.get("stages", []):
-        print(f"  {stage['stage']:8s} {stage['evaluated']:3d} -> "
-              f"{stage['kept']:3d} kept   {stage['tasks']} tasks "
-              f"({stage['executed']} run, {stage['cached']} cached, "
-              f"{stage['seconds']:.1f}s)")
+    host = result.host
+    print(f"confirmed {len(result.candidates)} candidates on "
+          f"{len(result.mix)} benchmarks: {host['tasks']} tasks "
+          f"({host['executed']} run, {host['cached']} cached, "
+          f"{host['task_seconds']:.1f}s)")
 
     base_node = result.tech_nodes[0]
-    print(f"\n{'rank':>4s} {'design':26s} {'fidelity':9s} {'HM IPC':>8s} "
+    print(f"\n{'rank':>4s} {'design':26s} {'HM IPC':>8s} "
           f"{'NoC mm2':>8s} {'chip mm2':>9s} {'IPC/mm2':>8s} "
           f"{'NoC mW':>7s} {'IPC/W':>7s} {'Pareto':>7s}")
     for rank, name in enumerate(result.ranking, start=1):
         c = result[name]
-        hm = f"{c.hm_ipc:8.1f}" if c.hm_ipc is not None else f"{'-':>8s}"
-        te = (f"{c.throughput_effectiveness:8.4f}"
-              if c.throughput_effectiveness is not None else f"{'-':>8s}")
-        mw = (f"{c.noc_power_w * 1e3:7.1f}"
-              if c.noc_power_w is not None else f"{'-':>7s}")
         ipw = (f"{c.ipc_per_watt:7.1f}"
                if c.ipc_per_watt is not None else f"{'-':>7s}")
         mark = ("*" if c.on_frontier else "") + \
             ("W" if c.on_frontier3d and not c.on_frontier else "")
-        print(f"{rank:4d} {name:26s} {c.fidelity:9s} {hm} "
-              f"{c.noc_area_mm2:8.2f} {c.chip_area_mm2:9.1f} {te} "
-              f"{mw} {ipw} {mark:>7s}")
+        print(f"{rank:4d} {name:26s} {c.hm_ipc:8.1f} "
+              f"{c.noc_area_mm2:8.2f} {c.chip_area_mm2:9.1f} "
+              f"{c.throughput_effectiveness:8.4f} "
+              f"{c.noc_power_w * 1e3:7.1f} {ipw} {mark:>7s}")
     print(f"\nPareto frontier (HM IPC vs NoC mm2): "
           f"{', '.join(result.frontier) or '(none)'}")
     print(f"Pareto frontier (IPC, mm2, W @ {base_node} nm): "
@@ -536,7 +531,8 @@ def make_parser() -> argparse.ArgumentParser:
     parallel_args(sweep)
 
     explore = sub.add_parser(
-        "explore", help="design-space exploration (screen/halve/confirm)")
+        "explore", help="design-space exploration (every legal candidate, "
+                        "closed loop)")
     explore.add_argument("--preset", default="smoke",
                          help="figure2 | smoke | extended | power "
                               "(default: smoke)")

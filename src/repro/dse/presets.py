@@ -1,17 +1,21 @@
 """Canonical explorations: ``figure2``, ``smoke``, ``extended``, ``power``.
 
+Every preset runs every legal candidate of its space closed-loop on its
+whole mix, so each preset's frontier is the frontier of its space.
+
 * ``figure2`` replays the paper's Figure 2 walk exactly: the seven named
-  design points, no screening or halving, full-window closed-loop runs on
-  the representative nine-benchmark mix with the fixed seed the original
+  design points, full-window closed-loop runs on the representative
+  nine-benchmark mix with the fixed seed the original
   ``examples/design_space_exploration.py`` used — so its throughput-
   effectiveness ordering is number-for-number the one the example printed.
 * ``smoke`` is a tiny constrained space (placement × routing × VCs ×
-  buffer depth) sized for CI: the full ladder — open-loop screen, one
-  halving round, confirm — in well under a minute serial.
+  buffer depth) sized for CI: 9 legal candidates × 3 benchmarks at
+  200/400-cycle windows, about a second serial.
 * ``extended`` sweeps beyond the paper's points (routing algorithms,
-  channel widths, double networks, MC injection ports): hundreds of raw
-  points, roughly a third rejected by the constraint pass up front.  Run
-  it with ``--jobs`` and a warm cache; it is never run implicitly.
+  channel widths, double networks, MC injection ports): 512 raw points,
+  176 legal after the constraint pass, each run on the nine-benchmark
+  mix.  Run it with ``--jobs`` and a warm cache; it is never run
+  implicitly.
 * ``power`` is ``figure2`` with the full 65/45/32/22 nm technology sweep:
   the *same* simulations (same tasks, same seeds, shared cache entries),
   so its (IPC, mm²) numbers are bit-identical to ``figure2``, plus an
@@ -29,7 +33,7 @@ from ..core.builder import (BASELINE, CP_CR, CP_DOR, DOUBLE_BW,
                             DOUBLE_CP_CR, ONE_CYCLE, THROUGHPUT_EFFECTIVE,
                             _did_you_mean)
 from ..workloads.profiles import PROFILES, QUICK_MIX
-from .engine import ExplorationSpec, FidelityLadder
+from .engine import ExplorationSpec
 from .space import Axis, SearchSpace
 
 #: The paper's seven Figure 2 design points, in the head example's order.
@@ -38,22 +42,22 @@ FIGURE2_DESIGNS = (BASELINE, ONE_CYCLE, DOUBLE_BW, CP_DOR, CP_CR,
 
 FULL_MIX: Tuple[str, ...] = tuple(p.abbr for p in PROFILES)
 
-#: Small per-class mix for halving rounds (one LL, one LH, one HH point).
+#: ``smoke``'s mix: one LL, one LH and one HH benchmark.  The name is
+#: older than ``smoke`` (it was the halving rounds' mix) and stays because
+#: perfbench's ``chip_mesh`` workload imports it.
 ROUND_MIX: Tuple[str, ...] = ("RD", "HSP", "BLK")
 
 
 def figure2() -> ExplorationSpec:
     """The paper's seven named designs, evaluated exactly as the original
     example did: one fixed seed, full 400/1000-cycle windows, the
-    representative nine-benchmark mix, no screening or halving."""
+    representative nine-benchmark mix."""
     return ExplorationSpec(
         name="figure2",
         space=SearchSpace(name="figure2", designs=FIGURE2_DESIGNS),
         mix=QUICK_MIX,
-        round_mix=ROUND_MIX,
-        ladder=FidelityLadder(screen=False, halving_rounds=0,
-                              confirm_warmup=400, confirm_measure=1000,
-                              min_survivors=len(FIGURE2_DESIGNS)),
+        warmup=400,
+        measure=1000,
         seed=11,
         seed_policy="fixed",
     )
@@ -77,13 +81,8 @@ def smoke() -> ExplorationSpec:
         name="smoke",
         space=space,
         mix=ROUND_MIX,
-        round_mix=ROUND_MIX,
-        ladder=FidelityLadder(screen=True, screen_rate=0.35,
-                              screen_warmup=300, screen_measure=600,
-                              screen_keep=0.5, halving_rounds=1,
-                              round_warmup=100, round_measure=200,
-                              confirm_warmup=200, confirm_measure=400,
-                              min_survivors=3),
+        warmup=200,
+        measure=400,
         seed=11,
         seed_policy="derived",
     )
@@ -92,9 +91,9 @@ def smoke() -> ExplorationSpec:
 def extended() -> ExplorationSpec:
     """The space the paper argued about, beyond its seven points: 512 raw
     axis combinations (placement × routing × half-routers × width × VCs ×
-    buffer depth × double network × MC injection ports), about a third
-    legal after the constraint pass.  Full ladder with two halving
-    rounds; budget minutes, not seconds, and use ``--jobs``."""
+    buffer depth × double network × MC injection ports), 176 of them
+    legal after the constraint pass, each run on the nine-benchmark mix
+    (1,584 tasks); budget minutes, not seconds, and use ``--jobs``."""
     space = SearchSpace(
         name="extended",
         axes=(
@@ -112,13 +111,8 @@ def extended() -> ExplorationSpec:
         name="extended",
         space=space,
         mix=QUICK_MIX,
-        round_mix=ROUND_MIX,
-        ladder=FidelityLadder(screen=True, screen_rate=0.35,
-                              screen_warmup=300, screen_measure=600,
-                              screen_keep=0.4, halving_rounds=2,
-                              round_warmup=100, round_measure=200,
-                              confirm_warmup=400, confirm_measure=1000,
-                              min_survivors=4),
+        warmup=400,
+        measure=1000,
         seed=11,
         seed_policy="derived",
     )

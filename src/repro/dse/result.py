@@ -1,28 +1,31 @@
 """Exploration results: ranking, frontier bookkeeping, pinned artifacts.
 
 An :class:`ExplorationResult` records every point of one exploration —
-constraint-rejected points with their named rules, evaluated candidates
-with their full fidelity-ladder history, the exact Pareto frontier over
-(harmonic-mean IPC, chip mm²), and the throughput-effectiveness ranking.
-``to_json`` round-trips exactly (``from_json`` gives field-for-field
-equality) and deliberately excludes host-side timing, so results are
-bit-identical across ``--jobs`` counts and cache states (golden-tested).
+constraint-rejected points with their named rules, every legal candidate
+with its closed-loop measurement and power pricing, the exact Pareto
+frontiers over (harmonic-mean IPC, NoC mm²) and (IPC, mm², W), and the
+throughput-effectiveness ranking.  ``to_json`` round-trips exactly
+(``from_json`` gives field-for-field equality) and deliberately excludes
+host-side timing, so results are bit-identical across ``--jobs`` counts
+and cache states (golden-tested).
 
 Artifacts (``write_artifacts``) have pinned schemas:
 
-* ``exploration.json`` — the full result, ``{"schema": 2, ...}``;
+* ``exploration.json`` — the full result, ``{"schema": 3, ...}``;
 * ``candidates.csv`` / ``frontier.csv`` — fixed column order
   (:data:`CSV_COLUMNS`) for spreadsheet/pandas consumption;
 * ``tech_nodes.csv`` — one row per (candidate, technology node) with the
   node-scaled power breakdown and per-node IPC/W rank
-  (:data:`NODE_CSV_COLUMNS`); written only when power was computed;
-* ``host.json`` — wall-clock, per-phase profile and cache tallies (the
-  only artifact that varies run to run).
+  (:data:`NODE_CSV_COLUMNS`);
+* ``host.json`` — wall-clock and the task tally (the only artifact that
+  varies run to run).
 
-Schema history: 1 carried the two-objective (IPC, mm²) payload; 2 adds
-the power objective (per-candidate watts, IPC/W, the per-node sweep and
-the 3-D frontier bookkeeping).  ``from_json`` still reads schema-1
-artifacts — the power fields default to "not computed".
+Schema history: 1 carried the two-objective (IPC, mm²) payload; 2 added
+the power objective; 3 drops the fidelity ladder (``round_mix``, each
+candidate's ``stages`` and ``fidelity``), because every candidate is now
+measured on the full mix.  ``from_json`` reads schema 3 only: the
+non-confirmed rows of a schema-1 or schema-2 artifact hold halving-round
+or missing IPC, which would read as full-mix measurements.
 """
 
 from __future__ import annotations
@@ -35,17 +38,13 @@ from typing import Dict, List, Optional, Union
 
 #: Bumped whenever the result payload layout changes, so downstream
 #: consumers (and the BENCH trajectory) never misread an old artifact.
-#: 1 = two objectives (IPC, mm²); 2 adds the power objective.
-SCHEMA_VERSION = 2
-
-#: Schemas :meth:`ExplorationResult.from_json` can read.  Schema-1
-#: artifacts predate the power model; their power fields load as "not
-#: computed" defaults.
-READABLE_SCHEMAS = (1, 2)
+#: 1 = two objectives (IPC, mm²); 2 adds the power objective; 3 drops
+#: the fidelity ladder.
+SCHEMA_VERSION = 3
 
 #: Pinned column order of ``candidates.csv`` and ``frontier.csv``.
 CSV_COLUMNS = (
-    "rank", "name", "fidelity", "hm_ipc", "throughput_effectiveness",
+    "rank", "name", "hm_ipc", "throughput_effectiveness",
     "chip_area_mm2", "noc_area_mm2", "on_frontier", "dominated_by",
     "noc_power_w", "ipc_per_watt", "on_frontier3d", "dominated_by_3d",
     "placement", "routing", "half_routers", "channel_width",
@@ -61,27 +60,9 @@ NODE_CSV_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class StageOutcome:
-    """One candidate's result at one ladder stage."""
-
-    stage: str                   # "screen" | "round<N>" | "confirm"
-    metric: float                # the stage's ranking metric (see engine)
-    hm_ipc: Optional[float]      # None for the open-loop screen
-    rank: int                    # 1-based rank within the stage cohort
-    kept: bool                   # promoted to the next stage?
-
-    def to_json(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_json(cls, data: dict) -> "StageOutcome":
-        return cls(**data)
-
-
 @dataclass
 class CandidateResult:
-    """One evaluated design point with its full ladder history."""
+    """One legal design point, measured closed-loop on the full mix."""
 
     name: str
     design: dict                 # NetworkDesign as a plain dict
@@ -89,33 +70,25 @@ class CandidateResult:
     num_mcs: int
     noc_area_mm2: float
     chip_area_mm2: float
-    stages: List[StageOutcome]
-    fidelity: str                # highest stage reached
-    hm_ipc: Optional[float]      # at the highest closed-loop stage
-    throughput_effectiveness: Optional[float]   # hm_ipc / chip_area_mm2
-    on_frontier: bool = False
-    dominated_by: Optional[str] = None
-    #: NoC power at the base node (W) and hm_ipc / watts — None until a
-    #: closed-loop stage supplies activity counters (schema >= 2).
-    noc_power_w: Optional[float] = None
-    ipc_per_watt: Optional[float] = None
+    hm_ipc: float                # harmonic mean over the mix
+    throughput_effectiveness: float     # hm_ipc / chip_area_mm2
+    #: NoC power at the base node (W) and hm_ipc / watts.
+    noc_power_w: float
+    ipc_per_watt: Optional[float]
     #: ``PowerReport.to_json()`` dicts, one per swept technology node in
     #: the exploration's ``tech_nodes`` order.
-    power_by_node: Optional[List[dict]] = None
+    power_by_node: List[dict]
+    on_frontier: bool = False
+    dominated_by: Optional[str] = None
     #: (IPC, mm², W) frontier bookkeeping, same contract as the 2-D pair.
     on_frontier3d: bool = False
     dominated_by_3d: Optional[str] = None
 
     def to_json(self) -> dict:
-        data = asdict(self)
-        data["stages"] = [s.to_json() for s in self.stages]
-        return data
+        return asdict(self)
 
     @classmethod
     def from_json(cls, data: dict) -> "CandidateResult":
-        data = dict(data)
-        data["stages"] = [StageOutcome.from_json(s)
-                          for s in data["stages"]]
         return cls(**data)
 
 
@@ -127,26 +100,25 @@ class ExplorationResult:
     seed: int
     seed_policy: str
     mix: List[str]
-    round_mix: List[str]
     candidates: List[CandidateResult]
     #: ``{"name": ..., "violations": [{"rule": ..., "reason": ...}]}`` per
     #: constraint-rejected point, in enumeration order.
     rejected: List[dict]
-    #: Candidate names, best first: higher fidelity outranks lower, then
-    #: the stage metric, then name (deterministic ties).
+    #: Candidate names, best throughput-effectiveness first, then name
+    #: (deterministic ties).
     ranking: List[str]
     #: Pareto-frontier member names (IPC desc, area asc, name).
     frontier: List[str]
     #: Technology nodes each candidate's power was priced at; the first
     #: entry is the base node used for the W objective.
-    tech_nodes: List[int] = field(default_factory=lambda: [65])
+    tech_nodes: List[int]
     #: (IPC, mm², W) frontier member names at the base node.  A superset
     #: of the 2-D frontier's names: adding an objective never removes a
     #: non-dominated point.
-    frontier3d: List[str] = field(default_factory=list)
-    #: Host-side stats (wall seconds, per-phase profile, cache tallies).
-    #: Deliberately NOT serialized by :meth:`to_json` — results must be
-    #: bit-identical across hosts, jobs counts and cache states.
+    frontier3d: List[str]
+    #: Host-side stats (wall seconds, task tally).  Deliberately NOT
+    #: serialized by :meth:`to_json` — results must be bit-identical
+    #: across hosts, jobs counts and cache states.
     host: Optional[dict] = field(default=None, compare=False)
 
     def __getitem__(self, name: str) -> CandidateResult:
@@ -163,7 +135,6 @@ class ExplorationResult:
             "seed": self.seed,
             "seed_policy": self.seed_policy,
             "mix": list(self.mix),
-            "round_mix": list(self.round_mix),
             "candidates": [c.to_json() for c in self.candidates],
             "rejected": self.rejected,
             "ranking": list(self.ranking),
@@ -176,46 +147,39 @@ class ExplorationResult:
     def from_json(cls, data: dict) -> "ExplorationResult":
         """Inverse of :meth:`to_json` with field-for-field equality.
 
-        Also reads schema-1 (pre-power) artifacts: their power fields
-        load as the "not computed" defaults."""
-        if data.get("schema") not in READABLE_SCHEMAS:
+        Reads schema 3 only (see the module docstring)."""
+        if data.get("schema") != SCHEMA_VERSION:
             raise ValueError(f"exploration artifact schema "
-                             f"{data.get('schema')!r} not in "
-                             f"{READABLE_SCHEMAS}")
+                             f"{data.get('schema')!r} is not "
+                             f"{SCHEMA_VERSION}; re-run the exploration")
         return cls(
             preset=data["preset"], seed=data["seed"],
             seed_policy=data["seed_policy"], mix=list(data["mix"]),
-            round_mix=list(data["round_mix"]),
             candidates=[CandidateResult.from_json(c)
                         for c in data["candidates"]],
             rejected=list(data["rejected"]),
             ranking=list(data["ranking"]),
             frontier=list(data["frontier"]),
-            tech_nodes=list(data.get("tech_nodes", [65])),
-            frontier3d=list(data.get("frontier3d", [])),
+            tech_nodes=list(data["tech_nodes"]),
+            frontier3d=list(data["frontier3d"]),
         )
 
     # -- artifacts -----------------------------------------------------------
 
-    def _csv_row(self, candidate: CandidateResult) -> Dict[str, object]:
+    def _csv_row(self, rank: int,
+                 candidate: CandidateResult) -> Dict[str, object]:
         design = candidate.design
-        rank = (self.ranking.index(candidate.name) + 1
-                if candidate.name in self.ranking else "")
         return {
             "rank": rank,
             "name": candidate.name,
-            "fidelity": candidate.fidelity,
-            "hm_ipc": ("" if candidate.hm_ipc is None
-                       else repr(candidate.hm_ipc)),
+            "hm_ipc": repr(candidate.hm_ipc),
             "throughput_effectiveness":
-                ("" if candidate.throughput_effectiveness is None
-                 else repr(candidate.throughput_effectiveness)),
+                repr(candidate.throughput_effectiveness),
             "chip_area_mm2": repr(candidate.chip_area_mm2),
             "noc_area_mm2": repr(candidate.noc_area_mm2),
             "on_frontier": int(candidate.on_frontier),
             "dominated_by": candidate.dominated_by or "",
-            "noc_power_w": ("" if candidate.noc_power_w is None
-                            else repr(candidate.noc_power_w)),
+            "noc_power_w": repr(candidate.noc_power_w),
             "ipc_per_watt": ("" if candidate.ipc_per_watt is None
                              else repr(candidate.ipc_per_watt)),
             "on_frontier3d": int(candidate.on_frontier3d),
@@ -233,28 +197,23 @@ class ExplorationResult:
             "mesh": f"{candidate.mesh[0]}x{candidate.mesh[1]}",
         }
 
-    def _write_csv(self, path: Path,
-                   candidates: List[CandidateResult]) -> None:
-        ordered = sorted(
-            candidates,
-            key=lambda c: (self.ranking.index(c.name)
-                           if c.name in self.ranking else len(self.ranking),
-                           c.name))
+    def _write_csv(self, path: Path, names: List[str]) -> None:
+        """One row per candidate in ``names``, in ranking order."""
+        wanted = set(names)
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
             writer.writeheader()
-            for candidate in ordered:
-                writer.writerow(self._csv_row(candidate))
+            for rank, name in enumerate(self.ranking, start=1):
+                if name in wanted:
+                    writer.writerow(self._csv_row(rank, self[name]))
 
     def _node_rows(self) -> List[Dict[str, object]]:
         """``tech_nodes.csv`` rows: every candidate × swept node, nodes
         in sweep order, candidates ranked by IPC/W within each node (the
         per-node ordering the technology sweep is meant to exhibit)."""
-        priced = [c for c in self.candidates if c.power_by_node]
         rows: List[Dict[str, object]] = []
         for index, node in enumerate(self.tech_nodes):
-            reports = [(c, c.power_by_node[index]) for c in priced
-                       if index < len(c.power_by_node)]
+            reports = [(c, c.power_by_node[index]) for c in self.candidates]
             reports.sort(key=lambda pair: (
                 -(pair[1].get("ipc_per_watt") or 0.0), pair[0].name))
             for rank, (candidate, report) in enumerate(reports, start=1):
@@ -275,10 +234,9 @@ class ExplorationResult:
 
     def write_artifacts(self, out_dir: Union[str, Path]
                         ) -> Dict[str, Path]:
-        """Write ``exploration.json``/``candidates.csv``/``frontier.csv``
-        (plus ``tech_nodes.csv`` when power was computed and ``host.json``
-        when host stats exist) under ``out_dir``; returns
-        ``{artifact name: path}``."""
+        """Write ``exploration.json``/``candidates.csv``/``frontier.csv``/
+        ``tech_nodes.csv`` (plus ``host.json`` when host stats exist)
+        under ``out_dir``; returns ``{artifact name: path}``."""
         root = Path(out_dir)
         root.mkdir(parents=True, exist_ok=True)
         written: Dict[str, Path] = {}
@@ -289,23 +247,20 @@ class ExplorationResult:
         written["exploration.json"] = path
 
         path = root / "candidates.csv"
-        self._write_csv(path, self.candidates)
+        self._write_csv(path, self.ranking)
         written["candidates.csv"] = path
 
         path = root / "frontier.csv"
-        self._write_csv(path, [c for c in self.candidates
-                               if c.on_frontier])
+        self._write_csv(path, self.frontier)
         written["frontier.csv"] = path
 
-        node_rows = self._node_rows()
-        if node_rows:
-            path = root / "tech_nodes.csv"
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.DictWriter(fh, fieldnames=NODE_CSV_COLUMNS)
-                writer.writeheader()
-                for row in node_rows:
-                    writer.writerow(row)
-            written["tech_nodes.csv"] = path
+        path = root / "tech_nodes.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=NODE_CSV_COLUMNS)
+            writer.writeheader()
+            for row in self._node_rows():
+                writer.writerow(row)
+        written["tech_nodes.csv"] = path
 
         if self.host is not None:
             path = root / "host.json"

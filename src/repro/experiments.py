@@ -65,20 +65,15 @@ def closed_task(design: NetworkDesign, prof: BenchmarkProfile, *,
 def open_loop_task(design: NetworkDesign, pattern_factory: Callable,
                    pattern_name: str, rate: float, *,
                    base_seed: int, warmup: int, measure: int,
-                   config: Optional[ChipConfig] = None,
-                   telemetry=None, fixed_seed: bool = False) -> SimTask:
+                   telemetry=None) -> SimTask:
     """One open-loop (design x pattern x rate) task with the canonical
-    label and seed derivation (shared with :func:`load_latency_curves`).
-
-    ``config`` contributes only its mesh geometry and MC count to an
-    open-loop point; the DSE engine passes it when exploring a mesh-size
-    axis."""
-    seed = base_seed if fixed_seed else derive_seed(
-        base_seed, "openloop", design.name, pattern_name, rate)
+    label and seed derivation (shared with :func:`load_latency_curves`)."""
+    seed = derive_seed(base_seed, "openloop", design.name, pattern_name,
+                       rate)
     return SimTask(kind="openloop",
                    label=f"{design.name}/{pattern_name}@{rate:g}",
                    seed=seed, warmup=warmup, measure=measure, design=design,
-                   config=config, pattern_factory=pattern_factory,
+                   pattern_factory=pattern_factory,
                    pattern_name=pattern_name, rate=rate,
                    telemetry=telemetry)
 

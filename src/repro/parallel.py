@@ -518,19 +518,14 @@ def _run_task(task: SimTask) -> str:
         from .telemetry import TelemetryHub
         hub = TelemetryHub(task.telemetry)
     if task.kind == "openloop":
+        if task.config is not None:
+            # The point would run on the 6x6 mesh while its cache key
+            # names the config's machine.
+            raise ValueError("an open-loop task runs the 6x6 mesh and "
+                             "takes no ChipConfig")
         from .core.builder import build, open_loop_variant
         from .noc.openloop import OpenLoopRunner
-        mesh = None
-        num_mcs = 8
-        if task.config is not None:
-            # A ChipConfig on an open-loop task only contributes its mesh
-            # geometry and MC count (there is no chip); the exploration
-            # engine uses this for mesh-size axes.
-            from .noc.topology import Mesh
-            mesh = Mesh(task.config.mesh_cols, task.config.mesh_rows)
-            num_mcs = task.config.num_memory_channels
-        system = build(open_loop_variant(task.design), mesh,
-                       num_mcs=num_mcs, seed=task.seed)
+        system = build(open_loop_variant(task.design), seed=task.seed)
         runner = OpenLoopRunner(system, system.compute_nodes,
                                 system.mc_nodes,
                                 task.pattern_factory(system.mc_nodes),
@@ -591,8 +586,7 @@ def _task_error(task: SimTask, index: int, exc: BaseException) -> TaskError:
 
 def run_tasks(tasks: Sequence[SimTask], jobs: Optional[int] = None,
               cache: Union[None, bool, str, Path, ResultCache] = None,
-              progress: Optional[Callable[[TaskReport], None]] = None,
-              pool: Optional[ProcessPoolExecutor] = None
+              progress: Optional[Callable[[TaskReport], None]] = None
               ) -> List[dict]:
     """Execute ``tasks`` and return their result payloads, in task order.
 
@@ -603,10 +597,7 @@ def run_tasks(tasks: Sequence[SimTask], jobs: Optional[int] = None,
     the output order — and therefore everything downstream — is
     independent of worker scheduling.  ``progress`` (if given) is called
     once per task with a :class:`TaskReport` carrying the task's
-    wall-clock time and whether it was served from the cache.  ``pool``
-    lets a caller reuse one :class:`ProcessPoolExecutor` across several
-    ``run_tasks`` calls (e.g. the DSE engine's screen → halving → confirm
-    stages); a provided pool is never shut down here.
+    wall-clock time and whether it was served from the cache.
 
     Failure contract: a worker exception propagates as a
     :class:`TaskError` naming the failing task, but only after every
@@ -669,9 +660,7 @@ def run_tasks(tasks: Sequence[SimTask], jobs: Optional[int] = None,
                     raise _task_error(tasks[i], i, exc) from exc
                 _finish(i, raw)
         else:
-            owns_pool = pool is None
-            executor = pool if pool is not None else ProcessPoolExecutor(
-                max_workers=min(jobs, len(pending)))
+            executor = ProcessPoolExecutor(max_workers=min(jobs, len(pending)))
             try:
                 index_of = {executor.submit(_run_task, tasks[i]): i
                             for i in pending}
@@ -702,8 +691,7 @@ def run_tasks(tasks: Sequence[SimTask], jobs: Optional[int] = None,
                     i, exc = failure
                     raise _task_error(tasks[i], i, exc) from exc
             finally:
-                if owns_pool:
-                    executor.shutdown()
+                executor.shutdown()
     return payloads  # type: ignore[return-value]
 
 
@@ -713,9 +701,10 @@ class ReportCollector:
 
     Usable anywhere a ``progress`` callable is accepted; ``chain`` forwards
     every report to a second callback (e.g. :func:`log_progress`) so
-    collection and printing compose.  The exploration engine and the DSE
-    throughput benchmark read the tallies for per-stage progress lines and
-    the ``BENCH_dse.json`` trajectory.
+    collection and printing compose.  The exploration engine reads the
+    tallies for its ``host`` stats, which ``repro explore`` prints as one
+    tally line and the DSE throughput benchmark writes to
+    ``BENCH_dse.json``.
     """
 
     def __init__(self, chain: Optional[Callable[[TaskReport], None]] = None

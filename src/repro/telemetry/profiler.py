@@ -14,8 +14,7 @@ results — it only runs when telemetry is enabled at all.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
-from typing import Dict, Iterator
+from typing import Dict
 
 
 class HostProfiler:
@@ -38,17 +37,6 @@ class HostProfiler:
         now = time.perf_counter()
         self.sections[name] = self.sections.get(name, 0.0) + (now - start)
         return now
-
-    @contextmanager
-    def section(self, name: str) -> Iterator[None]:
-        """Charge the wall-clock time of a ``with`` block to ``name`` —
-        the coarse-grained phase counterpart of :meth:`add_since`, used by
-        the exploration engine to time its fidelity-ladder stages."""
-        start = self.clock()
-        try:
-            yield
-        finally:
-            self.add_since(name, start)
 
     @property
     def elapsed(self) -> float:

@@ -160,12 +160,8 @@ class TestExplore:
                 axes=(dse.Axis("placement",
                                ("top_bottom", "checkerboard")),))
             return dse.ExplorationSpec(
-                name="tiny", space=space, mix=("RD",), round_mix=("RD",),
-                ladder=dse.FidelityLadder(screen=False, halving_rounds=0,
-                                          confirm_warmup=40,
-                                          confirm_measure=80,
-                                          min_survivors=2),
-                seed=11)
+                name="tiny", space=space, mix=("RD",), warmup=40,
+                measure=80, seed=11)
 
         monkeypatch.setitem(dse.presets.PRESETS, "tiny", tiny)
         return tiny

@@ -210,6 +210,24 @@ def _latency_reached(seen, chip):
     return seen["latency"] == {1}
 
 
+def _activate_corner(seen, chip):
+    gaps = seen.setdefault("gaps", set())
+    for mc in chip.mcs:
+        for index, bank in enumerate(mc.dram._banks):
+            last = seen.get((mc.coord, index))
+            if last is not None and last >= 0 \
+                    and bank.last_activate != last:
+                gaps.add(bank.last_activate - last)
+            seen[(mc.coord, index)] = bank.last_activate
+
+
+def _activate_reached(seen, chip):
+    # a same-bank activate waited tRAS + tRP, longer than tRC: at Table
+    # II's timings the two are equal, so tRC alone hides a missing tRAS
+    t = chip.mcs[0].dram.timing
+    return t.tRAS + t.tRP > t.tRC and t.tRAS + t.tRP in seen["gaps"]
+
+
 #: Memory machines Table II does not reach: McConfig overrides,
 #: DramTiming overrides, profile overrides, a per-cycle observer of the
 #: reference chip and the check that the run reached its corner.
@@ -227,6 +245,9 @@ MEMORY_CORNERS = {
     "l2-latency-1": (
         dict(l2_latency=1), {}, dict(warps_per_core=12), _latency_corner,
         _latency_reached),
+    "tras-30": (
+        {}, dict(tRAS=30), dict(warps_per_core=12), _activate_corner,
+        _activate_reached),
 }
 
 

@@ -16,7 +16,7 @@ import json
 import pytest
 
 from repro.dse import (CSV_COLUMNS, NODE_CSV_COLUMNS, ExplorationResult,
-                       FidelityLadder, explore, figure2, power, preset)
+                       explore, figure2, power, preset)
 from repro.parallel import ReportCollector
 
 #: The head example's Figure 2 ordering, best throughput-effectiveness
@@ -31,15 +31,20 @@ FIGURE2_ORDERING = [
     "TB-DOR",
 ]
 
+#: ``smoke``'s (IPC, mm², W) frontier: the 2-D frontier's three members
+#: plus four points the W objective keeps non-dominated.
+FRONTIER3D_SMOKE = [
+    "cp-dor-w16-v2-b8", "cp-dor-w16-v2-b4", "CP-CR-4VC",
+    "tb-dor-w16-v2-b4", "tb-dor-w16-v1-b8", "cp-dor-w16-v1-b4",
+    "tb-dor-w16-v1-b4",
+]
+
 
 def tiny_figure2():
     """The figure2 space and seed policy at test-sized windows/mix."""
     spec = figure2()
     return dataclasses.replace(
-        spec, mix=("RD", "HSP", "BLK"),
-        ladder=FidelityLadder(screen=False, halving_rounds=0,
-                              confirm_warmup=60, confirm_measure=120,
-                              min_survivors=7))
+        spec, mix=("RD", "HSP", "BLK"), warmup=60, measure=120)
 
 
 def tiny_power():
@@ -94,7 +99,7 @@ class TestBitIdenticalAcrossJobsAndCache:
                                    "frontier.csv", "host.json",
                                    "tech_nodes.csv"]
         payload = json.loads(written["exploration.json"].read_text())
-        assert payload["schema"] == 2
+        assert payload["schema"] == 3
         assert ExplorationResult.from_json(payload).to_json() \
             == result.to_json()
         header = written["candidates.csv"].read_text().splitlines()[0]
@@ -106,30 +111,17 @@ class TestBitIdenticalAcrossJobsAndCache:
         node_header = written["tech_nodes.csv"].read_text().splitlines()[0]
         assert node_header == ",".join(NODE_CSV_COLUMNS)
 
-    def test_old_two_objective_artifacts_still_readable(self, tmp_path):
-        # A schema-1 artifact (pre-power) must load with the power
-        # fields defaulting to "not computed".
+    @pytest.mark.parametrize("schema", (1, 2))
+    def test_ladder_artifacts_rejected(self, tmp_path, schema):
+        # Schemas 1 and 2 came from the fidelity ladder: their rows that
+        # missed the confirm stage hold halving-round or missing IPC, so
+        # loading them as full-mix measurements would misstate them.
         result = explore(tiny_figure2(), jobs=1,
                          cache=str(tmp_path / "cache"))
         legacy = result.to_json()
-        legacy["schema"] = 1
-        for key in ("tech_nodes", "frontier3d"):
-            del legacy[key]
-        for candidate in legacy["candidates"]:
-            for key in ("noc_power_w", "ipc_per_watt", "power_by_node",
-                        "on_frontier3d", "dominated_by_3d"):
-                del candidate[key]
-        loaded = ExplorationResult.from_json(
-            json.loads(json.dumps(legacy)))
-        assert loaded.tech_nodes == [65]
-        assert loaded.frontier3d == []
-        assert loaded.ranking == result.ranking
-        assert loaded.frontier == result.frontier
-        for old, new in zip(loaded.candidates, result.candidates):
-            assert old.noc_power_w is None
-            assert old.power_by_node is None
-            assert old.hm_ipc == new.hm_ipc
-            assert old.on_frontier == new.on_frontier
+        legacy["schema"] = schema
+        with pytest.raises(ValueError, match=f"schema {schema} "):
+            ExplorationResult.from_json(legacy)
 
     def test_unknown_schema_rejected(self):
         with pytest.raises(ValueError, match="schema"):
@@ -167,8 +159,9 @@ class TestFigure2FullOrdering:
         result = explore(figure2(), jobs=1, cache=True)
         assert result.ranking == FIGURE2_ORDERING
         assert result.rejected == []
+        assert sorted(result.ranking) \
+            == sorted(c.name for c in result.candidates)
         for c in result.candidates:
-            assert c.fidelity == "confirm"
             assert c.hm_ipc is not None and c.hm_ipc > 0
             assert c.throughput_effectiveness \
                 == pytest.approx(c.hm_ipc / c.chip_area_mm2)
@@ -205,22 +198,20 @@ class TestPowerPresetFullSweep:
         assert set(result.frontier) <= set(result.frontier3d)
 
 
-class TestFrontiersOverConfirmedCandidates:
-    def test_smoke_frontiers_hold_only_confirmed_candidates(self):
-        """A halving round's HM IPC is over a smaller mix and shorter
-        windows than the confirm stage's, so only confirmed candidates
-        are ranked against each other: ``smoke``'s round-1 drop-outs
-        (cp-dor-w16-v2-b8, tb-dor-w16-v2-b8) keep their rows, on no
-        frontier."""
-        result = explore(preset("smoke"))
-        fidelity = {c.name: c.fidelity for c in result.candidates}
-        assert result.frontier == ["cp-dor-w16-v2-b4", "CP-CR-4VC"]
-        assert result.frontier3d == ["cp-dor-w16-v2-b4", "CP-CR-4VC"]
-        for name in result.frontier + result.frontier3d:
-            assert fidelity[name] == "confirm", name
-        dropped = [c for c in result.candidates if c.fidelity == "round1"]
-        assert {c.name for c in dropped} == {"cp-dor-w16-v2-b8",
-                                             "tb-dor-w16-v2-b8"}
-        for c in dropped:
-            assert c.hm_ipc is not None and c.noc_power_w is not None
-            assert not (c.on_frontier or c.on_frontier3d)
+class TestSmokeFrontiers:
+    def test_smoke_reports_its_spaces_frontiers(self):
+        """``smoke`` runs all 9 legal candidates on its 3-benchmark mix,
+        so its frontiers are the frontiers of its space: the 2-D one
+        includes ``cp-dor-w16-v2-b8``, a high-IPC point that a cut on
+        IPC/mm² alone would drop."""
+        collector = ReportCollector()
+        result = explore(preset("smoke"), progress=collector)
+        assert collector.total == result.host["tasks"] == 27
+        assert len(result.candidates) == 9 and len(result.rejected) == 8
+        assert result.frontier == ["cp-dor-w16-v2-b8", "cp-dor-w16-v2-b4",
+                                   "CP-CR-4VC"]
+        assert result.frontier3d == FRONTIER3D_SMOKE
+        for c in result.candidates:
+            assert c.on_frontier == (c.name in result.frontier)
+            assert c.on_frontier3d == (c.name in result.frontier3d)
+            assert c.hm_ipc > 0 and c.noc_power_w > 0

@@ -14,10 +14,15 @@ from repro.core.builder import (BASELINE, CP_CR, ConstraintViolation,
                                 design_by_name,
                                 design_constraint_violations,
                                 materialize_design)
-from repro.dse import (Axis, ExplorationSpec, FidelityLadder, SearchSpace,
-                       design_label, explore, preset)
+from repro.dse import (Axis, ExplorationSpec, SearchSpace, design_label,
+                       explore, preset)
+from repro.area.chip import design_chip_area_mm2
 from repro.noc.topology import Coord, Mesh
-from repro.parallel import EXECUTION_COUNTER
+from repro.parallel import EXECUTION_COUNTER, derive_seed
+from repro.system.accelerator import build_chip
+from repro.system.config import scaled_config
+from repro.system.metrics import harmonic_mean
+from repro.workloads.profiles import profile
 
 
 def rules_of(design, mesh=None, num_mcs=8):
@@ -237,9 +242,7 @@ class TestExploreRejectsBeforeSimulating:
             axes=(Axis("routing", ("cr",)),
                   Axis("vcs_per_class", (1,)),
                   Axis("placement", ("top_bottom", "checkerboard"))))
-        spec = ExplorationSpec(name="illegal", space=space, mix=("RD",),
-                               round_mix=("RD",),
-                               ladder=FidelityLadder(min_survivors=1))
+        spec = ExplorationSpec(name="illegal", space=space, mix=("RD",))
         EXECUTION_COUNTER.reset()
         result = explore(spec, jobs=1)
         assert EXECUTION_COUNTER.executed == 0
@@ -250,6 +253,30 @@ class TestExploreRejectsBeforeSimulating:
             rules = [v["rule"] for v in point["violations"]]
             assert "cr-requires-half-routers" in rules
             assert "cr-needs-two-routing-vcs" in rules
+
+
+class TestMeshAxisExploration:
+    def test_mesh_axis_runs_the_scaled_machine(self):
+        """The ``mesh`` pseudo-axis reaches a simulation only through
+        ``Candidate.chip_config()``: the 8x8 point is priced on its own
+        mesh and runs the scaled 56-core machine, at ``closed_task``'s
+        derived seed."""
+        space = SearchSpace(name="meshes",
+                            axes=(Axis("mesh", ((6, 6), (8, 8))),))
+        spec = ExplorationSpec(name="meshes", space=space, mix=("RD",),
+                               warmup=60, measure=120)
+        result = explore(spec, jobs=1)
+        assert [c.name for c in result.candidates] == [
+            "tb-dor-w16-v1-b8", "tb-dor-w16-v1-b8-8x8"]
+        big = result.candidates[1]
+        assert big.mesh == [8, 8]
+        design = space.enumerate()[0][1].design
+        assert big.chip_area_mm2 == design_chip_area_mm2(
+            design, Mesh(8, 8), 8)
+        chip = build_chip(profile("RD"), design=design,
+                          config=scaled_config(56, 8, 8, 8),
+                          seed=derive_seed(11, "closed", big.name, "RD"))
+        assert big.hm_ipc == harmonic_mean([chip.run(60, 120).ipc])
 
 
 class TestPresets:
@@ -265,9 +292,7 @@ class TestPresets:
             "Double-CP-CR", "Throughput-Effective"]
         assert rejected == []
         assert spec.seed_policy == "fixed" and spec.seed == 11
-        assert not spec.ladder.screen and spec.ladder.halving_rounds == 0
-        assert (spec.ladder.confirm_warmup,
-                spec.ladder.confirm_measure) == (400, 1000)
+        assert (spec.warmup, spec.measure) == (400, 1000)
 
     def test_smoke_and_extended_enumerate(self):
         for name, legal, total in (("smoke", 9, 17),
@@ -280,8 +305,7 @@ class TestPresets:
     def test_spec_validates_seed_policy_and_mix(self):
         with pytest.raises(ValueError, match="seed_policy"):
             ExplorationSpec(name="x", space=preset("smoke").space,
-                            mix=("RD",), round_mix=(),
-                            seed_policy="random")
+                            mix=("RD",), seed_policy="random")
         with pytest.raises(KeyError):
             ExplorationSpec(name="x", space=preset("smoke").space,
-                            mix=("NOPE",), round_mix=())
+                            mix=("NOPE",))

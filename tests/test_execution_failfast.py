@@ -12,9 +12,12 @@ Contracts pinned here:
   and survive concurrent writers;
 * a truncated telemetry artifact directory (no ``summary.json``
   completion sentinel) forces re-execution instead of serving a cache
-  hit against half-written artifacts.
+  hit against half-written artifacts;
+* an open-loop task that carries a ``ChipConfig`` fails instead of
+  running the 6x6 mesh under a cache key that names another machine.
 """
 
+import dataclasses
 import json
 import os
 import time
@@ -27,6 +30,7 @@ from repro.experiments import closed_task, open_loop_task
 from repro.noc.traffic import UniformManyToFew
 from repro.parallel import (EXECUTION_COUNTER, INDEX_NAME, ResultCache,
                             SimTask, TaskError, run_tasks)
+from repro.system.config import scaled_config
 from repro.telemetry import TelemetrySpec
 from repro.workloads.profiles import profile
 
@@ -89,6 +93,15 @@ class TestFailFastRetainsResults:
     def test_error_label_without_cache(self):
         with pytest.raises(TaskError, match="poison"):
             run_tasks([poison_task()], jobs=1)
+
+    def test_open_loop_task_with_a_config_fails(self, tmp_path):
+        store = ResultCache(tmp_path)
+        task = dataclasses.replace(good_tasks(1)[0],
+                                   config=scaled_config(56, 8, 8, 8))
+        with pytest.raises(TaskError, match="takes no ChipConfig") as err:
+            run_tasks([task], jobs=1, cache=store)
+        assert isinstance(err.value.__cause__, ValueError)
+        assert store.get(task.cache_key()) is None
 
 
 class TestOrphanTmpFiles:

@@ -47,6 +47,20 @@ class TestBenchTargets:
     def test_benches_compile(self, path):
         py_compile.compile(str(path), doraise=True)
 
+    def test_every_result_file_is_written_by_a_bench(self):
+        """A file under ``benchmarks/results/`` is a ``<name>.txt`` from
+        a bench's ``report("<name>", ...)`` call or a ``BENCH_*.json``
+        a bench names, so no result outlives the bench that wrote it."""
+        code = "\n".join(path.read_text(encoding="utf-8") for path in
+                         sorted((REPO / "benchmarks").glob("bench_*.py")))
+        written = {f"{name}.txt"
+                   for name in re.findall(r'\breport\("(\w+)"', code)}
+        written |= set(re.findall(r"\bBENCH_\w+\.json", code))
+        orphans = sorted(path.name for path in
+                         (REPO / "benchmarks" / "results").iterdir()
+                         if path.name not in written)
+        assert not orphans, orphans
+
 
 class TestPublicApi:
     def test_top_level_subpackages(self):
