@@ -31,7 +31,6 @@ from .area.chip import design_noc_area, throughput_effectiveness
 from .core.builder import NAMED_DESIGNS, checked_variant, design_by_name
 from .experiments import compare_designs, load_latency_curves
 from .noc.traffic import named_pattern_factory
-from .obs import log as obs_log
 from .parallel import log_progress
 from .system.accelerator import build_chip, perfect_chip
 from .telemetry import (COMPONENTS, TelemetryHub, TelemetrySpec, read_jsonl,
@@ -314,8 +313,8 @@ def _cmd_explore(args) -> int:
 
     raw = spec.space.size()
     print(f"exploring preset '{spec.name}': {raw} raw points, "
-          f"mix {','.join(spec.mix)}, seed {spec.seed} "
-          f"({spec.seed_policy})")
+          f"mix {','.join(spec.mix)}, warmup {spec.warmup}, "
+          f"measure {spec.measure}, seed {spec.seed} ({spec.seed_policy})")
     result = dse.explore(spec, jobs=args.jobs, cache=args.cache,
                          progress=log_progress if args.progress else None)
 
@@ -573,10 +572,6 @@ _COMMANDS = {
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = make_parser().parse_args(argv)
-    try:
-        obs_log.log_format()
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}") from None
     return _COMMANDS[args.command](args)
 
 

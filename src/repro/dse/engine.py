@@ -165,7 +165,8 @@ def explore(spec: ExplorationSpec, jobs: Optional[int] = None,
     }
     return ExplorationResult(
         preset=spec.name, seed=spec.seed, seed_policy=spec.seed_policy,
-        mix=list(spec.mix), candidates=results,
+        mix=list(spec.mix), warmup=spec.warmup, measure=spec.measure,
+        candidates=results,
         rejected=[{"name": p.name,
                    "violations": [{"rule": v.rule, "reason": v.reason}
                                   for v in p.violations]}

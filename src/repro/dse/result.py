@@ -11,7 +11,7 @@ and cache states (golden-tested).
 
 Artifacts (``write_artifacts``) have pinned schemas:
 
-* ``exploration.json`` — the full result, ``{"schema": 3, ...}``;
+* ``exploration.json`` — the full result, ``{"schema": 4, ...}``;
 * ``candidates.csv`` / ``frontier.csv`` — fixed column order
   (:data:`CSV_COLUMNS`) for spreadsheet/pandas consumption;
 * ``tech_nodes.csv`` — one row per (candidate, technology node) with the
@@ -23,9 +23,11 @@ Artifacts (``write_artifacts``) have pinned schemas:
 Schema history: 1 carried the two-objective (IPC, mm²) payload; 2 added
 the power objective; 3 drops the fidelity ladder (``round_mix``, each
 candidate's ``stages`` and ``fidelity``), because every candidate is now
-measured on the full mix.  ``from_json`` reads schema 3 only: the
+measured on the full mix; 4 records the ``warmup``/``measure`` windows
+every candidate ran at.  ``from_json`` reads schema 4 only: the
 non-confirmed rows of a schema-1 or schema-2 artifact hold halving-round
-or missing IPC, which would read as full-mix measurements.
+or missing IPC, which would read as full-mix measurements, and a schema-3
+artifact cannot say what windows produced its numbers.
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ from typing import Dict, List, Optional, Union
 #: Bumped whenever the result payload layout changes, so downstream
 #: consumers (and the BENCH trajectory) never misread an old artifact.
 #: 1 = two objectives (IPC, mm²); 2 adds the power objective; 3 drops
-#: the fidelity ladder.
-SCHEMA_VERSION = 3
+#: the fidelity ladder; 4 records the simulation windows.
+SCHEMA_VERSION = 4
 
 #: Pinned column order of ``candidates.csv`` and ``frontier.csv``.
 CSV_COLUMNS = (
@@ -100,6 +102,9 @@ class ExplorationResult:
     seed: int
     seed_policy: str
     mix: List[str]
+    #: Closed-loop warmup and measurement cycles of every candidate run.
+    warmup: int
+    measure: int
     candidates: List[CandidateResult]
     #: ``{"name": ..., "violations": [{"rule": ..., "reason": ...}]}`` per
     #: constraint-rejected point, in enumeration order.
@@ -135,6 +140,8 @@ class ExplorationResult:
             "seed": self.seed,
             "seed_policy": self.seed_policy,
             "mix": list(self.mix),
+            "warmup": self.warmup,
+            "measure": self.measure,
             "candidates": [c.to_json() for c in self.candidates],
             "rejected": self.rejected,
             "ranking": list(self.ranking),
@@ -147,7 +154,7 @@ class ExplorationResult:
     def from_json(cls, data: dict) -> "ExplorationResult":
         """Inverse of :meth:`to_json` with field-for-field equality.
 
-        Reads schema 3 only (see the module docstring)."""
+        Reads schema 4 only (see the module docstring)."""
         if data.get("schema") != SCHEMA_VERSION:
             raise ValueError(f"exploration artifact schema "
                              f"{data.get('schema')!r} is not "
@@ -155,6 +162,7 @@ class ExplorationResult:
         return cls(
             preset=data["preset"], seed=data["seed"],
             seed_policy=data["seed_policy"], mix=list(data["mix"]),
+            warmup=data["warmup"], measure=data["measure"],
             candidates=[CandidateResult.from_json(c)
                         for c in data["candidates"]],
             rejected=list(data["rejected"]),

@@ -81,7 +81,6 @@ LAYOUT = 4
 
 KERNEL = CompiledKernel(Path(__file__).with_name("_core_kernel.c"),
                         "_core_kernel", LAYOUT, "core",
-                        event="gpu.kernel_unavailable",
                         fallback="chips run the reference Python cores, "
                         "MCs and DRAM channels")
 

@@ -14,7 +14,7 @@ loaded with ``importlib``.  A location is used only if it and the module
 file are owned by this user, writable by no one else and not symlinks.
 A module whose ``LAYOUT`` differs from the expected one is rebuilt.  If
 the extension cannot be built or loaded, :meth:`CompiledKernel.load`
-logs one warning and returns None, and the caller runs its Python
+prints one warning on stderr and returns None, and the caller runs its Python
 reference instead.
 """
 
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import os
 import stat
+import sys
 from pathlib import Path
 
 #: Child-process build: setuptools' build_ext, never imported here.
@@ -67,12 +68,11 @@ class CompiledKernel:
     ``fallback`` says what runs instead when it is unavailable."""
 
     def __init__(self, source: Path, module: str, layout: int, label: str,
-                 event: str, fallback: str) -> None:
+                 fallback: str) -> None:
         self.source = source
         self.module = module
         self.layout = layout
         self.label = label
-        self.event = event
         self.fallback = fallback
         self.compile_args = ("-O2",)
         self.loaded = False
@@ -117,7 +117,6 @@ class CompiledKernel:
         race)."""
         import shutil
         import subprocess
-        import sys
         import tempfile
         work = tempfile.mkdtemp(prefix=".build-", dir=target.parent)
         try:
@@ -166,17 +165,15 @@ class CompiledKernel:
 
     def load(self):
         """The compiled module, building it on first use; None (after one
-        logged warning) if it cannot be built or loaded."""
+        warning on stderr) if it cannot be built or loaded."""
         if not self.loaded:
             self.loaded = True
             try:
                 self._module = self._load_or_build()
             except (KernelUnavailable, OSError) as exc:
-                from .obs.log import emit
-                emit(self.event,
-                     f"warning: compiled {self.label} kernel unavailable "
-                     f"({exc}); {self.fallback} (the kernel is built on "
-                     "first use and needs setuptools and a C compiler)",
-                     error=str(exc))
+                print(f"warning: compiled {self.label} kernel unavailable "
+                      f"({exc}); {self.fallback} (the kernel is built on "
+                      "first use and needs setuptools and a C compiler)",
+                      file=sys.stderr)
                 self._module = None
         return self._module

@@ -17,7 +17,7 @@ from .invariants import (DeadlockError, InvariantChecker,
                          check_network, format_network_state,
                          format_system_state)
 from .network import MeshNetwork, NocParams
-from .openloop import LoadLatencyPoint, OpenLoopRunner, sweep_load
+from .openloop import LoadLatencyPoint, OpenLoopRunner
 from .packet import (READ_REPLY_BYTES, READ_REQUEST_BYTES,
                      WRITE_REQUEST_BYTES, Flit, Packet, RouteGroup,
                      TrafficClass, read_reply, read_request, write_request)
@@ -48,6 +48,5 @@ __all__ = [
     "format_system_state", "full_connectivity", "half_connectivity",
     "injection_port", "is_terminal_port", "merge_histograms",
     "merge_stats", "minimal_hops",
-    "read_reply", "read_request", "shared_vc_config", "sweep_load",
-    "write_request",
+    "read_reply", "read_request", "shared_vc_config", "write_request",
 ]

@@ -107,7 +107,6 @@ SLOT_CHUNK = 64
 # -- build, cache, load -------------------------------------------------------
 
 KERNEL = CompiledKernel(SOURCE, MODULE, LAYOUT, "NoC",
-                        event="noc.kernel_unavailable",
                         fallback="networks use the reference stepper")
 
 

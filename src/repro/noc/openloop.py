@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from .histogram import StreamingHistogram
 from .invariants import InvariantViolation, audit_system, format_system_state
@@ -221,21 +221,3 @@ class OpenLoopRunner:
             flits_injected=stats.flits_injected,
             flits_ejected=stats.flits_ejected,
         )
-
-
-def sweep_load(network_factory, compute_nodes: Sequence[Coord],
-               mc_nodes: Sequence[Coord], pattern_factory, rates,
-               warmup: int = 2_000, measure: int = 6_000,
-               seed: int = 7) -> List[LoadLatencyPoint]:
-    """Run a load sweep, building a fresh network per offered rate.
-
-    ``network_factory`` returns a new network instance; ``pattern_factory``
-    maps the MC node list to a :class:`DestinationPattern`.
-    """
-    points = []
-    for rate in rates:
-        network = network_factory()
-        runner = OpenLoopRunner(network, compute_nodes, mc_nodes,
-                                pattern_factory(mc_nodes), rate, seed=seed)
-        points.append(runner.run(warmup=warmup, measure=measure))
-    return points

@@ -15,7 +15,8 @@ the pluggable executor underneath them:
   :func:`derive_seeds` derives many seeds that share a label prefix.
 * :class:`ResultCache` — an on-disk store keyed by a stable hash of the
   full task specification ``(ChipConfig, NetworkDesign, profile, seed,
-  warmup, measure)``; any field change produces a different key.
+  warmup, measure)`` and the simulator's :func:`source_digest`; any field
+  change, and any edit to the package's source, produces a different key.
 
 The determinism contract: for the same task list, ``jobs=1`` and ``jobs=N``
 produce field-for-field identical results.  Both paths execute the same
@@ -28,19 +29,18 @@ rather than lambdas.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
+import functools
 import hashlib
 import json
 import os
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple, Union)
-
-from .obs import log as obs_log
+from typing import (Any, Callable, Iterable, List, Optional, Sequence,
+                    Tuple, Union)
 
 # ---------------------------------------------------------------------------
 # Stable hashing and seed derivation
@@ -72,6 +72,30 @@ def stable_key(obj: Any) -> str:
     cache key and as a seed-derivation primitive.
     """
     return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
+
+
+@functools.cache
+def source_digest() -> str:
+    """SHA-256 hex digest over the simulator's source: every ``*.py`` and
+    ``*.c`` file under the ``repro`` package outside ``__pycache__``, by
+    relative path and bytes, in path order.
+
+    Computed once per process at first use (never at import).  It is
+    part of every :meth:`SimTask.cache_key`, so a cached result is served
+    only to the code that wrote it: any edit to the package, the two C
+    kernels included, invalidates every entry.
+    """
+    root = Path(__file__).resolve().parent
+    files = sorted((path.relative_to(root).as_posix(), path)
+                   for suffix in ("py", "c")
+                   for path in root.rglob(f"*.{suffix}")
+                   if "__pycache__" not in path.relative_to(root).parts)
+    digest = hashlib.sha256()
+    for name, path in files:
+        data = path.read_bytes()
+        digest.update(f"{name}\0{len(data)}\0".encode("utf-8"))
+        digest.update(data)
+    return digest.hexdigest()
 
 
 def derive_seed(seed: int, *parts: Any) -> int:
@@ -125,31 +149,6 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Execution counting (test/instrumentation hook)
-# ---------------------------------------------------------------------------
-
-
-class ExecutionCounter:
-    """Counts simulations actually executed (cache hits excluded).
-
-    With ``jobs=1`` every task runs in-process, so the counter observes all
-    executions; with a process pool, child-process increments are invisible
-    to the parent — use ``jobs=1`` when asserting on it.
-    """
-
-    def __init__(self) -> None:
-        self.executed = 0
-
-    def reset(self) -> None:
-        """Zero the counter."""
-        self.executed = 0
-
-
-#: Module-level counter incremented by every in-process task execution.
-EXECUTION_COUNTER = ExecutionCounter()
-
-
-# ---------------------------------------------------------------------------
 # On-disk result cache
 # ---------------------------------------------------------------------------
 
@@ -162,39 +161,10 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "repro-noc"
 
 
-def default_cache_budget() -> Optional[int]:
-    """``REPRO_CACHE_MAX_MB`` (MiB, may be fractional) as a byte budget,
-    or ``None`` for an unbounded cache."""
-    env = os.environ.get("REPRO_CACHE_MAX_MB")
-    if not env:
-        return None
-    try:
-        budget = float(env)
-    except ValueError:
-        raise ValueError(f"REPRO_CACHE_MAX_MB must be a number, "
-                         f"got {env!r}") from None
-    if budget <= 0:
-        raise ValueError(f"REPRO_CACHE_MAX_MB must be > 0, got {env!r}")
-    return int(budget * (1 << 20))
-
-
-#: Index and lock file names.  Deliberately without the ``.json`` entry
-#: extension so directory globs over entries never see them.
-INDEX_NAME = "INDEX"
-INDEX_LOCK_NAME = "INDEX.lock"
-INDEX_SCHEMA = 1
 #: A ``*.tmp.<pid>`` file this old can only be the orphan of a writer
 #: killed between ``open`` and ``os.replace`` — live writes last
 #: milliseconds.
 STALE_TMP_SECONDS = 3600.0
-#: ``put`` sweeps for orphans at most this often (tracked in the index).
-TMP_SWEEP_INTERVAL = 300.0
-#: A lock file this old belongs to a dead process and is broken.
-_LOCK_STALE_SECONDS = 10.0
-#: How long a writer waits for the lock before proceeding without it —
-#: the index is advisory and self-heals, so losing one update beats
-#: deadlocking the harness.
-_LOCK_TIMEOUT_SECONDS = 5.0
 
 
 class ResultCache:
@@ -202,31 +172,18 @@ class ResultCache:
 
     Entry writes are atomic (temp file + :func:`os.replace`), so concurrent
     workers and concurrent harness invocations can share one cache
-    directory.  A corrupt or unreadable entry is treated as a miss.
-
-    Alongside the entries the cache keeps an on-disk index (``INDEX``)
-    mapping key → (size, last-used), maintained under a lock file with
-    stale-lock breaking so concurrent writers cannot corrupt it; a missing
-    or corrupt index is rebuilt from a directory scan, so it is never a
-    source of truth for correctness — only for fast :meth:`stats` and
-    LRU eviction.  With ``max_bytes`` set (or ``REPRO_CACHE_MAX_MB`` in
-    the environment), every :meth:`put` evicts least-recently-used
-    entries until the cache fits the budget; :meth:`get` refreshes an
-    entry's recency via ``os.utime``, which is lock-free and atomic.
+    directory.  A missing, unreadable or corrupt entry is a miss.
 
     A writer killed between opening its temp file and the ``os.replace``
-    leaves an orphan ``<key>.tmp.<pid>`` behind; those are age-swept on
-    :meth:`put` and unconditionally removed by :meth:`clear`.  Orphans are
-    never served: :meth:`get` only ever reads ``<key>.json``.
+    leaves an orphan ``<key>.tmp.<pid>`` behind; the first :meth:`put` of
+    each cache object removes orphans older than :data:`STALE_TMP_SECONDS`
+    and :meth:`clear` removes them all.  Orphans are never served:
+    :meth:`get` only ever reads ``<key>.json``.
     """
 
-    def __init__(self, root: Union[str, Path, None] = None,
-                 max_bytes: Optional[int] = None) -> None:
+    def __init__(self, root: Union[str, Path, None] = None) -> None:
         self.root = Path(root) if root is not None else default_cache_dir()
-        self.max_bytes = max_bytes if max_bytes is not None \
-            else default_cache_budget()
-        if self.max_bytes is not None and self.max_bytes <= 0:
-            raise ValueError(f"max_bytes must be > 0, got {self.max_bytes}")
+        self._swept = False
 
     def path_for(self, key: str) -> Path:
         """Cache file path for ``key``."""
@@ -234,177 +191,48 @@ class ResultCache:
 
     def get(self, key: str) -> Optional[dict]:
         """Return the stored payload for ``key``, or ``None`` on a miss."""
-        path = self.path_for(key)
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
+            with open(self.path_for(key), "r", encoding="utf-8") as fh:
+                return json.load(fh)
         except (OSError, ValueError):
             return None
-        try:
-            os.utime(path)      # LRU recency: eviction orders by mtime
-        except OSError:
-            pass                # entry evicted under us: still a valid hit
-        return payload
 
     def put(self, key: str, payload: dict) -> None:
-        """Atomically store ``payload`` under ``key``, update the index,
-        age-sweep orphaned temp files and enforce the size budget."""
+        """Atomically store ``payload`` under ``key``."""
         self.root.mkdir(parents=True, exist_ok=True)
+        if not self._swept:
+            self._swept = True
+            self._sweep_tmp(STALE_TMP_SECONDS)
         path = self.path_for(key)
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
         with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(payload, fh)
-        size = tmp.stat().st_size
         os.replace(tmp, path)
-        with self._locked():
-            index = self._read_index()
-            index["entries"][key] = {"bytes": size, "used": time.time()}
-            now = time.time()
-            if now - index.get("swept", 0.0) >= TMP_SWEEP_INTERVAL:
-                self.sweep_stale_tmp()
-                index["swept"] = now
-            if self.max_bytes is not None:
-                self._evict(index, keep=key)
-            self._write_index(index)
 
     def clear(self) -> int:
-        """Delete every cache entry (plus the index and any orphaned temp
-        files, whatever their age); returns how many entries were
-        removed."""
+        """Delete every entry and every orphaned temp file, whatever its
+        age; returns how many entries were removed."""
         removed = 0
         if self.root.is_dir():
             for path in self.root.glob("*.json"):
                 path.unlink(missing_ok=True)
                 removed += 1
-            self.sweep_stale_tmp(max_age=0.0)
-            (self.root / INDEX_NAME).unlink(missing_ok=True)
+            self._sweep_tmp(0.0)
         return removed
-
-    def sweep_stale_tmp(self, max_age: float = STALE_TMP_SECONDS) -> int:
-        """Remove ``*.tmp.<pid>`` orphans older than ``max_age`` seconds;
-        returns how many were removed."""
-        removed = 0
-        if self.root.is_dir():
-            now = time.time()
-            for path in self.root.glob("*.tmp.*"):
-                try:
-                    if now - path.stat().st_mtime < max_age:
-                        continue
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    continue    # a concurrent writer renamed/removed it
-        return removed
-
-    def stats(self) -> dict:
-        """Entry count, byte total and budget, from the index reconciled
-        against the directory (entries deleted externally are dropped)."""
-        if not self.root.is_dir():      # nothing cached yet
-            return {"entries": 0, "bytes": 0, "max_bytes": self.max_bytes}
-        with self._locked():
-            index = self._read_index()
-            entries = index["entries"]
-            for key in list(entries):
-                if not self.path_for(key).is_file():
-                    del entries[key]
-            self._write_index(index)
-        return {
-            "entries": len(entries),
-            "bytes": sum(e["bytes"] for e in entries.values()),
-            "max_bytes": self.max_bytes,
-        }
 
     def __len__(self) -> int:
         return len(list(self.root.glob("*.json"))) if self.root.is_dir() \
             else 0
 
-    # -- index internals (all under self._locked()) --------------------------
-
-    @contextlib.contextmanager
-    def _locked(self) -> Iterator[None]:
-        """Exclusive advisory lock over the index file.
-
-        Taken via ``O_CREAT | O_EXCL``; a lock older than
-        ``_LOCK_STALE_SECONDS`` belongs to a dead process and is broken.
-        After ``_LOCK_TIMEOUT_SECONDS`` the writer proceeds *without* the
-        lock: a lost index update is harmless (the index self-heals from
-        the directory) while a stuck harness is not.
-        """
-        lock = self.root / INDEX_LOCK_NAME
-        deadline = time.monotonic() + _LOCK_TIMEOUT_SECONDS
-        fd = None
-        while fd is None:
+    def _sweep_tmp(self, max_age: float) -> None:
+        """Remove ``*.tmp.<pid>`` orphans older than ``max_age`` seconds."""
+        now = time.time()
+        for path in self.root.glob("*.tmp.*"):
             try:
-                fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                try:
-                    stale = (time.time() - lock.stat().st_mtime
-                             > _LOCK_STALE_SECONDS)
-                except OSError:
-                    continue    # holder released it: retry immediately
-                if stale:
-                    lock.unlink(missing_ok=True)
-                    continue
-                if time.monotonic() >= deadline:
-                    break
-                time.sleep(0.005)
-        try:
-            yield
-        finally:
-            if fd is not None:
-                os.close(fd)
-                lock.unlink(missing_ok=True)
-
-    def _read_index(self) -> dict:
-        try:
-            data = json.loads(
-                (self.root / INDEX_NAME).read_text(encoding="utf-8"))
-            if data.get("schema") == INDEX_SCHEMA \
-                    and isinstance(data.get("entries"), dict):
-                return data
-        except (OSError, ValueError):
-            pass
-        return self._rebuild_index()
-
-    def _rebuild_index(self) -> dict:
-        entries: Dict[str, dict] = {}
-        if self.root.is_dir():
-            for path in self.root.glob("*.json"):
-                try:
-                    st = path.stat()
-                except OSError:
-                    continue
-                entries[path.stem] = {"bytes": st.st_size,
-                                      "used": st.st_mtime}
-        return {"schema": INDEX_SCHEMA, "swept": 0.0, "entries": entries}
-
-    def _write_index(self, index: dict) -> None:
-        tmp = self.root / f"{INDEX_NAME}.tmp.{os.getpid()}"
-        tmp.write_text(json.dumps(index), encoding="utf-8")
-        os.replace(tmp, self.root / INDEX_NAME)
-
-    def _evict(self, index: dict, keep: Optional[str] = None) -> None:
-        """Delete least-recently-used entries until the cache fits
-        ``max_bytes``; never evicts ``keep`` (the entry whose ``put``
-        triggered the pass).  Recency and sizes are refreshed from the
-        filesystem first, because ``get`` touches entries without the
-        lock."""
-        entries = index["entries"]
-        for key in list(entries):
-            try:
-                st = self.path_for(key).stat()
+                if now - path.stat().st_mtime >= max_age:
+                    path.unlink()
             except OSError:
-                del entries[key]    # removed by a concurrent clear/evict
-                continue
-            entries[key] = {"bytes": st.st_size, "used": st.st_mtime}
-        total = sum(e["bytes"] for e in entries.values())
-        for key in sorted(entries, key=lambda k: (entries[k]["used"], k)):
-            if total <= self.max_bytes:
-                break
-            if key == keep:
-                continue
-            self.path_for(key).unlink(missing_ok=True)
-            total -= entries.pop(key)["bytes"]
+                continue        # a concurrent writer renamed/removed it
 
 
 def as_cache(cache: Union[None, bool, str, Path, ResultCache]
@@ -457,16 +285,15 @@ class SimTask:
     telemetry: Optional[Any] = None
 
     def cache_key(self) -> str:
-        """Stable cache key over every result-determining field."""
+        """Stable cache key over every result-determining field and the
+        simulator's :func:`source_digest`."""
         from .system.config import paper_config
         config = self.config if self.config is not None else (
             paper_config() if self.kind != "openloop" else None)
         spec = {
-            # Bumped whenever the result payload format changes (schema 2:
-            # latency tail percentiles; schema 3: per-component activity
-            # counters for the power model), so stale cache entries from
-            # older code are never served.
-            "schema": 3,
+            # Entries written by any other version of the simulator (its
+            # results or its payload layout may differ) are never served.
+            "source": source_digest(),
             "kind": self.kind,
             "seed": self.seed,
             "warmup": self.warmup,
@@ -511,7 +338,6 @@ def _run_task(task: SimTask) -> str:
     exact transport/caching representation on every path, which is what the
     golden-determinism tests pin down.
     """
-    EXECUTION_COUNTER.executed += 1
     start = time.perf_counter()
     hub = None
     if task.telemetry is not None and task.telemetry.enabled:
@@ -605,11 +431,7 @@ def run_tasks(tasks: Sequence[SimTask], jobs: Optional[int] = None,
     never discards finished work.  Tasks that have not started are
     cancelled; tasks still running are allowed to finish and are cached
     too.
-
-    An invalid ``REPRO_LOG_FORMAT`` raises ``ValueError`` before any task
-    runs, not at the first progress record after a finished simulation.
     """
-    obs_log.log_format()
     jobs = resolve_jobs(jobs)
     store = as_cache(cache)
     total = len(tasks)
@@ -631,9 +453,6 @@ def run_tasks(tasks: Sequence[SimTask], jobs: Optional[int] = None,
                 (artifact_dir / "summary.json").is_file()
             if hit is not None and artifacts_ok:
                 payloads[i] = hit
-                obs_log.emit("task_done", label=task.label, index=i,
-                             cached=True,
-                             seconds=round(hit.get("elapsed", 0.0), 6))
                 if progress is not None:
                     progress(TaskReport(i, total, task.label,
                                         hit.get("elapsed", 0.0), True))
@@ -645,11 +464,9 @@ def run_tasks(tasks: Sequence[SimTask], jobs: Optional[int] = None,
         payloads[i] = payload
         if store is not None:
             store.put(keys[i] or tasks[i].cache_key(), payload)
-        elapsed = payload.get("elapsed", 0.0)
-        obs_log.emit("task_done", label=tasks[i].label, index=i,
-                     cached=False, seconds=round(elapsed, 6))
         if progress is not None:
-            progress(TaskReport(i, total, tasks[i].label, elapsed, False))
+            progress(TaskReport(i, total, tasks[i].label,
+                                payload.get("elapsed", 0.0), False))
 
     if pending:
         if jobs == 1 or len(pending) == 1:
@@ -739,17 +556,8 @@ class ReportCollector:
 
 
 def log_progress(report: TaskReport) -> None:
-    """Stderr progress printer usable as a ``progress`` callback.
-
-    Routed through :func:`repro.obs.log.emit`: with
-    ``REPRO_LOG_FORMAT=text`` (the default) the output is byte-identical
-    to the historical plain print; ``json`` mode gets the same record as
-    structured fields.
-    """
+    """Stderr progress printer usable as a ``progress`` callback: one
+    ``[  3/10] <label> <seconds>s (run|cache)`` line per task."""
     origin = "cache" if report.cached else "run"
-    obs_log.emit(
-        "task_progress",
-        f"[{report.index + 1:3d}/{report.total}] {report.label:40s} "
-        f"{report.seconds:7.2f}s ({origin})",
-        index=report.index, total=report.total, label=report.label,
-        seconds=round(report.seconds, 6), cached=report.cached)
+    print(f"[{report.index + 1:3d}/{report.total}] {report.label:40s} "
+          f"{report.seconds:7.2f}s ({origin})", file=sys.stderr)

@@ -173,6 +173,7 @@ class TestExplore:
                      "--out", str(out_dir)]) == 0
         out = capsys.readouterr().out
         assert "exploring preset 'tiny': 2 raw points" in out
+        assert "warmup 40, measure 80" in out
         assert "confirm" in out and "Pareto frontier" in out
         assert (out_dir / "exploration.json").is_file()
         assert (out_dir / "candidates.csv").is_file()

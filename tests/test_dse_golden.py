@@ -7,8 +7,8 @@ preset reproduces the throughput-effectiveness ordering the original
 
 The cross-jobs/cross-cache matrix runs the real figure2 space at small
 windows to stay fast; the full-window ordering test runs the actual
-preset (the expensive honest check — use a warm cache to make re-runs
-free)."""
+preset (the expensive honest check) on a private cache that the power
+preset's full sweep then reads back."""
 
 import dataclasses
 import json
@@ -99,7 +99,8 @@ class TestBitIdenticalAcrossJobsAndCache:
                                    "frontier.csv", "host.json",
                                    "tech_nodes.csv"]
         payload = json.loads(written["exploration.json"].read_text())
-        assert payload["schema"] == 3
+        assert payload["schema"] == 4
+        assert (payload["warmup"], payload["measure"]) == (60, 120)
         assert ExplorationResult.from_json(payload).to_json() \
             == result.to_json()
         header = written["candidates.csv"].read_text().splitlines()[0]
@@ -121,6 +122,17 @@ class TestBitIdenticalAcrossJobsAndCache:
         legacy = result.to_json()
         legacy["schema"] = schema
         with pytest.raises(ValueError, match=f"schema {schema} "):
+            ExplorationResult.from_json(legacy)
+
+    def test_windowless_artifact_rejected(self, tmp_path):
+        # Schema 3 did not record the simulation windows, so its numbers
+        # cannot be told from a full-window run's.
+        result = explore(tiny_figure2(), jobs=1,
+                         cache=str(tmp_path / "cache"))
+        legacy = result.to_json()
+        legacy["schema"] = 3
+        del legacy["warmup"], legacy["measure"]
+        with pytest.raises(ValueError, match="schema 3 "):
             ExplorationResult.from_json(legacy)
 
     def test_unknown_schema_rejected(self):
@@ -152,11 +164,20 @@ class TestBitIdenticalAcrossJobsAndCache:
             assert ipws == sorted(ipws)
 
 
+@pytest.fixture(scope="module")
+def figure2_cache(tmp_path_factory):
+    """One private result cache for the full-window tests, so every run
+    simulates ``figure2`` once and never reads a cache another checkout
+    warmed."""
+    return str(tmp_path_factory.mktemp("figure2-cache"))
+
+
 class TestFigure2FullOrdering:
-    def test_reproduces_head_example_ordering(self):
+    def test_reproduces_head_example_ordering(self, figure2_cache):
         # Full 400/1000-cycle windows over the 9-benchmark mix — the
-        # honest acceptance check (~90 s cold; free on a warm cache).
-        result = explore(figure2(), jobs=1, cache=True)
+        # honest acceptance check (about 4 s cold, serial).
+        result = explore(figure2(), jobs=1, cache=figure2_cache)
+        assert (result.warmup, result.measure) == (400, 1000)
         assert result.ranking == FIGURE2_ORDERING
         assert result.rejected == []
         assert sorted(result.ranking) \
@@ -172,12 +193,15 @@ class TestFigure2FullOrdering:
 
 
 class TestPowerPresetFullSweep:
-    def test_power_preset_projects_onto_figure2(self, tmp_path):
+    def test_power_preset_projects_onto_figure2(self, figure2_cache):
         # Acceptance: `--preset power` shares figure2's tasks exactly
         # (free on the cache the figure2 test warmed) and its (IPC, mm²)
         # projection is bit-identical at the 65 nm base node.
-        base = explore(figure2(), jobs=1, cache=True)
-        result = explore(power(), jobs=1, cache=True)
+        base = explore(figure2(), jobs=1, cache=figure2_cache)
+        collector = ReportCollector()
+        result = explore(power(), jobs=1, cache=figure2_cache,
+                         progress=collector)
+        assert collector.executed == 0
         assert result.ranking == FIGURE2_ORDERING
         assert result.frontier == base.frontier
         assert result.tech_nodes == [65, 45, 32, 22]

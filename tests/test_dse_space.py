@@ -2,9 +2,9 @@
 
 The acceptance bar: every illegal axis combination is rejected with a
 *named* rule before any simulation starts — pinned here by checking the
-rule name per combination and by asserting the in-process execution
-counter never moves during enumeration (or during an exploration whose
-space is entirely illegal)."""
+rule name per combination, by failing any simulation started during
+enumeration, and by asserting that an exploration whose space is
+entirely illegal executes no task."""
 
 import dataclasses
 
@@ -18,11 +18,21 @@ from repro.dse import (Axis, ExplorationSpec, SearchSpace, design_label,
                        explore, preset)
 from repro.area.chip import design_chip_area_mm2
 from repro.noc.topology import Coord, Mesh
-from repro.parallel import EXECUTION_COUNTER, derive_seed
+from repro import parallel
+from repro.parallel import ReportCollector, derive_seed
 from repro.system.accelerator import build_chip
 from repro.system.config import scaled_config
 from repro.system.metrics import harmonic_mean
 from repro.workloads.profiles import profile
+
+
+@pytest.fixture()
+def no_simulation(monkeypatch):
+    """Fail the test if any task is simulated."""
+    def forbidden(task):
+        raise AssertionError(f"simulated {task.label}")
+
+    monkeypatch.setattr(parallel, "_run_task", forbidden)
 
 
 def rules_of(design, mesh=None, num_mcs=8):
@@ -125,11 +135,9 @@ class TestMeshRules:
         assert "top-bottom-placement-capacity" in rules_of(
             BASELINE, Mesh(3, 6), num_mcs=8)
 
-    def test_no_simulation_during_constraint_pass(self):
-        EXECUTION_COUNTER.reset()
+    def test_no_simulation_during_constraint_pass(self, no_simulation):
         for mesh in (Mesh(2, 2), Mesh(6, 6), Mesh(8, 8)):
             design_constraint_violations(design_by_name("CP-CR-4VC"), mesh)
-        assert EXECUTION_COUNTER.executed == 0
 
 
 class TestAxis:
@@ -172,16 +180,15 @@ class TestSearchSpace:
                   Axis("vcs_per_class", (1, 2, 4))))
         assert space.size() == 1 + 2 * 3
 
-    def test_enumerate_is_deterministic_and_constraint_checked(self):
+    def test_enumerate_is_deterministic_and_constraint_checked(
+            self, no_simulation):
         space = SearchSpace(
             name="s",
             axes=(Axis("placement", ("top_bottom", "checkerboard")),
                   Axis("routing", ("dor", "cr")),
                   Axis("vcs_per_class", (1, 2))))
-        EXECUTION_COUNTER.reset()
         candidates, rejected = space.enumerate()
         again = space.enumerate()
-        assert EXECUTION_COUNTER.executed == 0
         assert [c.name for c in candidates] == [c.name for c in again[0]]
         assert len(candidates) + len(rejected) == space.size()
         # every cr point without half-routers is rejected, with the rule
@@ -243,9 +250,9 @@ class TestExploreRejectsBeforeSimulating:
                   Axis("vcs_per_class", (1,)),
                   Axis("placement", ("top_bottom", "checkerboard"))))
         spec = ExplorationSpec(name="illegal", space=space, mix=("RD",))
-        EXECUTION_COUNTER.reset()
-        result = explore(spec, jobs=1)
-        assert EXECUTION_COUNTER.executed == 0
+        collector = ReportCollector()
+        result = explore(spec, jobs=1, progress=collector)
+        assert collector.executed == collector.cached == 0
         assert result.candidates == [] and result.ranking == []
         assert result.frontier == []
         assert len(result.rejected) == 2

@@ -8,8 +8,7 @@ Contracts pinned here:
   what actually failed;
 * orphaned ``*.tmp.<pid>`` files from killed writers are swept (aged on
   ``put``, unconditionally on ``clear``) and are never served;
-* the on-disk index + LRU size budget evict least-recently-used entries
-  and survive concurrent writers;
+* concurrent writers in separate processes share one cache directory;
 * a truncated telemetry artifact directory (no ``summary.json``
   completion sentinel) forces re-execution instead of serving a cache
   hit against half-written artifacts;
@@ -18,7 +17,6 @@ Contracts pinned here:
 """
 
 import dataclasses
-import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -28,8 +26,8 @@ import pytest
 from repro.core.builder import BASELINE
 from repro.experiments import closed_task, open_loop_task
 from repro.noc.traffic import UniformManyToFew
-from repro.parallel import (EXECUTION_COUNTER, INDEX_NAME, ResultCache,
-                            SimTask, TaskError, run_tasks)
+from repro.parallel import (ReportCollector, ResultCache, SimTask,
+                            TaskError, run_tasks)
 from repro.system.config import scaled_config
 from repro.telemetry import TelemetrySpec
 from repro.workloads.profiles import profile
@@ -47,10 +45,11 @@ def poison_task():
     return SimTask(kind="boom", label="poison", seed=1, warmup=1, measure=1)
 
 
-def executed_by(fn):
-    before = EXECUTION_COUNTER.executed
-    result = fn()
-    return EXECUTION_COUNTER.executed - before, result
+def executed_by(tasks, **kwargs):
+    """``run_tasks(tasks, **kwargs)`` and how many tasks it simulated."""
+    collector = ReportCollector()
+    result = run_tasks(tasks, progress=collector, **kwargs)
+    return collector.executed, result
 
 
 class TestFailFastRetainsResults:
@@ -85,8 +84,7 @@ class TestFailFastRetainsResults:
         good = good_tasks()
         with pytest.raises(TaskError):
             run_tasks(good + [poison_task()], jobs=1, cache=store)
-        executed, payloads = executed_by(
-            lambda: run_tasks(good, jobs=1, cache=store))
+        executed, payloads = executed_by(good, jobs=1, cache=store)
         assert executed == 0, "good results were lost by the failed batch"
         assert [p["label"] for p in payloads] == [t.label for t in good]
 
@@ -130,67 +128,9 @@ class TestOrphanTmpFiles:
         assert not fresh.exists()
         assert len(store) == 0
 
-    def test_clear_removes_index(self, tmp_path):
-        store = ResultCache(tmp_path)
-        store.put("abc", {"result": 1})
-        assert (tmp_path / INDEX_NAME).is_file()
-        assert store.clear() == 1
-        assert not (tmp_path / INDEX_NAME).exists()
-
 
 class TestIndexAndEviction:
-    def entry(self, i):
-        return f"{i:064x}", {"result": "x" * 200, "i": i}
-
-    def test_index_tracks_entries_and_bytes(self, tmp_path):
-        store = ResultCache(tmp_path)
-        for i in range(3):
-            store.put(*self.entry(i))
-        stats = store.stats()
-        assert stats["entries"] == 3
-        assert stats["max_bytes"] is None
-        on_disk = sum(store.path_for(f"{i:064x}").stat().st_size
-                      for i in range(3))
-        assert stats["bytes"] == on_disk
-
-    def test_corrupt_index_rebuilds_from_directory(self, tmp_path):
-        store = ResultCache(tmp_path)
-        store.put("abc", {"result": 1})
-        (tmp_path / INDEX_NAME).write_text("{corrupt")
-        assert store.stats()["entries"] == 1
-        assert json.loads((tmp_path / INDEX_NAME).read_text())["entries"]
-
-    def test_lru_eviction_respects_budget_and_recency(self, tmp_path):
-        key0, payload = self.entry(0)
-        probe = ResultCache(tmp_path)
-        probe.put(key0, payload)
-        size = probe.path_for(key0).stat().st_size
-        probe.clear()
-
-        store = ResultCache(tmp_path, max_bytes=3 * size + size // 2)
-        keys = []
-        for i in range(3):
-            key, payload = self.entry(i)
-            store.put(key, payload)
-            keys.append(key)
-        # Pin recency explicitly: key[1] is oldest, then key[0], key[2].
-        now = time.time()
-        for key, age in zip(keys, (20.0, 40.0, 10.0)):
-            os.utime(store.path_for(key), (now - age, now - age))
-        key3, payload = self.entry(3)
-        store.put(key3, payload)
-        assert store.get(keys[1]) is None, "LRU entry survived eviction"
-        for key in (keys[0], keys[2], key3):
-            assert store.get(key) is not None
-        assert store.stats()["entries"] == 3
-
-    def test_get_refreshes_recency(self, tmp_path):
-        store = ResultCache(tmp_path)
-        store.put("abc", {"result": 1})
-        old = time.time() - 1000
-        os.utime(store.path_for("abc"), (old, old))
-        store.get("abc")
-        assert store.path_for("abc").stat().st_mtime > old + 500
+    """Concurrent writers over one cache directory."""
 
     def test_concurrent_writers_share_one_directory(self, tmp_path):
         with ProcessPoolExecutor(max_workers=4) as pool:
@@ -200,7 +140,6 @@ class TestIndexAndEviction:
         store = ResultCache(tmp_path)
         # 4 workers x 10 distinct keys plus 5 shared keys.
         assert len(store) == 45
-        assert store.stats()["entries"] == 45
         for worker in range(4):
             for i in range(10):
                 assert store.get(f"w{worker}-{i}") == \
@@ -209,8 +148,7 @@ class TestIndexAndEviction:
             assert store.get(f"shared-{i}") is not None
         # Every lookup followed that worker's own put of the same key, so
         # under contention it is still a hit, no matter how the four
-        # interleaved (entries are never deleted here; the advisory index
-        # lock only guards metadata).
+        # interleaved (entries are only ever replaced, never deleted).
         assert hits == [10] * 4
 
 
@@ -234,18 +172,18 @@ class TestArtifactCompletionSentinel:
     def test_truncated_artifact_dir_forces_reexecution(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         task = self._task(tmp_path)
-        cold, _ = executed_by(lambda: run_tasks([task], cache=cache))
+        cold, _ = executed_by([task], cache=cache)
         assert cold == 1
         art = task.telemetry_dir()
         assert (art / "summary.json").is_file()
 
-        warm, _ = executed_by(lambda: run_tasks([task], cache=cache))
+        warm, _ = executed_by([task], cache=cache)
         assert warm == 0, "complete artifacts must serve the hit"
 
         # A writer killed mid-flight leaves the directory but not the
         # summary.json completion sentinel; the hit must be bypassed.
         (art / "summary.json").unlink()
         assert art.is_dir()
-        rerun, _ = executed_by(lambda: run_tasks([task], cache=cache))
+        rerun, _ = executed_by([task], cache=cache)
         assert rerun == 1, "truncated artifact dir served a cache hit"
         assert (art / "summary.json").is_file()

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core import BASELINE, build, open_loop_variant
-from repro.noc.openloop import OpenLoopRunner, sweep_load
+from repro.experiments import load_latency_curves
+from repro.noc.openloop import OpenLoopRunner
 from repro.noc.traffic import UniformManyToFew
 
 
@@ -52,14 +53,11 @@ class TestMeasurement:
 
 
 class TestSweep:
-    def test_sweep_builds_fresh_networks(self):
-        points = sweep_load(
-            fresh_system,
-            fresh_system().compute_nodes,
-            fresh_system().mc_nodes,
-            UniformManyToFew,
-            rates=[0.005, 0.02],
-            warmup=150, measure=300)
+    def test_load_latency_curves_build_fresh_networks(self):
+        (curve,) = load_latency_curves([BASELINE], [0.005, 0.02],
+                                       UniformManyToFew,
+                                       warmup=150, measure=300)
+        points = curve.points
         assert len(points) == 2
         assert points[0].offered_rate == 0.005
         assert points[1].mean_latency >= points[0].mean_latency * 0.8

@@ -17,8 +17,8 @@ from repro.core.builder import BASELINE, CP_DOR, DOUBLE_BW, NAMED_DESIGNS
 from repro.experiments import (classify_benchmarks, compare_designs,
                                load_latency_curves)
 from repro.noc.traffic import UniformManyToFew
-from repro.parallel import (derive_seed, derive_seeds, resolve_jobs,
-                            stable_key)
+from repro.parallel import (TaskReport, derive_seed, derive_seeds,
+                            log_progress, resolve_jobs, stable_key)
 from repro.workloads.profiles import PROFILES, profile
 
 DESIGNS = [BASELINE, CP_DOR, DOUBLE_BW]
@@ -153,6 +153,18 @@ class TestSeedDerivation:
         assert resolve_jobs(2) == 2
         with pytest.raises(ValueError):
             resolve_jobs(0)
+
+
+class TestLogProgress:
+    REPORT = TaskReport(index=2, total=10, label="CP-DOR/uniform@0.01",
+                        seconds=1.2345, cached=False)
+
+    def test_text_mode_byte_stable_with_legacy_print(self, capsys):
+        log_progress(self.REPORT)
+        legacy = (f"[{self.REPORT.index + 1:3d}/{self.REPORT.total}] "
+                  f"{self.REPORT.label:40s} "
+                  f"{self.REPORT.seconds:7.2f}s (run)\n")
+        assert capsys.readouterr().err == legacy
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 4,
